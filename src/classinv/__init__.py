@@ -3,7 +3,8 @@
 The pipeline: enumerate the reduced quadratic forms of discriminant -n,
 attach to each a GL(2, Z/72) matrix, turn that matrix into an exact
 monomial action on six level-72 eta quotients via S,T-word
-decomposition and a Galois twist, evaluate each conjugate at high
+decomposition and a Galois twist (integer-encoded, with the dense
+cyclotomic matrices as the exact oracle), evaluate each conjugate at high
 precision, and round the expanded product to an integer polynomial.
 """
 
@@ -18,7 +19,7 @@ from .classpoly import (
     verify_polynomial,
 )
 from .cyclotomic import CycNum
-from .etarep import RepMatrix, invariance_check
+from .etarep import Monomial, RepMatrix, invariance_check
 from .numeval import eta, j_invariant, ramanujan_value
 from .quadforms import QuadForm, class_number, form_root, reduce_form, reduced_forms
 
@@ -28,6 +29,7 @@ __all__ = [
     "ConjugateRecord",
     "CycNum",
     "IntPolynomial",
+    "Monomial",
     "PolynomialResult",
     "PrecisionError",
     "QuadForm",

@@ -14,12 +14,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath
 
-from .cyclotomic import SQRT3, CycNum
-from .etarep import RepMatrix, conjugate_action, form_action, unit_vector
+from .cyclotomic import CycNum
+from .etarep import (
+    SQRT3_F2,
+    Monomial,
+    RepMatrix,
+    Term,
+    conjugate_action,
+    form_action,
+    form_matrix_mod72,
+    full_action,
+    monomial_entry,
+)
 from .numeval import GUARD_DIGITS, j_invariant, r_value, ramanujan_value
 from .quadforms import QuadForm, form_root, reduced_forms
 
@@ -110,14 +121,27 @@ class IntPolynomial:
 
 @dataclass(frozen=True)
 class ConjugateRecord:
-    """One conjugate of the invariant: its form, action data, and value."""
+    """One conjugate of the invariant: its form, action data, and value.
+
+    The conjugate is scalar = z^k * sqrt(3)^e, z = exp(2*pi*i/72), times
+    the eta quotient F_index at the form's root; (index, k, e) is where
+    the integer action with determinant det sends sqrt(3) * F_2.
+    """
 
     form: QuadForm
     det: int
-    rep: RepMatrix
+    action: Monomial
     index: int
+    k: int
+    e: int
     scalar: CycNum
     value: mpmath.mpc
+
+    @cached_property
+    def rep(self) -> RepMatrix:
+        """The dense substitution matrix, recomputed by the exact oracle
+        (``full_action`` on the form's GL2(Z/72) matrix) on first use."""
+        return full_action(form_matrix_mod72(self.form))[0]
 
 
 @dataclass(frozen=True)
@@ -143,6 +167,34 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+def _check_digits(dps: int) -> int:
+    if dps < 1:
+        raise ValueError(f"precision must be at least 1 digit, got {dps}")
+    return dps
+
+
+def _action_data(form: QuadForm) -> Tuple[Monomial, int, Term]:
+    """The form's integer action, its determinant, and the term
+    (index, k, e) of the conjugate of sqrt(3) * F_2."""
+    action, det = form_action(form)
+    return action, det, conjugate_action(action, det, SQRT3_F2)
+
+
+def _conjugate_number(form: QuadForm, term: Term, digits: int) -> mpmath.mpc:
+    """z^k * sqrt(3)^e * F_index at the form's root."""
+    index, k, e = term
+    with mpmath.workdps(digits + GUARD_DIGITS):
+        scale = mpmath.expjpi(mpmath.mpf(k) / 36) * mpmath.sqrt(3) ** e
+        return scale * r_value(index, form_root(form, digits + GUARD_DIGITS), digits)
+
+
+def _record(form: QuadForm, data: Tuple[Monomial, int, Term],
+            value: mpmath.mpc) -> ConjugateRecord:
+    action, det, (index, k, e) = data
+    return ConjugateRecord(form=form, det=det, action=action, index=index, k=k,
+                           e=e, scalar=monomial_entry(k, e), value=value)
+
+
 def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecord:
     """The conjugate of sqrt(3) * F_2 attached to a form class.
 
@@ -151,19 +203,9 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
     the conjugate is that exact scalar times the corresponding eta
     quotient at the form's root.
     """
-    digits = dps if dps is not None else mpmath.mp.dps
-    rep, det = form_action(form)
-    moved = conjugate_action(rep, det, unit_vector(2, SQRT3))
-    hits = [(i, c) for i, c in enumerate(moved) if c]
-    if len(hits) != 1:
-        raise ArithmeticError("representation not monomial")
-    index, scalar = hits[0]
-    with mpmath.workdps(digits + GUARD_DIGITS):
-        value = scalar.embed(digits + GUARD_DIGITS) * r_value(
-            index, form_root(form, digits + GUARD_DIGITS), digits
-        )
-    return ConjugateRecord(form=form, det=det, rep=rep, index=index,
-                           scalar=scalar, value=value)
+    digits = _check_digits(dps) if dps is not None else mpmath.mp.dps
+    data = _action_data(form)
+    return _record(form, data, _conjugate_number(form, data[2], digits))
 
 
 def _expand_and_round(values: Sequence[mpmath.mpc],
@@ -187,34 +229,54 @@ def _expand_and_round(values: Sequence[mpmath.mpc],
         return tuple(rounded), residual
 
 
+def _round_with_retries(
+    evaluate: Callable[[int], Sequence[mpmath.mpc]], digits: int,
+) -> Tuple[Tuple[int, ...], mpmath.mpf, int, Sequence[mpmath.mpc]]:
+    """Round the expanded product of the values ``evaluate(digits)``.
+
+    Digits double on each rounding failure, up to MAX_RETRIES times,
+    before PrecisionError is raised.  Returns the rounded coefficients,
+    the residual, the digits used and the values at those digits.
+    """
+    residual = None
+    for _ in range(MAX_RETRIES + 1):
+        values = evaluate(digits)
+        rounded, residual = _expand_and_round(values, digits)
+        if residual < RESIDUAL_TOLERANCE:
+            return rounded, residual, digits, values
+        digits *= 2
+    raise PrecisionError(
+        f"coefficients failed to round to integers (residual {mpmath.nstr(residual)})",
+        residual,
+    )
+
+
 def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     """Minimal polynomial of t_n over the rationals, with retry on precision.
 
     n must be positive and congruent to 11 mod 24.  Non-squarefree n is
     accepted (the caller may warn); precision doubles on rounding
     failure up to MAX_RETRIES times before PrecisionError is raised.
+    The exact actions are computed once; only the evaluations repeat.
     """
     if n <= 0 or n % 24 != 11:
         raise ValueError(BAD_RESIDUE_MESSAGE)
-    digits = dps if dps is not None else DEFAULT_DIGITS
+    digits = _check_digits(dps) if dps is not None else DEFAULT_DIGITS
     forms = reduced_forms(-n)
-    residual = None
-    for _ in range(MAX_RETRIES + 1):
-        records = tuple(conjugate_value(f, digits) for f in forms)
-        rounded, residual = _expand_and_round([r.value for r in records], digits)
-        if residual < RESIDUAL_TOLERANCE:
-            return PolynomialResult(
-                discriminant=-n,
-                class_number=len(forms),
-                polynomial=IntPolynomial(rounded),
-                precision_digits=digits,
-                max_residual=residual,
-                conjugates=records,
-            )
-        digits *= 2
-    raise PrecisionError(
-        f"coefficients failed to round to integers (residual {mpmath.nstr(residual)})",
-        residual,
+    actions = [_action_data(f) for f in forms]
+
+    def evaluate(digits: int) -> List[mpmath.mpc]:
+        return [_conjugate_number(f, data[2], digits)
+                for f, data in zip(forms, actions)]
+
+    rounded, residual, digits, values = _round_with_retries(evaluate, digits)
+    return PolynomialResult(
+        discriminant=-n,
+        class_number=len(forms),
+        polynomial=IntPolynomial(rounded),
+        precision_digits=digits,
+        max_residual=residual,
+        conjugates=tuple(_record(*row) for row in zip(forms, actions, values)),
     )
 
 
@@ -230,31 +292,25 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     if discriminant >= 0 or discriminant % 4 not in (0, 1):
         raise ValueError("not a negative discriminant")
     forms = reduced_forms(discriminant)
-    digits = dps if dps is not None else hilbert_default_digits(discriminant)
-    residual = None
-    for _ in range(MAX_RETRIES + 1):
-        values = [
-            j_invariant(form_root(f, digits + GUARD_DIGITS), digits) for f in forms
-        ]
-        rounded, residual = _expand_and_round(values, digits)
-        if residual < RESIDUAL_TOLERANCE:
-            return PolynomialResult(
-                discriminant=discriminant,
-                class_number=len(forms),
-                polynomial=IntPolynomial(rounded),
-                precision_digits=digits,
-                max_residual=residual,
-            )
-        digits *= 2
-    raise PrecisionError(
-        f"coefficients failed to round to integers (residual {mpmath.nstr(residual)})",
-        residual,
+    digits = (_check_digits(dps) if dps is not None
+              else hilbert_default_digits(discriminant))
+
+    def evaluate(digits: int) -> List[mpmath.mpc]:
+        return [j_invariant(form_root(f, digits + GUARD_DIGITS), digits) for f in forms]
+
+    rounded, residual, digits, _ = _round_with_retries(evaluate, digits)
+    return PolynomialResult(
+        discriminant=discriminant,
+        class_number=len(forms),
+        polynomial=IntPolynomial(rounded),
+        precision_digits=digits,
+        max_residual=residual,
     )
 
 
 def verify_polynomial(polynomial: IntPolynomial, n: int,
                       dps: Optional[int] = None) -> mpmath.mpf:
     """Absolute value of the polynomial at t_n; small iff it annihilates t_n."""
-    digits = dps if dps is not None else DEFAULT_DIGITS
+    digits = _check_digits(dps) if dps is not None else DEFAULT_DIGITS
     with mpmath.workdps(digits + GUARD_DIGITS):
         return abs(polynomial.evaluate(ramanujan_value(n, digits)))

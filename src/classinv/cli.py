@@ -28,8 +28,9 @@ from .classpoly import (
 from .etarep import invariance_check
 from .selftest import run_all
 
-INVARIANCE_CLASSES = (11, 35, 59)
-"""Residue class representatives mod 72 covered by check-invariance."""
+INVARIANCE_CLASSES = tuple(range(11, 288, 24))
+"""One n = 11 (mod 24) in each of the 12 residue classes mod 288,
+11, 35, ..., 275, covered by check-invariance."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,14 +64,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_prec(given: Optional[int]) -> Optional[int]:
     if given is not None:
-        return given
-    env = os.environ.get("CLASSINV_PREC")
-    if env is not None and env != "":
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"invalid CLASSINV_PREC value: {env!r}")
-    return None
+        source, raw = "--prec", given
+    else:
+        source, raw = "CLASSINV_PREC", os.environ.get("CLASSINV_PREC")
+        if raw is None or raw == "":
+            return None
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"invalid {source} value: {raw!r}")
+    if value < 1:
+        raise ValueError(f"invalid {source} value: {raw!r} (must be at least 1 digit)")
+    return value
 
 
 def _result_payload(result: PolynomialResult) -> dict:

@@ -1,35 +1,40 @@
 """Exact action of modular words and Galois twists on level-72 eta quotients.
 
-The six functions spanned here are, with e(x) = eta(x) and all divided
-by e(tau)^2:
-
-    index 0:  e(3*tau)   * e(tau/3)
-    index 1:  e(3*tau)   * e(tau/3 + 1/3)
-    index 2:  e(3*tau)   * e(tau/3 + 2/3)
-    index 3:  e(tau/3)   * e(tau/3 + 2/3)
-    index 4:  e(tau/3)   * e(tau/3 + 1/3)
-    index 5:  e(tau/3+2/3) * e(tau/3 + 1/3)
+The six functions F_0, ..., F_5 spanned here are the eta quotients
+listed in ``numeval.ETA_QUOTIENTS``, each a product of two eta factors
+divided by eta(tau)^2.
 
 The generators S: tau -> -1/tau and T: tau -> tau + 1 permute this
-six-dimensional space up to 72nd roots of unity, as do the Galois
-automorphisms z -> z^d of the coefficient field.  Every matrix here is
-monomial (one nonzero entry per row and column), so products and
-inverses stay exact and cheap.
+six-dimensional space up to scalars z^k * sqrt(3)^e, z = exp(2*pi*i/72),
+as do the Galois automorphisms z -> z^d of the coefficient field.
+Every matrix here is therefore monomial: one nonzero entry per row and
+column, each of that form.
+
+The hot path stores such a matrix as a ``Monomial``, one integer triple
+(column, k mod 72, e) per row, so products are a permutation
+composition plus integer additions and the Galois twist z -> z^d maps
+k to d*k (plus 36 when it negates sqrt(3) and e is odd).  The dense
+``RepMatrix`` over the cyclotomic field, with ``rep_s``, ``rep_t``,
+``rep_sigma``, ``word_action``, ``full_action`` and ``dual_action``,
+is the exact oracle: ``Monomial.dense`` rebuilds it, and the selftest
+and test suites compare the two entry for entry.
 
 A matrix A gives the substitution rule F(g(tau)) = (A F)(tau) on the
 column vector F of the six functions.  A function written as a
 coefficient vector a (meaning sum a_i F_i) therefore transforms by the
 transpose: precomposing with a word g_1 ... g_k sends a to
-(A_{g_1} ... A_{g_k})^t a.
+(A_{g_1} ... A_{g_k})^t a.  On the hot path such a vector is a single
+scaled basis vector, stored as a ``Term`` (index, k, e).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cyclotomic import SQRT3, CycNum
+from .cyclotomic import ORDER, SQRT3, CycNum
 from .orders import generator_matrix, generators_for, unit_group
 from .quadforms import QuadForm
 from .sl2words import Mat2, Word, crt_combine, decompose, form_matrix, lift_word, split_det
@@ -103,11 +108,6 @@ class RepMatrix:
     def galois(self, d: int) -> "RepMatrix":
         return RepMatrix(
             tuple(tuple(x.galois(d) for x in row) for row in self.rows)
-        )
-
-    def transpose(self) -> "RepMatrix":
-        return RepMatrix(
-            tuple(tuple(self.rows[j][i] for j in range(SIZE)) for i in range(SIZE))
         )
 
     def is_monomial(self) -> bool:
@@ -269,24 +269,183 @@ def dual_action(rep: RepMatrix, det: int, coeffs: Vector) -> Vector:
     return rep_sigma(det).act_on_coefficients(twisted)
 
 
-def conjugate_action(rep: RepMatrix, det: int, coeffs: Vector) -> Vector:
+def dense_conjugate_action(rep: RepMatrix, det: int, coeffs: Vector) -> Vector:
     """Coefficient vector of the Galois conjugate of a function.
 
     A function written as a coefficient vector a is first precomposed
     with the unimodular substitution (transpose of the matrix, per the
     module docstring), then every coefficient of the result is twisted
     by z -> z^d, including the root-of-unity factors the twist induces
-    on the basis functions themselves.
+    on the basis functions themselves.  ``conjugate_action`` is the same
+    map on the integer encoding.
     """
     pulled = rep.act_on_coefficients(coeffs)
     twisted = tuple(x.galois(det) for x in pulled)
     return rep_sigma(det).act_on_coefficients(twisted)
 
 
-def form_action(form: QuadForm) -> Tuple[RepMatrix, int]:
-    """The (matrix, determinant) pair attached to a quadratic form class."""
-    combined = crt_combine(form_matrix(form, 8), form_matrix(form, 9))
-    return full_action(combined)
+# -- the integer encoding ---------------------------------------------------
+
+Term = Tuple[int, int, int]
+"""(index, k, e): the coefficient vector with z^k * sqrt(3)^e at index."""
+
+SQRT3_F2: Term = (2, 0, 1)
+"""sqrt(3) * F_2, the function whose conjugates are the class invariants."""
+
+
+def _sqrt3_sign(d: int) -> int:
+    """The sign z -> z^d puts on sqrt(3) = z^6 - z^30: the character chi_12."""
+    if math.gcd(d, ORDER) != 1:
+        raise ValueError("not a Galois element")
+    return 1 if d % 12 in (1, 11) else -1
+
+
+def monomial_entry(k: int, e: int) -> CycNum:
+    """The exact field element z^k * sqrt(3)^e."""
+    root = CycNum.zeta_pow(k) * (SQRT3 if e % 2 else _ONE)
+    return root * Fraction(3) ** (e // 2)
+
+
+def _twist_term(term: Term, d: int) -> Term:
+    """Apply z -> z^d to the coefficient of a term (or of a matrix row)."""
+    index, k, e = term
+    flip = 36 if _sqrt3_sign(d) < 0 and e % 2 else 0
+    return index, (d * k + flip) % ORDER, e
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """A monomial 6x6 matrix in the integer encoding.
+
+    ``rows[i] = (j, k, e)`` says that row i holds z^k * sqrt(3)^e in
+    column j and zeros elsewhere, with 0 <= k < 72, and the columns j
+    form a permutation.  ``from_columns`` checks both; products and
+    twists keep them.
+    """
+
+    rows: Tuple[Tuple[int, int, int], ...]
+
+    @staticmethod
+    def from_columns(perm: Sequence[int], k: Sequence[int],
+                     e: Sequence[int]) -> "Monomial":
+        """Row i holds z^k[i] * sqrt(3)^e[i] in column perm[i]."""
+        if sorted(perm) != list(range(SIZE)) or not len(k) == len(e) == SIZE:
+            raise ValueError("not a 6x6 monomial matrix")
+        return Monomial(tuple((j, x % ORDER, y) for j, x, y in zip(perm, k, e)))
+
+    @staticmethod
+    def identity() -> "Monomial":
+        return Monomial(tuple((i, 0, 0) for i in range(SIZE)))
+
+    def __mul__(self, other: "Monomial") -> "Monomial":
+        right = other.rows
+        out = []
+        for j, k, e in self.rows:
+            column, k2, e2 = right[j]
+            out.append((column, (k + k2) % ORDER, e + e2))
+        return Monomial(tuple(out))
+
+    def galois(self, d: int) -> "Monomial":
+        """Every entry under z -> z^d."""
+        return Monomial(tuple(_twist_term(row, d) for row in self.rows))
+
+    def apply(self, term: Term) -> Term:
+        """Matrix times the term's column vector."""
+        index, k, e = term
+        row = [j for j, _, _ in self.rows].index(index)
+        _, k2, e2 = self.rows[row]
+        return row, (k + k2) % ORDER, e + e2
+
+    def act_on_coefficients(self, term: Term) -> Term:
+        """Transpose times the term's column vector; see the module docstring."""
+        index, k, e = term
+        j, k2, e2 = self.rows[index]
+        return j, (k + k2) % ORDER, e + e2
+
+    def dense(self) -> RepMatrix:
+        """The same matrix over the cyclotomic field, for the oracle."""
+        return RepMatrix.from_entries({
+            (i, j): monomial_entry(k, e) for i, (j, k, e) in enumerate(self.rows)
+        })
+
+
+MONOMIAL_S = Monomial.from_columns((0, 3, 4, 1, 2, 5), (0, 69, 3, 3, 69, 0),
+                                   (0, -1, -1, 1, 1, 0))
+"""``rep_s`` in the integer encoding."""
+
+MONOMIAL_T = Monomial.from_columns((1, 2, 0, 4, 5, 3), (3, 3, 6, 69, 66, 69),
+                                   (0,) * SIZE)
+"""``rep_t`` in the integer encoding."""
+
+
+def _monomial_t_powers() -> Tuple[Monomial, ...]:
+    powers = [Monomial.identity()]
+    for _ in range(17):
+        powers.append(powers[-1] * MONOMIAL_T)
+    return tuple(powers)
+
+
+_MONOMIAL_T_POWERS = _monomial_t_powers()
+"""T has order 18 in the representation."""
+
+
+def monomial_sigma(d: int) -> Monomial:
+    """``rep_sigma(d)`` in the integer encoding, by the same formulas."""
+    if math.gcd(d, ORDER) != 1:
+        raise ValueError("not a Galois element")
+    if d % 3 == 1:
+        return Monomial.from_columns(
+            range(SIZE), (0, d - 1, 2 * d - 2, 2 * d - 2, d - 1, 3 * d - 3), (0,) * SIZE)
+    return Monomial.from_columns(
+        (0, 2, 1, 4, 3, 5), (0, d - 2, 2 * d - 1, 2 * d - 1, d - 2, 3 * d - 3), (0,) * SIZE)
+
+
+def monomial_word_action(word: Word) -> Monomial:
+    """``word_action`` in the integer encoding."""
+    result = Monomial.identity()
+    for gen, exponent in word:
+        if gen == "S":
+            if exponent != 1:
+                raise ValueError("S tokens must have exponent 1")
+            result = result * MONOMIAL_S
+        elif gen == "T":
+            result = result * _MONOMIAL_T_POWERS[exponent % 18]
+        else:
+            raise ValueError(f"unknown generator {gen!r}")
+    return result
+
+
+def monomial_action(matrix: Mat2) -> Tuple[Monomial, int]:
+    """``full_action`` in the integer encoding: the same split and words."""
+    if matrix.mod != 72:
+        matrix = matrix.to_mod(72)
+    unimodular, det = split_det(matrix)
+    word8 = lift_word(decompose(unimodular.to_mod(8), 8), 8)
+    word9 = lift_word(decompose(unimodular.to_mod(9), 9), 9)
+    return monomial_word_action(word8 + word9), det
+
+
+def conjugate_action(action: Monomial, det: int, term: Term) -> Term:
+    """The term of the Galois conjugate; see ``dense_conjugate_action``."""
+    pulled = _twist_term(action.act_on_coefficients(term), det)
+    return monomial_sigma(det).act_on_coefficients(pulled)
+
+
+def monomial_dual_action(action: Monomial, det: int, term: Term) -> Term:
+    """``dual_action`` in the integer encoding."""
+    exponent = det % ORDER if det % 3 == 1 else (-det) % ORDER
+    moved = _twist_term(action.apply(term), exponent)
+    return monomial_sigma(det).act_on_coefficients(moved)
+
+
+def form_matrix_mod72(form: QuadForm) -> Mat2:
+    """The GL2(Z/72) matrix attached to a form, glued from mod 8 and mod 9."""
+    return crt_combine(form_matrix(form, 8), form_matrix(form, 9))
+
+
+def form_action(form: QuadForm) -> Tuple[Monomial, int]:
+    """The (integer action, determinant) pair attached to a form class."""
+    return monomial_action(form_matrix_mod72(form))
 
 
 @dataclass(frozen=True)
@@ -311,7 +470,6 @@ def invariance_check(n: int) -> List[InvarianceResult]:
     if n % 24 != 11:
         raise ValueError("n must be ≡ 11 mod 24")
     c_param = (n + 1) // 4
-    target = unit_vector(2, SQRT3)
     results: List[InvarianceResult] = []
     for modulus in (8, 9):
         group = unit_group(c_param, modulus)
@@ -321,15 +479,15 @@ def invariance_check(n: int) -> List[InvarianceResult]:
                 combined = crt_combine(local, Mat2.identity(9))
             else:
                 combined = crt_combine(Mat2.identity(8), local)
-            rep, det = full_action(combined)
-            moved = dual_action(rep, det, target)
+            action, det = monomial_action(combined)
+            moved = monomial_dual_action(action, det, SQRT3_F2)
             results.append(
                 InvarianceResult(
                     modulus=modulus,
                     generator=gen,
                     matrix=combined,
                     det=det,
-                    invariant=(moved == target),
+                    invariant=(moved == SQRT3_F2),
                 )
             )
     return results

@@ -47,7 +47,10 @@ def eta(tau, dps: Optional[int] = None) -> mpmath.mpc:
         return prefactor * total
 
 
-_R_NUMERATORS: Tuple[Tuple[Tuple[int, int], ...], ...] = (
+EtaFactor = Tuple[int, int]
+"""(3, 0) is eta(3*tau); (1, j) is eta(tau/3 + j/3)."""
+
+ETA_QUOTIENTS: Tuple[Tuple[EtaFactor, EtaFactor], ...] = (
     ((3, 0), (1, 0)),
     ((3, 0), (1, 1)),
     ((3, 0), (1, 2)),
@@ -55,8 +58,18 @@ _R_NUMERATORS: Tuple[Tuple[Tuple[int, int], ...], ...] = (
     ((1, 0), (1, 1)),
     ((1, 2), (1, 1)),
 )
-"""Numerator factors of the six functions: (3, 0) is eta(3*tau) and
-(1, j) is eta(tau/3 + j/3)."""
+"""The six level-72 eta quotients F_0, ..., F_5: F_i is the product of
+the two factors in row i divided by eta(tau)^2.  The numeric
+evaluation here, the exact expansions in ``qseries`` and the action in
+``etarep`` all index the quotients by this table."""
+
+
+def _eta_factor(factor: EtaFactor, t: mpmath.mpc) -> mpmath.mpc:
+    scale, shift = factor
+    if scale == 3:
+        return eta(3 * t)
+    third = mpmath.mpf(1) / 3
+    return eta(t * third + shift * third)
 
 
 def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
@@ -64,35 +77,22 @@ def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
     digits = dps if dps is not None else mpmath.mp.dps
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
-        third = mpmath.mpf(1) / 3
-        factors = {
-            (3, 0): eta(3 * t),
-            (1, 0): eta(t * third),
-            (1, 1): eta(t * third + third),
-            (1, 2): eta(t * third + 2 * third),
-        }
+        factors = {f: _eta_factor(f, t) for f in set().union(*ETA_QUOTIENTS)}
         denom = eta(t) ** 2
         return tuple(
-            factors[f1] * factors[f2] / denom for f1, f2 in _R_NUMERATORS
+            factors[f1] * factors[f2] / denom for f1, f2 in ETA_QUOTIENTS
         )
 
 
 def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
     """One of the six eta quotients at tau."""
     digits = dps if dps is not None else mpmath.mp.dps
-    if not 0 <= index < len(_R_NUMERATORS):
+    if not 0 <= index < len(ETA_QUOTIENTS):
         raise ValueError("index out of range")
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
-        third = mpmath.mpf(1) / 3
-        factors = {}
-        for kind in _R_NUMERATORS[index]:
-            scale, shift = kind
-            factors[kind] = (
-                eta(3 * t) if scale == 3 else eta(t * third + shift * third)
-            )
-        f1, f2 = _R_NUMERATORS[index]
-        return factors[f1] * factors[f2] / eta(t) ** 2
+        f1, f2 = ETA_QUOTIENTS[index]
+        return _eta_factor(f1, t) * _eta_factor(f2, t) / eta(t) ** 2
 
 
 def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:

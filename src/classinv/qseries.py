@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import mpmath
 
 from .cyclotomic import CycNum
+from .numeval import ETA_QUOTIENTS, EtaFactor
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -190,20 +191,16 @@ def _eta_inverse_squared(bound: int) -> QSeries:
     return inv * inv
 
 
-_NUMERATORS: Tuple[Tuple[Callable[[int], QSeries], ...], ...] = (
-    (eta_triple_series, lambda b: eta_shift_series(0, b)),
-    (eta_triple_series, lambda b: eta_shift_series(1, b)),
-    (eta_triple_series, lambda b: eta_shift_series(2, b)),
-    (lambda b: eta_shift_series(0, b), lambda b: eta_shift_series(2, b)),
-    (lambda b: eta_shift_series(0, b), lambda b: eta_shift_series(1, b)),
-    (lambda b: eta_shift_series(2, b), lambda b: eta_shift_series(1, b)),
-)
+def _factor_series(factor: EtaFactor, bound: int) -> QSeries:
+    scale, shift = factor
+    return eta_triple_series(bound) if scale == 3 else eta_shift_series(shift, bound)
 
 
 @lru_cache(maxsize=None)
 def r_series(index: int, bound: int = 120) -> QSeries:
-    """Exact expansion of one of the six eta quotients."""
-    if not 0 <= index < 6:
+    """Exact expansion of the eta quotient F_index of ``ETA_QUOTIENTS``."""
+    if not 0 <= index < len(ETA_QUOTIENTS):
         raise ValueError("index out of range")
-    first, second = _NUMERATORS[index]
-    return first(bound) * second(bound) * _eta_inverse_squared(bound)
+    first, second = ETA_QUOTIENTS[index]
+    return (_factor_series(first, bound) * _factor_series(second, bound)
+            * _eta_inverse_squared(bound))

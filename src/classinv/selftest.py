@@ -2,13 +2,16 @@
 
 Each suite checks one layer of the pipeline against something it was
 not derived from: word decomposition against direct matrix products,
-the generator matrices against numeric eta evaluation, and the Galois
-permutation matrices against exact q-expansions.  The command-line
-front-end runs all suites; the test suite asserts them individually.
+the generator matrices against numeric eta evaluation, the Galois
+permutation matrices against exact q-expansions, and the integer
+monomial encoding of the hot path against the dense cyclotomic
+matrices.  The command-line front-end runs all suites; the test suite
+asserts them individually.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -16,7 +19,23 @@ from typing import List, Optional, Tuple
 import mpmath
 
 from .cyclotomic import GALOIS_EXPONENTS
-from .etarep import RepMatrix, rep_s, rep_sigma, rep_t
+from .etarep import (
+    MONOMIAL_S,
+    MONOMIAL_T,
+    RepMatrix,
+    conjugate_action,
+    dense_conjugate_action,
+    dual_action,
+    full_action,
+    monomial_action,
+    monomial_dual_action,
+    monomial_entry,
+    monomial_sigma,
+    rep_s,
+    rep_sigma,
+    rep_t,
+    unit_vector,
+)
 from .numeval import eta, r_vector, r_value
 from .qseries import r_series
 from .sl2words import (
@@ -240,6 +259,47 @@ def check_sigma_numeric(points: int = 20, dps: int = CHECK_DIGITS,
     )
 
 
+def check_monomial_oracle(samples: int = 24) -> CheckResult:
+    """The integer encoding against the dense cyclotomic matrices.
+
+    S, T and every sigma_d are compared entry for entry with rep_s,
+    rep_t and rep_sigma; then, for seeded random GL2(Z/72) matrices, the
+    integer action against full_action, and the conjugate and dual
+    actions on each scaled basis vector against their dense forms.
+    """
+    failures = []
+    pairs = [("S", MONOMIAL_S, rep_s()), ("T", MONOMIAL_T, rep_t())]
+    pairs += [(f"sigma_{d}", monomial_sigma(d), rep_sigma(d)) for d in GALOIS_EXPONENTS]
+    for name, monomial, dense in pairs:
+        if monomial.dense() != dense:
+            failures.append(name)
+    rng = random.Random(SEED + 4)
+    checked = 0
+    while checked < samples:
+        m = Mat2(*(rng.randrange(72) for _ in range(4)), 72)
+        if math.gcd(m.det, 72) != 1:
+            continue
+        checked += 1
+        action, det = monomial_action(m)
+        rep, dense_det = full_action(m)
+        ok = det == dense_det and action.dense() == rep
+        for index in range(6):
+            term = (index, rng.randrange(72), rng.randint(-1, 1))
+            vec = unit_vector(index, monomial_entry(*term[1:]))
+            for integer, dense in ((conjugate_action, dense_conjugate_action),
+                                   (monomial_dual_action, dual_action)):
+                i, k, e = integer(action, det, term)
+                ok = ok and unit_vector(i, monomial_entry(k, e)) == dense(rep, det, vec)
+        if not ok:
+            failures.append(str(m))
+    return CheckResult(
+        "monomial-oracle",
+        not failures,
+        f"S, T, {len(GALOIS_EXPONENTS)} sigma_d and {samples} GL2(Z/72) matrices"
+        if not failures else "; ".join(failures),
+    )
+
+
 def run_all(points: int = 20, dps: int = CHECK_DIGITS) -> List[CheckResult]:
     return [
         check_word_reconstruction(),
@@ -248,4 +308,5 @@ def run_all(points: int = 20, dps: int = CHECK_DIGITS) -> List[CheckResult]:
         check_rep_numeric(points, dps),
         check_sigma_series_exact(),
         check_sigma_numeric(points, dps),
+        check_monomial_oracle(),
     ]

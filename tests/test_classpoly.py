@@ -15,10 +15,13 @@ from classinv.classpoly import (
     PrecisionError,
     compute_hilbert,
     compute_ramanujan,
+    conjugate_value,
     hilbert_default_digits,
     is_squarefree,
     verify_polynomial,
 )
+from classinv.cyclotomic import SQRT3
+from classinv.etarep import dense_conjugate_action, unit_vector
 from classinv.numeval import ramanujan_value
 from classinv.quadforms import class_number, principal_form
 
@@ -122,6 +125,38 @@ def test_conjugate_data(main_table_results):
                     assert abs(v - w) > mpmath.mpf("1e-50")
             for record in records:
                 assert record.rep.is_monomial()
+
+
+def test_conjugates_agree_with_the_dense_oracle(main_table_results):
+    # every conjugate of the 38-row table: the integer action against
+    # the dense matrix of full_action, the integer conjugate term against
+    # the dense conjugate action, and the numeric scalar against the
+    # embedding of the exact one
+    start = unit_vector(2, SQRT3)
+    with mpmath.workdps(130):
+        for result in main_table_results.values():
+            for record in result.conjugates:
+                rep = record.rep
+                assert rep == record.action.dense()
+                moved = dense_conjugate_action(rep, record.det, start)
+                assert moved == unit_vector(record.index, record.scalar)
+                scale = mpmath.expjpi(mpmath.mpf(record.k) / 36) * mpmath.sqrt(3) ** record.e
+                assert abs(record.scalar.embed(130) - scale) < mpmath.mpf("1e-125")
+
+
+def test_non_positive_precision_rejected():
+    for dps in (0, -5):
+        with pytest.raises(ValueError, match=f"got {dps}"):
+            compute_ramanujan(107, dps)
+        with pytest.raises(ValueError, match=f"got {dps}"):
+            compute_hilbert(-107, dps)
+        with pytest.raises(ValueError, match=f"got {dps}"):
+            conjugate_value(principal_form(-107), dps)
+        with pytest.raises(ValueError, match=f"got {dps}"):
+            verify_polynomial(IntPolynomial.from_descending(SMALL_TABLE[107]), 107, dps)
+    # one digit passes validation; it is merely too few to round at
+    with pytest.raises(PrecisionError, match="failed to round"):
+        compute_ramanujan(107, 1)
 
 
 def test_requested_precision_is_used():

@@ -106,10 +106,14 @@ def test_hilbert_rejects_bad_discriminant(capsys):
 def test_check_invariance(capsys):
     code, out, err = run_cli(capsys, "check-invariance")
     assert code == 0
-    assert out == (
+    assert out.startswith(
         "check-invariance n=11: PASS\n"
         "check-invariance n=35: PASS\n"
         "check-invariance n=59: PASS\n"
+    )
+    # one n in each of the 12 classes of n = 11 (mod 24) modulo 288
+    assert out == "".join(
+        f"check-invariance n={n}: PASS\n" for n in range(11, 288, 24)
     )
 
 
@@ -129,6 +133,21 @@ def test_invalid_environment_precision(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "pn", "--n", "11")
     assert code == 1
     assert "invalid CLASSINV_PREC value" in err
+
+
+def test_non_positive_precision_rejected(capsys, monkeypatch):
+    for prec in ("0", "-5"):
+        code, out, err = run_cli(capsys, "pn", "--n", "107", "--prec", prec)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: invalid --prec value: {prec} (must be at least 1 digit)\n"
+    code, out, err = run_cli(capsys, "hilbert", "--disc", "-107", "--prec", "0")
+    assert code == 1 and "invalid --prec value: 0" in err
+    monkeypatch.setenv("CLASSINV_PREC", "0")
+    code, out, err = run_cli(capsys, "pn-range", "--from", "11", "--to", "59")
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid CLASSINV_PREC value: '0' (must be at least 1 digit)\n"
 
 
 def test_selftest_reporting(capsys, monkeypatch):

@@ -17,12 +17,22 @@ import pytest
 
 from classinv.cyclotomic import GALOIS_EXPONENTS, SQRT3, CycNum
 from classinv.etarep import (
+    MONOMIAL_T,
+    SQRT3_F2,
+    Monomial,
     RepMatrix,
     conjugate_action,
+    dense_conjugate_action,
     dual_action,
     form_action,
+    form_matrix_mod72,
     full_action,
     invariance_check,
+    monomial_action,
+    monomial_dual_action,
+    monomial_entry,
+    monomial_sigma,
+    monomial_word_action,
     rep_s,
     rep_sigma,
     rep_t,
@@ -197,12 +207,21 @@ def test_dual_action_with_trivial_data():
     assert dual_action(RepMatrix.identity(), 1, vec) == vec
 
 
+def _term_vector(term):
+    index, k, e = term
+    return unit_vector(index, monomial_entry(k, e))
+
+
 def test_conjugate_action_with_trivial_determinant():
     rng = random.Random(99)
     word = _random_sl2_word(rng, 4)
     rep = word_action(word)
+    action = monomial_word_action(word)
+    assert action.dense() == rep
     vec = unit_vector(2, SQRT3)
-    assert conjugate_action(rep, 1, vec) == rep.act_on_coefficients(vec)
+    moved = _term_vector(conjugate_action(action, 1, SQRT3_F2))
+    assert moved == rep.act_on_coefficients(vec)
+    assert moved == dense_conjugate_action(rep, 1, vec)
 
 
 def test_action_matrices_are_monomial_with_unit_determinant():
@@ -239,19 +258,21 @@ def test_unimodular_actions_compose_directly():
 
 
 def test_form_action_of_principal_form_is_trivial():
-    rep, det = form_action(principal_form(-11))
-    assert det == 1
-    assert rep == RepMatrix.identity()
-    rep, det = form_action(principal_form(-107))
-    assert det == 1
-    assert rep == RepMatrix.identity()
+    for disc in (-11, -107):
+        form = principal_form(disc)
+        action, det = form_action(form)
+        assert det == 1
+        assert action.dense() == RepMatrix.identity()
+        assert (action.dense(), det) == full_action(form_matrix_mod72(form))
 
 
 def test_form_action_monomial_for_real_forms():
     for form in (QuadForm(3, 1, 9), QuadForm(3, -1, 9), QuadForm(5, 3, 7)):
-        rep, det = form_action(form)
+        action, det = form_action(form)
+        rep = action.dense()
         assert rep.is_monomial()
         assert math.gcd(det, 72) == 1
+        assert (rep, det) == full_action(form_matrix_mod72(form))
 
 
 def test_numeric_consistency_of_generator_matrices():
@@ -279,6 +300,66 @@ def test_invariance_check_all_three_classes():
         assert len(results) == 5  # two generators mod 9, three mod 8
         assert all(r.invariant for r in results)
         assert {r.modulus for r in results} == {8, 9}
+
+
+def test_invariance_check_every_class_mod_288():
+    # one n = 11 (mod 24) per class mod 288; the integer dual action of
+    # each generator must equal the dense one computed by full_action
+    target = unit_vector(2, SQRT3)
+    for n in range(11, 288, 24):
+        results = invariance_check(n)
+        assert results and all(r.invariant for r in results), n
+        for r in results:
+            action, det = monomial_action(r.matrix)
+            rep, dense_det = full_action(r.matrix)
+            assert det == dense_det == r.det
+            moved = monomial_dual_action(action, det, SQRT3_F2)
+            assert _term_vector(moved) == dual_action(rep, det, target)
+
+
+def test_monomial_galois_matches_dense_twist():
+    action, _ = monomial_action(_random_gl2(random.Random(7272)))
+    rep = action.dense()
+    for d in GALOIS_EXPONENTS:
+        assert action.galois(d).dense() == rep.galois(d)
+    with pytest.raises(ValueError, match="not a Galois element"):
+        monomial_sigma(3)
+    with pytest.raises(ValueError, match="not a Galois element"):
+        MONOMIAL_T.galois(6)
+
+
+def test_monomial_products_match_dense_products():
+    rng = random.Random(4242)
+    for _ in range(10):
+        w1 = _random_sl2_word(rng, rng.randint(0, 6))
+        w2 = _random_sl2_word(rng, rng.randint(0, 6))
+        product = monomial_word_action(w1) * monomial_word_action(w2)
+        assert product == monomial_word_action(w1 + w2)
+        assert product.dense() == word_action(w1) * word_action(w2)
+
+
+def test_monomial_term_actions_match_dense_vectors():
+    rng = random.Random(2727)
+    for _ in range(4):
+        action, _ = monomial_action(_random_gl2(rng))
+        rep = action.dense()
+        for index in range(6):
+            term = (index, rng.randrange(72), rng.randint(-2, 2))
+            vec = _term_vector(term)
+            assert _term_vector(action.apply(term)) == rep.apply(vec)
+            assert (_term_vector(action.act_on_coefficients(term))
+                    == rep.act_on_coefficients(vec))
+
+
+def test_monomial_from_columns_validates_and_reduces():
+    with pytest.raises(ValueError, match="not a 6x6 monomial matrix"):
+        Monomial.from_columns((0, 0, 1, 2, 3, 4), (0,) * 6, (0,) * 6)
+    with pytest.raises(ValueError, match="not a 6x6 monomial matrix"):
+        Monomial.from_columns(range(6), (0,) * 5, (0,) * 6)
+    m = Monomial.from_columns(range(6), (72, -1, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0))
+    assert m.rows[:2] == ((0, 0, 0), (1, 71, 2))
+    assert m * Monomial.identity() == m == Monomial.identity() * m
+    assert Monomial.identity().dense() == RepMatrix.identity()
 
 
 def test_invariance_check_rejects_bad_residue():

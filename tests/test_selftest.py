@@ -8,6 +8,7 @@ cheap exact checks at full strength.
 from classinv.selftest import (
     check_eta_functional_equations,
     check_lift_congruences,
+    check_monomial_oracle,
     check_rep_numeric,
     check_sigma_numeric,
     check_sigma_series_exact,
@@ -48,6 +49,12 @@ def test_sigma_numeric_smoke():
     assert result.passed
 
 
+def test_monomial_oracle_reduced_sample():
+    result = check_monomial_oracle(samples=4)
+    assert result.passed
+    assert result.detail == "S, T, 24 sigma_d and 4 GL2(Z/72) matrices"
+
+
 def test_run_all_reports_every_suite():
     results = run_all(points=2, dps=60)
     names = [r.name for r in results]
@@ -58,5 +65,6 @@ def test_run_all_reports_every_suite():
         "rep-numeric-consistency",
         "sigma-series-exact",
         "sigma-numeric-consistency",
+        "monomial-oracle",
     ]
     assert all(r.passed for r in results)
