@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -31,8 +31,15 @@ from .etarep import (
     full_action,
     monomial_entry,
 )
-from .numeval import GUARD_DIGITS, j_invariant, r_value, ramanujan_value
+from .numeval import (
+    GUARD_DIGITS,
+    check_digits,
+    j_invariant,
+    r_value,
+    ramanujan_value,
+)
 from .quadforms import QuadForm, form_root, reduced_forms
+from .sl2words import Mat2
 
 DEFAULT_DIGITS = 120
 """Working precision for invariant polynomials unless overridden."""
@@ -140,8 +147,14 @@ class ConjugateRecord:
     @cached_property
     def rep(self) -> RepMatrix:
         """The dense substitution matrix, recomputed by the exact oracle
-        (``full_action`` on the form's GL2(Z/72) matrix) on first use."""
-        return full_action(form_matrix_mod72(self.form))[0]
+        (``full_action`` on the form's GL2(Z/72) matrix) on first use and
+        shared by every form with the same matrix."""
+        return _dense_action(form_matrix_mod72(self.form))
+
+
+@lru_cache(maxsize=1024)
+def _dense_action(matrix: Mat2) -> RepMatrix:
+    return full_action(matrix)[0]
 
 
 @dataclass(frozen=True)
@@ -165,12 +178,6 @@ def is_squarefree(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _check_digits(dps: int) -> int:
-    if dps < 1:
-        raise ValueError(f"precision must be at least 1 digit, got {dps}")
-    return dps
 
 
 def _action_data(form: QuadForm) -> Tuple[Monomial, int, Term]:
@@ -203,7 +210,7 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
     the conjugate is that exact scalar times the corresponding eta
     quotient at the form's root.
     """
-    digits = _check_digits(dps) if dps is not None else mpmath.mp.dps
+    digits = check_digits(dps) if dps is not None else mpmath.mp.dps
     data = _action_data(form)
     return _record(form, data, _conjugate_number(form, data[2], digits))
 
@@ -261,7 +268,7 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     """
     if n <= 0 or n % 24 != 11:
         raise ValueError(BAD_RESIDUE_MESSAGE)
-    digits = _check_digits(dps) if dps is not None else DEFAULT_DIGITS
+    digits = check_digits(dps) if dps is not None else DEFAULT_DIGITS
     forms = reduced_forms(-n)
     actions = [_action_data(f) for f in forms]
 
@@ -292,7 +299,7 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     if discriminant >= 0 or discriminant % 4 not in (0, 1):
         raise ValueError("not a negative discriminant")
     forms = reduced_forms(discriminant)
-    digits = (_check_digits(dps) if dps is not None
+    digits = (check_digits(dps) if dps is not None
               else hilbert_default_digits(discriminant))
 
     def evaluate(digits: int) -> List[mpmath.mpc]:
@@ -311,6 +318,6 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
 def verify_polynomial(polynomial: IntPolynomial, n: int,
                       dps: Optional[int] = None) -> mpmath.mpf:
     """Absolute value of the polynomial at t_n; small iff it annihilates t_n."""
-    digits = _check_digits(dps) if dps is not None else DEFAULT_DIGITS
+    digits = check_digits(dps) if dps is not None else DEFAULT_DIGITS
     with mpmath.workdps(digits + GUARD_DIGITS):
         return abs(polynomial.evaluate(ramanujan_value(n, digits)))

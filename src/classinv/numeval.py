@@ -1,20 +1,37 @@
 """Arbitrary-precision evaluation of eta products and class invariants.
 
-All functions take an optional decimal-digit count and run mpmath at
-that precision plus a fixed guard margin.  The Dedekind eta function is
-summed with the pentagonal number theorem, so the series is sparse: the
-number of terms needed grows with the square root of the target digits.
+All functions take an optional decimal-digit count (at least 1) and run
+mpmath at that precision plus a fixed guard margin.  The Dedekind eta
+function is summed with the pentagonal number theorem, so the series is
+sparse: the number of terms needed grows with the square root of the
+target digits.  No term is a fresh power of q: the k-th pair of
+pentagonal powers q^(k(3k-1)/2), q^(k(3k+1)/2) comes from the previous
+pair by multiplication, which costs a few products per term instead of
+a complex exp and log.  Klein's j is the eta quotient
+(1 + 256 h)^3 / h with h = (eta(2 tau) / eta(tau))^24, which is Weber's
+j = (f2^24 + 16)^3 / f2^24, so it needs two eta series and no
+Eisenstein series.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import mpmath
 
 GUARD_DIGITS = 10
 """Extra working digits carried by every routine."""
+
+
+def check_digits(dps: int) -> int:
+    """Reject a precision below one decimal digit."""
+    if dps < 1:
+        raise ValueError(f"precision must be at least 1 digit, got {dps}")
+    return dps
+
+
+def _digits(dps: Optional[int]) -> int:
+    return check_digits(dps) if dps is not None else mpmath.mp.dps
 
 
 def _to_tau(tau) -> mpmath.mpc:
@@ -26,24 +43,29 @@ def _to_tau(tau) -> mpmath.mpc:
 
 def eta(tau, dps: Optional[int] = None) -> mpmath.mpc:
     """Dedekind eta, e(tau) = q^(1/24) * prod(1 - q^n) with q = exp(2*pi*i*tau)."""
-    digits = dps if dps is not None else mpmath.mp.dps
+    digits = _digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
         q = mpmath.expjpi(2 * t)
         prefactor = mpmath.expjpi(t / 12)
-        # 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)), pentagonal exponents
+        # 1 + sum_k (-1)^k (q^low + q^high), low = k(3k-1)/2, high = low + k;
+        # low(k+1) = low(k) + 3k + 1, so q^low, q^k and q^(3k+1) step by products
         total = mpmath.mpc(1)
         log_qabs = -2 * mpmath.pi * mpmath.im(t) / mpmath.log(10)
         cutoff = -(digits + GUARD_DIGITS)
-        k = 1
+        q3 = q * q * q
+        q_low, q_k, q_step = q, q, q3 * q
+        k, low = 1, 1
         while True:
-            low = k * (3 * k - 1) // 2
-            high = k * (3 * k + 1) // 2
-            term = q ** low + q ** high
+            term = q_low * (1 + q_k)
             total = total - term if k % 2 else total + term
             if low * log_qabs < cutoff:
                 break
+            low += 3 * k + 1
             k += 1
+            q_low *= q_step
+            q_k *= q
+            q_step *= q3
         return prefactor * total
 
 
@@ -74,7 +96,7 @@ def _eta_factor(factor: EtaFactor, t: mpmath.mpc) -> mpmath.mpc:
 
 def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
     """All six eta quotients at tau, sharing the eta evaluations."""
-    digits = dps if dps is not None else mpmath.mp.dps
+    digits = _digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
         factors = {f: _eta_factor(f, t) for f in set().union(*ETA_QUOTIENTS)}
@@ -86,7 +108,7 @@ def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
 
 def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
     """One of the six eta quotients at tau."""
-    digits = dps if dps is not None else mpmath.mp.dps
+    digits = _digits(dps)
     if not 0 <= index < len(ETA_QUOTIENTS):
         raise ValueError("index out of range")
     with mpmath.workdps(digits + GUARD_DIGITS):
@@ -103,35 +125,23 @@ def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    digits = dps if dps is not None else mpmath.mp.dps
+    digits = _digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         tau = (mpmath.mpc(-1, 0) + mpmath.sqrt(mpmath.mpf(n)) * 1j) / 2
         value = mpmath.sqrt(3) * r_value(2, tau)
         return mpmath.re(value)
 
 
-def _sigma3(k: int) -> int:
-    total = 0
-    for d in range(1, int(math.isqrt(k)) + 1):
-        if k % d == 0:
-            total += d ** 3
-            e = k // d
-            if e != d:
-                total += e ** 3
-    return total
-
-
 def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
-    """Klein's j, computed as E4(q)^3 / eta(tau)^24."""
-    digits = dps if dps is not None else mpmath.mp.dps
+    """Klein's j, computed as (1 + 256 h)^3 / h with h = (eta(2 tau) / eta(tau))^24."""
+    digits = _digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
-        q = mpmath.expjpi(2 * t)
-        decay = 2 * mpmath.pi * mpmath.im(t) / mpmath.log(10)
-        nterms = int((digits + GUARD_DIGITS) / decay) + 2
-        e4 = mpmath.mpc(1)
-        qk = mpmath.mpc(1)
-        for k in range(1, nterms + 1):
-            qk *= q
-            e4 += 240 * _sigma3(k) * qk
-        return e4 ** 3 / eta(t) ** 24
+        # products, not **: mpmath takes high integer powers of a long
+        # complex number through exp and log
+        ratio = eta(2 * t) / eta(t)
+        for _ in range(3):
+            ratio *= ratio
+        h = ratio * ratio * ratio
+        u = 1 + 256 * h
+        return u * u * u / h

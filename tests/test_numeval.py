@@ -1,9 +1,12 @@
 """Arbitrary-precision evaluation of eta, the six quotients, t_n and j.
 
 The eta oracle is a direct truncated product computed here with plain
-mpmath, independent of the library's pentagonal-number series.
+mpmath, independent of the library's pentagonal-number series.  The j
+oracle is the Eisenstein series E4(q)^3 / eta^24 over that product,
+independent of the library's eta quotient (1 + 256 h)^3 / h.
 """
 
+import math
 import random
 
 import mpmath
@@ -16,14 +19,58 @@ from classinv.quadforms import form_root, reduced_forms
 from golden_data import HILBERT_107, SMALL_TABLE, T35_PREFIX, T107_PREFIX
 
 
-def _eta_product_oracle(tau, dps, factors=400):
-    """q^(1/24) * prod_{n<=factors} (1 - q^n), directly."""
+def _decay(tau):
+    """Decimal digits gained per power of q = exp(2 pi i tau)."""
+    return 2 * mpmath.pi * mpmath.im(tau) / mpmath.log(10)
+
+
+def _eta_product_oracle(tau, dps, factors=None):
+    """q^(1/24) * prod_{n<=factors} (1 - q^n), directly.
+
+    By default the product stops where q^n drops below 10^-(dps + 15).
+    """
     with mpmath.workdps(dps + 15):
+        if factors is None:
+            factors = int((dps + 15) / _decay(tau)) + 2
         q = mpmath.expjpi(2 * tau)
         acc = mpmath.expjpi(tau / 12)
-        for n in range(1, factors + 1):
-            acc *= 1 - q ** n
+        q_n = mpmath.mpc(1)
+        for _ in range(factors):
+            q_n *= q
+            acc *= 1 - q_n
         return acc
+
+
+def _sigma3(k):
+    total = 0
+    for d in range(1, math.isqrt(k) + 1):
+        if k % d == 0:
+            total += d ** 3
+            e = k // d
+            if e != d:
+                total += e ** 3
+    return total
+
+
+def _j_eisenstein_oracle(tau, dps):
+    """Klein's j as E4(q)^3 / eta(tau)^24, E4 = 1 + 240 sum sigma3(k) q^k.
+
+    The terms run 30 digits past the target, since 240 * sigma3(k) <
+    240 k^4 stays below 10^30 for every k < 10^6.
+    """
+    with mpmath.workdps(dps + 15):
+        q = mpmath.expjpi(2 * tau)
+        e4 = mpmath.mpc(1)
+        q_k = mpmath.mpc(1)
+        for k in range(1, int((dps + 45) / _decay(tau)) + 2):
+            q_k *= q
+            e4 += 240 * _sigma3(k) * q_k
+        return e4 ** 3 / _eta_product_oracle(tau, dps) ** 24
+
+
+def _widest_root(discriminant, dps):
+    """Root of a reduced form with the largest a, the smallest Im tau."""
+    return form_root(max(reduced_forms(discriminant), key=lambda f: f.a), dps + 15)
 
 
 def test_eta_at_i():
@@ -44,6 +91,18 @@ def test_eta_matches_direct_product():
             mpmath.mpc("-0.45", "1.7"),
         ):
             assert abs(eta(tau, 120) - _eta_product_oracle(tau, 120)) < tol
+
+
+@pytest.mark.parametrize("digits", [500, 2000])
+@pytest.mark.parametrize("discriminant", [-30011, -1000019])
+def test_eta_matches_direct_product_at_high_precision(discriminant, digits):
+    # the widest reduced forms give the smallest Im tau among the roots,
+    # and r_value evaluates eta at a third of those
+    with mpmath.workdps(digits + 15):
+        tol = mpmath.mpf(10) ** -(digits - 5)
+        root = _widest_root(discriminant, digits)
+        for tau in (root, (root + 1) / 3):
+            assert abs(eta(tau, digits) - _eta_product_oracle(tau, digits)) < tol
 
 
 def test_eta_functional_equations():
@@ -129,6 +188,18 @@ def test_j_invariant_anchors():
         assert abs(almost - (-640320**3)) < mpmath.mpf("1e-80")
 
 
+@pytest.mark.parametrize("digits", [120, 900])
+@pytest.mark.parametrize("discriminant", [-107, -10019])
+def test_j_matches_eisenstein_series(discriminant, digits):
+    with mpmath.workdps(digits + 15):
+        tol = mpmath.mpf(10) ** -(digits - 5)
+        for form in reduced_forms(discriminant):
+            tau = form_root(form, digits + 15)
+            expected = _j_eisenstein_oracle(tau, digits)
+            error = abs(j_invariant(tau, digits) - expected)
+            assert error < tol * max(1, abs(expected))
+
+
 def test_j_trace_matches_hilbert_coefficient():
     # sum of j over the three class representatives of disc -107
     with mpmath.workdps(140):
@@ -136,6 +207,20 @@ def test_j_trace_matches_hilbert_coefficient():
         for form in reduced_forms(-107):
             total += j_invariant(form_root(form, 130), 130)
         assert abs(total - (-HILBERT_107[1])) < mpmath.mpf("1e-70")
+
+
+@pytest.mark.parametrize("dps", [0, -20])
+@pytest.mark.parametrize("evaluate", [
+    lambda dps: eta(mpmath.mpc(0, 1), dps),
+    lambda dps: r_value(2, mpmath.mpc(0, 1), dps),
+    lambda dps: r_vector(mpmath.mpc(0, 1), dps),
+    lambda dps: ramanujan_value(107, dps),
+    lambda dps: j_invariant(mpmath.mpc(0, 1), dps),
+], ids=["eta", "r_value", "r_vector", "ramanujan_value", "j_invariant"])
+def test_non_positive_precision_rejected(evaluate, dps):
+    with pytest.raises(ValueError,
+                       match=f"precision must be at least 1 digit, got {dps}"):
+        evaluate(dps)
 
 
 def test_default_precision_comes_from_context():
