@@ -5,7 +5,11 @@ of (t - conjugate) over the reduced forms of discriminant -n.  Each
 conjugate is an exact root of unity times sqrt(3) times one of the six
 eta quotients evaluated at the root of its form, so the only numeric
 steps are the eta evaluations and the final rounding of the expanded
-coefficients to integers.  The same expansion drives Hilbert class
+coefficients to integers.  The expansion runs on plain integers: each
+value becomes a Gaussian fixed-point pair (``numeval.to_gaussian``)
+with as many fractional bits as the working digits, the values are
+multiplied in smallest first, and the rounding and its residual are
+exact integer operations.  The same expansion drives Hilbert class
 polynomials from j-values, which serve as an independent cross-check of
 class numbers and precision handling.
 """
@@ -34,9 +38,11 @@ from .etarep import (
 from .numeval import (
     GUARD_DIGITS,
     check_digits,
+    from_gaussian,
     j_invariant,
     r_value,
     ramanujan_value,
+    to_gaussian,
 )
 from .quadforms import QuadForm, form_root, reduced_forms
 from .sl2words import Mat2
@@ -46,6 +52,9 @@ DEFAULT_DIGITS = 120
 
 RESIDUAL_TOLERANCE = mpmath.mpf("1e-10")
 """Largest acceptable distance from an expanded coefficient to its integer."""
+
+EXPANSION_GUARD_BITS = 8
+"""Fractional bits of the fixed-point expansion beyond the requested digits."""
 
 MAX_RETRIES = 3
 """Number of precision doublings attempted before giving up."""
@@ -217,23 +226,32 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
 
 def _expand_and_round(values: Sequence[mpmath.mpc],
                       digits: int) -> Tuple[Tuple[int, ...], mpmath.mpf]:
-    """Expand prod(t - v) and round to integers, reporting the worst error."""
-    with mpmath.workdps(digits):
-        coeffs: List[mpmath.mpc] = [mpmath.mpc(1)]
-        for v in values:
-            nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i] -= c * v
-                nxt[i + 1] += c
-            coeffs = nxt
-        rounded: List[int] = []
-        residual = mpmath.mpf(0)
-        for c in coeffs:
-            target = int(mpmath.nint(mpmath.re(c)))
-            residual = max(residual,
-                           abs(mpmath.re(c) - target), abs(mpmath.im(c)))
-            rounded.append(target)
-        return tuple(rounded), residual
+    """Expand prod(t - v) and round to integers, reporting the worst error.
+
+    The expansion runs on Gaussian fixed-point integers with as many
+    fractional bits as ``digits`` decimal digits, plus a few.  Values
+    enter smallest first, so the integers stay short for as long as
+    possible.  The residual is the largest distance of a real part from
+    its nearest integer or of an imaginary part from 0.
+    """
+    bits = math.ceil(digits * math.log2(10)) + EXPANSION_GUARD_BITS
+    pairs = sorted((to_gaussian(v, bits) for v in values),
+                   key=lambda p: max(abs(p[0]), abs(p[1])).bit_length())
+    # ascending coefficients of the monic product; multiplying by (t - v)
+    # shifts them up one place and subtracts v times the old ones
+    re, im = [1 << bits], [0]
+    for vr, vi in pairs:
+        re, im = (
+            [s - ((a * vr - b * vi) >> bits)
+             for s, a, b in zip([0] + re, re + [0], im + [0])],
+            [s - ((a * vi + b * vr) >> bits)
+             for s, a, b in zip([0] + im, re + [0], im + [0])],
+        )
+    half = 1 << (bits - 1)
+    rounded = tuple((a + half) >> bits for a in re)
+    residual = max(max(abs(a - (r << bits)), abs(b))
+                   for a, b, r in zip(re, im, rounded))
+    return rounded, from_gaussian(residual, 0, bits).real
 
 
 def _round_with_retries(
@@ -265,6 +283,9 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     accepted (the caller may warn); precision doubles on rounding
     failure up to MAX_RETRIES times before PrecisionError is raised.
     The exact actions are computed once; only the evaluations repeat.
+    A rounded polynomial that is not monic or whose constant term is
+    not +-1 cannot be the minimal polynomial of a unit, and raises
+    PrecisionError as well.
     """
     if n <= 0 or n % 24 != 11:
         raise ValueError(BAD_RESIDUE_MESSAGE)
@@ -277,6 +298,15 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
                 for f, data in zip(forms, actions)]
 
     rounded, residual, digits, values = _round_with_retries(evaluate, digits)
+    # t_n is a unit, so its minimal polynomial is monic with constant term +-1
+    if rounded[-1] != 1:
+        raise PrecisionError(
+            f"rounded polynomial is not monic (leading coefficient {rounded[-1]})",
+            residual)
+    if abs(rounded[0]) != 1:
+        raise PrecisionError(
+            f"rounded constant term {rounded[0]} is not a unit (must be ±1)",
+            residual)
     return PolynomialResult(
         discriminant=-n,
         class_number=len(forms),

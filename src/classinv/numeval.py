@@ -6,18 +6,27 @@ function is summed with the pentagonal number theorem, so the series is
 sparse: the number of terms needed grows with the square root of the
 target digits.  No term is a fresh power of q: the k-th pair of
 pentagonal powers q^(k(3k-1)/2), q^(k(3k+1)/2) comes from the previous
-pair by multiplication, which costs a few products per term instead of
-a complex exp and log.  Klein's j is the eta quotient
-(1 + 256 h)^3 / h with h = (eta(2 tau) / eta(tau))^24, which is Weber's
+pair by multiplication.  The series runs in Gaussian fixed point: a
+complex number z is the integer pair (floor(Re z 2^B), floor(Im z 2^B))
+(``to_gaussian``, ``from_gaussian``), so each product is four integer
+multiplications and two shifts instead of mpmath's floating-point
+object arithmetic.  Only the series total, whose modulus stays near 1,
+is fixed point; the prefactor q^(1/24), which can be as small as
+10^-170 at the CM points met here, stays in mpmath floating point.
+``classpoly`` expands its polynomials on the same integer pairs.
+Klein's j is the eta quotient (1 + 256 h)^3 / h with
+h = (eta(2 tau) / eta(tau))^24, which is Weber's
 j = (f2^24 + 16)^3 / f2^24, so it needs two eta series and no
 Eisenstein series.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import mpmath
+from mpmath.libmp import from_man_exp, to_fixed
 
 GUARD_DIGITS = 10
 """Extra working digits carried by every routine."""
@@ -41,32 +50,61 @@ def _to_tau(tau) -> mpmath.mpc:
     return value
 
 
+def to_gaussian(z, bits: int) -> Tuple[int, int]:
+    """The Gaussian fixed-point pair (floor(Re z 2^bits), floor(Im z 2^bits))."""
+    value = mpmath.mpmathify(z)
+    if not mpmath.isfinite(value):
+        raise ValueError(f"cannot convert {value} to fixed point")
+    if isinstance(value, mpmath.mpc):
+        re, im = value._mpc_
+        return to_fixed(re, bits), to_fixed(im, bits)
+    return to_fixed(value._mpf_, bits), 0
+
+
+def from_gaussian(re: int, im: int, bits: int) -> mpmath.mpc:
+    """The complex number (re + i im) / 2^bits, held exactly."""
+    return mpmath.mp.make_mpc((from_man_exp(re, -bits), from_man_exp(im, -bits)))
+
+
+def _mul(ar: int, ai: int, br: int, bi: int, bits: int) -> Tuple[int, int]:
+    """Product of two Gaussian fixed-point numbers with the same bits."""
+    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+
+
 def eta(tau, dps: Optional[int] = None) -> mpmath.mpc:
     """Dedekind eta, e(tau) = q^(1/24) * prod(1 - q^n) with q = exp(2*pi*i*tau)."""
     digits = _digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
-        q = mpmath.expjpi(2 * t)
-        prefactor = mpmath.expjpi(t / 12)
-        # 1 + sum_k (-1)^k (q^low + q^high), low = k(3k-1)/2, high = low + k;
-        # low(k+1) = low(k) + 3k + 1, so q^low, q^k and q^(3k+1) step by products
-        total = mpmath.mpc(1)
         log_qabs = -2 * mpmath.pi * mpmath.im(t) / mpmath.log(10)
         cutoff = -(digits + GUARD_DIGITS)
-        q3 = q * q * q
-        q_low, q_k, q_step = q, q, q3 * q
+        # k terms, each off by a few units in the last place per product
+        # taken, leave the sum off by O(k^2) units
+        terms = math.isqrt(int(2 * cutoff / log_qabs) // 3 + 1) + 2
+        bits = mpmath.mp.prec + 2 * terms.bit_length() + 4
+        qr, qi = to_gaussian(mpmath.expjpi(2 * t), bits)
+        # 1 + sum_k (-1)^k (q^low + q^high), low = k(3k-1)/2, high = low + k;
+        # low(k+1) = low(k) + 3k + 1, so q^low, q^k and q^(3k+1) step by products
+        q3r, q3i = _mul(*_mul(qr, qi, qr, qi, bits), qr, qi, bits)
+        low_r, low_i, k_r, k_i = qr, qi, qr, qi
+        step_r, step_i = _mul(q3r, q3i, qr, qi, bits)
+        one = 1 << bits
+        total_r, total_i = one, 0
         k, low = 1, 1
         while True:
-            term = q_low * (1 + q_k)
-            total = total - term if k % 2 else total + term
+            term_r, term_i = _mul(low_r, low_i, one + k_r, k_i, bits)
+            if k % 2:
+                total_r, total_i = total_r - term_r, total_i - term_i
+            else:
+                total_r, total_i = total_r + term_r, total_i + term_i
             if low * log_qabs < cutoff:
                 break
             low += 3 * k + 1
             k += 1
-            q_low *= q_step
-            q_k *= q
-            q_step *= q3
-        return prefactor * total
+            low_r, low_i = _mul(low_r, low_i, step_r, step_i, bits)
+            k_r, k_i = _mul(k_r, k_i, qr, qi, bits)
+            step_r, step_i = _mul(step_r, step_i, q3r, q3i, bits)
+        return mpmath.expjpi(t / 12) * from_gaussian(total_r, total_i, bits)
 
 
 EtaFactor = Tuple[int, int]
@@ -86,12 +124,12 @@ evaluation here, the exact expansions in ``qseries`` and the action in
 ``etarep`` all index the quotients by this table."""
 
 
-def _eta_factor(factor: EtaFactor, t: mpmath.mpc) -> mpmath.mpc:
+def _eta_factor(factor: EtaFactor, t: mpmath.mpc, digits: int) -> mpmath.mpc:
     scale, shift = factor
     if scale == 3:
-        return eta(3 * t)
+        return eta(3 * t, digits)
     third = mpmath.mpf(1) / 3
-    return eta(t * third + shift * third)
+    return eta(t * third + shift * third, digits)
 
 
 def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
@@ -99,8 +137,8 @@ def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
     digits = _digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
-        factors = {f: _eta_factor(f, t) for f in set().union(*ETA_QUOTIENTS)}
-        denom = eta(t) ** 2
+        factors = {f: _eta_factor(f, t, digits) for f in set().union(*ETA_QUOTIENTS)}
+        denom = eta(t, digits) ** 2
         return tuple(
             factors[f1] * factors[f2] / denom for f1, f2 in ETA_QUOTIENTS
         )
@@ -114,7 +152,8 @@ def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
         f1, f2 = ETA_QUOTIENTS[index]
-        return _eta_factor(f1, t) * _eta_factor(f2, t) / eta(t) ** 2
+        return (_eta_factor(f1, t, digits) * _eta_factor(f2, t, digits)
+                / eta(t, digits) ** 2)
 
 
 def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:
@@ -128,7 +167,7 @@ def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:
     digits = _digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         tau = (mpmath.mpc(-1, 0) + mpmath.sqrt(mpmath.mpf(n)) * 1j) / 2
-        value = mpmath.sqrt(3) * r_value(2, tau)
+        value = mpmath.sqrt(3) * r_value(2, tau, digits)
         return mpmath.re(value)
 
 
@@ -139,7 +178,7 @@ def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
         t = _to_tau(tau)
         # products, not **: mpmath takes high integer powers of a long
         # complex number through exp and log
-        ratio = eta(2 * t) / eta(t)
+        ratio = eta(2 * t, digits) / eta(t, digits)
         for _ in range(3):
             ratio *= ratio
         h = ratio * ratio * ratio

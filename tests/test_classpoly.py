@@ -2,17 +2,22 @@
 
 The session-scoped fixture from conftest computes every main-table row
 once; the tests below compare coefficients, inspect the conjugate data
-carried along, and exercise the error paths.
+carried along, and exercise the error paths.  The library expands and
+rounds on Gaussian fixed-point integers; the floating-point mpc
+expansion it replaced is kept here as the oracle it must agree with.
 """
 
 import mpmath
 import pytest
 
+import classinv.classpoly as classpoly
 from classinv.classpoly import (
     BAD_RESIDUE_MESSAGE,
     DEFAULT_DIGITS,
+    RESIDUAL_TOLERANCE,
     IntPolynomial,
     PrecisionError,
+    _expand_and_round,
     compute_hilbert,
     compute_ramanujan,
     conjugate_value,
@@ -22,8 +27,8 @@ from classinv.classpoly import (
 )
 from classinv.cyclotomic import SQRT3
 from classinv.etarep import dense_conjugate_action, unit_vector
-from classinv.numeval import ramanujan_value
-from classinv.quadforms import class_number, principal_form
+from classinv.numeval import GUARD_DIGITS, j_invariant, ramanujan_value
+from classinv.quadforms import class_number, form_root, principal_form, reduced_forms
 
 from golden_data import (
     HILBERT_11,
@@ -34,6 +39,43 @@ from golden_data import (
     SMALL_TABLE_TEXT,
     TEXT_611,
 )
+
+
+def _expand_and_round_oracle(values, digits):
+    """Expand prod(t - v) in mpc floating point at ``digits`` and round."""
+    with mpmath.workdps(digits):
+        coeffs = [mpmath.mpc(1)]
+        for v in values:
+            nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                nxt[i] -= c * v
+                nxt[i + 1] += c
+            coeffs = nxt
+        rounded = []
+        residual = mpmath.mpf(0)
+        for c in coeffs:
+            target = int(mpmath.nint(mpmath.re(c)))
+            residual = max(residual,
+                           abs(mpmath.re(c) - target), abs(mpmath.im(c)))
+            rounded.append(target)
+        return tuple(rounded), residual
+
+
+def _assert_expansion_matches_oracle(values, digits):
+    """Same rounded coefficients, and the same verdict at the tolerance;
+    returns that verdict."""
+    rounded, residual = _expand_and_round(values, digits)
+    expected, expected_residual = _expand_and_round_oracle(values, digits)
+    assert rounded == expected
+    passed = residual < RESIDUAL_TOLERANCE
+    assert passed == (expected_residual < RESIDUAL_TOLERANCE)
+    return passed
+
+
+def _j_values(discriminant):
+    digits = hilbert_default_digits(discriminant)
+    return [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
+            for f in reduced_forms(discriminant)], digits
 
 
 def test_polynomial_construction_and_rendering():
@@ -211,3 +253,52 @@ def test_hilbert_validation():
 def test_precision_error_reports_residual():
     error = PrecisionError("failed", mpmath.mpf("0.25"))
     assert error.residual == mpmath.mpf("0.25")
+
+
+def test_expansion_matches_oracle_on_the_table(main_table_results):
+    for n, result in main_table_results.items():
+        values = [r.value for r in result.conjugates]
+        assert _assert_expansion_matches_oracle(values, result.precision_digits), n
+
+
+@pytest.mark.parametrize("discriminant", [-107, -10019])
+def test_expansion_matches_oracle_on_j_values(discriminant):
+    values, digits = _j_values(discriminant)
+    assert _assert_expansion_matches_oracle(values, digits)
+
+
+def test_expansion_rejects_non_integral_input():
+    values, digits = _j_values(-107)
+    values[1] += mpmath.mpf(1) / 3
+    assert not _assert_expansion_matches_oracle(values, digits)
+
+
+def test_precision_ladder(monkeypatch):
+    # the rung that rounds each case, pinned: the default 120 digits for
+    # n = 10019 and 100019, and exactly one doubling for n = 1000019
+    assert compute_ramanujan(10019).precision_digits == DEFAULT_DIGITS
+    assert compute_ramanujan(100019).precision_digits == DEFAULT_DIGITS
+    rungs = []
+
+    def expand(values, digits):
+        rungs.append(digits)
+        return _expand_and_round(values, digits)
+
+    monkeypatch.setattr(classpoly, "_expand_and_round", expand)
+    result = compute_ramanujan(1000019)
+    assert rungs == [DEFAULT_DIGITS, 2 * DEFAULT_DIGITS]
+    assert result.precision_digits == 2 * DEFAULT_DIGITS
+    assert compute_hilbert(-10019).precision_digits == 462
+
+
+@pytest.mark.parametrize("coefficients, gate", [
+    ((2, -3, 1), "constant term 2 is not a unit"),
+    ((-1, 1, 3), "not monic"),
+])
+def test_non_unit_polynomial_is_rejected(monkeypatch, coefficients, gate):
+    # n = 35 has class number 2; the rounding is replaced by one that
+    # returns a polynomial which cannot belong to a unit
+    monkeypatch.setattr(classpoly, "_expand_and_round",
+                        lambda values, digits: (coefficients, mpmath.mpf(0)))
+    with pytest.raises(PrecisionError, match=gate):
+        compute_ramanujan(35)

@@ -12,7 +12,16 @@ import random
 import mpmath
 import pytest
 
-from classinv.numeval import eta, j_invariant, r_value, r_vector, ramanujan_value
+import classinv.numeval as numeval
+from classinv.numeval import (
+    eta,
+    from_gaussian,
+    j_invariant,
+    r_value,
+    r_vector,
+    ramanujan_value,
+    to_gaussian,
+)
 from classinv.classpoly import IntPolynomial
 from classinv.quadforms import form_root, reduced_forms
 
@@ -71,6 +80,48 @@ def _j_eisenstein_oracle(tau, dps):
 def _widest_root(discriminant, dps):
     """Root of a reduced form with the largest a, the smallest Im tau."""
     return form_root(max(reduced_forms(discriminant), key=lambda f: f.a), dps + 15)
+
+
+def test_gaussian_fixed_point_small_cases():
+    assert to_gaussian(mpmath.mpf("-2.5"), 4) == (-40, 0)
+    assert to_gaussian(3, 0) == (3, 0)
+    assert to_gaussian(2.75 - 1.25j, 2) == (11, -5)
+    # floor, not truncation: -307.2 -> -308, 716.8 -> 716
+    assert to_gaussian(mpmath.mpc("-0.3", "0.7"), 10) == (-308, 716)
+    assert to_gaussian(mpmath.mpc("2.7", "-1.2"), 0) == (2, -2)
+    assert from_gaussian(-308, 716, 10) == mpmath.mpc(-308, 716) / 1024
+    assert from_gaussian(11, -5, 0) == mpmath.mpc(11, -5)
+    for bad in (mpmath.inf, mpmath.mpc(0, mpmath.nan)):
+        with pytest.raises(ValueError, match="fixed point"):
+            to_gaussian(bad, 10)
+
+
+@pytest.mark.parametrize("bits", [1, 7, 64, 700])
+def test_gaussian_fixed_point_round_trip(bits):
+    # from_gaussian(to_gaussian(z)) lies within one unit 2^-bits below z
+    # in each part, exactly, whatever the signs
+    rng = random.Random(bits)
+    with mpmath.workdps(250):
+        ulp = mpmath.mpf(2) ** -bits
+        for _ in range(20):
+            z = mpmath.mpc(rng.uniform(-5, 5), rng.uniform(-5, 5)) * mpmath.pi
+            back = from_gaussian(*to_gaussian(z, bits), bits)
+            for part in (mpmath.re, mpmath.im):
+                assert 0 <= part(z) - part(back) < ulp
+        x = -mpmath.e
+        assert 0 <= x - from_gaussian(*to_gaussian(x, bits), bits).real < ulp
+
+
+def test_gaussian_fixed_point_at_tiny_moduli():
+    # |q^(1/24)| reaches 10^-170 at the roots met here: with 2^-800
+    # (about 10^-241) the pair keeps 70 digits of it; with 2^-500 (about
+    # 10^-151) only its signs survive, as floor(+tiny) = 0, floor(-tiny) = -1
+    with mpmath.workdps(250):
+        z = mpmath.mpf(10) ** -170 * mpmath.expjpi(mpmath.mpf("0.7"))
+        back = from_gaussian(*to_gaussian(z, 800), 800)
+        assert abs(back - z) < abs(z) * mpmath.mpf(10) ** -70
+        assert to_gaussian(z, 500) == (-1, 0)
+        assert to_gaussian(-z, 500) == (0, -1)
 
 
 def test_eta_at_i():
@@ -221,6 +272,23 @@ def test_non_positive_precision_rejected(evaluate, dps):
     with pytest.raises(ValueError,
                        match=f"precision must be at least 1 digit, got {dps}"):
         evaluate(dps)
+
+
+def test_eta_runs_at_the_requested_digits(monkeypatch):
+    # the callers' guard digits are not added a second time inside eta
+    seen = []
+
+    def spy(tau, dps=None):
+        seen.append(dps)
+        return eta(tau, dps)
+
+    monkeypatch.setattr(numeval, "eta", spy)
+    tau = mpmath.mpc(0, 1)
+    for evaluate in (lambda: r_value(2, tau, 60), lambda: r_vector(tau, 60),
+                     lambda: ramanujan_value(107, 60), lambda: j_invariant(tau, 60)):
+        seen.clear()
+        evaluate()
+        assert seen and set(seen) == {60}
 
 
 def test_default_precision_comes_from_context():
