@@ -40,6 +40,7 @@ from .numeval import (
     check_digits,
     from_gaussian,
     j_invariant,
+    leading_exponent,
     r_value,
     ramanujan_value,
     to_gaussian,
@@ -58,6 +59,14 @@ EXPANSION_GUARD_BITS = 8
 
 MAX_RETRIES = 3
 """Number of precision doublings attempted before giving up."""
+
+SKIP_MARGIN_DIGITS = 10
+"""A rung of r digits is skipped, unevaluated, while r + SKIP_MARGIN_DIGITS
+is at most the a-priori coefficient size E (in decimal digits): its
+residual would be near 10^(E - r) >= 10^10, far above the tolerance.
+On the 82 invariant polynomials of ``scripts/output_digest.py``,
+log10(residual) + digits, the size the expansion reached, lies within
+-2.7 to +3.2 digits of E."""
 
 BAD_RESIDUE_MESSAGE = "n must be ≡ 11 mod 24"
 
@@ -175,6 +184,9 @@ class PolynomialResult:
     polynomial: IntPolynomial
     precision_digits: int
     max_residual: mpmath.mpf
+    size_estimate: float
+    """E, the a-priori log10 of prod max(1, |value|), which picked the
+    first rung evaluated."""
     conjugates: Tuple[ConjugateRecord, ...] = ()
 
 
@@ -194,6 +206,17 @@ def _action_data(form: QuadForm) -> Tuple[Monomial, int, Term]:
     (index, k, e) of the conjugate of sqrt(3) * F_2."""
     action, det = form_action(form)
     return action, det, conjugate_action(action, det, SQRT3_F2)
+
+
+def _ramanujan_size(n: int, forms: Sequence[QuadForm],
+                    terms: Sequence[Term]) -> float:
+    """E = sum of max(0, log10 |t^sigma|) over the conjugates, from
+    |z^k sqrt(3)^e F_index| ~ 3^(e/2) |q|^leading_exponent(index) and
+    1/|q| = exp(pi sqrt(n) / a) at the root of the form (a, b, c)."""
+    bits = math.pi * math.sqrt(n) / math.log(10)
+    return sum(max(0.0, e * math.log10(3) / 2
+                   - float(leading_exponent(index)) * bits / f.a)
+               for f, (index, _, e) in zip(forms, terms))
 
 
 def _conjugate_number(form: QuadForm, term: Term, digits: int) -> mpmath.mpc:
@@ -255,16 +278,22 @@ def _expand_and_round(values: Sequence[mpmath.mpc],
 
 
 def _round_with_retries(
-    evaluate: Callable[[int], Sequence[mpmath.mpc]], digits: int,
+    evaluate: Callable[[int], Sequence[mpmath.mpc]], digits: int, size: float,
 ) -> Tuple[Tuple[int, ...], mpmath.mpf, int, Sequence[mpmath.mpc]]:
     """Round the expanded product of the values ``evaluate(digits)``.
 
     Digits double on each rounding failure, up to MAX_RETRIES times,
-    before PrecisionError is raised.  Returns the rounded coefficients,
+    before PrecisionError is raised.  A rung that the a-priori size
+    estimate ``size`` shows cannot round (SKIP_MARGIN_DIGITS) is doubled
+    past without evaluating; it counts against MAX_RETRIES, and the
+    last rung is always evaluated.  Returns the rounded coefficients,
     the residual, the digits used and the values at those digits.
     """
     residual = None
-    for _ in range(MAX_RETRIES + 1):
+    for attempt in range(MAX_RETRIES + 1):
+        if attempt < MAX_RETRIES and digits + SKIP_MARGIN_DIGITS <= size:
+            digits *= 2
+            continue
         values = evaluate(digits)
         rounded, residual = _expand_and_round(values, digits)
         if residual < RESIDUAL_TOLERANCE:
@@ -292,12 +321,13 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     digits = check_digits(dps) if dps is not None else DEFAULT_DIGITS
     forms = reduced_forms(-n)
     actions = [_action_data(f) for f in forms]
+    size = _ramanujan_size(n, forms, [data[2] for data in actions])
 
     def evaluate(digits: int) -> List[mpmath.mpc]:
         return [_conjugate_number(f, data[2], digits)
                 for f, data in zip(forms, actions)]
 
-    rounded, residual, digits, values = _round_with_retries(evaluate, digits)
+    rounded, residual, digits, values = _round_with_retries(evaluate, digits, size)
     # t_n is a unit, so its minimal polynomial is monic with constant term +-1
     if rounded[-1] != 1:
         raise PrecisionError(
@@ -313,15 +343,22 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         polynomial=IntPolynomial(rounded),
         precision_digits=digits,
         max_residual=residual,
+        size_estimate=size,
         conjugates=tuple(_record(*row) for row in zip(forms, actions, values)),
     )
 
 
-def hilbert_default_digits(discriminant: int) -> int:
-    """Precision heuristic from the coefficient growth of j-values."""
+def _hilbert_size(discriminant: int) -> float:
+    """E = sum of log10 |j| over the class group, from |j| ~ 1/|q| =
+    exp(pi sqrt(-D) / a)."""
     forms = reduced_forms(discriminant)
     bits = math.pi * math.sqrt(-discriminant) / math.log(10)
-    return int(math.ceil(bits * sum(1.0 / f.a for f in forms))) + 20
+    return bits * sum(1.0 / f.a for f in forms)
+
+
+def hilbert_default_digits(discriminant: int) -> int:
+    """Precision heuristic from the coefficient growth of j-values."""
+    return int(math.ceil(_hilbert_size(discriminant))) + 20
 
 
 def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialResult:
@@ -335,13 +372,15 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     def evaluate(digits: int) -> List[mpmath.mpc]:
         return [j_invariant(form_root(f, digits + GUARD_DIGITS), digits) for f in forms]
 
-    rounded, residual, digits, _ = _round_with_retries(evaluate, digits)
+    size = _hilbert_size(discriminant)
+    rounded, residual, digits, _ = _round_with_retries(evaluate, digits, size)
     return PolynomialResult(
         discriminant=discriminant,
         class_number=len(forms),
         polynomial=IntPolynomial(rounded),
         precision_digits=digits,
         max_residual=residual,
+        size_estimate=size,
     )
 
 

@@ -18,11 +18,19 @@ Klein's j is the eta quotient (1 + 256 h)^3 / h with
 h = (eta(2 tau) / eta(tau))^24, which is Weber's
 j = (f2^24 + 16)^3 / f2^24, so it needs two eta series and no
 Eisenstein series.
+
+Each evaluation point costs one complex exponential.  eta forms
+q = r^24 from its prefactor r = q^(1/24) by products, and takes r from
+the caller when the caller has it: the quotients compute one
+w = exp(pi i tau / 36) and hand eta(3 tau) w^9, eta((tau + j)/3)
+w * zeta_72^j and eta(tau) w^3; j computes one r = exp(pi i tau / 12)
+and hands eta(2 tau) r^2.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional, Tuple
 
 import mpmath
@@ -71,18 +79,31 @@ def _mul(ar: int, ai: int, br: int, bi: int, bits: int) -> Tuple[int, int]:
     return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
 
 
-def eta(tau, dps: Optional[int] = None) -> mpmath.mpc:
-    """Dedekind eta, e(tau) = q^(1/24) * prod(1 - q^n) with q = exp(2*pi*i*tau)."""
+def eta(tau, dps: Optional[int] = None,
+        r: Optional[mpmath.mpc] = None) -> mpmath.mpc:
+    """Dedekind eta, e(tau) = q^(1/24) * prod(1 - q^n) with q = exp(2*pi*i*tau).
+
+    ``r`` is q^(1/24) = exp(pi*i*tau/12), at the working precision, when
+    the caller has it already; otherwise eta computes it.  Either way
+    q = r^24 comes from products, so eta makes at most one exponential.
+    """
     digits = _digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
-        log_qabs = -2 * mpmath.pi * mpmath.im(t) / mpmath.log(10)
+        if r is None:
+            r = mpmath.expjpi(t / 12)
+        log_qabs = -2 * mpmath.pi * mpmath.im(t) / mpmath.ln10
         cutoff = -(digits + GUARD_DIGITS)
         # k terms, each off by a few units in the last place per product
         # taken, leave the sum off by O(k^2) units
         terms = math.isqrt(int(2 * cutoff / log_qabs) // 3 + 1) + 2
         bits = mpmath.mp.prec + 2 * terms.bit_length() + 4
-        qr, qi = to_gaussian(mpmath.expjpi(2 * t), bits)
+        # r^24 magnifies the relative error of r 24-fold (of w, 216-fold
+        # for eta(3 tau)): about 8 bits, well inside the guard digits
+        r8 = r * r
+        r8 *= r8
+        r8 *= r8
+        qr, qi = to_gaussian(r8 * r8 * r8, bits)
         # 1 + sum_k (-1)^k (q^low + q^high), low = k(3k-1)/2, high = low + k;
         # low(k+1) = low(k) + 3k + 1, so q^low, q^k and q^(3k+1) step by products
         q3r, q3i = _mul(*_mul(qr, qi, qr, qi, bits), qr, qi, bits)
@@ -104,7 +125,7 @@ def eta(tau, dps: Optional[int] = None) -> mpmath.mpc:
             low_r, low_i = _mul(low_r, low_i, step_r, step_i, bits)
             k_r, k_i = _mul(k_r, k_i, qr, qi, bits)
             step_r, step_i = _mul(step_r, step_i, q3r, q3i, bits)
-        return mpmath.expjpi(t / 12) * from_gaussian(total_r, total_i, bits)
+        return r * from_gaussian(total_r, total_i, bits)
 
 
 EtaFactor = Tuple[int, int]
@@ -124,21 +145,45 @@ evaluation here, the exact expansions in ``qseries`` and the action in
 ``etarep`` all index the quotients by this table."""
 
 
-def _eta_factor(factor: EtaFactor, t: mpmath.mpc, digits: int) -> mpmath.mpc:
+def leading_exponent(index: int) -> Fraction:
+    """The power of q = exp(2*pi*i*tau) that leads the q-expansion of F_index.
+
+    eta(m tau + c) starts at q^(m/24), so F_index starts at the sum of
+    m/24 over its two factors minus 2/24: +1/18 for indices 0-2 and
+    -1/18 for 3-5.  |F_index(tau)| is then close to
+    exp(-2 pi leading_exponent(index) Im tau) when Im tau is large.
+    """
+    return (sum(Fraction(3) if scale == 3 else Fraction(1, 3)
+                for scale, _ in ETA_QUOTIENTS[index]) - 2) / 24
+
+
+def _eta_factor(factor: EtaFactor, t: mpmath.mpc, w: mpmath.mpc,
+                digits: int) -> mpmath.mpc:
+    """The factor at tau, with w = exp(pi*i*tau/36): its q^(1/24) is
+    w^9 for eta(3 tau) and w * zeta_72^j for eta((tau + j)/3)."""
     scale, shift = factor
     if scale == 3:
-        return eta(3 * t, digits)
+        w3 = w * w * w
+        return eta(3 * t, digits, r=w3 * w3 * w3)
     third = mpmath.mpf(1) / 3
-    return eta(t * third + shift * third, digits)
+    return eta(t * third + shift * third, digits,
+               r=w * mpmath.expjpi(mpmath.mpf(shift) / 36))
+
+
+def _quotient_parts(tau, digits: int, factors) -> Tuple[dict, mpmath.mpc]:
+    """The eta factors named in ``factors`` and eta(tau)^2, all from one
+    exponential w = exp(pi*i*tau/36); eta(tau) takes q^(1/24) = w^3."""
+    t = _to_tau(tau)
+    w = mpmath.expjpi(t / 36)
+    values = {f: _eta_factor(f, t, w, digits) for f in factors}
+    return values, eta(t, digits, r=w * w * w) ** 2
 
 
 def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
     """All six eta quotients at tau, sharing the eta evaluations."""
     digits = _digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
-        t = _to_tau(tau)
-        factors = {f: _eta_factor(f, t, digits) for f in set().union(*ETA_QUOTIENTS)}
-        denom = eta(t, digits) ** 2
+        factors, denom = _quotient_parts(tau, digits, set().union(*ETA_QUOTIENTS))
         return tuple(
             factors[f1] * factors[f2] / denom for f1, f2 in ETA_QUOTIENTS
         )
@@ -150,10 +195,9 @@ def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
     if not 0 <= index < len(ETA_QUOTIENTS):
         raise ValueError("index out of range")
     with mpmath.workdps(digits + GUARD_DIGITS):
-        t = _to_tau(tau)
         f1, f2 = ETA_QUOTIENTS[index]
-        return (_eta_factor(f1, t, digits) * _eta_factor(f2, t, digits)
-                / eta(t, digits) ** 2)
+        factors, denom = _quotient_parts(tau, digits, (f1, f2))
+        return factors[f1] * factors[f2] / denom
 
 
 def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:
@@ -176,9 +220,11 @@ def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
     digits = _digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
+        # one exponential: q^(1/24) of eta(tau) is r, that of eta(2 tau) is r^2
+        r = mpmath.expjpi(t / 12)
         # products, not **: mpmath takes high integer powers of a long
         # complex number through exp and log
-        ratio = eta(2 * t, digits) / eta(t, digits)
+        ratio = eta(2 * t, digits, r=r * r) / eta(t, digits, r=r)
         for _ in range(3):
             ratio *= ratio
         h = ratio * ratio * ratio

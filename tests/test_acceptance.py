@@ -117,12 +117,20 @@ def test_criterion_4_symbolic_invariance(capsys):
     code = cli.main(["check-invariance"])
     out = capsys.readouterr().out
     ok = code == 0
-    for n in (11, 35, 59):
+    for n in cli.INVARIANCE_CLASSES:
         ok = ok and f"check-invariance n={n}: PASS" in out
         results = invariance_check(n)
-        ok = ok and len(results) == 5 and all(r.invariant for r in results)
+        ok = ok and all(r.invariant for r in results)
+        # the checked units generate both stabilizer unit groups
+        for modulus in (8, 9):
+            group = unit_group((n + 1) // 4, modulus)
+            generators = [r.generator for r in results if r.modulus == modulus]
+            ok = ok and verify_generators(generators, group)
+    # the curated generators of 11, 35 and 59: three mod 8, two mod 9;
+    # the computed sets of other classes may have six
+    ok = ok and all(len(invariance_check(n)) == 5 for n in (11, 35, 59))
     with capsys.disabled():
-        _gate("criterion 4 (exact stabilizer invariance, three classes)", ok)
+        _gate("criterion 4 (exact stabilizer invariance, all 12 classes mod 288)", ok)
 
 
 def test_criterion_5_generator_matrix():

@@ -273,11 +273,8 @@ def test_expansion_rejects_non_integral_input():
     assert not _assert_expansion_matches_oracle(values, digits)
 
 
-def test_precision_ladder(monkeypatch):
-    # the rung that rounds each case, pinned: the default 120 digits for
-    # n = 10019 and 100019, and exactly one doubling for n = 1000019
-    assert compute_ramanujan(10019).precision_digits == DEFAULT_DIGITS
-    assert compute_ramanujan(100019).precision_digits == DEFAULT_DIGITS
+def _record_rungs(monkeypatch):
+    """The digits of every expansion made from now on, in order."""
     rungs = []
 
     def expand(values, digits):
@@ -285,10 +282,49 @@ def test_precision_ladder(monkeypatch):
         return _expand_and_round(values, digits)
 
     monkeypatch.setattr(classpoly, "_expand_and_round", expand)
+    return rungs
+
+
+def test_precision_ladder(monkeypatch):
+    # the rung that rounds each case, pinned: the default 120 digits for
+    # n = 10019 and 100019, and one doubling for n = 1000019, whose
+    # size estimate (about 173 digits) rules out 120, so only 240 is
+    # expanded
+    assert compute_ramanujan(10019).precision_digits == DEFAULT_DIGITS
+    assert compute_ramanujan(100019).precision_digits == DEFAULT_DIGITS
+    rungs = _record_rungs(monkeypatch)
     result = compute_ramanujan(1000019)
-    assert rungs == [DEFAULT_DIGITS, 2 * DEFAULT_DIGITS]
+    assert rungs == [2 * DEFAULT_DIGITS]
     assert result.precision_digits == 2 * DEFAULT_DIGITS
     assert compute_hilbert(-10019).precision_digits == 462
+
+
+def test_skipped_rung_would_not_have_rounded(monkeypatch):
+    # with the estimate patched to 0 no rung is skipped: 120 digits is
+    # expanded and fails to round, and 240 gives the same coefficients
+    expected = compute_ramanujan(1000019).polynomial
+    rungs = _record_rungs(monkeypatch)
+    monkeypatch.setattr(classpoly, "_ramanujan_size", lambda n, forms, terms: 0.0)
+    result = compute_ramanujan(1000019)
+    assert rungs == [DEFAULT_DIGITS, 2 * DEFAULT_DIGITS]
+    assert result.polynomial == expected
+
+
+def test_small_sizes_start_at_the_default_rung(monkeypatch):
+    rungs = _record_rungs(monkeypatch)
+    for n in (*MAIN_TABLE, 10019, 100019):
+        rungs.clear()
+        compute_ramanujan(n)
+        assert rungs == [DEFAULT_DIGITS], n
+
+
+def test_last_rung_is_evaluated_even_when_ruled_out(monkeypatch):
+    # from 15 digits the ladder is 15, 30, 60, 120: the estimate rules
+    # out all four, the first three are skipped and 120 fails to round
+    rungs = _record_rungs(monkeypatch)
+    with pytest.raises(PrecisionError, match="failed to round"):
+        compute_ramanujan(1000019, 15)
+    assert rungs == [DEFAULT_DIGITS]
 
 
 @pytest.mark.parametrize("coefficients, gate", [

@@ -6,6 +6,7 @@ oracle is the Eisenstein series E4(q)^3 / eta^24 over that product,
 independent of the library's eta quotient (1 + 256 h)^3 / h.
 """
 
+import functools
 import math
 import random
 
@@ -14,6 +15,7 @@ import pytest
 
 import classinv.numeval as numeval
 from classinv.numeval import (
+    ETA_QUOTIENTS,
     eta,
     from_gaussian,
     j_invariant,
@@ -156,6 +158,50 @@ def test_eta_matches_direct_product_at_high_precision(discriminant, digits):
             assert abs(eta(tau, digits) - _eta_product_oracle(tau, digits)) < tol
 
 
+def _quotient_oracle(index, tau, dps):
+    """F_index at tau from direct eta products: eta(3 tau) or
+    eta((tau + j)/3) per factor of ETA_QUOTIENTS, over eta(tau)^2."""
+    with mpmath.workdps(dps + 15):
+        numerator = mpmath.mpc(1)
+        for scale, shift in ETA_QUOTIENTS[index]:
+            arg = 3 * tau if scale == 3 else (tau + shift) / 3
+            numerator *= _eta_product_oracle(arg, dps)
+        return numerator / _eta_product_oracle(tau, dps) ** 2
+
+
+def test_quotients_match_direct_products_at_high_precision():
+    # one exponential w = exp(pi i tau / 36) feeds every factor: eta(3 tau)
+    # takes q = w^216, so an error in w is magnified most at the smallest
+    # Im tau, the widest root and a third of it
+    digits = 500
+    with mpmath.workdps(digits + 15):
+        tol = mpmath.mpf(10) ** -(digits - 5)
+        root = _widest_root(-1000019, digits)
+        for tau in (root, (root + 1) / 3):
+            for index in range(len(ETA_QUOTIENTS)):
+                expected = _quotient_oracle(index, tau, digits)
+                assert abs(r_value(index, tau, digits) - expected) < tol, index
+
+
+def test_one_complex_exponential_per_point(monkeypatch):
+    complex_calls = []
+    expjpi = mpmath.expjpi
+
+    def spy(x):
+        if isinstance(x, mpmath.mpc):
+            complex_calls.append(x)
+        return expjpi(x)
+
+    monkeypatch.setattr(mpmath, "expjpi", spy)
+    tau = mpmath.mpc("0.3", "0.9")
+    evaluations = [functools.partial(r_value, index, tau, 60) for index in range(6)]
+    evaluations += [lambda: r_vector(tau, 60), lambda: j_invariant(tau, 60)]
+    for evaluate in evaluations:
+        complex_calls.clear()
+        evaluate()
+        assert len(complex_calls) == 1
+
+
 def test_eta_functional_equations():
     rng = random.Random(117)
     with mpmath.workdps(130):
@@ -278,9 +324,9 @@ def test_eta_runs_at_the_requested_digits(monkeypatch):
     # the callers' guard digits are not added a second time inside eta
     seen = []
 
-    def spy(tau, dps=None):
+    def spy(tau, dps=None, r=None):
         seen.append(dps)
-        return eta(tau, dps)
+        return eta(tau, dps, r=r)
 
     monkeypatch.setattr(numeval, "eta", spy)
     tau = mpmath.mpc(0, 1)

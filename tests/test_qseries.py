@@ -5,12 +5,14 @@ identities checked here hold coefficient by coefficient in the
 cyclotomic field, with no numerics involved.
 """
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 
 from classinv.cyclotomic import GALOIS_EXPONENTS, CycNum
 from classinv.etarep import rep_sigma, rep_t
-from classinv.numeval import eta, r_value
+from classinv.numeval import eta, leading_exponent, r_value
 from classinv.qseries import (
     QSeries,
     eta_series,
@@ -80,6 +82,8 @@ def test_quotient_series_leading_terms():
         series = r_series(index, BOUND).normalized()
         assert series.val == exponent
         assert series.coefficient(exponent) == coeff
+        # the numeric size estimate reads the same exponent, in q = u^72
+        assert leading_exponent(index) == Fraction(exponent, 72)
 
 
 def test_translation_matches_matrix():
