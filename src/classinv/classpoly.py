@@ -5,13 +5,23 @@ of (t - conjugate) over the reduced forms of discriminant -n.  Each
 conjugate is an exact root of unity times sqrt(3) times one of the six
 eta quotients evaluated at the root of its form, so the only numeric
 steps are the eta evaluations and the final rounding of the expanded
-coefficients to integers.  The expansion runs on plain integers: each
-value becomes a Gaussian fixed-point pair (``numeval.to_gaussian``)
-with as many fractional bits as the working digits, the values are
-multiplied in smallest first, and the rounding and its residual are
-exact integer operations.  The same expansion drives Hilbert class
-polynomials from j-values, which serve as an independent cross-check of
-class numbers and precision handling.
+coefficients to integers.
+
+t_n is real, so its minimal polynomial has real coefficients, and
+complex conjugation acts on the class group as inversion: the root of
+the mirror (a, -b, c) of a reduced form (a, b, c) is -conj(tau), and
+its conjugate is the complex conjugate of the one of (a, b, c).  Only
+the forms with b >= 0 are evaluated, about h/2 of them; each form with
+b < 0 takes the conjugate of its mirror's value, and the ambiguous
+forms (b = 0, b = a or a = c), which are their own mirrors, give real
+values.  The expansion runs over the reals on plain integers: each
+value becomes a fixed-point number (``numeval.to_gaussian``) with as
+many fractional bits as the working digits, a real value enters as
+the linear factor t - v and a mirrored pair as the real quadratic
+t^2 - 2 Re(v) t + |v|^2, smallest first, and the rounding and its
+residual are exact integer operations.  The same expansion drives
+Hilbert class polynomials from j-values, which serve as an independent
+cross-check of class numbers and precision handling.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath
+from mpmath.libmp import mpf_neg
 
 from .cyclotomic import CycNum
 from .etarep import (
@@ -44,6 +55,7 @@ from .numeval import (
     r_value,
     ramanujan_value,
     to_gaussian,
+    zeta72,
 )
 from .quadforms import QuadForm, form_root, reduced_forms
 from .sl2words import Mat2
@@ -150,7 +162,9 @@ class ConjugateRecord:
 
     The conjugate is scalar = z^k * sqrt(3)^e, z = exp(2*pi*i/72), times
     the eta quotient F_index at the form's root; (index, k, e) is where
-    the integer action with determinant det sends sqrt(3) * F_2.
+    the integer action with determinant det sends sqrt(3) * F_2.  A form
+    with b < 0 keeps its own action data, but its value is the complex
+    conjugate of its mirror's.
     """
 
     form: QuadForm
@@ -159,8 +173,12 @@ class ConjugateRecord:
     index: int
     k: int
     e: int
-    scalar: CycNum
     value: mpmath.mpc
+
+    @cached_property
+    def scalar(self) -> CycNum:
+        """z^k * sqrt(3)^e as an exact cyclotomic number, built on first use."""
+        return monomial_entry(self.k, self.e)
 
     @cached_property
     def rep(self) -> RepMatrix:
@@ -223,7 +241,7 @@ def _conjugate_number(form: QuadForm, term: Term, digits: int) -> mpmath.mpc:
     """z^k * sqrt(3)^e * F_index at the form's root."""
     index, k, e = term
     with mpmath.workdps(digits + GUARD_DIGITS):
-        scale = mpmath.expjpi(mpmath.mpf(k) / 36) * mpmath.sqrt(3) ** e
+        scale = zeta72(k) * mpmath.sqrt(3) ** e
         return scale * r_value(index, form_root(form, digits + GUARD_DIGITS), digits)
 
 
@@ -231,7 +249,7 @@ def _record(form: QuadForm, data: Tuple[Monomial, int, Term],
             value: mpmath.mpc) -> ConjugateRecord:
     action, det, (index, k, e) = data
     return ConjugateRecord(form=form, det=det, action=action, index=index, k=k,
-                           e=e, scalar=monomial_entry(k, e), value=value)
+                           e=e, value=value)
 
 
 def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecord:
@@ -247,40 +265,75 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
     return _record(form, data, _conjugate_number(form, data[2], digits))
 
 
-def _expand_and_round(values: Sequence[mpmath.mpc],
-                      digits: int) -> Tuple[Tuple[int, ...], mpmath.mpf]:
-    """Expand prod(t - v) and round to integers, reporting the worst error.
+def _mirror_pairs(forms: Sequence[QuadForm]) -> Tuple[List[int], List[bool]]:
+    """The forms to evaluate, and which of them stand for a mirrored pair.
 
-    The expansion runs on Gaussian fixed-point integers with as many
-    fractional bits as ``digits`` decimal digits, plus a few.  Values
-    enter smallest first, so the integers stay short for as long as
-    possible.  The residual is the largest distance of a real part from
-    its nearest integer or of an imaginary part from 0.
+    Returns the positions of the forms with b >= 0 and, for each of
+    them, whether the list also holds its mirror (a, -b, c), whose value
+    is then the complex conjugate of its own.  A form with b < 0 whose
+    mirror is missing from the list raises ValueError.
+    """
+    position = {f: i for i, f in enumerate(forms)}
+    mirrored = set()
+    for f in forms:
+        if f.b < 0:
+            mirror = position.get(QuadForm(f.a, -f.b, f.c))
+            if mirror is None:
+                raise ValueError(f"form {f} has no mirror among the forms")
+            mirrored.add(mirror)
+    evaluated = [i for i, f in enumerate(forms) if f.b >= 0]
+    return evaluated, [i in mirrored for i in evaluated]
+
+
+def _expand_and_round(values: Sequence[mpmath.mpc], paired: Sequence[bool],
+                      digits: int) -> Tuple[Tuple[int, ...], mpmath.mpf]:
+    """Expand prod(t - v) over the reals and round to integers, reporting
+    the worst error.
+
+    ``paired[i]`` says that ``values[i]`` stands for itself and its
+    complex conjugate, and contributes t^2 - 2 Re(v) t + |v|^2; any
+    other value is real and contributes t - Re(v).  The expansion runs
+    on fixed-point integers with as many fractional bits as ``digits``
+    decimal digits, plus a few.  Factors enter smallest first, so the
+    integers stay short for as long as possible.  The residual is the
+    largest distance of a coefficient from its nearest integer or of a
+    real value's imaginary part from 0.
     """
     bits = math.ceil(digits * math.log2(10)) + EXPANSION_GUARD_BITS
-    pairs = sorted((to_gaussian(v, bits) for v in values),
-                   key=lambda p: max(abs(p[0]), abs(p[1])).bit_length())
-    # ascending coefficients of the monic product; multiplying by (t - v)
-    # shifts them up one place and subtracts v times the old ones
-    re, im = [1 << bits], [0]
-    for vr, vi in pairs:
-        re, im = (
-            [s - ((a * vr - b * vi) >> bits)
-             for s, a, b in zip([0] + re, re + [0], im + [0])],
-            [s - ((a * vi + b * vr) >> bits)
-             for s, a, b in zip([0] + im, re + [0], im + [0])],
-        )
+    # (size, s, p): the factor t + s when p is None, else t^2 + s t + p
+    factors = []
+    drift = 0
+    for value, pair in zip(values, paired):
+        vr, vi = to_gaussian(value, bits)
+        size = max(abs(vr), abs(vi)).bit_length()
+        if pair:
+            factors.append((size, -2 * vr, (vr * vr + vi * vi) >> bits))
+        else:
+            drift = max(drift, abs(vi))
+            factors.append((size, -vr, None))
+    factors.sort(key=lambda factor: factor[0])
+    # ascending coefficients of the monic product
+    coeffs = [1 << bits]
+    for _, s, p in factors:
+        if p is None:
+            coeffs = [a + ((s * b) >> bits)
+                      for a, b in zip([0] + coeffs, coeffs + [0])]
+        else:
+            coeffs = [a + ((s * b + p * c) >> bits)
+                      for a, b, c in zip([0, 0] + coeffs, [0] + coeffs + [0],
+                                         coeffs + [0, 0])]
     half = 1 << (bits - 1)
-    rounded = tuple((a + half) >> bits for a in re)
-    residual = max(max(abs(a - (r << bits)), abs(b))
-                   for a, b, r in zip(re, im, rounded))
+    rounded = tuple((a + half) >> bits for a in coeffs)
+    residual = max(drift, max(abs(a - (r << bits)) for a, r in zip(coeffs, rounded)))
     return rounded, from_gaussian(residual, 0, bits).real
 
 
 def _round_with_retries(
-    evaluate: Callable[[int], Sequence[mpmath.mpc]], digits: int, size: float,
+    evaluate: Callable[[int], Sequence[mpmath.mpc]], paired: Sequence[bool],
+    digits: int, size: float,
 ) -> Tuple[Tuple[int, ...], mpmath.mpf, int, Sequence[mpmath.mpc]]:
-    """Round the expanded product of the values ``evaluate(digits)``.
+    """Round the expanded product of the values ``evaluate(digits)``,
+    each standing for a mirrored pair where ``paired`` says so.
 
     Digits double on each rounding failure, up to MAX_RETRIES times,
     before PrecisionError is raised.  A rung that the a-priori size
@@ -295,7 +348,7 @@ def _round_with_retries(
             digits *= 2
             continue
         values = evaluate(digits)
-        rounded, residual = _expand_and_round(values, digits)
+        rounded, residual = _expand_and_round(values, paired, digits)
         if residual < RESIDUAL_TOLERANCE:
             return rounded, residual, digits, values
         digits *= 2
@@ -311,9 +364,10 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     n must be positive and congruent to 11 mod 24.  Non-squarefree n is
     accepted (the caller may warn); precision doubles on rounding
     failure up to MAX_RETRIES times before PrecisionError is raised.
-    The exact actions are computed once; only the evaluations repeat.
-    A rounded polynomial that is not monic or whose constant term is
-    not +-1 cannot be the minimal polynomial of a unit, and raises
+    The exact actions are computed once, for every form; only the
+    evaluations, of the forms with b >= 0, repeat.  A rounded
+    polynomial that is not monic or whose constant term is not +-1
+    cannot be the minimal polynomial of a unit, and raises
     PrecisionError as well.
     """
     if n <= 0 or n % 24 != 11:
@@ -322,12 +376,13 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     forms = reduced_forms(-n)
     actions = [_action_data(f) for f in forms]
     size = _ramanujan_size(n, forms, [data[2] for data in actions])
+    evaluated, paired = _mirror_pairs(forms)
 
     def evaluate(digits: int) -> List[mpmath.mpc]:
-        return [_conjugate_number(f, data[2], digits)
-                for f, data in zip(forms, actions)]
+        return [_conjugate_number(forms[i], actions[i][2], digits) for i in evaluated]
 
-    rounded, residual, digits, values = _round_with_retries(evaluate, digits, size)
+    rounded, residual, digits, values = _round_with_retries(
+        evaluate, paired, digits, size)
     # t_n is a unit, so its minimal polynomial is monic with constant term +-1
     if rounded[-1] != 1:
         raise PrecisionError(
@@ -344,8 +399,24 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         precision_digits=digits,
         max_residual=residual,
         size_estimate=size,
-        conjugates=tuple(_record(*row) for row in zip(forms, actions, values)),
+        conjugates=tuple(_record(*row) for row in
+                         zip(forms, actions, _mirrored_values(forms, evaluated, values))),
     )
+
+
+def _mirrored_values(forms: Sequence[QuadForm], evaluated: Sequence[int],
+                     values: Sequence[mpmath.mpc]) -> List[mpmath.mpc]:
+    """The value of every form from those of the evaluated forms: a form
+    with b < 0 takes the complex conjugate of its mirror's, negated
+    exactly rather than rounded to the ambient precision."""
+    value_of = {forms[i]: v for i, v in zip(evaluated, values)}
+    return [value_of[f] if f.b >= 0 else _conjugate(value_of[QuadForm(f.a, -f.b, f.c)])
+            for f in forms]
+
+
+def _conjugate(value: mpmath.mpc) -> mpmath.mpc:
+    re, im = value._mpc_
+    return mpmath.mp.make_mpc((re, mpf_neg(im)))
 
 
 def _hilbert_size(discriminant: int) -> float:
@@ -362,18 +433,24 @@ def hilbert_default_digits(discriminant: int) -> int:
 
 
 def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialResult:
-    """Hilbert class polynomial of a negative discriminant."""
+    """Hilbert class polynomial of a negative discriminant.
+
+    j(-conj(tau)) is the complex conjugate of j(tau), so, as for the
+    invariants, only the forms with b >= 0 are evaluated.
+    """
     if discriminant >= 0 or discriminant % 4 not in (0, 1):
         raise ValueError("not a negative discriminant")
     forms = reduced_forms(discriminant)
     digits = (check_digits(dps) if dps is not None
               else hilbert_default_digits(discriminant))
+    evaluated, paired = _mirror_pairs(forms)
 
     def evaluate(digits: int) -> List[mpmath.mpc]:
-        return [j_invariant(form_root(f, digits + GUARD_DIGITS), digits) for f in forms]
+        return [j_invariant(form_root(forms[i], digits + GUARD_DIGITS), digits)
+                for i in evaluated]
 
     size = _hilbert_size(discriminant)
-    rounded, residual, digits, _ = _round_with_retries(evaluate, digits, size)
+    rounded, residual, digits, _ = _round_with_retries(evaluate, paired, digits, size)
     return PolynomialResult(
         discriminant=discriminant,
         class_number=len(forms),

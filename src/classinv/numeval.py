@@ -24,13 +24,15 @@ q = r^24 from its prefactor r = q^(1/24) by products, and takes r from
 the caller when the caller has it: the quotients compute one
 w = exp(pi i tau / 36) and hand eta(3 tau) w^9, eta((tau + j)/3)
 w * zeta_72^j and eta(tau) w^3; j computes one r = exp(pi i tau / 12)
-and hands eta(2 tau) r^2.
+and hands eta(2 tau) r^2.  The exact roots zeta_72^k come from a table
+per working precision (``zeta72``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import mpmath
@@ -72,6 +74,24 @@ def to_gaussian(z, bits: int) -> Tuple[int, int]:
 def from_gaussian(re: int, im: int, bits: int) -> mpmath.mpc:
     """The complex number (re + i im) / 2^bits, held exactly."""
     return mpmath.mp.make_mpc((from_man_exp(re, -bits), from_man_exp(im, -bits)))
+
+
+def zeta72(k: int) -> mpmath.mpc:
+    """zeta_72^k = exp(pi*i*k/36) at the working precision, for 0 <= k < 72.
+
+    The roots come from a table keyed by (k, working precision) and
+    filled by expjpi(k/36) itself, so they are bit-identical to a fresh
+    evaluation.
+    """
+    return _zeta72(k, mpmath.mp.prec)
+
+
+@lru_cache(maxsize=72 * 8)
+def _zeta72(k: int, prec: int) -> mpmath.mpc:
+    if not 0 <= k < 72:
+        raise ValueError(f"exponent {k} is not reduced mod 72")
+    with mpmath.workprec(prec):
+        return mpmath.expjpi(mpmath.mpf(k) / 36)
 
 
 def _mul(ar: int, ai: int, br: int, bi: int, bits: int) -> Tuple[int, int]:
@@ -166,8 +186,7 @@ def _eta_factor(factor: EtaFactor, t: mpmath.mpc, w: mpmath.mpc,
         w3 = w * w * w
         return eta(3 * t, digits, r=w3 * w3 * w3)
     third = mpmath.mpf(1) / 3
-    return eta(t * third + shift * third, digits,
-               r=w * mpmath.expjpi(mpmath.mpf(shift) / 36))
+    return eta(t * third + shift * third, digits, r=w * zeta72(shift))
 
 
 def _quotient_parts(tau, digits: int, factors) -> Tuple[dict, mpmath.mpc]:

@@ -3,10 +3,12 @@
 Each suite checks one layer of the pipeline against something it was
 not derived from: word decomposition against direct matrix products,
 the generator matrices against numeric eta evaluation, the Galois
-permutation matrices against exact q-expansions, and the integer
+permutation matrices against exact q-expansions, the integer
 monomial encoding of the hot path against the dense cyclotomic
-matrices.  The command-line front-end runs all suites; the test suite
-asserts them individually.
+matrices, and the exact action of each mirrored form (a, -b, c)
+against the complex conjugation rule derived from the eta quotients.
+The command-line front-end runs all suites; the test suite asserts
+them individually.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -22,10 +24,13 @@ from .cyclotomic import GALOIS_EXPONENTS
 from .etarep import (
     MONOMIAL_S,
     MONOMIAL_T,
+    SQRT3_F2,
     RepMatrix,
+    Term,
     conjugate_action,
     dense_conjugate_action,
     dual_action,
+    form_action,
     full_action,
     monomial_action,
     monomial_dual_action,
@@ -36,8 +41,9 @@ from .etarep import (
     rep_t,
     unit_vector,
 )
-from .numeval import eta, r_vector, r_value
+from .numeval import ETA_QUOTIENTS, eta, r_vector, r_value
 from .qseries import r_series
+from .quadforms import QuadForm, reduced_forms
 from .sl2words import (
     Mat2,
     S_WORD_MOD8,
@@ -65,6 +71,9 @@ SEED = 721131
 
 SIGMA_SERIES_BOUND = 150
 """Truncation order for the exact q-expansion comparisons."""
+
+MIRROR_RULE_NS = tuple(range(107, 996, 24))
+"""The 38 n = 11 (mod 24) of the paper's table, 107 <= n <= 995."""
 
 
 @dataclass(frozen=True)
@@ -300,6 +309,82 @@ def check_monomial_oracle(samples: int = 24) -> CheckResult:
     )
 
 
+def mirror_rule() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The exact rule for the conjugate of a mirrored form, derived from
+    ``ETA_QUOTIENTS``.
+
+    eta has real q-coefficients and q^(1/24) = exp(pi i tau / 12), so
+    eta(-conj(tau)) = conj(eta(tau)), and likewise for eta(3 tau).  For
+    a factor eta((tau + j)/3), (-conj(tau) + j)/3 = -conj((tau + j')/3)
+    + m with j' = (3 - j) mod 3 and m = (j + j')/3, and
+    eta(x + m) = zeta_24^m eta(x), so that factor at -conj(tau) is
+    z^(3m) conj(eta((tau + j')/3)), z = zeta_72.  Hence
+    F_i(-conj(tau)) = z^(d_i) conj(F_s(i)(tau)) for a permutation s.
+    The root of the mirror (a, -b, c) of a form is -conj(tau), so if
+    the conjugate of the form is z^k sqrt(3)^e F_i(tau), the one of
+    its mirror, the complex conjugate, is
+    z^(c_i - k) sqrt(3)^e F_perm(i)(-conj(tau)), with perm the inverse
+    of s and c_i = -d_perm(i) mod 72.  Returns (perm, c).
+    """
+    d, s = [], []
+    for factors in ETA_QUOTIENTS:
+        mirrored, m = [], 0
+        for scale, shift in factors:
+            if scale == 3:
+                mirrored.append((scale, shift))
+            else:
+                partner = (3 - shift) % 3
+                mirrored.append((scale, partner))
+                m += (shift + partner) // 3
+        # a quotient is the same function whichever factor comes first
+        s.append(next(i for i, row in enumerate(ETA_QUOTIENTS)
+                      if sorted(row) == sorted(mirrored)))
+        d.append(3 * m)
+    perm = [0] * len(s)
+    for i, j in enumerate(s):
+        perm[j] = i
+    return tuple(perm), tuple(-d[perm[i]] % 72 for i in range(len(perm)))
+
+
+def _conjugate_term(form: QuadForm) -> Term:
+    return conjugate_action(*form_action(form), SQRT3_F2)
+
+
+def _is_ambiguous(form: QuadForm) -> bool:
+    return form.b == 0 or form.b == form.a or form.a == form.c
+
+
+def check_mirror_rule(ns: Sequence[int] = MIRROR_RULE_NS) -> CheckResult:
+    """Every mirrored pair of reduced forms against ``mirror_rule``.
+
+    For each n the forms with b < 0 must be exactly the mirrors
+    (a, -b, c) of the forms with b > 0 that are not ambiguous, and the
+    exact conjugate term of each mirror must be the rule applied to the
+    term of its partner.
+    """
+    perm, c = mirror_rule()
+    failures = []
+    pairs = 0
+    for n in ns:
+        forms = reduced_forms(-n)
+        negative = {f for f in forms if f.b < 0}
+        mirrors = {QuadForm(f.a, -f.b, f.c) for f in forms
+                   if f.b > 0 and not _is_ambiguous(f)}
+        if negative != mirrors:
+            failures.append(f"n={n} forms")
+        for mirror in sorted(mirrors & negative):
+            index, k, e = _conjugate_term(QuadForm(mirror.a, -mirror.b, mirror.c))
+            pairs += 1
+            if _conjugate_term(mirror) != (perm[index], (c[index] - k) % 72, e):
+                failures.append(f"n={n} {mirror}")
+    return CheckResult(
+        "mirror-rule",
+        not failures,
+        f"{pairs} pairs for {len(ns)} n, perm {perm}, c {c}"
+        if not failures else "; ".join(failures),
+    )
+
+
 def run_all(points: int = 20, dps: int = CHECK_DIGITS) -> List[CheckResult]:
     return [
         check_word_reconstruction(),
@@ -309,4 +394,5 @@ def run_all(points: int = 20, dps: int = CHECK_DIGITS) -> List[CheckResult]:
         check_sigma_series_exact(),
         check_sigma_numeric(points, dps),
         check_monomial_oracle(),
+        check_mirror_rule(),
     ]

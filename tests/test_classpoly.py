@@ -3,8 +3,9 @@
 The session-scoped fixture from conftest computes every main-table row
 once; the tests below compare coefficients, inspect the conjugate data
 carried along, and exercise the error paths.  The library expands and
-rounds on Gaussian fixed-point integers; the floating-point mpc
-expansion it replaced is kept here as the oracle it must agree with.
+rounds over the reals on fixed-point integers, evaluating one form of
+each mirrored pair; the floating-point mpc expansion of all h values
+it replaced is kept here as the oracle it must agree with.
 """
 
 import mpmath
@@ -18,6 +19,7 @@ from classinv.classpoly import (
     IntPolynomial,
     PrecisionError,
     _expand_and_round,
+    _mirror_pairs,
     compute_hilbert,
     compute_ramanujan,
     conjugate_value,
@@ -28,7 +30,14 @@ from classinv.classpoly import (
 from classinv.cyclotomic import SQRT3
 from classinv.etarep import dense_conjugate_action, unit_vector
 from classinv.numeval import GUARD_DIGITS, j_invariant, ramanujan_value
-from classinv.quadforms import class_number, form_root, principal_form, reduced_forms
+from classinv.quadforms import (
+    QuadForm,
+    class_number,
+    form_root,
+    principal_form,
+    reduced_forms,
+)
+from classinv.selftest import check_mirror_rule, mirror_rule
 
 from golden_data import (
     HILBERT_11,
@@ -61,21 +70,40 @@ def _expand_and_round_oracle(values, digits):
         return tuple(rounded), residual
 
 
-def _assert_expansion_matches_oracle(values, digits):
-    """Same rounded coefficients, and the same verdict at the tolerance;
-    returns that verdict."""
-    rounded, residual = _expand_and_round(values, digits)
+def _assert_expansion_matches_oracle(forms, values, digits):
+    """The real expansion of the values of the forms with b >= 0 and the
+    oracle's expansion of all the values: the same verdict at the
+    tolerance and, when both round, the same coefficients; returns that
+    verdict.  (Values that fail need not fail alike: the oracle expands
+    a perturbed pair member beside its unperturbed mirror, the real
+    expansion beside the member's own conjugate.)"""
+    evaluated, paired = _mirror_pairs(forms)
+    rounded, residual = _expand_and_round([values[i] for i in evaluated], paired, digits)
     expected, expected_residual = _expand_and_round_oracle(values, digits)
-    assert rounded == expected
     passed = residual < RESIDUAL_TOLERANCE
     assert passed == (expected_residual < RESIDUAL_TOLERANCE)
+    if passed:
+        assert rounded == expected
     return passed
 
 
 def _j_values(discriminant):
+    """The forms and the j-value of every one of them, mirrors included."""
     digits = hilbert_default_digits(discriminant)
-    return [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
-            for f in reduced_forms(discriminant)], digits
+    forms = reduced_forms(discriminant)
+    return forms, [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
+                   for f in forms], digits
+
+
+def _distinct_primes(n):
+    count, d = 0, 2
+    while d * d <= n:
+        if n % d == 0:
+            count += 1
+            while n % d == 0:
+                n //= d
+        d += 1
+    return count + (n > 1)
 
 
 def test_polynomial_construction_and_rendering():
@@ -257,29 +285,122 @@ def test_precision_error_reports_residual():
 
 def test_expansion_matches_oracle_on_the_table(main_table_results):
     for n, result in main_table_results.items():
+        forms = [r.form for r in result.conjugates]
         values = [r.value for r in result.conjugates]
-        assert _assert_expansion_matches_oracle(values, result.precision_digits), n
+        assert _assert_expansion_matches_oracle(forms, values, result.precision_digits), n
 
 
 @pytest.mark.parametrize("discriminant", [-107, -10019])
 def test_expansion_matches_oracle_on_j_values(discriminant):
-    values, digits = _j_values(discriminant)
-    assert _assert_expansion_matches_oracle(values, digits)
+    assert _assert_expansion_matches_oracle(*_j_values(discriminant))
 
 
 def test_expansion_rejects_non_integral_input():
-    values, digits = _j_values(-107)
+    forms, values, digits = _j_values(-107)
     values[1] += mpmath.mpf(1) / 3
-    assert not _assert_expansion_matches_oracle(values, digits)
+    assert not _assert_expansion_matches_oracle(forms, values, digits)
+
+
+def _perturbed_611(main_table_results, paired_member, shift):
+    """The forms, values and digits of n = 611, with the first evaluated
+    value that is (or is not) a pair member moved by ``shift``."""
+    result = main_table_results[611]
+    forms = [r.form for r in result.conjugates]
+    values = [r.value for r in result.conjugates]
+    evaluated, paired = _mirror_pairs(forms)
+    moved = next(i for i, pair in zip(evaluated, paired) if pair == paired_member)
+    digits = result.precision_digits
+    with mpmath.workdps(digits + GUARD_DIGITS):
+        values[moved] += shift
+    return forms, values, digits
+
+
+@pytest.mark.parametrize("shift", [mpmath.mpf("1e-5"), mpmath.mpc(0, "1e-5")])
+def test_expansion_rejects_a_perturbed_pair_member(main_table_results, shift):
+    # the evaluated member of a mirrored pair is moved off its value while
+    # its mirror keeps the exact conjugate: the oracle sees nonreal or
+    # non-integral coefficients, the real expansion a quadratic factor
+    # that no longer rounds
+    forms, values, digits = _perturbed_611(main_table_results, True, shift)
+    assert not _assert_expansion_matches_oracle(forms, values, digits)
+
+
+def test_expansion_keeps_the_imaginary_part_of_real_values(main_table_results):
+    # a value taken as real that is not real fails the residual, which
+    # reports its imaginary part, as the oracle's imaginary coefficients do
+    forms, values, digits = _perturbed_611(main_table_results, False,
+                                           mpmath.mpc(0, "1e-5"))
+    assert not _assert_expansion_matches_oracle(forms, values, digits)
+    evaluated, paired = _mirror_pairs(forms)
+    _, residual = _expand_and_round([values[i] for i in evaluated], paired, digits)
+    assert abs(residual - mpmath.mpf("1e-5")) < mpmath.mpf("1e-12")
+
+
+def test_mirror_rule(main_table_results):
+    # the rule derived from ETA_QUOTIENTS, and stated here
+    perm, c = mirror_rule()
+    assert perm == (0, 2, 1, 4, 3, 5)
+    assert c == (0, 69, 69, 69, 69, 66)
+    # against the exact action of every pair of the table, 10019 and
+    # 100019; the check also asks that the forms with b < 0 be exactly
+    # the mirrors of the forms with b > 0 that are not ambiguous
+    for ns in (tuple(MAIN_TABLE), (10019, 100019)):
+        result = check_mirror_rule(ns)
+        assert result.passed, result.detail
+    # genus theory: 2^(omega(n) - 1) ambiguous classes, whose values are real
+    for n in (*MAIN_TABLE, 10019, 100019, 1000019):
+        if is_squarefree(n):
+            _, paired = _mirror_pairs(reduced_forms(-n))
+            assert paired.count(False) == 2 ** (_distinct_primes(n) - 1), n
+    assert _mirror_pairs(reduced_forms(-1000019))[1].count(False) == 2
+    assert _mirror_pairs(reduced_forms(-100019))[1].count(False) == 1
+    # a stored mirror value is the conjugate of its partner's, and it
+    # agrees with a direct evaluation at the mirror's own root
+    with mpmath.workdps(130):
+        for n in (107, 251, 611):
+            records = main_table_results[n].conjugates
+            value_of = {r.form: r.value for r in records}
+            for record in records:
+                if record.form.b < 0:
+                    partner = QuadForm(record.form.a, -record.form.b, record.form.c)
+                    assert record.value == mpmath.conj(value_of[partner])
+                    direct = conjugate_value(record.form, DEFAULT_DIGITS).value
+                    assert abs(direct - record.value) < mpmath.mpf("1e-110")
+
+
+def test_a_form_without_its_mirror_is_rejected():
+    forms = reduced_forms(-611)
+    lone = next(f for f in forms if f.b < 0)
+    with pytest.raises(ValueError, match="no mirror"):
+        _mirror_pairs([f for f in forms if f != QuadForm(lone.a, -lone.b, lone.c)])
+
+
+def test_one_evaluation_per_mirrored_pair(monkeypatch):
+    # 170 pairs and 2 real forms among the 342 of n = 1000019, 30 pairs
+    # and 1 real form among the 61 of D = -30011
+    calls = []
+    for name in ("r_value", "j_invariant"):
+        original = getattr(classpoly, name)
+
+        def spy(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(classpoly, name, spy)
+    assert compute_ramanujan(1000019).class_number == 342
+    assert len(calls) == 172
+    calls.clear()
+    assert compute_hilbert(-30011).class_number == 61
+    assert len(calls) == 31
 
 
 def _record_rungs(monkeypatch):
     """The digits of every expansion made from now on, in order."""
     rungs = []
 
-    def expand(values, digits):
+    def expand(values, paired, digits):
         rungs.append(digits)
-        return _expand_and_round(values, digits)
+        return _expand_and_round(values, paired, digits)
 
     monkeypatch.setattr(classpoly, "_expand_and_round", expand)
     return rungs
@@ -335,6 +456,6 @@ def test_non_unit_polynomial_is_rejected(monkeypatch, coefficients, gate):
     # n = 35 has class number 2; the rounding is replaced by one that
     # returns a polynomial which cannot belong to a unit
     monkeypatch.setattr(classpoly, "_expand_and_round",
-                        lambda values, digits: (coefficients, mpmath.mpf(0)))
+                        lambda values, paired, digits: (coefficients, mpmath.mpf(0)))
     with pytest.raises(PrecisionError, match=gate):
         compute_ramanujan(35)

@@ -23,6 +23,7 @@ from classinv.numeval import (
     r_vector,
     ramanujan_value,
     to_gaussian,
+    zeta72,
 )
 from classinv.classpoly import IntPolynomial
 from classinv.quadforms import form_root, reduced_forms
@@ -200,6 +201,18 @@ def test_one_complex_exponential_per_point(monkeypatch):
         complex_calls.clear()
         evaluate()
         assert len(complex_calls) == 1
+
+
+def test_zeta72_table_is_bit_identical_to_expjpi():
+    for dps in (15, 130, 250):
+        with mpmath.workdps(dps):
+            for k in range(72):
+                root = zeta72(k)
+                assert root == mpmath.expjpi(mpmath.mpf(k) / 36)
+                assert zeta72(k) is root
+    for k in (-1, 72):
+        with pytest.raises(ValueError, match="not reduced mod 72"):
+            zeta72(k)
 
 
 def test_eta_functional_equations():

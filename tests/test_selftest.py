@@ -8,6 +8,7 @@ cheap exact checks at full strength.
 from classinv.selftest import (
     check_eta_functional_equations,
     check_lift_congruences,
+    check_mirror_rule,
     check_monomial_oracle,
     check_rep_numeric,
     check_sigma_numeric,
@@ -55,6 +56,12 @@ def test_monomial_oracle_reduced_sample():
     assert result.detail == "S, T, 24 sigma_d and 4 GL2(Z/72) matrices"
 
 
+def test_mirror_rule_suite():
+    result = check_mirror_rule()
+    assert result.passed
+    assert result.detail.startswith("118 pairs for 38 n")
+
+
 def test_run_all_reports_every_suite():
     results = run_all(points=2, dps=60)
     names = [r.name for r in results]
@@ -66,5 +73,6 @@ def test_run_all_reports_every_suite():
         "sigma-series-exact",
         "sigma-numeric-consistency",
         "monomial-oracle",
+        "mirror-rule",
     ]
     assert all(r.passed for r in results)
