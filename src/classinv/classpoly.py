@@ -173,12 +173,8 @@ class ConjugateRecord:
     index: int
     k: int
     e: int
+    scalar: CycNum
     value: mpmath.mpc
-
-    @cached_property
-    def scalar(self) -> CycNum:
-        """z^k * sqrt(3)^e as an exact cyclotomic number, built on first use."""
-        return monomial_entry(self.k, self.e)
 
     @cached_property
     def rep(self) -> RepMatrix:
@@ -249,7 +245,7 @@ def _record(form: QuadForm, data: Tuple[Monomial, int, Term],
             value: mpmath.mpc) -> ConjugateRecord:
     action, det, (index, k, e) = data
     return ConjugateRecord(form=form, det=det, action=action, index=index, k=k,
-                           e=e, value=value)
+                           e=e, scalar=monomial_entry(k, e), value=value)
 
 
 def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecord:
@@ -266,23 +262,30 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
 
 
 def _mirror_pairs(forms: Sequence[QuadForm]) -> Tuple[List[int], List[bool]]:
-    """The forms to evaluate, and which of them stand for a mirrored pair.
+    """Where each form's value comes from, and which evaluated values
+    stand for a mirrored pair.
 
-    Returns the positions of the forms with b >= 0 and, for each of
-    them, whether the list also holds its mirror (a, -b, c), whose value
-    is then the complex conjugate of its own.  A form with b < 0 whose
+    Only the forms with b >= 0 are evaluated, in list order.  Returns,
+    for every form, the index among those of the value it takes: its
+    own, or, for a form with b < 0, that of its mirror (a, -b, c), whose
+    complex conjugate it is.  The flags say, for each evaluated form,
+    whether its mirror is in the list too.  A form with b < 0 whose
     mirror is missing from the list raises ValueError.
     """
-    position = {f: i for i, f in enumerate(forms)}
-    mirrored = set()
+    slot = {}
     for f in forms:
+        if f.b >= 0:
+            slot[f] = len(slot)
+    source = []
+    paired = [False] * len(slot)
+    for f in forms:
+        i = slot.get(QuadForm(f.a, abs(f.b), f.c))
+        if i is None:
+            raise ValueError(f"form {f} has no mirror among the forms")
         if f.b < 0:
-            mirror = position.get(QuadForm(f.a, -f.b, f.c))
-            if mirror is None:
-                raise ValueError(f"form {f} has no mirror among the forms")
-            mirrored.add(mirror)
-    evaluated = [i for i, f in enumerate(forms) if f.b >= 0]
-    return evaluated, [i in mirrored for i in evaluated]
+            paired[i] = True
+        source.append(i)
+    return source, paired
 
 
 def _expand_and_round(values: Sequence[mpmath.mpc], paired: Sequence[bool],
@@ -376,10 +379,11 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     forms = reduced_forms(-n)
     actions = [_action_data(f) for f in forms]
     size = _ramanujan_size(n, forms, [data[2] for data in actions])
-    evaluated, paired = _mirror_pairs(forms)
+    source, paired = _mirror_pairs(forms)
 
     def evaluate(digits: int) -> List[mpmath.mpc]:
-        return [_conjugate_number(forms[i], actions[i][2], digits) for i in evaluated]
+        return [_conjugate_number(f, data[2], digits)
+                for f, data in zip(forms, actions) if f.b >= 0]
 
     rounded, residual, digits, values = _round_with_retries(
         evaluate, paired, digits, size)
@@ -400,18 +404,18 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         max_residual=residual,
         size_estimate=size,
         conjugates=tuple(_record(*row) for row in
-                         zip(forms, actions, _mirrored_values(forms, evaluated, values))),
+                         zip(forms, actions, _mirrored_values(forms, source, values))),
     )
 
 
-def _mirrored_values(forms: Sequence[QuadForm], evaluated: Sequence[int],
+def _mirrored_values(forms: Sequence[QuadForm], source: Sequence[int],
                      values: Sequence[mpmath.mpc]) -> List[mpmath.mpc]:
-    """The value of every form from those of the evaluated forms: a form
-    with b < 0 takes the complex conjugate of its mirror's, negated
-    exactly rather than rounded to the ambient precision."""
-    value_of = {forms[i]: v for i, v in zip(evaluated, values)}
-    return [value_of[f] if f.b >= 0 else _conjugate(value_of[QuadForm(f.a, -f.b, f.c)])
-            for f in forms]
+    """The value of every form from those of the evaluated forms, with
+    ``source`` from ``_mirror_pairs``: a form with b < 0 takes the
+    complex conjugate of its mirror's, negated exactly rather than
+    rounded to the ambient precision."""
+    return [values[i] if f.b >= 0 else _conjugate(values[i])
+            for f, i in zip(forms, source)]
 
 
 def _conjugate(value: mpmath.mpc) -> mpmath.mpc:
@@ -443,11 +447,11 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     forms = reduced_forms(discriminant)
     digits = (check_digits(dps) if dps is not None
               else hilbert_default_digits(discriminant))
-    evaluated, paired = _mirror_pairs(forms)
+    _, paired = _mirror_pairs(forms)
 
     def evaluate(digits: int) -> List[mpmath.mpc]:
-        return [j_invariant(form_root(forms[i], digits + GUARD_DIGITS), digits)
-                for i in evaluated]
+        return [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
+                for f in forms if f.b >= 0]
 
     size = _hilbert_size(discriminant)
     rounded, residual, digits, _ = _round_with_retries(evaluate, paired, digits, size)

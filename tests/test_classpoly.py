@@ -30,6 +30,7 @@ from classinv.classpoly import (
 from classinv.cyclotomic import SQRT3
 from classinv.etarep import dense_conjugate_action, unit_vector
 from classinv.numeval import GUARD_DIGITS, j_invariant, ramanujan_value
+from classinv.orders import _prime_factors
 from classinv.quadforms import (
     QuadForm,
     class_number,
@@ -37,7 +38,7 @@ from classinv.quadforms import (
     principal_form,
     reduced_forms,
 )
-from classinv.selftest import check_mirror_rule, mirror_rule
+from classinv.selftest import MIRROR_RULE_NS, check_mirror_rule, mirror_rule
 
 from golden_data import (
     HILBERT_11,
@@ -70,20 +71,30 @@ def _expand_and_round_oracle(values, digits):
         return tuple(rounded), residual
 
 
+def _evaluated(forms, values):
+    """The values of the forms with b >= 0, the ones the library evaluates."""
+    return [v for f, v in zip(forms, values) if f.b >= 0]
+
+
 def _assert_expansion_matches_oracle(forms, values, digits):
-    """The real expansion of the values of the forms with b >= 0 and the
-    oracle's expansion of all the values: the same verdict at the
-    tolerance and, when both round, the same coefficients; returns that
-    verdict.  (Values that fail need not fail alike: the oracle expands
-    a perturbed pair member beside its unperturbed mirror, the real
-    expansion beside the member's own conjugate.)"""
-    evaluated, paired = _mirror_pairs(forms)
-    rounded, residual = _expand_and_round([values[i] for i in evaluated], paired, digits)
-    expected, expected_residual = _expand_and_round_oracle(values, digits)
+    """The real expansion of the values of the forms with b >= 0 against
+    the oracle; returns its verdict at the tolerance.
+
+    Its coefficients must be those of the oracle's expansion of the
+    values it stands for: the evaluated ones and, for each form with
+    b < 0, the conjugate of its mirror's.  Its verdict must be that of
+    the oracle's expansion of all the values as given, so that a
+    perturbed pair member, whose mirror keeps the unperturbed conjugate,
+    fails both."""
+    source, paired = _mirror_pairs(forms)
+    evaluated = _evaluated(forms, values)
+    rounded, residual = _expand_and_round(evaluated, paired, digits)
+    expected, _ = _expand_and_round_oracle(
+        classpoly._mirrored_values(forms, source, evaluated), digits)
+    assert rounded == expected
+    _, oracle_residual = _expand_and_round_oracle(values, digits)
     passed = residual < RESIDUAL_TOLERANCE
-    assert passed == (expected_residual < RESIDUAL_TOLERANCE)
-    if passed:
-        assert rounded == expected
+    assert passed == (oracle_residual < RESIDUAL_TOLERANCE)
     return passed
 
 
@@ -93,17 +104,6 @@ def _j_values(discriminant):
     forms = reduced_forms(discriminant)
     return forms, [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
                    for f in forms], digits
-
-
-def _distinct_primes(n):
-    count, d = 0, 2
-    while d * d <= n:
-        if n % d == 0:
-            count += 1
-            while n % d == 0:
-                n //= d
-        d += 1
-    return count + (n > 1)
 
 
 def test_polynomial_construction_and_rendering():
@@ -307,7 +307,8 @@ def _perturbed_611(main_table_results, paired_member, shift):
     result = main_table_results[611]
     forms = [r.form for r in result.conjugates]
     values = [r.value for r in result.conjugates]
-    evaluated, paired = _mirror_pairs(forms)
+    _, paired = _mirror_pairs(forms)
+    evaluated = [i for i, f in enumerate(forms) if f.b >= 0]
     moved = next(i for i, pair in zip(evaluated, paired) if pair == paired_member)
     digits = result.precision_digits
     with mpmath.workdps(digits + GUARD_DIGITS):
@@ -331,8 +332,8 @@ def test_expansion_keeps_the_imaginary_part_of_real_values(main_table_results):
     forms, values, digits = _perturbed_611(main_table_results, False,
                                            mpmath.mpc(0, "1e-5"))
     assert not _assert_expansion_matches_oracle(forms, values, digits)
-    evaluated, paired = _mirror_pairs(forms)
-    _, residual = _expand_and_round([values[i] for i in evaluated], paired, digits)
+    _, paired = _mirror_pairs(forms)
+    _, residual = _expand_and_round(_evaluated(forms, values), paired, digits)
     assert abs(residual - mpmath.mpf("1e-5")) < mpmath.mpf("1e-12")
 
 
@@ -341,17 +342,18 @@ def test_mirror_rule(main_table_results):
     perm, c = mirror_rule()
     assert perm == (0, 2, 1, 4, 3, 5)
     assert c == (0, 69, 69, 69, 69, 66)
-    # against the exact action of every pair of the table, 10019 and
-    # 100019; the check also asks that the forms with b < 0 be exactly
-    # the mirrors of the forms with b > 0 that are not ambiguous
-    for ns in (tuple(MAIN_TABLE), (10019, 100019)):
-        result = check_mirror_rule(ns)
-        assert result.passed, result.detail
+    # against the exact action of every pair of 10019 and 100019 (the
+    # table's n are the mirror-rule selftest suite's); the check also
+    # asks that the forms with b < 0 be exactly the mirrors of the forms
+    # with b > 0 that are not ambiguous
+    assert MIRROR_RULE_NS == tuple(MAIN_TABLE)
+    result = check_mirror_rule((10019, 100019))
+    assert result.passed, result.detail
     # genus theory: 2^(omega(n) - 1) ambiguous classes, whose values are real
     for n in (*MAIN_TABLE, 10019, 100019, 1000019):
         if is_squarefree(n):
             _, paired = _mirror_pairs(reduced_forms(-n))
-            assert paired.count(False) == 2 ** (_distinct_primes(n) - 1), n
+            assert paired.count(False) == 2 ** (len(_prime_factors(n)) - 1), n
     assert _mirror_pairs(reduced_forms(-1000019))[1].count(False) == 2
     assert _mirror_pairs(reduced_forms(-100019))[1].count(False) == 1
     # a stored mirror value is the conjugate of its partner's, and it
