@@ -20,6 +20,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import mpmath
 
+from .numeval import check_digits
+
 DEGREE = 24
 """Dimension of the field over Q."""
 
@@ -255,7 +257,7 @@ class CycNum:
 
     def embed(self, dps: int | None = None) -> mpmath.mpc:
         """Complex value at the principal root exp(2*pi*i/72), at dps digits."""
-        digits = dps if dps is not None else mpmath.mp.dps
+        digits = check_digits(dps) if dps is not None else mpmath.mp.dps
         roots = _embedded_roots(digits)
         with mpmath.workdps(digits):
             total = mpmath.mpc(0)

@@ -17,7 +17,10 @@ k to d*k (plus 36 when it negates sqrt(3) and e is odd).  The dense
 ``RepMatrix`` over the cyclotomic field, with ``rep_s``, ``rep_t``,
 ``rep_sigma``, ``word_action``, ``full_action`` and ``dual_action``,
 is the exact oracle: ``Monomial.dense`` rebuilds it, and the selftest
-and test suites compare the two entry for entry.
+and test suites compare the two entry for entry.  Both encodings share
+one path: ``_lifted_word`` turns a GL2(Z/72) matrix into an integer
+S,T word and a determinant, and ``sl2words.word_product`` multiplies
+the word out over each encoding's own images of S and T.
 
 A matrix A gives the substitution rule F(g(tau)) = (A F)(tau) on the
 column vector F of the six functions.  A function written as a
@@ -32,12 +35,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .cyclotomic import ORDER, SQRT3, CycNum
 from .orders import generator_matrix, generators_for, unit_group
 from .quadforms import QuadForm
-from .sl2words import Mat2, Word, crt_combine, decompose, form_matrix, lift_word, split_det
+from .sl2words import (Mat2, Word, crt_combine, decompose, form_matrix, lift_word, split_det,
+                       word_product)
 
 SIZE = 6
 
@@ -207,51 +212,50 @@ def rep_sigma(d: int) -> RepMatrix:
     )
 
 
-_T_POWERS: Optional[List[RepMatrix]] = None
+def _t_powers(identity, t) -> Callable[[int], object]:
+    """exponent -> t^exponent for an image t of T, which has order 18."""
+    powers = [identity]
+    while len(powers) < 18:
+        powers.append(powers[-1] * t)
+    return lambda exponent: powers[exponent % len(powers)]
 
 
-def _t_power(exponent: int) -> RepMatrix:
-    """Cached powers of the T matrix, which has order 18."""
-    global _T_POWERS
-    if _T_POWERS is None:
-        powers = [RepMatrix.identity()]
-        t = rep_t()
-        for _ in range(17):
-            powers.append(powers[-1] * t)
-        _T_POWERS = powers
-    return _T_POWERS[exponent % 18]
+@lru_cache(maxsize=None)
+def _dense_t_power() -> Callable[[int], RepMatrix]:
+    """The dense table, built at first use."""
+    return _t_powers(RepMatrix.identity(), rep_t())
 
 
 def word_action(word: Word) -> RepMatrix:
     """Product of generator matrices along the word, leftmost first."""
-    result = RepMatrix.identity()
-    for gen, exponent in word:
-        if gen == "S":
-            if exponent != 1:
-                raise ValueError("S tokens must have exponent 1")
-            result = result * rep_s()
-        elif gen == "T":
-            result = result * _t_power(exponent)
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
-    return result
+    return word_product(word, RepMatrix.identity(), rep_s(), _dense_t_power())
 
 
-def full_action(matrix: Mat2) -> Tuple[RepMatrix, int]:
-    """Substitution matrix and determinant for a GL2(Z/72) matrix.
+def _lifted_word(matrix: Mat2) -> Tuple[Word, int]:
+    """The integer word and the determinant d of a GL2(Z/72) matrix.
 
-    The unimodular part is decomposed separately mod 8 and mod 9, each
-    word lifted to an integer word trivial modulo the other factor, and
-    the concatenation fed through the representation.  The result is
-    returned together with the determinant d, which enters separately
-    through the coefficient automorphism z -> z^d.
+    The matrix is B * diag(1, d) with B unimodular.  B is decomposed
+    separately mod 8 and mod 9, and each word is lifted to an integer
+    word trivial modulo the other factor; the word is their
+    concatenation.
     """
     if matrix.mod != 72:
         matrix = matrix.to_mod(72)
     unimodular, det = split_det(matrix)
     word8 = lift_word(decompose(unimodular.to_mod(8), 8), 8)
     word9 = lift_word(decompose(unimodular.to_mod(9), 9), 9)
-    return word_action(word8 + word9), det
+    return word8 + word9, det
+
+
+def full_action(matrix: Mat2) -> Tuple[RepMatrix, int]:
+    """Substitution matrix and determinant for a GL2(Z/72) matrix.
+
+    The lifted word of the unimodular part (``_lifted_word``) is fed
+    through the representation.  The determinant d is returned with it;
+    it enters separately through the coefficient automorphism z -> z^d.
+    """
+    word, det = _lifted_word(matrix)
+    return word_action(word), det
 
 
 def dual_action(rep: RepMatrix, det: int, coeffs: Vector) -> Vector:
@@ -377,16 +381,7 @@ MONOMIAL_T = Monomial.from_columns((1, 2, 0, 4, 5, 3), (3, 3, 6, 69, 66, 69),
                                    (0,) * SIZE)
 """``rep_t`` in the integer encoding."""
 
-
-def _monomial_t_powers() -> Tuple[Monomial, ...]:
-    powers = [Monomial.identity()]
-    for _ in range(17):
-        powers.append(powers[-1] * MONOMIAL_T)
-    return tuple(powers)
-
-
-_MONOMIAL_T_POWERS = _monomial_t_powers()
-"""T has order 18 in the representation."""
+_MONOMIAL_T_POWER = _t_powers(Monomial.identity(), MONOMIAL_T)
 
 
 def monomial_sigma(d: int) -> Monomial:
@@ -402,27 +397,13 @@ def monomial_sigma(d: int) -> Monomial:
 
 def monomial_word_action(word: Word) -> Monomial:
     """``word_action`` in the integer encoding."""
-    result = Monomial.identity()
-    for gen, exponent in word:
-        if gen == "S":
-            if exponent != 1:
-                raise ValueError("S tokens must have exponent 1")
-            result = result * MONOMIAL_S
-        elif gen == "T":
-            result = result * _MONOMIAL_T_POWERS[exponent % 18]
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
-    return result
+    return word_product(word, Monomial.identity(), MONOMIAL_S, _MONOMIAL_T_POWER)
 
 
 def monomial_action(matrix: Mat2) -> Tuple[Monomial, int]:
-    """``full_action`` in the integer encoding: the same split and words."""
-    if matrix.mod != 72:
-        matrix = matrix.to_mod(72)
-    unimodular, det = split_det(matrix)
-    word8 = lift_word(decompose(unimodular.to_mod(8), 8), 8)
-    word9 = lift_word(decompose(unimodular.to_mod(9), 9), 9)
-    return monomial_word_action(word8 + word9), det
+    """``full_action`` in the integer encoding: the same lifted word."""
+    word, det = _lifted_word(matrix)
+    return monomial_word_action(word), det
 
 
 def conjugate_action(action: Monomial, det: int, term: Term) -> Term:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .sl2words import Mat2
@@ -67,16 +68,33 @@ def element_order(x: Element, c_param: int, modulus: int) -> int:
 
 @dataclass(frozen=True)
 class UnitGroup:
-    """The unit group of Z[w]/m with its abelian invariants."""
+    """The unit group of Z[w]/m; its abelian invariants on first use."""
 
     c_param: int
     modulus: int
     elements: Tuple[Element, ...]
-    invariant_factors: Tuple[int, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def invariant_factors(self) -> Tuple[int, ...]:
+        """The invariant factor decomposition, largest first, so each
+        entry divides the one before it."""
+        partitions = {p: _p_partition(self.elements, p, self.c_param, self.modulus)
+                      for p in _prime_factors(self.order)}
+        width = max((len(v) for v in partitions.values()), default=0)
+        factors = []
+        for i in range(width):
+            f = 1
+            for p, parts in partitions.items():
+                if i < len(parts):
+                    f *= p ** parts[i]
+            factors.append(f)
+        if math.prod(factors) != self.order:
+            raise ArithmeticError("invariant factors do not multiply to group order")
+        return tuple(factors)
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -120,33 +138,14 @@ def _p_partition(elements: Sequence[Element], p: int, c_param: int,
 
 
 def unit_group(c_param: int, modulus: int) -> UnitGroup:
-    """Enumerate (Z[w]/m)* and compute its invariant factor decomposition."""
+    """Enumerate (Z[w]/m)*."""
     elements = tuple(
         (x0, x1)
         for x0 in range(modulus)
         for x1 in range(modulus)
         if is_unit((x0, x1), c_param, modulus)
     )
-    partitions: Dict[int, List[int]] = {}
-    for p in _prime_factors(len(elements)):
-        partitions[p] = _p_partition(elements, p, c_param, modulus)
-    width = max((len(v) for v in partitions.values()), default=0)
-    factors = []
-    for i in range(width):
-        f = 1
-        for p, parts in partitions.items():
-            if i < len(parts):
-                f *= p ** parts[i]
-        factors.append(f)
-    # factors are built largest first; keep that order, so each
-    # entry divides the one before it
-    invariants = tuple(factors)
-    size = 1
-    for f in invariants:
-        size *= f
-    if size != len(elements):
-        raise ArithmeticError("invariant factors do not multiply to group order")
-    return UnitGroup(c_param, modulus, elements, invariants)
+    return UnitGroup(c_param, modulus, elements)
 
 
 def subgroup_closure(generators: Sequence[Element], c_param: int,

@@ -57,16 +57,8 @@ from .sl2words import (
     word_to_matrix,
 )
 
-TOLERANCE = mpmath.mpf("1e-100")
-"""Numeric identities must hold at least this tightly at 120 digits."""
-
 CHECK_DIGITS = 120
 
-
-def _tolerance(dps: int) -> mpmath.mpf:
-    """Residual budget at a given working precision: 1e-100 at 120 digits,
-    scaled by the same 20-digit headroom elsewhere."""
-    return mpmath.mpf(10) ** (20 - dps)
 SEED = 721131
 
 SIGMA_SERIES_BOUND = 150
@@ -74,6 +66,12 @@ SIGMA_SERIES_BOUND = 150
 
 MIRROR_RULE_NS = tuple(range(107, 996, 24))
 """The 38 n = 11 (mod 24) of the paper's table, 107 <= n <= 995."""
+
+
+def _tolerance(dps: int) -> mpmath.mpf:
+    """Residual budget at a given working precision: 1e-100 at 120 digits,
+    scaled by the same 20-digit headroom elsewhere."""
+    return mpmath.mpf(10) ** (20 - dps)
 
 
 @dataclass(frozen=True)

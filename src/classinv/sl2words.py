@@ -1,8 +1,9 @@
 """Words in the generators S, T of the modular group, over Z and Z/m.
 
 S = [[0, -1], [1, 0]] and T = [[1, 1], [0, 1]] generate SL(2, Z).  This
-module decomposes unimodular matrices over Z/8 and Z/9 into short S,T
-words, lifts those words to integer matrices that reduce to the
+module reads S,T words (``word_product``, for any image of the
+generators), decomposes unimodular matrices over Z/8 and Z/9 into short
+S,T words, lifts those words to integer matrices that reduce to the
 identity modulo the complementary factor of 72, and builds the
 GL(2, Z/72) matrices attached to quadratic forms and to elements of
 quadratic orders.
@@ -85,19 +86,29 @@ def mat_t(exponent: int = 1, mod: Optional[int] = None) -> Mat2:
     return Mat2(1, exponent, 0, 1, mod)
 
 
-def word_to_matrix(word: Word, mod: Optional[int] = None) -> Mat2:
-    """Product of the token matrices, leftmost token first."""
-    result = Mat2.identity(mod)
+def word_product(word: Word, identity, s, t):
+    """Product of the generator images along the word, leftmost token first.
+
+    ``s`` is the image of S and ``t(exponent)`` that of T^exponent, in
+    any multiplicative structure with the given identity.  This is the
+    one reader of the token format.
+    """
+    result = identity
     for gen, exponent in word:
         if gen == "S":
             if exponent != 1:
                 raise ValueError("S tokens must have exponent 1")
-            result = result * mat_s(mod)
+            result = result * s
         elif gen == "T":
-            result = result * mat_t(exponent, mod)
+            result = result * t(exponent)
         else:
             raise ValueError(f"unknown generator {gen!r}")
     return result
+
+
+def word_to_matrix(word: Word, mod: Optional[int] = None) -> Mat2:
+    """The word as a matrix over Z or Z/mod."""
+    return word_product(word, Mat2.identity(mod), mat_s(mod), lambda e: mat_t(e, mod))
 
 
 def decompose(matrix: Mat2, modulus: int) -> Word:

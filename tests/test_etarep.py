@@ -155,6 +155,15 @@ def test_word_action_empty_and_generators():
     assert word_action((("T", 18),)) == RepMatrix.identity()
 
 
+@pytest.mark.parametrize("action", [word_action, monomial_word_action],
+                         ids=["dense", "monomial"])
+def test_word_tokens_validated_in_both_encodings(action):
+    with pytest.raises(ValueError, match="S tokens must have exponent 1"):
+        action((("S", 2),))
+    with pytest.raises(ValueError, match="unknown generator 'U'"):
+        action((("U", 1),))
+
+
 def test_word_action_is_lift_independent():
     rng = random.Random(7208)
     for _ in range(10):

@@ -26,7 +26,9 @@ from classinv.numeval import (
     zeta72,
 )
 from classinv.classpoly import IntPolynomial
-from classinv.quadforms import form_root, reduced_forms
+from classinv.cyclotomic import CycNum
+from classinv.qseries import eta_series
+from classinv.quadforms import QuadForm, form_root, reduced_forms
 
 from golden_data import HILBERT_107, SMALL_TABLE, T35_PREFIX, T107_PREFIX
 
@@ -326,7 +328,11 @@ def test_j_trace_matches_hilbert_coefficient():
     lambda dps: r_vector(mpmath.mpc(0, 1), dps),
     lambda dps: ramanujan_value(107, dps),
     lambda dps: j_invariant(mpmath.mpc(0, 1), dps),
-], ids=["eta", "r_value", "r_vector", "ramanujan_value", "j_invariant"])
+    lambda dps: form_root(QuadForm(1, 1, 3), dps),
+    lambda dps: CycNum.zeta_pow(1).embed(dps),
+    lambda dps: eta_series(10).eval_numeric(mpmath.mpc(0, 1), dps),
+], ids=["eta", "r_value", "r_vector", "ramanujan_value", "j_invariant",
+        "form_root", "embed", "eval_numeric"])
 def test_non_positive_precision_rejected(evaluate, dps):
     with pytest.raises(ValueError,
                        match=f"precision must be at least 1 digit, got {dps}"):
