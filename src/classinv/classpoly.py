@@ -36,6 +36,7 @@ from mpmath.libmp import mpf_neg
 
 from .cyclotomic import CycNum
 from .etarep import (
+    BAD_RESIDUE_MESSAGE,
     SQRT3_F2,
     Monomial,
     RepMatrix,
@@ -54,6 +55,7 @@ from .numeval import (
     leading_exponent,
     r_value,
     ramanujan_value,
+    resolve_digits,
     to_gaussian,
     zeta72,
 )
@@ -79,9 +81,6 @@ residual would be near 10^(E - r) >= 10^10, far above the tolerance.
 On the 82 invariant polynomials of ``scripts/output_digest.py``,
 log10(residual) + digits, the size the expansion reached, lies within
 -2.7 to +3.2 digits of E."""
-
-BAD_RESIDUE_MESSAGE = "n must be ≡ 11 mod 24"
-
 
 class PrecisionError(ArithmeticError):
     """Raised when coefficients refuse to round to integers."""
@@ -256,7 +255,7 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
     the conjugate is that exact scalar times the corresponding eta
     quotient at the form's root.
     """
-    digits = check_digits(dps) if dps is not None else mpmath.mp.dps
+    digits = resolve_digits(dps)
     data = _action_data(form)
     return _record(form, data, _conjugate_number(form, data[2], digits))
 

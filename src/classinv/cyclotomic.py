@@ -8,7 +8,7 @@ rewrite rule
 
 used to fold arbitrary powers back onto the basis.  All arithmetic is
 exact; numeric embeddings into the complex plane go through mpmath at a
-caller-chosen working precision.
+caller-chosen working precision, with the roots from ``numeval.zeta72``.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import mpmath
 
-from .numeval import check_digits
+from .numeval import resolve_digits, zeta72
 
 DEGREE = 24
 """Dimension of the field over Q."""
@@ -257,13 +257,11 @@ class CycNum:
 
     def embed(self, dps: int | None = None) -> mpmath.mpc:
         """Complex value at the principal root exp(2*pi*i/72), at dps digits."""
-        digits = check_digits(dps) if dps is not None else mpmath.mp.dps
-        roots = _embedded_roots(digits)
-        with mpmath.workdps(digits):
+        with mpmath.workdps(resolve_digits(dps)):
             total = mpmath.mpc(0)
             for j, c in enumerate(self.coeffs):
                 if c:
-                    total += mpmath.mpf(c.numerator) / c.denominator * roots[j]
+                    total += mpmath.mpf(c.numerator) / c.denominator * zeta72(j)
             return total
 
     # -- formatting -----------------------------------------------------
@@ -296,18 +294,6 @@ class CycNum:
 
 _CYC_ZERO = CycNum((_ZERO,) * DEGREE)
 _CYC_ONE = CycNum((_ONE,) + (_ZERO,) * (DEGREE - 1))
-
-_ROOT_CACHE: Dict[int, Tuple[mpmath.mpc, ...]] = {}
-
-
-def _embedded_roots(dps: int) -> Tuple[mpmath.mpc, ...]:
-    cached = _ROOT_CACHE.get(dps)
-    if cached is None:
-        with mpmath.workdps(dps):
-            cached = tuple(mpmath.expjpi(mpmath.mpf(k) / 36) for k in range(DEGREE))
-        _ROOT_CACHE[dps] = cached
-    return cached
-
 
 ZERO = _CYC_ZERO
 ONE = _CYC_ONE

@@ -293,6 +293,9 @@ def dense_conjugate_action(rep: RepMatrix, det: int, coeffs: Vector) -> Vector:
 Term = Tuple[int, int, int]
 """(index, k, e): the coefficient vector with z^k * sqrt(3)^e at index."""
 
+BAD_RESIDUE_MESSAGE = "n must be ≡ 11 mod 24"
+"""Why an n is rejected: the invariant t_n is built for positive n = 11 mod 24."""
+
 SQRT3_F2: Term = (2, 0, 1)
 """sqrt(3) * F_2, the function whose conjugates are the class invariants."""
 
@@ -443,13 +446,14 @@ class InvarianceResult:
 def invariance_check(n: int) -> List[InvarianceResult]:
     """Check that sqrt(3) * F_2 is fixed by the stabilizer unit groups.
 
-    For each generator g of the unit groups of Z[w]/8 and Z[w]/9, the
-    multiplication matrix of g (completed by the identity modulo the
-    complementary factor) must fix the coefficient vector of
+    For each of the paper's generators g of the unit groups of Z[w]/8
+    and Z[w]/9 (``orders.generators_for``, which proves that they
+    generate), the multiplication matrix of g (completed by the identity
+    modulo the complementary factor) must fix the coefficient vector of
     sqrt(3) * F_2 under the dual action.
     """
-    if n % 24 != 11:
-        raise ValueError("n must be ≡ 11 mod 24")
+    if n <= 0 or n % 24 != 11:
+        raise ValueError(BAD_RESIDUE_MESSAGE)
     c_param = (n + 1) // 4
     results: List[InvarianceResult] = []
     for modulus in (8, 9):

@@ -49,7 +49,11 @@ def check_digits(dps: int) -> int:
     return dps
 
 
-def _digits(dps: Optional[int]) -> int:
+def resolve_digits(dps: Optional[int]) -> int:
+    """The requested digits, checked, or the ambient precision for None.
+
+    Every routine with an optional ``dps`` reads it through here.
+    """
     return check_digits(dps) if dps is not None else mpmath.mp.dps
 
 
@@ -107,7 +111,7 @@ def eta(tau, dps: Optional[int] = None,
     the caller has it already; otherwise eta computes it.  Either way
     q = r^24 comes from products, so eta makes at most one exponential.
     """
-    digits = _digits(dps)
+    digits = resolve_digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
         if r is None:
@@ -200,7 +204,7 @@ def _quotient_parts(tau, digits: int, factors) -> Tuple[dict, mpmath.mpc]:
 
 def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
     """All six eta quotients at tau, sharing the eta evaluations."""
-    digits = _digits(dps)
+    digits = resolve_digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         factors, denom = _quotient_parts(tau, digits, set().union(*ETA_QUOTIENTS))
         return tuple(
@@ -210,7 +214,7 @@ def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
 
 def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
     """One of the six eta quotients at tau."""
-    digits = _digits(dps)
+    digits = resolve_digits(dps)
     if not 0 <= index < len(ETA_QUOTIENTS):
         raise ValueError("index out of range")
     with mpmath.workdps(digits + GUARD_DIGITS):
@@ -227,7 +231,7 @@ def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    digits = _digits(dps)
+    digits = resolve_digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         tau = (mpmath.mpc(-1, 0) + mpmath.sqrt(mpmath.mpf(n)) * 1j) / 2
         value = mpmath.sqrt(3) * r_value(2, tau, digits)
@@ -236,7 +240,7 @@ def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:
 
 def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
     """Klein's j, computed as (1 + 256 h)^3 / h with h = (eta(2 tau) / eta(tau))^24."""
-    digits = _digits(dps)
+    digits = resolve_digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
         # one exponential: q^(1/24) of eta(tau) is r, that of eta(2 tau) is r^2

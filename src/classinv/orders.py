@@ -4,7 +4,9 @@ For squarefree n with n = 4*C - 1 the ring Z[w], w = (1 + sqrt(-n))/2,
 is the maximal order of Q(sqrt(-n)).  Residues mod m are pairs
 (x, y) = x + y*w with multiplication folded through the relation
 w^2 = w - C.  The module enumerates the unit group of Z[w]/m, computes
-its abelian invariant factors, and finds or checks generating sets.
+its abelian invariant factors, and checks generating sets.  The group
+depends only on C mod m, and for n = 11 mod 24 the paper's generators
+depend only on n mod 48 (``STANDARD_GENERATORS``).
 """
 
 from __future__ import annotations
@@ -52,18 +54,6 @@ def generator_matrix(x: Element, c_param: int, modulus: int) -> Mat2:
     """Matrix of multiplication by x = x0 + x1*w on the basis (w, 1)."""
     x0, x1 = x
     return Mat2(x0 + x1, -c_param * x1, x1, x0, modulus)
-
-
-def element_order(x: Element, c_param: int, modulus: int) -> int:
-    if not is_unit(x, c_param, modulus):
-        raise ValueError("not a unit")
-    identity = (1 % modulus, 0)
-    k = 1
-    y = x
-    while y != identity:
-        y = multiply(y, x, c_param, modulus)
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)
@@ -175,40 +165,27 @@ def verify_generators(generators: Sequence[Element], group: UnitGroup) -> bool:
     return len(closure) == group.order
 
 
-def find_generators(group: UnitGroup) -> Tuple[Element, ...]:
-    """A small generating set, greedily extending by elements of top order."""
-    by_order = sorted(
-        group.elements,
-        key=lambda x: (-element_order(x, group.c_param, group.modulus), x),
-    )
-    gens: List[Element] = []
-    covered = {(1 % group.modulus, 0)}
-    for x in by_order:
-        if len(covered) == group.order:
-            break
-        if x in covered:
-            continue
-        gens.append(x)
-        covered = subgroup_closure(gens, group.c_param, group.modulus)
-    return tuple(gens)
-
-
 STANDARD_GENERATORS: Dict[Tuple[int, int], Tuple[Element, ...]] = {
-    # (n, modulus) -> generators of the unit group of Z[w]/modulus,
-    # written as (x, y) for x + y*w
+    # (n mod 48, modulus) -> generators of the unit group of Z[w]/modulus,
+    # written as (x, y) for x + y*w; n = 11 covers C = 3 mod 4 and
+    # n = 35 covers C = 1 mod 4, and both rows mod 9 cover C = 0 mod 3
     (11, 9): ((4, 7), (5, 0)),
     (35, 9): ((4, 7), (5, 0)),
-    (59, 9): ((4, 7), (5, 0)),
     (11, 8): ((0, 1), (7, 0), (7, 4)),
     (35, 8): ((6, 5), (7, 0), (7, 4)),
-    (59, 8): ((0, 1), (7, 0), (7, 4)),
 }
-"""Curated generator sets for the discriminants used by the invariance check."""
+"""The paper's generator sets, keyed by the class of n = 11 mod 24 mod 48."""
 
 
 def generators_for(n: int, modulus: int, group: UnitGroup) -> Tuple[Element, ...]:
-    """Standard generators when curated, otherwise a computed set."""
-    curated = STANDARD_GENERATORS.get((n, modulus))
-    if curated is not None:
-        return curated
-    return find_generators(group)
+    """The paper's generators for n, checked to generate ``group``.
+
+    Raises ArithmeticError when they do not, so every invariance check
+    runs on a set proven to generate its stabilizer group.
+    """
+    gens = STANDARD_GENERATORS[(n % 48, modulus)]
+    if not verify_generators(gens, group):
+        raise ArithmeticError(
+            f"standard generators {gens} do not generate (Z[w]/{modulus})* "
+            f"for C = {group.c_param}")
+    return gens

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import mpmath
 
 from .cyclotomic import CycNum
-from .numeval import ETA_QUOTIENTS, EtaFactor, check_digits
+from .numeval import ETA_QUOTIENTS, EtaFactor, resolve_digits
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -133,7 +133,7 @@ class QSeries:
 
     def eval_numeric(self, tau, dps: Optional[int] = None) -> mpmath.mpc:
         """Numeric value of the truncated series at tau."""
-        digits = check_digits(dps) if dps is not None else mpmath.mp.dps
+        digits = resolve_digits(dps)
         with mpmath.workdps(digits + 10):
             u = mpmath.expjpi(mpmath.mpmathify(tau) / 36)
             total = mpmath.mpc(0)

@@ -14,7 +14,7 @@ from typing import List
 
 import mpmath
 
-from .numeval import check_digits
+from .numeval import resolve_digits
 
 
 @dataclass(frozen=True, order=True)
@@ -108,7 +108,7 @@ def form_root(form: QuadForm, dps: int | None = None) -> mpmath.mpc:
     """The root of a*t^2 + b*t + c in the upper half-plane, at dps digits."""
     if not form.is_positive_definite():
         raise ValueError("not a positive definite form")
-    digits = check_digits(dps) if dps is not None else mpmath.mp.dps
+    digits = resolve_digits(dps)
     with mpmath.workdps(digits):
         disc = form.discriminant
         return (mpmath.mpf(-form.b) + mpmath.sqrt(mpmath.mpf(-disc)) * 1j) / (2 * form.a)

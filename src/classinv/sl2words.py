@@ -2,9 +2,10 @@
 
 S = [[0, -1], [1, 0]] and T = [[1, 1], [0, 1]] generate SL(2, Z).  This
 module reads S,T words (``word_product``, for any image of the
-generators), decomposes unimodular matrices over Z/8 and Z/9 into short
-S,T words, lifts those words to integer matrices that reduce to the
-identity modulo the complementary factor of 72, and builds the
+generators, and ``lift_word``, both through one token check),
+decomposes unimodular matrices over Z/8 and Z/9 into short S,T words,
+lifts those words to integer matrices that reduce to the identity
+modulo the complementary factor of 72, and builds the
 GL(2, Z/72) matrices attached to quadratic forms and to elements of
 quadratic orders.
 """
@@ -86,23 +87,29 @@ def mat_t(exponent: int = 1, mod: Optional[int] = None) -> Mat2:
     return Mat2(1, exponent, 0, 1, mod)
 
 
+def _is_s(gen: str, exponent: int) -> bool:
+    """Whether a token is S rather than T; rejects any other token.
+
+    This is the one reader of the token format.
+    """
+    if gen == "S":
+        if exponent != 1:
+            raise ValueError("S tokens must have exponent 1")
+        return True
+    if gen != "T":
+        raise ValueError(f"unknown generator {gen!r}")
+    return False
+
+
 def word_product(word: Word, identity, s, t):
     """Product of the generator images along the word, leftmost token first.
 
     ``s`` is the image of S and ``t(exponent)`` that of T^exponent, in
-    any multiplicative structure with the given identity.  This is the
-    one reader of the token format.
+    any multiplicative structure with the given identity.
     """
     result = identity
     for gen, exponent in word:
-        if gen == "S":
-            if exponent != 1:
-                raise ValueError("S tokens must have exponent 1")
-            result = result * s
-        elif gen == "T":
-            result = result * t(exponent)
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
+        result = result * (s if _is_s(gen, exponent) else t(exponent))
     return result
 
 
@@ -172,7 +179,7 @@ def lift_word(word: Word, modulus: int) -> Word:
         raise ValueError("unsupported modulus")
     out: list = []
     for gen, exponent in word:
-        if gen == "S":
+        if _is_s(gen, exponent):
             out.extend(s_word)
         else:
             out.append(("T", stretch * exponent))

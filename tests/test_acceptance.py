@@ -126,9 +126,8 @@ def test_criterion_4_symbolic_invariance(capsys):
             group = unit_group((n + 1) // 4, modulus)
             generators = [r.generator for r in results if r.modulus == modulus]
             ok = ok and verify_generators(generators, group)
-    # the curated generators of 11, 35 and 59: three mod 8, two mod 9;
-    # the computed sets of other classes may have six
-    ok = ok and all(len(invariance_check(n)) == 5 for n in (11, 35, 59))
+    # the paper's generators of every class: three mod 8, two mod 9
+    ok = ok and all(len(invariance_check(n)) == 5 for n in cli.INVARIANCE_CLASSES)
     with capsys.disabled():
         _gate("criterion 4 (exact stabilizer invariance, all 12 classes mod 288)", ok)
 

@@ -8,6 +8,7 @@ matrix must fix sqrt(3) times the index-2 quotient under the twisted
 dual action.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 
 from classinv.cyclotomic import GALOIS_EXPONENTS, SQRT3, CycNum
 from classinv.etarep import (
+    BAD_RESIDUE_MESSAGE,
     MONOMIAL_T,
     SQRT3_F2,
     Monomial,
@@ -155,8 +157,11 @@ def test_word_action_empty_and_generators():
     assert word_action((("T", 18),)) == RepMatrix.identity()
 
 
-@pytest.mark.parametrize("action", [word_action, monomial_word_action],
-                         ids=["dense", "monomial"])
+@pytest.mark.parametrize(
+    "action",
+    [word_action, monomial_word_action,
+     functools.partial(lift_word, modulus=8), functools.partial(lift_word, modulus=9)],
+    ids=["dense", "monomial", "lift8", "lift9"])
 def test_word_tokens_validated_in_both_encodings(action):
     with pytest.raises(ValueError, match="S tokens must have exponent 1"):
         action((("S", 2),))
@@ -304,10 +309,11 @@ def test_numeric_consistency_of_generator_matrices():
 
 
 def test_invariance_check_all_three_classes():
-    for n in (11, 35, 59):
+    # the paper's generators for every class mod 288
+    for n in range(11, 288, 24):
         results = invariance_check(n)
-        assert len(results) == 5  # two generators mod 9, three mod 8
-        assert all(r.invariant for r in results)
+        assert len(results) == 5, n  # two generators mod 9, three mod 8
+        assert all(r.invariant for r in results), n
         assert {r.modulus for r in results} == {8, 9}
 
 
@@ -374,6 +380,9 @@ def test_monomial_from_columns_validates_and_reduces():
 def test_invariance_check_rejects_bad_residue():
     with pytest.raises(ValueError, match="n must be"):
         invariance_check(12)
+    # -13 = 11 mod 24, but t_n is defined only for positive n
+    with pytest.raises(ValueError, match=BAD_RESIDUE_MESSAGE):
+        invariance_check(-13)
 
 
 def test_unit_vector():

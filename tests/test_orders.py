@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from classinv.orders import (
     STANDARD_GENERATORS,
-    element_order,
-    find_generators,
     generator_matrix,
     generators_for,
     is_unit,
@@ -117,14 +115,6 @@ def test_generator_matrix_is_multiplicative():
             assert lhs == rhs
 
 
-def test_element_order_anchors():
-    assert element_order((1, 0), 3, 9) == 1
-    assert element_order((5, 0), 3, 9) == 6  # 5 has order 6 in (Z/9)*
-    assert element_order((7, 0), 3, 8) == 2
-    with pytest.raises(ValueError, match="not a unit"):
-        element_order((0, 3), 3, 9)
-
-
 @pytest.mark.parametrize("c_param", C_VALUES)
 def test_group_structure_mod9(c_param):
     group = unit_group(c_param, 9)
@@ -156,9 +146,21 @@ def test_standard_generators_generate():
 
 
 def test_generators_for_matches_table():
-    for (n, modulus), gens in STANDARD_GENERATORS.items():
-        group = unit_group((n + 1) // 4, modulus)
-        assert generators_for(n, modulus, group) == gens
+    # the unit groups mod 8 and mod 9 depend only on C = (n + 1)/4 mod 72,
+    # and n = 11, 35, ..., 275 runs through its 12 classes; n takes the
+    # row of 11 or 35 by n mod 48
+    for n in range(11, 288, 24):
+        for modulus in (8, 9):
+            group = unit_group((n + 1) // 4, modulus)
+            row = STANDARD_GENERATORS[(n % 48, modulus)]
+            assert generators_for(n, modulus, group) == row
+
+
+def test_generators_for_rejects_a_row_that_does_not_generate(monkeypatch):
+    monkeypatch.setitem(STANDARD_GENERATORS, (35, 8), ((7, 0), (7, 4)))
+    with pytest.raises(ArithmeticError, match="do not generate"):
+        generators_for(83, 8, unit_group(21, 8))
+    assert generators_for(11, 8, unit_group(3, 8)) == STANDARD_GENERATORS[(11, 8)]
 
 
 def test_trivial_generators_rejected():
@@ -166,10 +168,3 @@ def test_trivial_generators_rejected():
     assert not verify_generators([(1, 0)], group)
     with pytest.raises(ValueError, match="not a unit"):
         subgroup_closure([(3, 0)], 3, 9)
-
-
-def test_find_generators_round_trip():
-    for c_param, modulus in ((3, 9), (3, 8)):
-        group = unit_group(c_param, modulus)
-        gens = find_generators(group)
-        assert verify_generators(gens, group)
