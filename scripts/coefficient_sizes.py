@@ -20,6 +20,7 @@ import sys
 import time
 
 from classinv.classpoly import compute_hilbert, compute_ramanujan
+from classinv.etarep import is_valid_n
 
 
 def digit_count(polynomial):
@@ -32,7 +33,7 @@ def main(argv=None):
                         help="largest n to include (Hilbert cost grows fast)")
     args = parser.parse_args(argv)
 
-    targets = [n for n in range(11, args.to + 1) if n % 24 == 11]
+    targets = [n for n in range(11, args.to + 1) if is_valid_n(n)]
     print(f"{'n':>5}  {'h':>3}  {'invariant':>9}  {'E':>6}  {'prec':>4}"
           f"  {'hilbert':>8}  {'E':>6}  {'prec':>4}  ratio")
     start = time.perf_counter()

@@ -21,6 +21,7 @@ import json
 import sys
 
 from classinv.classpoly import compute_hilbert, compute_ramanujan
+from classinv.etarep import is_valid_n
 
 RECORDED = "8639bba83b4d7a7b6d8d1001c6485daee53331892fa26582b2f3835598e02243"
 """The digest of the reference implementation, before the fixed-point kernels."""
@@ -34,7 +35,7 @@ def cases():
     """(label, result) for every case, in a fixed order."""
     start, stop = PN_RANGE
     for n in range(start, stop + 1):
-        if n % 24 == 11:
+        if is_valid_n(n):
             yield f"pn-range {n}", compute_ramanujan(n)
     for n in PN:
         yield f"pn {n}", compute_ramanujan(n)

@@ -16,6 +16,7 @@ import time
 import mpmath
 
 from classinv.classpoly import compute_ramanujan, is_squarefree
+from classinv.etarep import is_valid_n
 
 
 def main(argv=None):
@@ -25,7 +26,7 @@ def main(argv=None):
     parser.add_argument("--prec", type=int, default=None)
     args = parser.parse_args(argv)
 
-    targets = [n for n in range(args.start, args.stop + 1) if n % 24 == 11]
+    targets = [n for n in range(args.start, args.stop + 1) if is_valid_n(n)]
     if not targets:
         print("no n with n = 11 mod 24 in range", file=sys.stderr)
         return 1

@@ -45,6 +45,7 @@ from .etarep import (
     form_action,
     form_matrix_mod72,
     full_action,
+    is_valid_n,
     monomial_entry,
 )
 from .numeval import (
@@ -56,6 +57,7 @@ from .numeval import (
     r_value,
     ramanujan_value,
     resolve_digits,
+    sqrt_power,
     to_gaussian,
     zeta72,
 )
@@ -236,7 +238,7 @@ def _conjugate_number(form: QuadForm, term: Term, digits: int) -> mpmath.mpc:
     """z^k * sqrt(3)^e * F_index at the form's root."""
     index, k, e = term
     with mpmath.workdps(digits + GUARD_DIGITS):
-        scale = zeta72(k) * mpmath.sqrt(3) ** e
+        scale = zeta72(k) * sqrt_power(3, e)
         return scale * r_value(index, form_root(form, digits + GUARD_DIGITS), digits)
 
 
@@ -372,7 +374,7 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     cannot be the minimal polynomial of a unit, and raises
     PrecisionError as well.
     """
-    if n <= 0 or n % 24 != 11:
+    if not is_valid_n(n):
         raise ValueError(BAD_RESIDUE_MESSAGE)
     digits = check_digits(dps) if dps is not None else DEFAULT_DIGITS
     forms = reduced_forms(-n)

@@ -18,14 +18,13 @@ from typing import List, Optional
 import mpmath
 
 from .classpoly import (
-    BAD_RESIDUE_MESSAGE,
     PolynomialResult,
     PrecisionError,
     compute_hilbert,
     compute_ramanujan,
     is_squarefree,
 )
-from .etarep import invariance_check
+from .etarep import invariance_check, is_valid_n
 from .selftest import run_all
 
 INVARIANCE_CLASSES = tuple(range(11, 288, 24))
@@ -99,7 +98,7 @@ def _warn_not_squarefree(n: int) -> None:
 
 def _cmd_pn(args: argparse.Namespace) -> int:
     prec = _resolve_prec(args.prec)
-    if args.n > 0 and args.n % 24 == 11 and not is_squarefree(args.n):
+    if is_valid_n(args.n) and not is_squarefree(args.n):
         _warn_not_squarefree(args.n)
     result = compute_ramanujan(args.n, prec)
     if args.format == "json":
@@ -112,8 +111,10 @@ def _cmd_pn(args: argparse.Namespace) -> int:
 def _cmd_pn_range(args: argparse.Namespace) -> int:
     if args.start > args.stop:
         raise ValueError("range start exceeds range end")
+    if args.start <= 0:
+        raise ValueError(f"range start must be positive, got {args.start}")
     prec = _resolve_prec(args.prec)
-    targets = [n for n in range(args.start, args.stop + 1) if n % 24 == 11]
+    targets = [n for n in range(args.start, args.stop + 1) if is_valid_n(n)]
     results = []
     for n in targets:
         if not is_squarefree(n):

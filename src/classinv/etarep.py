@@ -296,6 +296,12 @@ Term = Tuple[int, int, int]
 BAD_RESIDUE_MESSAGE = "n must be ≡ 11 mod 24"
 """Why an n is rejected: the invariant t_n is built for positive n = 11 mod 24."""
 
+
+def is_valid_n(n: int) -> bool:
+    """Whether the invariant t_n is built here: n > 0 and n = 11 mod 24."""
+    return n > 0 and n % 24 == 11
+
+
 SQRT3_F2: Term = (2, 0, 1)
 """sqrt(3) * F_2, the function whose conjugates are the class invariants."""
 
@@ -452,7 +458,7 @@ def invariance_check(n: int) -> List[InvarianceResult]:
     modulo the complementary factor) must fix the coefficient vector of
     sqrt(3) * F_2 under the dual action.
     """
-    if n <= 0 or n % 24 != 11:
+    if not is_valid_n(n):
         raise ValueError(BAD_RESIDUE_MESSAGE)
     c_param = (n + 1) // 4
     results: List[InvarianceResult] = []

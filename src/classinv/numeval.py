@@ -8,11 +8,13 @@ target digits.  No term is a fresh power of q: the k-th pair of
 pentagonal powers q^(k(3k-1)/2), q^(k(3k+1)/2) comes from the previous
 pair by multiplication.  The series runs in Gaussian fixed point: a
 complex number z is the integer pair (floor(Re z 2^B), floor(Im z 2^B))
-(``to_gaussian``, ``from_gaussian``), so each product is four integer
-multiplications and two shifts instead of mpmath's floating-point
-object arithmetic.  Only the series total, whose modulus stays near 1,
-is fixed point; the prefactor q^(1/24), which can be as small as
-10^-170 at the CM points met here, stays in mpmath floating point.
+(``to_gaussian``, ``from_gaussian``), so each product is three integer
+multiplications and two shifts (the imaginary part is
+(ar + ai)(br + bi) - ar br - ai bi) instead of mpmath's floating-point
+object arithmetic.  q = r^24 is formed in the same fixed point from
+r = q^(1/24), and the term count is worked out in machine floats.  The
+prefactor r, which can be as small as 10^-170 at the CM points met
+here, multiplies the series total in mpmath floating point at the end.
 ``classpoly`` expands its polynomials on the same integer pairs.
 Klein's j is the eta quotient (1 + 256 h)^3 / h with
 h = (eta(2 tau) / eta(tau))^24, which is Weber's
@@ -25,7 +27,14 @@ the caller when the caller has it: the quotients compute one
 w = exp(pi i tau / 36) and hand eta(3 tau) w^9, eta((tau + j)/3)
 w * zeta_72^j and eta(tau) w^3; j computes one r = exp(pi i tau / 12)
 and hands eta(2 tau) r^2.  The exact roots zeta_72^k come from a table
-per working precision (``zeta72``).
+per working precision (``zeta72``), as do sqrt(3)^e and sqrt(|D|)
+(``sqrt_power``).
+
+The three eta((tau + j)/3) multiply to zeta_24 eta(tau)^4 / eta(3 tau),
+so F_3, F_4, F_5 are zeta_24 / F_1, zeta_24 / F_2, zeta_24 / F_0
+(``reciprocal_partner``).  ``r_value`` evaluates them that way: each
+quotient then sums one slow eta((tau + j)/3) series and the fast
+eta(3 tau) one, instead of two slow ones.
 """
 
 from __future__ import annotations
@@ -98,9 +107,31 @@ def _zeta72(k: int, prec: int) -> mpmath.mpc:
         return mpmath.expjpi(mpmath.mpf(k) / 36)
 
 
+def sqrt_power(m: int, e: int) -> mpmath.mpf:
+    """sqrt(m)^e at the working precision, for integers m > 0 and e.
+
+    Kept per (m, e, working precision), like ``zeta72``: the conjugates
+    of one polynomial share the scalars sqrt(3)^e, and the roots of its
+    forms share sqrt(|D|).
+    """
+    return _sqrt_power(m, e, mpmath.mp.prec)
+
+
+@lru_cache(maxsize=256)
+def _sqrt_power(m: int, e: int, prec: int) -> mpmath.mpf:
+    with mpmath.workprec(prec):
+        return mpmath.sqrt(m) ** e
+
+
 def _mul(ar: int, ai: int, br: int, bi: int, bits: int) -> Tuple[int, int]:
-    """Product of two Gaussian fixed-point numbers with the same bits."""
-    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+    """Product of two Gaussian fixed-point numbers with the same bits.
+
+    Three integer multiplications, not four: the imaginary part
+    ar bi + ai br is (ar + ai)(br + bi) - ar br - ai bi, exactly.
+    """
+    rr = ar * br
+    ii = ai * bi
+    return (rr - ii) >> bits, ((ar + ai) * (br + bi) - rr - ii) >> bits
 
 
 def eta(tau, dps: Optional[int] = None,
@@ -109,25 +140,35 @@ def eta(tau, dps: Optional[int] = None,
 
     ``r`` is q^(1/24) = exp(pi*i*tau/12), at the working precision, when
     the caller has it already; otherwise eta computes it.  Either way
-    q = r^24 comes from products, so eta makes at most one exponential.
+    q = r^24 comes from fixed-point products, so eta makes at most one
+    exponential.
     """
     digits = resolve_digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
         if r is None:
             r = mpmath.expjpi(t / 12)
-        log_qabs = -2 * mpmath.pi * mpmath.im(t) / mpmath.ln10
+        # log10 |q| as a machine float: only the term count and the
+        # stopping test read it
+        log_qabs = -2 * math.pi * float(t.imag) / math.log(10)
         cutoff = -(digits + GUARD_DIGITS)
-        # k terms, each off by a few units in the last place per product
-        # taken, leave the sum off by O(k^2) units
         terms = math.isqrt(int(2 * cutoff / log_qabs) // 3 + 1) + 2
-        bits = mpmath.mp.prec + 2 * terms.bit_length() + 4
-        # r^24 magnifies the relative error of r 24-fold (of w, 216-fold
-        # for eta(3 tau)): about 8 bits, well inside the guard digits
-        r8 = r * r
-        r8 *= r8
-        r8 *= r8
-        qr, qi = to_gaussian(r8 * r8 * r8, bits)
+        # k terms, each off by a few units per product taken, leave the
+        # sum off by O(k^2) units.  q = r^24 takes five products of
+        # numbers of modulus at most 1, each of which at most adds the
+        # errors it is given and floors one more unit per part: from r
+        # off by sqrt(2) units, r^2, r^4, r^8, r^16 are off by 3, 7, 15,
+        # 31 times that and q = r^16 r^8 by 47 sqrt(2) < 2^7 units, so 8
+        # bits cover it.  r^24 also magnifies the relative error of r
+        # 24-fold (of w, 216-fold for eta(3 tau)): about 8 bits, well
+        # inside the guard digits
+        bits = mpmath.mp.prec + 2 * terms.bit_length() + 8
+        rr, ri = to_gaussian(r, bits)
+        r2r, r2i = _mul(rr, ri, rr, ri, bits)
+        r4r, r4i = _mul(r2r, r2i, r2r, r2i, bits)
+        r8r, r8i = _mul(r4r, r4i, r4r, r4i, bits)
+        r16r, r16i = _mul(r8r, r8i, r8r, r8i, bits)
+        qr, qi = _mul(r16r, r16i, r8r, r8i, bits)
         # 1 + sum_k (-1)^k (q^low + q^high), low = k(3k-1)/2, high = low + k;
         # low(k+1) = low(k) + 3k + 1, so q^low, q^k and q^(3k+1) step by products
         q3r, q3i = _mul(*_mul(qr, qi, qr, qi, bits), qr, qi, bits)
@@ -181,25 +222,34 @@ def leading_exponent(index: int) -> Fraction:
                 for scale, _ in ETA_QUOTIENTS[index]) - 2) / 24
 
 
-def _eta_factor(factor: EtaFactor, t: mpmath.mpc, w: mpmath.mpc,
-                digits: int) -> mpmath.mpc:
-    """The factor at tau, with w = exp(pi*i*tau/36): its q^(1/24) is
-    w^9 for eta(3 tau) and w * zeta_72^j for eta((tau + j)/3)."""
-    scale, shift = factor
-    if scale == 3:
-        w3 = w * w * w
-        return eta(3 * t, digits, r=w3 * w3 * w3)
-    third = mpmath.mpf(1) / 3
-    return eta(t * third + shift * third, digits, r=w * zeta72(shift))
+def reciprocal_partner(index: int) -> int:
+    """The quotient whose two factors are the two of the four eta
+    factors missing from F_index's row of ``ETA_QUOTIENTS``.
+
+    The three eta((tau + j)/3) multiply to zeta_24 eta(tau)^4 / eta(3 tau),
+    since prod_j (1 - zeta_3^(jm) Q^m) is 1 - Q^(3m), or (1 - Q^m)^3 when
+    3 | m.  So F_index * F_partner = zeta_72^3.
+    """
+    rest = set().union(*ETA_QUOTIENTS) - set(ETA_QUOTIENTS[index])
+    return next(i for i, row in enumerate(ETA_QUOTIENTS) if set(row) == rest)
 
 
 def _quotient_parts(tau, digits: int, factors) -> Tuple[dict, mpmath.mpc]:
     """The eta factors named in ``factors`` and eta(tau)^2, all from one
-    exponential w = exp(pi*i*tau/36); eta(tau) takes q^(1/24) = w^3."""
+    exponential w = exp(pi*i*tau/36).  The q^(1/24) handed to eta is
+    w^3 for eta(tau), w^9 for eta(3 tau) and w * zeta_72^j for
+    eta((tau + j)/3)."""
     t = _to_tau(tau)
     w = mpmath.expjpi(t / 36)
-    values = {f: _eta_factor(f, t, w, digits) for f in factors}
-    return values, eta(t, digits, r=w * w * w) ** 2
+    w3 = w * w * w
+    values = {}
+    for scale, shift in factors:
+        if scale == 3:
+            value = eta(3 * t, digits, r=w3 * w3 * w3)
+        else:
+            value = eta((t + shift) / 3, digits, r=w * zeta72(shift))
+        values[scale, shift] = value
+    return values, eta(t, digits, r=w3) ** 2
 
 
 def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
@@ -213,14 +263,23 @@ def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
 
 
 def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
-    """One of the six eta quotients at tau."""
+    """One of the six eta quotients at tau.
+
+    A quotient without the factor eta(3 tau) is zeta_72^3 over its
+    ``reciprocal_partner``, which has it: Im(3 tau) is nine times
+    Im((tau + j)/3), so eta(3 tau) needs a third of the terms, and only
+    one slow eta((tau + j)/3) series is summed per point.
+    """
     digits = resolve_digits(dps)
     if not 0 <= index < len(ETA_QUOTIENTS):
         raise ValueError("index out of range")
     with mpmath.workdps(digits + GUARD_DIGITS):
-        f1, f2 = ETA_QUOTIENTS[index]
+        row = index if (3, 0) in ETA_QUOTIENTS[index] else reciprocal_partner(index)
+        f1, f2 = ETA_QUOTIENTS[row]
         factors, denom = _quotient_parts(tau, digits, (f1, f2))
-        return factors[f1] * factors[f2] / denom
+        if row == index:
+            return factors[f1] * factors[f2] / denom
+        return zeta72(3) * denom / (factors[f1] * factors[f2])
 
 
 def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import mpmath
 
 from .cyclotomic import CycNum
-from .numeval import ETA_QUOTIENTS, EtaFactor, resolve_digits
+from .numeval import ETA_QUOTIENTS, GUARD_DIGITS, EtaFactor, resolve_digits
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -134,12 +134,12 @@ class QSeries:
     def eval_numeric(self, tau, dps: Optional[int] = None) -> mpmath.mpc:
         """Numeric value of the truncated series at tau."""
         digits = resolve_digits(dps)
-        with mpmath.workdps(digits + 10):
+        with mpmath.workdps(digits + GUARD_DIGITS):
             u = mpmath.expjpi(mpmath.mpmathify(tau) / 36)
             total = mpmath.mpc(0)
             for i, c in enumerate(self.coeffs):
                 if c:
-                    total += c.embed(digits + 10) * u ** (self.val + i)
+                    total += c.embed(digits + GUARD_DIGITS) * u ** (self.val + i)
             return total
 
 

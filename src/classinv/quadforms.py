@@ -14,7 +14,7 @@ from typing import List
 
 import mpmath
 
-from .numeval import resolve_digits
+from .numeval import resolve_digits, sqrt_power
 
 
 @dataclass(frozen=True, order=True)
@@ -110,5 +110,4 @@ def form_root(form: QuadForm, dps: int | None = None) -> mpmath.mpc:
         raise ValueError("not a positive definite form")
     digits = resolve_digits(dps)
     with mpmath.workdps(digits):
-        disc = form.discriminant
-        return (mpmath.mpf(-form.b) + mpmath.sqrt(mpmath.mpf(-disc)) * 1j) / (2 * form.a)
+        return (mpmath.mpf(-form.b) + sqrt_power(-form.discriminant, 1) * 1j) / (2 * form.a)

@@ -82,6 +82,14 @@ def test_pn_range_rejects_reversed_interval(capsys):
     assert "range start exceeds range end" in err
 
 
+def test_pn_range_rejects_non_positive_start(capsys):
+    # -13 = 11 mod 24: rejected up front, with no squarefree warning
+    code, out, err = run_cli(capsys, "pn-range", "--from", "-13", "--to", "11")
+    assert code == 1
+    assert out == ""
+    assert err == "error: range start must be positive, got -13\n"
+
+
 def test_hilbert_text(capsys):
     code, out, err = run_cli(capsys, "hilbert", "--disc", "-107")
     assert code == 0

@@ -28,6 +28,7 @@ from classinv.etarep import (
     dual_action,
     form_action,
     form_matrix_mod72,
+    is_valid_n,
     full_action,
     invariance_check,
     monomial_action,
@@ -383,6 +384,10 @@ def test_invariance_check_rejects_bad_residue():
     # -13 = 11 mod 24, but t_n is defined only for positive n
     with pytest.raises(ValueError, match=BAD_RESIDUE_MESSAGE):
         invariance_check(-13)
+
+
+def test_valid_n_is_positive_and_11_mod_24():
+    assert [n for n in range(-60, 100) if is_valid_n(n)] == [11, 35, 59, 83]
 
 
 def test_unit_vector():

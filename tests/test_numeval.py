@@ -12,6 +12,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import classinv.numeval as numeval
 from classinv.numeval import (
@@ -145,8 +147,33 @@ def test_eta_matches_direct_product():
             mpmath.mpc(0, 1),
             mpmath.mpc("0.3", "0.9"),
             mpmath.mpc("-0.45", "1.7"),
+            # the smallest Im tau an eta((tau + j)/3) factor meets:
+            # a third of sqrt(3)/2
+            mpmath.mpc("0.3", "0.29"),
         ):
             assert abs(eta(tau, 120) - _eta_product_oracle(tau, 120)) < tol
+
+
+def test_eta_where_r_is_below_one_fixed_point_unit():
+    # |r| = exp(-pi 2000 / 12) is about 10^-227, far below 2^-bits at 120
+    # digits: q rounds to 0, the series to 1, and eta returns r itself
+    tau = mpmath.mpc(0, 2000)
+    with mpmath.workdps(130):
+        r = mpmath.expjpi(tau / 12)
+        value = eta(tau, 120)
+        assert abs(value - r) <= abs(r) * mpmath.mpf(10) ** -120
+        oracle = _eta_product_oracle(tau, 120)
+        assert abs(value - oracle) <= abs(oracle) * mpmath.mpf(10) ** -120
+
+
+_signed = st.integers(min_value=-(1 << 300), max_value=1 << 300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed, _signed, _signed, _signed, st.integers(min_value=0, max_value=320))
+def test_three_product_mul_equals_four_product_formula(ar, ai, br, bi, bits):
+    expected = (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+    assert numeval._mul(ar, ai, br, bi, bits) == expected
 
 
 @pytest.mark.parametrize("digits", [500, 2000])

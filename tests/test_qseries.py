@@ -12,7 +12,13 @@ import pytest
 
 from classinv.cyclotomic import GALOIS_EXPONENTS, CycNum
 from classinv.etarep import rep_sigma, rep_t
-from classinv.numeval import eta, leading_exponent, r_value
+from classinv.numeval import (
+    ETA_QUOTIENTS,
+    eta,
+    leading_exponent,
+    r_value,
+    reciprocal_partner,
+)
 from classinv.qseries import (
     QSeries,
     eta_series,
@@ -84,6 +90,21 @@ def test_quotient_series_leading_terms():
         assert series.coefficient(exponent) == coeff
         # the numeric size estimate reads the same exponent, in q = u^72
         assert leading_exponent(index) == Fraction(exponent, 72)
+
+
+def test_reciprocal_partners_multiply_to_zeta_24():
+    # the three eta((tau + j)/3) multiply to zeta_24 eta(tau)^4 / eta(3 tau),
+    # so F_i F_partner(i) = z^3, the identity numeval.r_value evaluates
+    # F_3..F_5 by; exact through u^BOUND
+    constant = QSeries(0, (CycNum.zeta_pow(3),) + (CycNum.zero(),) * (BOUND - 1), BOUND)
+    factors = set().union(*ETA_QUOTIENTS)
+    for i in range(3):
+        partner = reciprocal_partner(i)
+        assert reciprocal_partner(partner) == i
+        assert set(ETA_QUOTIENTS[i]) | set(ETA_QUOTIENTS[partner]) == factors
+        product = r_series(i, BOUND + 9) * r_series(partner, BOUND + 9)
+        assert product.bound >= BOUND
+        assert product.agrees_with(constant)
 
 
 def test_translation_matches_matrix():
