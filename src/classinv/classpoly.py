@@ -424,17 +424,21 @@ def _conjugate(value: mpmath.mpc) -> mpmath.mpc:
     return mpmath.mp.make_mpc((re, mpf_neg(im)))
 
 
-def _hilbert_size(discriminant: int) -> float:
-    """E = sum of log10 |j| over the class group, from |j| ~ 1/|q| =
-    exp(pi sqrt(-D) / a)."""
-    forms = reduced_forms(discriminant)
+def _hilbert_size(discriminant: int, forms: Sequence[QuadForm]) -> float:
+    """E = sum of log10 |j| over the class group (the reduced forms of
+    the discriminant), from |j| ~ 1/|q| = exp(pi sqrt(-D) / a)."""
     bits = math.pi * math.sqrt(-discriminant) / math.log(10)
     return bits * sum(1.0 / f.a for f in forms)
 
 
+def _hilbert_digits(size: float) -> int:
+    """The default precision for a Hilbert polynomial of size E."""
+    return int(math.ceil(size)) + 20
+
+
 def hilbert_default_digits(discriminant: int) -> int:
     """Precision heuristic from the coefficient growth of j-values."""
-    return int(math.ceil(_hilbert_size(discriminant))) + 20
+    return _hilbert_digits(_hilbert_size(discriminant, reduced_forms(discriminant)))
 
 
 def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialResult:
@@ -446,15 +450,14 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     if discriminant >= 0 or discriminant % 4 not in (0, 1):
         raise ValueError("not a negative discriminant")
     forms = reduced_forms(discriminant)
-    digits = (check_digits(dps) if dps is not None
-              else hilbert_default_digits(discriminant))
+    size = _hilbert_size(discriminant, forms)
+    digits = check_digits(dps) if dps is not None else _hilbert_digits(size)
     _, paired = _mirror_pairs(forms)
 
     def evaluate(digits: int) -> List[mpmath.mpc]:
         return [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
                 for f in forms if f.b >= 0]
 
-    size = _hilbert_size(discriminant)
     rounded, residual, digits, _ = _round_with_retries(evaluate, paired, digits, size)
     return PolynomialResult(
         discriminant=discriminant,

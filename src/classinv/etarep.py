@@ -18,9 +18,12 @@ k to d*k (plus 36 when it negates sqrt(3) and e is odd).  The dense
 ``rep_sigma``, ``word_action``, ``full_action`` and ``dual_action``,
 is the exact oracle: ``Monomial.dense`` rebuilds it, and the selftest
 and test suites compare the two entry for entry.  Both encodings share
-one path: ``_lifted_word`` turns a GL2(Z/72) matrix into an integer
-S,T word and a determinant, and ``sl2words.word_product`` multiplies
-the word out over each encoding's own images of S and T.
+one path, ``_factored_action``: since SL2(Z/72) = SL2(Z/8) x SL2(Z/9),
+the action of a GL2(Z/72) matrix is that of its mod-8 part times that
+of its mod-9 part, times the determinant's twist.  Each part is a short
+S,T word over Z/m, multiplied out (``sl2words.word_product``) over the
+encoding's images of the lifted generators of that factor, S and T^e
+for 0 <= e < m, which are built once per encoding.
 
 A matrix A gives the substitution rule F(g(tau)) = (A F)(tau) on the
 column vector F of the six functions.  A function written as a
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -231,31 +233,58 @@ def word_action(word: Word) -> RepMatrix:
     return word_product(word, RepMatrix.identity(), rep_s(), _dense_t_power())
 
 
-def _lifted_word(matrix: Mat2) -> Tuple[Word, int]:
-    """The integer word and the determinant d of a GL2(Z/72) matrix.
+Images = Dict[int, Tuple[object, Tuple[object, ...]]]
+"""m -> (image of S, images of T^e for 0 <= e < m), for lifts mod m."""
+
+
+def _lifted_images(identity, s, t_power: Callable[[int], object]) -> Images:
+    """An encoding's images of the generators of SL2(Z/8) and SL2(Z/9).
+
+    The generator S or T^e mod m is lifted (``lift_word``) to an integer
+    word that is trivial modulo the complementary factor of 72, and the
+    lift is multiplied out over the encoding's images of S and T.
+    """
+    def image(word: Word):
+        return word_product(word, identity, s, t_power)
+    return {m: (image(lift_word((("S", 1),), m)),
+                tuple(image(lift_word((("T", e),), m)) for e in range(m)))
+            for m in (8, 9)}
+
+
+def _factored_action(matrix: Mat2, images: Images) -> Tuple[object, int]:
+    """The action of a GL2(Z/72) matrix in the encoding of ``images``,
+    and its determinant d.
 
     The matrix is B * diag(1, d) with B unimodular.  B is decomposed
-    separately mod 8 and mod 9, and each word is lifted to an integer
-    word trivial modulo the other factor; the word is their
-    concatenation.
+    separately mod 8 and mod 9 into S,T words with T exponents in
+    [0, m), and each word is multiplied out over its factor's images;
+    the action of B is the mod-8 part times the mod-9 part.
     """
     if matrix.mod != 72:
         matrix = matrix.to_mod(72)
     unimodular, det = split_det(matrix)
-    word8 = lift_word(decompose(unimodular.to_mod(8), 8), 8)
-    word9 = lift_word(decompose(unimodular.to_mod(9), 9), 9)
-    return word8 + word9, det
+
+    def part(m: int):
+        s, t = images[m]  # t[0], the image of T^0, is the identity
+        return word_product(decompose(unimodular.to_mod(m), m), t[0], s, t.__getitem__)
+    return part(8) * part(9), det
+
+
+@lru_cache(maxsize=None)
+def _dense_images() -> Images:
+    """The dense images of the lifted generators, built at first use."""
+    return _lifted_images(RepMatrix.identity(), rep_s(), _dense_t_power())
 
 
 def full_action(matrix: Mat2) -> Tuple[RepMatrix, int]:
     """Substitution matrix and determinant for a GL2(Z/72) matrix.
 
-    The lifted word of the unimodular part (``_lifted_word``) is fed
-    through the representation.  The determinant d is returned with it;
-    it enters separately through the coefficient automorphism z -> z^d.
+    The unimodular part acts through the representation, one factor of
+    72 at a time (``_factored_action``).  The determinant d is returned
+    with it; it enters separately through the coefficient automorphism
+    z -> z^d.
     """
-    word, det = _lifted_word(matrix)
-    return word_action(word), det
+    return _factored_action(matrix, _dense_images())
 
 
 def dual_action(rep: RepMatrix, det: int, coeffs: Vector) -> Vector:
@@ -313,10 +342,14 @@ def _sqrt3_sign(d: int) -> int:
     return 1 if d % 12 in (1, 11) else -1
 
 
+@lru_cache(maxsize=None)
+def _sqrt3_power(e: int) -> CycNum:
+    return SQRT3 ** e
+
+
 def monomial_entry(k: int, e: int) -> CycNum:
     """The exact field element z^k * sqrt(3)^e."""
-    root = CycNum.zeta_pow(k) * (SQRT3 if e % 2 else _ONE)
-    return root * Fraction(3) ** (e // 2)
+    return CycNum.zeta_pow(k) * _sqrt3_power(e)
 
 
 def _twist_term(term: Term, d: int) -> Term:
@@ -409,10 +442,12 @@ def monomial_word_action(word: Word) -> Monomial:
     return word_product(word, Monomial.identity(), MONOMIAL_S, _MONOMIAL_T_POWER)
 
 
+_MONOMIAL_IMAGES = _lifted_images(Monomial.identity(), MONOMIAL_S, _MONOMIAL_T_POWER)
+
+
 def monomial_action(matrix: Mat2) -> Tuple[Monomial, int]:
-    """``full_action`` in the integer encoding: the same lifted word."""
-    word, det = _lifted_word(matrix)
-    return monomial_word_action(word), det
+    """``full_action`` in the integer encoding: the same factored path."""
+    return _factored_action(matrix, _MONOMIAL_IMAGES)
 
 
 def conjugate_action(action: Monomial, det: int, term: Term) -> Term:

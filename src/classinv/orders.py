@@ -115,7 +115,8 @@ def _p_partition(elements: Sequence[Element], p: int, c_param: int,
             break
         ratio = count // prev
         e = round(math.log(ratio, p))
-        assert p ** e == ratio, "group layer size is not a clean power"
+        if p ** e != ratio:
+            raise ArithmeticError("group layer size is not a clean power")
         layer_sizes.append(e)
         prev = count
         j += 1

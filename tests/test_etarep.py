@@ -16,6 +16,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from classinv import etarep
+from classinv.classpoly import compute_ramanujan
 from classinv.cyclotomic import GALOIS_EXPONENTS, SQRT3, CycNum
 from classinv.etarep import (
     BAD_RESIDUE_MESSAGE,
@@ -44,7 +46,7 @@ from classinv.etarep import (
 )
 from classinv.numeval import r_vector
 from classinv.quadforms import QuadForm, principal_form
-from classinv.sl2words import Mat2, lift_word, mat_s, mat_t
+from classinv.sl2words import Mat2, crt_combine, decompose, lift_word, mat_s, mat_t, split_det
 
 from golden_data import (
     UNIT_MOD9_WORD,
@@ -176,6 +178,50 @@ def test_word_action_is_lift_independent():
         word = _random_sl2_word(rng, rng.randint(0, 5))
         recombined = lift_word(word, 8) + lift_word(word, 9)
         assert word_action(recombined) == word_action(word)
+
+
+def _sl2(modulus):
+    return [m for m in (Mat2(a, b, c, d, modulus)
+                        for a in range(modulus) for b in range(modulus)
+                        for c in range(modulus) for d in range(modulus))
+            if m.det == 1]
+
+
+def _glued_with_determinants(units):
+    """Every element of SL2(Z/8) and of SL2(Z/9), glued with the identity
+    mod the other factor, times diag(1, d) for each unit d."""
+    glued = ([crt_combine(b, Mat2.identity(9)) for b in _sl2(8)]
+             + [crt_combine(Mat2.identity(8), b) for b in _sl2(9)])
+    return [m * Mat2(1, 0, 0, d, 72) for m in glued for d in units]
+
+
+def _lifted_word(matrix):
+    """The integer word of the unimodular part and the determinant: both
+    factor words lifted and concatenated, token by token."""
+    unimodular, det = split_det(matrix)
+    word = (lift_word(decompose(unimodular.to_mod(8), 8), 8)
+            + lift_word(decompose(unimodular.to_mod(9), 9), 9))
+    return word, det
+
+
+def test_factored_action_matches_the_lifted_word_everywhere():
+    matrices = _glued_with_determinants((1, 5, 43, 71))
+    assert len(matrices) == (384 + 648) * 4
+    rng = random.Random(1032)
+    mixed = [_random_gl2(rng) for _ in range(100)]  # both factors nontrivial
+    for m in matrices + mixed:
+        word, det = _lifted_word(m)
+        assert monomial_action(m) == (monomial_word_action(word), det), m
+    for m in rng.sample(matrices, 12) + mixed[:4]:
+        word, det = _lifted_word(m)
+        assert full_action(m) == (word_action(word), det), m
+
+
+def test_words_are_not_lifted_after_import(monkeypatch):
+    calls = []
+    monkeypatch.setattr(etarep, "lift_word", lambda *args: calls.append(args))
+    compute_ramanujan(107)
+    assert calls == []
 
 
 def test_full_action_of_modular_generators():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from classinv.orders import (
     STANDARD_GENERATORS,
+    _p_partition,
     generator_matrix,
     generators_for,
     is_unit,
@@ -127,6 +128,13 @@ def test_group_structure_mod8(c_param):
     group = unit_group(c_param, 8)
     assert group.order == 48
     assert group.invariant_factors == (12, 2, 2)
+
+
+def test_p_partition_rejects_a_set_that_is_not_a_group():
+    # 1 and two involutions: three square roots of 1, not a power of 2.
+    # The check must hold under python -O as well, so it cannot be an assert.
+    with pytest.raises(ArithmeticError, match="not a clean power"):
+        _p_partition(((1, 0), (3, 0), (7, 0)), 2, 3, 8)
 
 
 def test_invariant_factors_divide():
