@@ -1,11 +1,12 @@
 """Minimal polynomials of Ramanujan-type class invariants.
 
 The pipeline: enumerate the reduced quadratic forms of discriminant -n,
-attach to each a GL(2, Z/72) matrix, turn that matrix into an exact
-monomial action on six level-72 eta quotients via S,T-word
-decomposition and a Galois twist (integer-encoded, with the dense
-cyclotomic matrices as the exact oracle), evaluate each conjugate at high
-precision, and round the expanded product to an integer polynomial.
+attach to each a GL(2, Z/72) matrix as its factors mod 8 and mod 9,
+turn those into an exact monomial action on six level-72 eta
+quotients via S,T-word decomposition and a Galois twist (integer-encoded,
+with the dense cyclotomic matrices as the exact oracle), evaluate each
+conjugate at high precision, and round the expanded product to an
+integer polynomial.
 """
 
 from .classpoly import (

@@ -255,8 +255,14 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
     The conjugate action of the form's GL2(Z/72) matrix moves the
     coefficient vector of sqrt(3) * F_2 to a single scaled basis vector;
     the conjugate is that exact scalar times the corresponding eta
-    quotient at the form's root.
+    quotient at the form's root.  The form must be primitive and
+    positive definite, of discriminant -n with n = 11 mod 24; any other
+    raises ValueError.
     """
+    if not is_valid_n(-form.discriminant):
+        raise ValueError(BAD_RESIDUE_MESSAGE)
+    if not (form.is_primitive() and form.is_positive_definite()):
+        raise ValueError(f"form {form} is not primitive and positive definite")
     digits = resolve_digits(dps)
     data = _action_data(form)
     return _record(form, data, _conjugate_number(form, data[2], digits))

@@ -174,14 +174,6 @@ class CycNum:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        return self.coeffs[0]
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "CycNum") -> "CycNum":

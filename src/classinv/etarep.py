@@ -18,12 +18,17 @@ k to d*k (plus 36 when it negates sqrt(3) and e is odd).  The dense
 ``rep_sigma``, ``word_action``, ``full_action`` and ``dual_action``,
 is the exact oracle: ``Monomial.dense`` rebuilds it, and the selftest
 and test suites compare the two entry for entry.  Both encodings share
-one path, ``_factored_action``: since SL2(Z/72) = SL2(Z/8) x SL2(Z/9),
-the action of a GL2(Z/72) matrix is that of its mod-8 part times that
-of its mod-9 part, times the determinant's twist.  Each part is a short
-S,T word over Z/m, multiplied out (``sl2words.word_product``) over the
-encoding's images of the lifted generators of that factor, S and T^e
-for 0 <= e < m, which are built once per encoding.
+one path, ``_factored_action``: since GL2(Z/72) = GL2(Z/8) x GL2(Z/9),
+a matrix is given by its mod-8 and mod-9 factors, and its action is
+that of the unimodular part of the mod-8 factor times that of the
+mod-9 factor, with the determinant, glued mod 72, entering as a twist.
+Each part is a short S,T word over Z/m, multiplied out
+(``sl2words.word_product``) over the encoding's images of the lifted
+generators of that factor, S and T^e for 0 <= e < m, which are built
+once per encoding; the mod-9 word starts from the mod-8 product.  A
+form's action is built from its two factor matrices directly; a
+GL2(Z/72) matrix is glued (``form_matrix_mod72``) only for the oracle
+and for display.
 
 A matrix A gives the substitution rule F(g(tau)) = (A F)(tau) on the
 column vector F of the six functions.  A function written as a
@@ -43,8 +48,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .cyclotomic import ORDER, SQRT3, CycNum
 from .orders import generator_matrix, generators_for, unit_group
 from .quadforms import QuadForm
-from .sl2words import (Mat2, Word, crt_combine, decompose, form_matrix, lift_word, split_det,
-                       word_product)
+from .sl2words import (Mat2, Word, crt72, crt_combine, decompose, form_matrix, lift_word,
+                       split_det, word_product)
 
 SIZE = 6
 
@@ -125,25 +130,6 @@ class RepMatrix:
                 return False
             col_seen[hits[0]] = True
         return True
-
-    def monomial_inverse(self) -> "RepMatrix":
-        """Inverse of a monomial matrix: transpose with inverted entries."""
-        if not self.is_monomial():
-            raise ValueError("matrix is not monomial")
-        entries: Dict[Tuple[int, int], CycNum] = {}
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if x:
-                    entries[(j, i)] = x.inverse()
-        return RepMatrix.from_entries(entries)
-
-    def nonzero_entries(self) -> Dict[Tuple[int, int], CycNum]:
-        return {
-            (i, j): x
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-            if x
-        }
 
 
 def unit_vector(index: int, scale: CycNum = _ONE) -> Vector:
@@ -251,23 +237,24 @@ def _lifted_images(identity, s, t_power: Callable[[int], object]) -> Images:
             for m in (8, 9)}
 
 
-def _factored_action(matrix: Mat2, images: Images) -> Tuple[object, int]:
-    """The action of a GL2(Z/72) matrix in the encoding of ``images``,
-    and its determinant d.
+def _factored_action(m8: Mat2, m9: Mat2, images: Images) -> Tuple[object, int]:
+    """The action, in the encoding of ``images``, of the GL2(Z/72)
+    matrix with factors m8 mod 8 and m9 mod 9, and its determinant d
+    mod 72.
 
-    The matrix is B * diag(1, d) with B unimodular.  B is decomposed
-    separately mod 8 and mod 9 into S,T words with T exponents in
-    [0, m), and each word is multiplied out over its factor's images;
-    the action of B is the mod-8 part times the mod-9 part.
+    Each factor is B_m * diag(1, d_m) with B_m unimodular over Z/m
+    (``split_det``).  B_m is decomposed into an S,T word with T
+    exponents in [0, m), and the words are multiplied out over their
+    factor's images, the mod-9 word starting from the mod-8 product;
+    d is glued from d_8 and d_9.
     """
-    if matrix.mod != 72:
-        matrix = matrix.to_mod(72)
-    unimodular, det = split_det(matrix)
-
-    def part(m: int):
-        s, t = images[m]  # t[0], the image of T^0, is the identity
-        return word_product(decompose(unimodular.to_mod(m), m), t[0], s, t.__getitem__)
-    return part(8) * part(9), det
+    unimodular8, det8 = split_det(m8)
+    unimodular9, det9 = split_det(m9)
+    s8, t8 = images[8]  # t8[0], the image of T^0, is the identity
+    s9, t9 = images[9]
+    product = word_product(decompose(unimodular8, 8), t8[0], s8, t8.__getitem__)
+    product = word_product(decompose(unimodular9, 9), product, s9, t9.__getitem__)
+    return product, crt72(det8, det9)
 
 
 @lru_cache(maxsize=None)
@@ -279,12 +266,12 @@ def _dense_images() -> Images:
 def full_action(matrix: Mat2) -> Tuple[RepMatrix, int]:
     """Substitution matrix and determinant for a GL2(Z/72) matrix.
 
-    The unimodular part acts through the representation, one factor of
-    72 at a time (``_factored_action``).  The determinant d is returned
-    with it; it enters separately through the coefficient automorphism
-    z -> z^d.
+    The matrix is reduced once to each factor of 72, and the unimodular
+    part acts through the representation one factor at a time
+    (``_factored_action``).  The determinant d is returned with it; it
+    enters separately through the coefficient automorphism z -> z^d.
     """
-    return _factored_action(matrix, _dense_images())
+    return _factored_action(matrix.to_mod(8), matrix.to_mod(9), _dense_images())
 
 
 def dual_action(rep: RepMatrix, det: int, coeffs: Vector) -> Vector:
@@ -447,7 +434,7 @@ _MONOMIAL_IMAGES = _lifted_images(Monomial.identity(), MONOMIAL_S, _MONOMIAL_T_P
 
 def monomial_action(matrix: Mat2) -> Tuple[Monomial, int]:
     """``full_action`` in the integer encoding: the same factored path."""
-    return _factored_action(matrix, _MONOMIAL_IMAGES)
+    return _factored_action(matrix.to_mod(8), matrix.to_mod(9), _MONOMIAL_IMAGES)
 
 
 def conjugate_action(action: Monomial, det: int, term: Term) -> Term:
@@ -464,13 +451,15 @@ def monomial_dual_action(action: Monomial, det: int, term: Term) -> Term:
 
 
 def form_matrix_mod72(form: QuadForm) -> Mat2:
-    """The GL2(Z/72) matrix attached to a form, glued from mod 8 and mod 9."""
+    """The GL2(Z/72) matrix attached to a form, glued from mod 8 and mod 9,
+    for the dense oracle."""
     return crt_combine(form_matrix(form, 8), form_matrix(form, 9))
 
 
 def form_action(form: QuadForm) -> Tuple[Monomial, int]:
-    """The (integer action, determinant) pair attached to a form class."""
-    return monomial_action(form_matrix_mod72(form))
+    """The (integer action, determinant) pair attached to a form class,
+    from its matrices mod 8 and mod 9."""
+    return _factored_action(form_matrix(form, 8), form_matrix(form, 9), _MONOMIAL_IMAGES)
 
 
 @dataclass(frozen=True)
@@ -502,16 +491,16 @@ def invariance_check(n: int) -> List[InvarianceResult]:
         for gen in generators_for(n, modulus, group):
             local = generator_matrix(gen, c_param, modulus)
             if modulus == 8:
-                combined = crt_combine(local, Mat2.identity(9))
+                factors = (local, Mat2.identity(9))
             else:
-                combined = crt_combine(Mat2.identity(8), local)
-            action, det = monomial_action(combined)
+                factors = (Mat2.identity(8), local)
+            action, det = _factored_action(*factors, _MONOMIAL_IMAGES)
             moved = monomial_dual_action(action, det, SQRT3_F2)
             results.append(
                 InvarianceResult(
                     modulus=modulus,
                     generator=gen,
-                    matrix=combined,
+                    matrix=crt_combine(*factors),
                     det=det,
                     invariant=(moved == SQRT3_F2),
                 )

@@ -35,12 +35,6 @@ class QuadForm:
     def is_primitive(self) -> bool:
         return math.gcd(math.gcd(self.a, self.b), self.c) == 1
 
-    def is_reduced(self) -> bool:
-        if not self.is_positive_definite():
-            return False
-        a, b, c = self.a, self.b, self.c
-        return (-a < b <= a < c) or (0 <= b <= a == c)
-
     def __str__(self) -> str:
         return f"[{self.a}, {self.b}, {self.c}]"
 

@@ -3,11 +3,12 @@
 S = [[0, -1], [1, 0]] and T = [[1, 1], [0, 1]] generate SL(2, Z).  This
 module reads S,T words (``word_product``, for any image of the
 generators, and ``lift_word``, both through one token check),
-decomposes unimodular matrices over Z/8 and Z/9 into short S,T words,
-lifts those words to integer matrices that reduce to the identity
-modulo the complementary factor of 72, and builds the
-GL(2, Z/72) matrices attached to quadratic forms and to elements of
-quadratic orders.
+builds the GL(2, Z/8) and GL(2, Z/9) matrices attached to quadratic
+forms, splits off their determinants, decomposes the unimodular parts
+into short S,T words, and lifts words to integer matrices that reduce
+to the identity modulo the complementary factor of 72.  A GL(2, Z/72)
+matrix or determinant is glued from its two factors by the Chinese
+remainder theorem (``crt72``, ``crt_combine``) only where one is shown.
 """
 
 from __future__ import annotations
@@ -101,13 +102,15 @@ def _is_s(gen: str, exponent: int) -> bool:
     return False
 
 
-def word_product(word: Word, identity, s, t):
-    """Product of the generator images along the word, leftmost token first.
+def word_product(word: Word, start, s, t):
+    """``start`` times the generator images along the word, leftmost
+    token first.
 
     ``s`` is the image of S and ``t(exponent)`` that of T^exponent, in
-    any multiplicative structure with the given identity.
+    any multiplicative structure; the identity as ``start`` gives the
+    word's own image.
     """
-    result = identity
+    result = start
     for gen, exponent in word:
         result = result * (s if _is_s(gen, exponent) else t(exponent))
     return result
@@ -186,14 +189,17 @@ def lift_word(word: Word, modulus: int) -> Word:
     return tuple(out)
 
 
+def crt72(x8: int, x9: int) -> int:
+    """The residue mod 72 that is x8 mod 8 and x9 mod 9."""
+    return (9 * x8 + 64 * x9) % 72
+
+
 def crt_combine(m8: Mat2, m9: Mat2) -> Mat2:
     """The matrix over Z/72 reducing to m8 mod 8 and m9 mod 9."""
     if m8.mod != 8 or m9.mod != 9:
         raise ValueError("expected matrices mod 8 and mod 9")
-    def glue(x8: int, x9: int) -> int:
-        return (9 * x8 + 64 * x9) % 72
-    return Mat2(glue(m8.a, m9.a), glue(m8.b, m9.b),
-                glue(m8.c, m9.c), glue(m8.d, m9.d), 72)
+    return Mat2(crt72(m8.a, m9.a), crt72(m8.b, m9.b),
+                crt72(m8.c, m9.c), crt72(m8.d, m9.d), 72)
 
 
 def split_det(matrix: Mat2) -> Tuple[Mat2, int]:

@@ -247,6 +247,18 @@ def test_bad_residue_rejected():
     assert "11 mod 24" in BAD_RESIDUE_MESSAGE
 
 
+def test_conjugate_value_rejects_bad_forms():
+    with pytest.raises(ValueError, match=BAD_RESIDUE_MESSAGE):
+        conjugate_value(QuadForm(2, 1, 3))  # D = -23
+    with pytest.raises(ValueError, match="not primitive"):
+        conjugate_value(QuadForm(5, 5, 15))  # content 5, D = -275
+    assert conjugate_value(QuadForm(1, 1, 3), 30).index == 2
+    # a non-reduced form gives the conjugate of its reduced class
+    unreduced = conjugate_value(QuadForm(27, 1, 1), 60).value
+    reduced = conjugate_value(QuadForm(1, 1, 27), 60).value
+    assert abs(unreduced - reduced) < mpmath.mpf("1e-50")
+
+
 def test_verify_polynomial():
     good = IntPolynomial.from_descending(SMALL_TABLE[107])
     assert verify_polynomial(good, 107, 80) < mpmath.mpf("1e-70")

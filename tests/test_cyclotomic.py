@@ -70,7 +70,7 @@ def test_minimal_polynomial_shape():
 def test_root_of_unity_anchors():
     assert CycNum.zeta_pow(0) == ONE
     assert CycNum.zeta_pow(72) == ONE
-    assert CycNum.zeta_pow(36).as_rational() == -1
+    assert CycNum.zeta_pow(36) == CycNum.from_rational(-1)
     assert CycNum.zeta_pow(-3) == CycNum.zeta_pow(69)
     cube = CycNum.zeta_pow(24)
     assert cube != ONE
@@ -90,14 +90,6 @@ def test_sqrt3_identities():
     assert SQRT3 * SQRT3 == CycNum.from_rational(3)
     assert SQRT3.inverse() == SQRT3 * Fraction(1, 3)
     assert IMAG_UNIT * IMAG_UNIT == CycNum.from_rational(-1)
-
-
-def test_rational_detection():
-    assert CycNum.from_rational(Fraction(7, 3)).as_rational() == Fraction(7, 3)
-    assert ZERO.is_rational()
-    assert not SQRT3.is_rational()
-    with pytest.raises(ValueError, match="not a rational number"):
-        SQRT3.as_rational()
 
 
 def test_galois_anchors():

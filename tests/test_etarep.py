@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from classinv import etarep
+from classinv import classpoly, etarep
 from classinv.classpoly import compute_ramanujan
 from classinv.cyclotomic import GALOIS_EXPONENTS, SQRT3, CycNum
 from classinv.etarep import (
@@ -45,10 +45,11 @@ from classinv.etarep import (
     word_action,
 )
 from classinv.numeval import r_vector
-from classinv.quadforms import QuadForm, principal_form
+from classinv.quadforms import QuadForm, principal_form, reduced_forms
 from classinv.sl2words import Mat2, crt_combine, decompose, lift_word, mat_s, mat_t, split_det
 
 from golden_data import (
+    MAIN_TABLE,
     UNIT_MOD9_WORD,
     UNIT_MOD72_DET,
     UNIT_MOD72_ENTRIES,
@@ -67,6 +68,15 @@ def golden_unit_rep():
             (power, Fraction(coef)) for power, coef in terms
         )
     return RepMatrix.from_entries(entries)
+
+
+def _monomial_inverse(rep):
+    """Inverse of a monomial matrix: transpose with inverted entries."""
+    if not rep.is_monomial():
+        raise ValueError("matrix is not monomial")
+    return RepMatrix.from_entries({(j, i): x.inverse()
+                                   for i, row in enumerate(rep.rows)
+                                   for j, x in enumerate(row) if x})
 
 
 def _random_gl2(rng):
@@ -95,7 +105,7 @@ def test_translation_matrix_entries():
         (4, 5): _Z(-6),
         (5, 3): _Z(-3),
     }
-    assert rep_t().nonzero_entries() == expected
+    assert rep_t() == RepMatrix.from_entries(expected)
 
 
 def test_inversion_matrix_entries():
@@ -108,7 +118,7 @@ def test_inversion_matrix_entries():
         (4, 2): _Z(3) - _Z(27),
         (5, 5): _ONE,
     }
-    assert rep_s().nonzero_entries() == expected
+    assert rep_s() == RepMatrix.from_entries(expected)
 
 
 def test_inversion_is_an_involution():
@@ -133,7 +143,7 @@ def test_sigma_identity_and_inverses():
         assert m.is_monomial()
         inverse_exp = pow(d, -1, 72)
         # twisting by 1/d and inverting lands on the matrix of sigma_{1/d}
-        assert m.galois(inverse_exp).monomial_inverse() == rep_sigma(inverse_exp)
+        assert _monomial_inverse(m.galois(inverse_exp)) == rep_sigma(inverse_exp)
 
 
 def test_sigma_composition_law():
@@ -224,6 +234,42 @@ def test_words_are_not_lifted_after_import(monkeypatch):
     assert calls == []
 
 
+def test_form_action_matches_the_glued_matrix():
+    # built from the factor matrices, with the determinant glued from d_8
+    # and d_9, against the GL2(Z/72) matrix and its own determinant
+    for n in sorted(MAIN_TABLE) + [10019]:
+        for form in reduced_forms(-n):
+            glued = form_matrix_mod72(form)
+            action, det = form_action(form)
+            assert (action, det) == monomial_action(glued), form
+            assert det == glued.det, form
+
+
+def test_form_actions_build_no_mod72_matrix(monkeypatch):
+    calls = []
+
+    def recorder(name, fn):
+        def record(*args):
+            calls.append(name)
+            return fn(*args)
+        return record
+
+    for owner in (etarep, classpoly):
+        monkeypatch.setattr(owner, "form_matrix_mod72",
+                            recorder("form_matrix_mod72", etarep.form_matrix_mod72))
+    monkeypatch.setattr(etarep, "crt_combine", recorder("crt_combine", etarep.crt_combine))
+    plain_to_mod = Mat2.to_mod
+
+    def to_mod(self, m):
+        if m == 72:
+            calls.append("to_mod(72)")
+        return plain_to_mod(self, m)
+
+    monkeypatch.setattr(Mat2, "to_mod", to_mod)
+    compute_ramanujan(107)
+    assert calls == []
+
+
 def test_full_action_of_modular_generators():
     rep, det = full_action(mat_s().to_mod(72))
     assert det == 1
@@ -291,7 +337,7 @@ def test_action_matrices_are_monomial_with_unit_determinant():
         rep, det = full_action(_random_gl2(rng))
         assert rep.is_monomial()
         assert math.gcd(det, 72) == 1
-        inverse = rep.monomial_inverse()
+        inverse = _monomial_inverse(rep)
         assert rep * inverse == RepMatrix.identity()
 
 
@@ -307,7 +353,7 @@ def test_composition_twist_law():
         assert det_ab == (det_a * det_b) % 72
         e = pow(det_a, -1, 72)
         twist = rep_sigma(e)
-        assert rep_ab == rep_a * twist.monomial_inverse() * rep_b.galois(e) * twist
+        assert rep_ab == rep_a * _monomial_inverse(twist) * rep_b.galois(e) * twist
 
 
 def test_unimodular_actions_compose_directly():
@@ -447,4 +493,4 @@ def test_unit_vector():
 def test_monomial_inverse_rejects_general_matrices():
     dense = RepMatrix.from_entries({(0, 0): _ONE, (0, 1): _ONE})
     with pytest.raises(ValueError, match="matrix is not monomial"):
-        dense.monomial_inverse()
+        _monomial_inverse(dense)

