@@ -61,7 +61,7 @@ from .numeval import (
     to_gaussian,
     zeta72,
 )
-from .quadforms import QuadForm, form_root, reduced_forms
+from .quadforms import QuadForm, check_discriminant, form_root, reduced_forms
 from .sl2words import Mat2
 
 DEFAULT_DIGITS = 120
@@ -453,8 +453,7 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     j(-conj(tau)) is the complex conjugate of j(tau), so, as for the
     invariants, only the forms with b >= 0 are evaluated.
     """
-    if discriminant >= 0 or discriminant % 4 not in (0, 1):
-        raise ValueError("not a negative discriminant")
+    discriminant = check_discriminant(discriminant)
     forms = reduced_forms(discriminant)
     size = _hilbert_size(discriminant, forms)
     digits = check_digits(dps) if dps is not None else _hilbert_digits(size)

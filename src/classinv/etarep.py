@@ -46,6 +46,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .cyclotomic import ORDER, SQRT3, CycNum
+from .numeval import check_integer
 from .orders import generator_matrix, generators_for, unit_group
 from .quadforms import QuadForm
 from .sl2words import (Mat2, Word, crt72, crt_combine, decompose, form_matrix, lift_word,
@@ -121,15 +122,6 @@ class RepMatrix:
         return RepMatrix(
             tuple(tuple(x.galois(d) for x in row) for row in self.rows)
         )
-
-    def is_monomial(self) -> bool:
-        col_seen = [False] * SIZE
-        for row in self.rows:
-            hits = [j for j, x in enumerate(row) if x]
-            if len(hits) != 1 or col_seen[hits[0]]:
-                return False
-            col_seen[hits[0]] = True
-        return True
 
 
 def unit_vector(index: int, scale: CycNum = _ONE) -> Vector:
@@ -314,7 +306,11 @@ BAD_RESIDUE_MESSAGE = "n must be ≡ 11 mod 24"
 
 
 def is_valid_n(n: int) -> bool:
-    """Whether the invariant t_n is built here: n > 0 and n = 11 mod 24."""
+    """Whether the invariant t_n is built here: n > 0 and n = 11 mod 24.
+
+    An n that is not an integer raises ValueError instead.
+    """
+    n = check_integer(n, "n")
     return n > 0 and n % 24 == 11
 
 

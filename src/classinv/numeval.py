@@ -1,6 +1,6 @@
 """Arbitrary-precision evaluation of eta products and class invariants.
 
-All functions take an optional decimal-digit count (at least 1) and run
+All functions take an optional integer digit count (at least 1) and run
 mpmath at that precision plus a fixed guard margin.  The Dedekind eta
 function is summed with the pentagonal number theorem, so the series is
 sparse: the number of terms needed grows with the square root of the
@@ -40,6 +40,7 @@ eta(3 tau) one, instead of two slow ones.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -51,8 +52,19 @@ GUARD_DIGITS = 10
 """Extra working digits carried by every routine."""
 
 
+def check_integer(value, name: str) -> int:
+    """The value as an int; a ValueError naming it if it is not an integer.
+
+    Any integral type is accepted; floats, strings and bools are not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_digits(dps: int) -> int:
-    """Reject a precision below one decimal digit."""
+    """Reject a precision that is not an integer of at least one digit."""
+    dps = check_integer(dps, "precision")
     if dps < 1:
         raise ValueError(f"precision must be at least 1 digit, got {dps}")
     return dps

@@ -14,7 +14,7 @@ from typing import List
 
 import mpmath
 
-from .numeval import resolve_digits, sqrt_power
+from .numeval import check_integer, resolve_digits, sqrt_power
 
 
 @dataclass(frozen=True, order=True)
@@ -58,10 +58,18 @@ def reduce_form(form: QuadForm) -> QuadForm:
     return QuadForm(a, b, c)
 
 
-def principal_form(discriminant: int) -> QuadForm:
-    """The identity class representative of the given discriminant."""
+def check_discriminant(discriminant: int) -> int:
+    """The discriminant as an int; a ValueError unless it is a negative
+    integer = 0 or 1 mod 4."""
+    discriminant = check_integer(discriminant, "discriminant")
     if discriminant >= 0 or discriminant % 4 not in (0, 1):
         raise ValueError("not a negative discriminant")
+    return discriminant
+
+
+def principal_form(discriminant: int) -> QuadForm:
+    """The identity class representative of the given discriminant."""
+    discriminant = check_discriminant(discriminant)
     if discriminant % 4 == 0:
         return QuadForm(1, 0, -discriminant // 4)
     return QuadForm(1, 1, (1 - discriminant) // 4)
@@ -72,8 +80,7 @@ def reduced_forms(discriminant: int) -> List[QuadForm]:
 
     Sorted with the principal form first, then by (a, |b|, sign).
     """
-    if discriminant >= 0 or discriminant % 4 not in (0, 1):
-        raise ValueError("not a negative discriminant")
+    discriminant = check_discriminant(discriminant)
     forms: List[QuadForm] = []
     b = discriminant & 1  # b must match the parity of the discriminant
     while 3 * b * b <= -discriminant:

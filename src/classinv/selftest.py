@@ -1,31 +1,34 @@
 """Cross-validation suites tying the exact matrices to independent data.
 
 Each suite checks one layer of the pipeline against something it was
-not derived from: word decomposition against direct matrix products,
-the generator matrices against numeric eta evaluation, the Galois
-permutation matrices against exact q-expansions, the integer
-monomial encoding of the hot path against the dense cyclotomic
-matrices, and the exact action of each mirrored form (a, -b, c)
-against the complex conjugation rule derived from the eta quotients.
-The command-line front-end runs all suites; the test suite asserts
-them individually.
+not derived from: word decomposition against direct matrix products
+over all of SL2(Z/8) and SL2(Z/9), the generator matrices against
+numeric eta evaluation, the Galois permutation matrices against exact
+q-expansions, the integer monomial encoding of the hot path against
+the dense cyclotomic matrices, and the exact action of each mirrored
+form (a, -b, c) against the complex conjugation rule derived from the
+eta quotients.
+Every suite has one fixed configuration (the constants below), which
+``classinv selftest`` and the test suite both run through ``run_all``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import mpmath
 
-from .cyclotomic import GALOIS_EXPONENTS
+from .cyclotomic import GALOIS_EXPONENTS, CycNum
 from .etarep import (
     MONOMIAL_S,
     MONOMIAL_T,
     SQRT3_F2,
-    RepMatrix,
     Term,
     conjugate_action,
     dense_conjugate_action,
@@ -41,7 +44,7 @@ from .etarep import (
     rep_t,
     unit_vector,
 )
-from .numeval import ETA_QUOTIENTS, eta, r_vector, r_value
+from .numeval import ETA_QUOTIENTS, GUARD_DIGITS, eta, r_vector, r_value
 from .qseries import r_series
 from .quadforms import QuadForm, reduced_forms
 from .sl2words import (
@@ -58,20 +61,24 @@ from .sl2words import (
 )
 
 CHECK_DIGITS = 120
+"""Working precision of the numeric suites, before the guard digits."""
+
+CHECK_POINTS = 20
+"""Random evaluation points per numeric suite."""
+
+TOLERANCE = mpmath.mpf(10) ** (20 - CHECK_DIGITS)
+"""Residual budget of the numeric suites: 20 digits of headroom."""
 
 SEED = 721131
 
 SIGMA_SERIES_BOUND = 150
 """Truncation order for the exact q-expansion comparisons."""
 
+ORACLE_SAMPLES = 24
+"""Random GL2(Z/72) matrices in the monomial-oracle suite."""
+
 MIRROR_RULE_NS = tuple(range(107, 996, 24))
 """The 38 n = 11 (mod 24) of the paper's table, 107 <= n <= 995."""
-
-
-def _tolerance(dps: int) -> mpmath.mpf:
-    """Residual budget at a given working precision: 1e-100 at 120 digits,
-    scaled by the same 20-digit headroom elsewhere."""
-    return mpmath.mpf(10) ** (20 - dps)
 
 
 @dataclass(frozen=True)
@@ -85,55 +92,36 @@ def _random_tau(rng: random.Random, low: float, high: float) -> mpmath.mpc:
     return mpmath.mpc(rng.uniform(-0.45, 0.45), rng.uniform(low, high))
 
 
-def _apply_numeric(matrix: RepMatrix, values: Tuple[mpmath.mpc, ...],
-                   dps: int) -> Tuple[mpmath.mpc, ...]:
-    out = []
-    for row in matrix.rows:
-        acc = mpmath.mpc(0)
-        for entry, v in zip(row, values):
-            if entry:
-                acc += entry.embed(dps) * v
-        out.append(acc)
-    return tuple(out)
+def _row_sum(row: Sequence[CycNum], term: Callable[[int, CycNum], object]):
+    """Sum of term(j, entry) over the nonzero entries of a matrix row:
+    the row times a vector of series or of values."""
+    return functools.reduce(operator.add, (term(j, e) for j, e in enumerate(row) if e))
 
 
-def check_word_reconstruction(samples: int = 500) -> CheckResult:
-    """Decompose and rebuild: all of SL2(Z/8), sampled SL2(Z/9), with lifts."""
-    failures = 0
-    checked = 0
-    mod8: List[Mat2] = []
-    for a in range(8):
-        for b in range(8):
-            for c in range(8):
-                for d in range(8):
-                    if (a * d - b * c) % 8 == 1:
-                        mod8.append(Mat2(a, b, c, d, 8))
-    for m in mod8:
-        word = decompose(m, 8)
-        checked += 1
-        if word_to_matrix(word, 8) != m:
-            failures += 1
-        if any(gen == "T" and not 0 <= e < 8 for gen, e in word):
-            failures += 1
-    rng = random.Random(SEED)
-    mod9: List[Mat2] = []
-    while len(mod9) < samples:
-        a, b, c, d = (rng.randrange(9) for _ in range(4))
-        if (a * d - b * c) % 9 == 1:
-            mod9.append(Mat2(a, b, c, d, 9))
-    for m in mod9:
-        word = decompose(m, 9)
-        checked += 1
-        if word_to_matrix(word, 9) != m:
-            failures += 1
-    # spot-check the integer lifts on a thin slice of both sets
-    for m in mod8[:: len(mod8) // 40] + mod9[::25]:
-        modulus = m.mod
-        other = 9 if modulus == 8 else 8
-        lifted = word_to_matrix(lift_word(decompose(m, modulus), modulus))
-        checked += 1
-        if lifted.to_mod(modulus) != m or lifted.to_mod(other) != Mat2.identity(other):
-            failures += 1
+def _numeric_result(name: str, worst: mpmath.mpf) -> CheckResult:
+    return CheckResult(name, worst < TOLERANCE, f"worst residual {mpmath.nstr(worst, 3)}")
+
+
+def check_word_reconstruction() -> CheckResult:
+    """Decompose, rebuild and lift every element of SL2(Z/8) and SL2(Z/9).
+
+    Each word must give back its matrix, with T exponents in [0, m),
+    and its integer lift must reduce to the matrix mod m and to the
+    identity mod the other factor of 72.
+    """
+    checked = failures = 0
+    for modulus, other in ((8, 9), (9, 8)):
+        for a, b, c, d in itertools.product(range(modulus), repeat=4):
+            if (a * d - b * c) % modulus != 1:
+                continue
+            m = Mat2(a, b, c, d, modulus)
+            word = decompose(m, modulus)
+            lifted = word_to_matrix(lift_word(word, modulus))
+            checked += 1
+            failures += word_to_matrix(word, modulus) != m
+            failures += any(gen == "T" and not 0 <= e < modulus for gen, e in word)
+            failures += (lifted.to_mod(modulus) != m
+                         or lifted.to_mod(other) != Mat2.identity(other))
     return CheckResult(
         "word-reconstruction",
         failures == 0,
@@ -160,48 +148,39 @@ def check_lift_congruences() -> CheckResult:
     return CheckResult("lift-congruences", ok)
 
 
-def check_eta_functional_equations(points: int = 20,
-                                   dps: int = CHECK_DIGITS) -> CheckResult:
+def check_eta_functional_equations() -> CheckResult:
     """eta(tau+1) and eta(-1/tau) against their closed-form factors."""
     rng = random.Random(SEED + 1)
     worst = mpmath.mpf(0)
-    with mpmath.workdps(dps + 10):
-        for _ in range(points):
+    with mpmath.workdps(CHECK_DIGITS + GUARD_DIGITS):
+        for _ in range(CHECK_POINTS):
             tau = _random_tau(rng, 0.9, 2.2)
-            base = eta(tau, dps)
-            shift = abs(eta(tau + 1, dps) - mpmath.expjpi(mpmath.mpf(1) / 12) * base)
-            flip = abs(eta(-1 / tau, dps) - mpmath.sqrt(-1j * tau) * base)
+            base = eta(tau, CHECK_DIGITS)
+            shift = abs(eta(tau + 1, CHECK_DIGITS)
+                        - mpmath.expjpi(mpmath.mpf(1) / 12) * base)
+            flip = abs(eta(-1 / tau, CHECK_DIGITS) - mpmath.sqrt(-1j * tau) * base)
             worst = max(worst, shift, flip)
-    return CheckResult(
-        "eta-functional-equations",
-        worst < _tolerance(dps),
-        f"worst residual {mpmath.nstr(worst, 3)}",
-    )
+    return _numeric_result("eta-functional-equations", worst)
 
 
-def check_rep_numeric(points: int = 20, dps: int = CHECK_DIGITS) -> CheckResult:
+def check_rep_numeric() -> CheckResult:
     """The T and S matrices reproduce actual eta-quotient transformation."""
     rng = random.Random(SEED + 2)
     worst = mpmath.mpf(0)
-    a_t, a_s = rep_t(), rep_s()
-    with mpmath.workdps(dps + 10):
-        for _ in range(points):
+    matrices = (rep_t(), rep_s())
+    with mpmath.workdps(CHECK_DIGITS + GUARD_DIGITS):
+        for _ in range(CHECK_POINTS):
             tau = _random_tau(rng, 0.9, 2.2)
-            here = r_vector(tau, dps)
-            shifted = r_vector(tau + 1, dps)
-            flipped = r_vector(-1 / tau, dps)
-            via_t = _apply_numeric(a_t, here, dps)
-            via_s = _apply_numeric(a_s, here, dps)
-            for lhs, rhs in zip(shifted + flipped, via_t + via_s):
+            here = r_vector(tau, CHECK_DIGITS)
+            moved = r_vector(tau + 1, CHECK_DIGITS) + r_vector(-1 / tau, CHECK_DIGITS)
+            via = [_row_sum(row, lambda j, e: e.embed(CHECK_DIGITS) * here[j])
+                   for matrix in matrices for row in matrix.rows]
+            for lhs, rhs in zip(moved, via):
                 worst = max(worst, abs(lhs - rhs))
-    return CheckResult(
-        "rep-numeric-consistency",
-        worst < _tolerance(dps),
-        f"worst residual {mpmath.nstr(worst, 3)}",
-    )
+    return _numeric_result("rep-numeric-consistency", worst)
 
 
-def check_sigma_series_exact(bound: int = SIGMA_SERIES_BOUND) -> CheckResult:
+def check_sigma_series_exact() -> CheckResult:
     """Exact q-expansion identities for every Galois matrix and for T.
 
     For each d coprime to 72, applying z -> z^d to the coefficients of
@@ -209,26 +188,14 @@ def check_sigma_series_exact(bound: int = SIGMA_SERIES_BOUND) -> CheckResult:
     the same comparison validates the T matrix through u -> z*u.
     """
     failures = []
-    series = [r_series(i, bound) for i in range(6)]
-    for d in GALOIS_EXPONENTS:
-        matrix = rep_sigma(d)
-        for i in range(6):
-            lhs = series[i].galois(d)
-            entries = [(j, e) for j, e in enumerate(matrix.rows[i]) if e]
-            rhs = series[entries[0][0]].scale(entries[0][1])
-            for j, e in entries[1:]:
-                rhs = rhs + series[j].scale(e)
-            if not lhs.agrees_with(rhs):
-                failures.append(f"d={d} row {i}")
-    t_matrix = rep_t()
-    for i in range(6):
-        lhs = series[i].twist(1)
-        entries = [(j, e) for j, e in enumerate(t_matrix.rows[i]) if e]
-        rhs = series[entries[0][0]].scale(entries[0][1])
-        for j, e in entries[1:]:
-            rhs = rhs + series[j].scale(e)
-        if not lhs.agrees_with(rhs):
-            failures.append(f"T row {i}")
+    series = [r_series(i, SIGMA_SERIES_BOUND) for i in range(6)]
+    cases = [(f"d={d}", rep_sigma(d), lambda s, d=d: s.galois(d)) for d in GALOIS_EXPONENTS]
+    cases.append(("T", rep_t(), lambda s: s.twist(1)))
+    for label, matrix, transform in cases:
+        for i, row in enumerate(matrix.rows):
+            rhs = _row_sum(row, lambda j, e: series[j].scale(e))
+            if not transform(series[i]).agrees_with(rhs):
+                failures.append(f"{label} row {i}")
     return CheckResult(
         "sigma-series-exact",
         not failures,
@@ -236,8 +203,7 @@ def check_sigma_series_exact(bound: int = SIGMA_SERIES_BOUND) -> CheckResult:
     )
 
 
-def check_sigma_numeric(points: int = 20, dps: int = CHECK_DIGITS,
-                        bound: int = SIGMA_SERIES_BOUND) -> CheckResult:
+def check_sigma_numeric() -> CheckResult:
     """Galois-twisted expansions against direct eta products, numerically.
 
     Far enough up the imaginary axis the truncated expansion of the
@@ -247,26 +213,19 @@ def check_sigma_numeric(points: int = 20, dps: int = CHECK_DIGITS,
     """
     rng = random.Random(SEED + 3)
     worst = mpmath.mpf(0)
-    with mpmath.workdps(dps + 10):
-        for _ in range(points):
+    with mpmath.workdps(CHECK_DIGITS + GUARD_DIGITS):
+        for _ in range(CHECK_POINTS):
             tau = _random_tau(rng, 20.0, 24.0)
             d = GALOIS_EXPONENTS[rng.randrange(len(GALOIS_EXPONENTS))]
             i = rng.randrange(6)
-            matrix = rep_sigma(d)
-            lhs = r_series(i, bound).galois(d).eval_numeric(tau, dps)
-            rhs = mpmath.mpc(0)
-            for j, e in enumerate(matrix.rows[i]):
-                if e:
-                    rhs += e.embed(dps) * r_value(j, tau, dps)
+            lhs = r_series(i, SIGMA_SERIES_BOUND).galois(d).eval_numeric(tau, CHECK_DIGITS)
+            rhs = _row_sum(rep_sigma(d).rows[i], lambda j, e: (
+                e.embed(CHECK_DIGITS) * r_value(j, tau, CHECK_DIGITS)))
             worst = max(worst, abs(lhs - rhs))
-    return CheckResult(
-        "sigma-numeric-consistency",
-        worst < _tolerance(dps),
-        f"worst residual {mpmath.nstr(worst, 3)}",
-    )
+    return _numeric_result("sigma-numeric-consistency", worst)
 
 
-def check_monomial_oracle(samples: int = 24) -> CheckResult:
+def check_monomial_oracle() -> CheckResult:
     """The integer encoding against the dense cyclotomic matrices.
 
     S, T and every sigma_d are compared entry for entry with rep_s,
@@ -282,7 +241,7 @@ def check_monomial_oracle(samples: int = 24) -> CheckResult:
             failures.append(name)
     rng = random.Random(SEED + 4)
     checked = 0
-    while checked < samples:
+    while checked < ORACLE_SAMPLES:
         m = Mat2(*(rng.randrange(72) for _ in range(4)), 72)
         if math.gcd(m.det, 72) != 1:
             continue
@@ -302,7 +261,7 @@ def check_monomial_oracle(samples: int = 24) -> CheckResult:
     return CheckResult(
         "monomial-oracle",
         not failures,
-        f"S, T, {len(GALOIS_EXPONENTS)} sigma_d and {samples} GL2(Z/72) matrices"
+        f"S, T, {len(GALOIS_EXPONENTS)} sigma_d and {ORACLE_SAMPLES} GL2(Z/72) matrices"
         if not failures else "; ".join(failures),
     )
 
@@ -383,14 +342,14 @@ def check_mirror_rule(ns: Sequence[int] = MIRROR_RULE_NS) -> CheckResult:
     )
 
 
-def run_all(points: int = 20, dps: int = CHECK_DIGITS) -> List[CheckResult]:
+def run_all() -> List[CheckResult]:
     return [
         check_word_reconstruction(),
         check_lift_congruences(),
-        check_eta_functional_equations(points, dps),
-        check_rep_numeric(points, dps),
+        check_eta_functional_equations(),
+        check_rep_numeric(),
         check_sigma_series_exact(),
-        check_sigma_numeric(points, dps),
+        check_sigma_numeric(),
         check_monomial_oracle(),
         check_mirror_rule(),
     ]

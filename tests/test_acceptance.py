@@ -53,6 +53,7 @@ from golden_data import (
     UNIT_MOD72_ENTRIES,
     UNIT_REP_ENTRIES,
 )
+from rep_helpers import is_monomial
 
 
 def _gate(label, ok, detail=""):
@@ -178,11 +179,11 @@ def test_criterion_5_twisted_dual_action():
 
 
 def test_criterion_6_property_suites(main_table_results):
-    words = check_word_reconstruction(samples=500)
-    eta_eqs = check_eta_functional_equations(points=20, dps=120)
-    rep_num = check_rep_numeric(points=20, dps=120)
+    words = check_word_reconstruction()
+    eta_eqs = check_eta_functional_equations()
+    rep_num = check_rep_numeric()
     monomial = all(
-        record.rep.is_monomial() and math.gcd(record.det, 72) == 1
+        is_monomial(record.rep) and math.gcd(record.det, 72) == 1
         for result in main_table_results.values()
         for record in result.conjugates
     )

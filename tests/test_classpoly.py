@@ -8,6 +8,8 @@ each mirrored pair; the floating-point mpc expansion of all h values
 it replaced is kept here as the oracle it must agree with.
 """
 
+import re
+
 import mpmath
 import pytest
 
@@ -28,8 +30,8 @@ from classinv.classpoly import (
     verify_polynomial,
 )
 from classinv.cyclotomic import SQRT3
-from classinv.etarep import dense_conjugate_action, unit_vector
-from classinv.numeval import GUARD_DIGITS, j_invariant, ramanujan_value
+from classinv.etarep import dense_conjugate_action, is_valid_n, unit_vector
+from classinv.numeval import GUARD_DIGITS, eta, j_invariant, ramanujan_value
 from classinv.orders import _prime_factors
 from classinv.quadforms import (
     QuadForm,
@@ -49,6 +51,7 @@ from golden_data import (
     SMALL_TABLE_TEXT,
     TEXT_611,
 )
+from rep_helpers import is_monomial
 
 
 def _expand_and_round_oracle(values, digits):
@@ -194,7 +197,7 @@ def test_conjugate_data(main_table_results):
                 for w in values[i + 1:]:
                     assert abs(v - w) > mpmath.mpf("1e-50")
             for record in records:
-                assert record.rep.is_monomial()
+                assert is_monomial(record.rep)
 
 
 def test_conjugates_agree_with_the_dense_oracle(main_table_results):
@@ -238,6 +241,42 @@ def test_requested_precision_is_used():
 def test_non_squarefree_rows_still_round(main_table_results):
     for n in NOT_SQUAREFREE:
         assert main_table_results[n].polynomial.descending() == MAIN_TABLE[n]
+
+
+@pytest.mark.parametrize("dps", [2.5, 120.0, True, "120"])
+def test_non_integer_precision_rejected(dps):
+    message = f"precision must be an integer, got {dps!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eta(1j, dps)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compute_ramanujan(11, dps)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compute_hilbert(-107, dps)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        form_root(QuadForm(1, 1, 3), dps)
+
+
+def test_integral_types_are_accepted_as_precision():
+    class Digits(int):
+        pass
+
+    result = compute_ramanujan(107, Digits(60))
+    assert type(result.precision_digits) is int and result.precision_digits == 60
+    assert result.polynomial.descending() == SMALL_TABLE[107]
+
+
+@pytest.mark.parametrize("call, value", [
+    (compute_ramanujan, 107.0),
+    (compute_ramanujan, "107"),
+    (compute_ramanujan, True),
+    (is_valid_n, 107.0),
+    (compute_hilbert, -107.0),
+    (compute_hilbert, "-107"),
+])
+def test_non_integer_n_or_discriminant_rejected(call, value):
+    name = "discriminant" if call is compute_hilbert else "n"
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        call(value)
 
 
 def test_bad_residue_rejected():

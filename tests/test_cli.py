@@ -160,7 +160,7 @@ def test_non_positive_precision_rejected(capsys, monkeypatch):
 
 def test_selftest_reporting(capsys, monkeypatch):
     # the CLI layer formats whatever the check suite returns; the real
-    # suite runs at full strength in the acceptance tests
+    # suites run, in this same configuration, in test_selftest.py
     fake = [
         CheckResult("alpha", True, "10 points"),
         CheckResult("beta", True),

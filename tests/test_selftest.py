@@ -1,71 +1,63 @@
 """The cross-validation suites themselves.
 
-Full-strength runs happen in the acceptance tests; here each check is
-exercised at reduced size to keep the module suite quick, plus the two
-cheap exact checks at full strength.
+``run_all`` runs once for the module, in the one configuration that
+``classinv selftest`` prints, and each test asserts on one suite's
+result.
 """
 
-from classinv.selftest import (
-    check_eta_functional_equations,
-    check_lift_congruences,
-    check_mirror_rule,
-    check_monomial_oracle,
-    check_rep_numeric,
-    check_sigma_numeric,
-    check_sigma_series_exact,
-    check_word_reconstruction,
-    run_all,
-)
+import pytest
+
+from classinv.selftest import run_all
 
 
-def test_lift_congruences():
-    result = check_lift_congruences()
+@pytest.fixture(scope="module")
+def results():
+    return {r.name: r for r in run_all()}
+
+
+def test_lift_congruences(results):
+    assert results["lift-congruences"].passed
+
+
+def test_word_reconstruction_smoke(results):
+    # all of SL2(Z/8) and SL2(Z/9): 384 + 648 matrices, each also lifted
+    result = results["word-reconstruction"]
     assert result.passed
+    assert result.detail == "1032 matrices, 0 failures"
 
 
-def test_word_reconstruction_smoke():
-    result = check_word_reconstruction(samples=60)
-    assert result.passed
-    assert "0 failures" in result.detail
+def test_eta_functional_equations_smoke(results):
+    assert results["eta-functional-equations"].passed
 
 
-def test_eta_functional_equations_smoke():
-    result = check_eta_functional_equations(points=4, dps=80)
-    assert result.passed
+def test_rep_numeric_smoke(results):
+    assert results["rep-numeric-consistency"].passed
 
 
-def test_rep_numeric_smoke():
-    result = check_rep_numeric(points=3, dps=80)
-    assert result.passed
-
-
-def test_sigma_series_exact_reduced_bound():
-    result = check_sigma_series_exact(bound=80)
+def test_sigma_series_exact(results):
+    result = results["sigma-series-exact"]
     assert result.passed
     assert result.detail == "all identities hold"
 
 
-def test_sigma_numeric_smoke():
-    result = check_sigma_numeric(points=3, dps=80, bound=100)
+def test_sigma_numeric_smoke(results):
+    assert results["sigma-numeric-consistency"].passed
+
+
+def test_monomial_oracle(results):
+    result = results["monomial-oracle"]
     assert result.passed
+    assert result.detail == "S, T, 24 sigma_d and 24 GL2(Z/72) matrices"
 
 
-def test_monomial_oracle_reduced_sample():
-    result = check_monomial_oracle(samples=4)
-    assert result.passed
-    assert result.detail == "S, T, 24 sigma_d and 4 GL2(Z/72) matrices"
-
-
-def test_mirror_rule_suite():
-    result = check_mirror_rule()
+def test_mirror_rule_suite(results):
+    result = results["mirror-rule"]
     assert result.passed
     assert result.detail.startswith("118 pairs for 38 n")
 
 
-def test_run_all_reports_every_suite():
-    results = run_all(points=2, dps=60)
-    names = [r.name for r in results]
-    assert names == [
+def test_run_all_reports_every_suite(results):
+    assert list(results) == [
         "word-reconstruction",
         "lift-congruences",
         "eta-functional-equations",
@@ -75,4 +67,4 @@ def test_run_all_reports_every_suite():
         "monomial-oracle",
         "mirror-rule",
     ]
-    assert all(r.passed for r in results)
+    assert all(r.passed for r in results.values())
