@@ -49,6 +49,7 @@ from .etarep import (
     monomial_entry,
 )
 from .numeval import (
+    ETA_QUOTIENTS,
     GUARD_DIGITS,
     check_digits,
     from_gaussian,
@@ -223,6 +224,11 @@ def _action_data(form: QuadForm) -> Tuple[Monomial, int, Term]:
     return action, det, conjugate_action(action, det, SQRT3_F2)
 
 
+_LEADING_EXPONENTS = tuple(float(leading_exponent(index))
+                          for index in range(len(ETA_QUOTIENTS)))
+"""``leading_exponent`` of each quotient, as floats, taken once."""
+
+
 def _ramanujan_size(n: int, forms: Sequence[QuadForm],
                     terms: Sequence[Term]) -> float:
     """E = sum of max(0, log10 |t^sigma|) over the conjugates, from
@@ -230,7 +236,7 @@ def _ramanujan_size(n: int, forms: Sequence[QuadForm],
     1/|q| = exp(pi sqrt(n) / a) at the root of the form (a, b, c)."""
     bits = math.pi * math.sqrt(n) / math.log(10)
     return sum(max(0.0, e * math.log10(3) / 2
-                   - float(leading_exponent(index)) * bits / f.a)
+                   - _LEADING_EXPONENTS[index] * bits / f.a)
                for f, (index, _, e) in zip(forms, terms))
 
 

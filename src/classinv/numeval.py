@@ -10,25 +10,31 @@ pair by multiplication.  The series runs in Gaussian fixed point: a
 complex number z is the integer pair (floor(Re z 2^B), floor(Im z 2^B))
 (``to_gaussian``, ``from_gaussian``), so each product is three integer
 multiplications and two shifts (the imaginary part is
-(ar + ai)(br + bi) - ar br - ai bi) instead of mpmath's floating-point
-object arithmetic.  q = r^24 is formed in the same fixed point from
-r = q^(1/24), and the term count is worked out in machine floats.  The
-prefactor r, which can be as small as 10^-170 at the CM points met
-here, multiplies the series total in mpmath floating point at the end.
+(ar + ai)(br + bi) - ar br - ai bi; a square takes two) instead of
+mpmath's floating-point object arithmetic.  q = r^24 is formed in the
+same fixed point from r = q^(1/24), and the term count is worked out in
+machine floats.  The prefactor r, which can be as small as 10^-170 at
+the CM points met here, multiplies the series total in mpmath floating
+point at the end.
 ``classpoly`` expands its polynomials on the same integer pairs.
+
 Klein's j is the eta quotient (1 + 256 h)^3 / h with
 h = (eta(2 tau) / eta(tau))^24, which is Weber's
 j = (f2^24 + 16)^3 / f2^24, so it needs two eta series and no
-Eisenstein series.
+Eisenstein series.  It does not call eta: the series of eta(2 tau) is
+S(q^2), whose powers are the squares of those of q, so one pass of the
+pentagonal kernel (``_pentagonal``) sums both, and every step after
+j's one exponential is integer arithmetic on Gaussian fixed point.  j
+scales r by a power of two, so that q, which it divides by, keeps its
+full relative precision however far up the half-plane tau lies.
 
 Each evaluation point costs one complex exponential.  eta forms
 q = r^24 from its prefactor r = q^(1/24) by products, and takes r from
 the caller when the caller has it: the quotients compute one
 w = exp(pi i tau / 36) and hand eta(3 tau) w^9, eta((tau + j)/3)
-w * zeta_72^j and eta(tau) w^3; j computes one r = exp(pi i tau / 12)
-and hands eta(2 tau) r^2.  The exact roots zeta_72^k come from a table
-per working precision (``zeta72``), as do sqrt(3)^e and sqrt(|D|)
-(``sqrt_power``).
+w * zeta_72^j and eta(tau) w^3.  The exact roots zeta_72^k come from a
+table per working precision (``zeta72``), as do sqrt(3)^e and
+sqrt(|D|) (``sqrt_power``).
 
 The three eta((tau + j)/3) multiply to zeta_24 eta(tau)^4 / eta(3 tau),
 so F_3, F_4, F_5 are zeta_24 / F_1, zeta_24 / F_2, zeta_24 / F_0
@@ -146,6 +152,101 @@ def _mul(ar: int, ai: int, br: int, bi: int, bits: int) -> Tuple[int, int]:
     return (rr - ii) >> bits, ((ar + ai) * (br + bi) - rr - ii) >> bits
 
 
+def _sq(ar: int, ai: int, bits: int) -> Tuple[int, int]:
+    """Square of a Gaussian fixed-point number in two integer
+    multiplications, (ar + ai)(ar - ai) and 2 ar ai: the same integers
+    as ``_mul(ar, ai, ar, ai, bits)``, bit for bit."""
+    return ((ar + ai) * (ar - ai)) >> bits, (ar * ai << 1) >> bits
+
+
+def _div(ar: int, ai: int, br: int, bi: int, bits: int) -> Tuple[int, int]:
+    """Quotient a / b = a conj(b) / |b|^2 of two Gaussian fixed-point
+    numbers, each part floored: off by less than one unit per part."""
+    rr = ar * br
+    ii = ai * bi
+    norm = br * br + bi * bi
+    return (((rr + ii) << bits) // norm,
+            (((ar + ai) * (br - bi) - rr + ii) << bits) // norm)
+
+
+def _power24(ar: int, ai: int, bits: int) -> Tuple[int, int]:
+    """a^24 as a^16 a^8: four squarings and one product."""
+    a2r, a2i = _sq(ar, ai, bits)
+    a4r, a4i = _sq(a2r, a2i, bits)
+    a8r, a8i = _sq(a4r, a4i, bits)
+    a16r, a16i = _sq(a8r, a8i, bits)
+    return _mul(a16r, a16i, a8r, a8i, bits)
+
+
+def _series_plan(t: mpmath.mpc, digits: int) -> Tuple[float, int, int]:
+    """log10 |q| at tau as a machine float, the cutoff -(digits +
+    GUARD_DIGITS) at which the pentagonal sum stops, and the fixed-point
+    bits it runs at (for the working precision).  Only the term count
+    and the stopping test read the float."""
+    log_qabs = -2 * math.pi * float(t.imag) / math.log(10)
+    cutoff = -(digits + GUARD_DIGITS)
+    terms = math.isqrt(int(2 * cutoff / log_qabs) // 3 + 1) + 2
+    # k terms, each off by a few units per product taken, leave the sum
+    # off by O(k^2) units.  q = r^24 takes five products of numbers of
+    # modulus at most 1, each of which at most adds the errors it is
+    # given and floors one more unit per part: from r off by sqrt(2)
+    # units, r^2, r^4, r^8, r^16 are off by 3, 7, 15, 31 times that and
+    # q = r^16 r^8 by 47 sqrt(2) < 2^7 units, so 8 bits cover it.  r^24
+    # also magnifies the relative error of r 24-fold (of w, 216-fold for
+    # eta(3 tau)): about 8 bits, well inside the guard digits
+    return log_qabs, cutoff, mpmath.mp.prec + 2 * terms.bit_length() + 8
+
+
+def _pentagonal(qr: int, qi: int, bits: int, log_qabs: float, cutoff: int,
+                squared: bool = False
+                ) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:
+    """S(q) = 1 + sum_k (-1)^k (q^low + q^(low + k)), low = k(3k - 1)/2,
+    the pentagonal sum with eta(tau) = q^(1/24) S(q), on Gaussian fixed
+    point.  It stops after the first k with |q|^low < 10^cutoff, where
+    log10 |q| is ``log_qabs``.
+
+    Returns S(q) and, when ``squared``, S(q^2) from the same pass, else
+    None.  j needs both: the powers of q^2 are the squares of those of
+    q, (q^2)^low = (q^low)^2 and (q^2)^k = (q^k)^2, and that sum stops
+    by the same rule at 2 low.
+    """
+    q3r, q3i = _mul(*_sq(qr, qi, bits), qr, qi, bits)
+    # low(k+1) = low(k) + 3k + 1, so q^low, q^k and q^(3k+1) step by products
+    low_r, low_i, k_r, k_i = qr, qi, qr, qi
+    step_r, step_i = _mul(q3r, q3i, qr, qi, bits)
+    one = 1 << bits
+    total_r, total_i = one, 0
+    twice_r, twice_i = one, 0
+    more_twice = squared
+    k, low = 1, 1
+    while True:
+        # q^low (1 + q^k) as q^low + q^low q^k: the same integers as
+        # _mul(q^low, 1 + q^k), as 2^bits divides q^low 2^bits, from two
+        # short factors instead of a short and a full-width one
+        prod_r, prod_i = _mul(low_r, low_i, k_r, k_i, bits)
+        term_r, term_i = low_r + prod_r, low_i + prod_i
+        if k % 2:
+            total_r, total_i = total_r - term_r, total_i - term_i
+        else:
+            total_r, total_i = total_r + term_r, total_i + term_i
+        if more_twice:
+            l2r, l2i = _sq(low_r, low_i, bits)
+            prod_r, prod_i = _mul(l2r, l2i, *_sq(k_r, k_i, bits), bits)
+            if k % 2:
+                twice_r, twice_i = twice_r - l2r - prod_r, twice_i - l2i - prod_i
+            else:
+                twice_r, twice_i = twice_r + l2r + prod_r, twice_i + l2i + prod_i
+            more_twice = 2 * low * log_qabs >= cutoff
+        if low * log_qabs < cutoff:
+            break
+        low += 3 * k + 1
+        k += 1
+        low_r, low_i = _mul(low_r, low_i, step_r, step_i, bits)
+        k_r, k_i = _mul(k_r, k_i, qr, qi, bits)
+        step_r, step_i = _mul(step_r, step_i, q3r, q3i, bits)
+    return (total_r, total_i), ((twice_r, twice_i) if squared else None)
+
+
 def eta(tau, dps: Optional[int] = None,
         r: Optional[mpmath.mpc] = None) -> mpmath.mpc:
     """Dedekind eta, e(tau) = q^(1/24) * prod(1 - q^n) with q = exp(2*pi*i*tau).
@@ -160,48 +261,9 @@ def eta(tau, dps: Optional[int] = None,
         t = _to_tau(tau)
         if r is None:
             r = mpmath.expjpi(t / 12)
-        # log10 |q| as a machine float: only the term count and the
-        # stopping test read it
-        log_qabs = -2 * math.pi * float(t.imag) / math.log(10)
-        cutoff = -(digits + GUARD_DIGITS)
-        terms = math.isqrt(int(2 * cutoff / log_qabs) // 3 + 1) + 2
-        # k terms, each off by a few units per product taken, leave the
-        # sum off by O(k^2) units.  q = r^24 takes five products of
-        # numbers of modulus at most 1, each of which at most adds the
-        # errors it is given and floors one more unit per part: from r
-        # off by sqrt(2) units, r^2, r^4, r^8, r^16 are off by 3, 7, 15,
-        # 31 times that and q = r^16 r^8 by 47 sqrt(2) < 2^7 units, so 8
-        # bits cover it.  r^24 also magnifies the relative error of r
-        # 24-fold (of w, 216-fold for eta(3 tau)): about 8 bits, well
-        # inside the guard digits
-        bits = mpmath.mp.prec + 2 * terms.bit_length() + 8
-        rr, ri = to_gaussian(r, bits)
-        r2r, r2i = _mul(rr, ri, rr, ri, bits)
-        r4r, r4i = _mul(r2r, r2i, r2r, r2i, bits)
-        r8r, r8i = _mul(r4r, r4i, r4r, r4i, bits)
-        r16r, r16i = _mul(r8r, r8i, r8r, r8i, bits)
-        qr, qi = _mul(r16r, r16i, r8r, r8i, bits)
-        # 1 + sum_k (-1)^k (q^low + q^high), low = k(3k-1)/2, high = low + k;
-        # low(k+1) = low(k) + 3k + 1, so q^low, q^k and q^(3k+1) step by products
-        q3r, q3i = _mul(*_mul(qr, qi, qr, qi, bits), qr, qi, bits)
-        low_r, low_i, k_r, k_i = qr, qi, qr, qi
-        step_r, step_i = _mul(q3r, q3i, qr, qi, bits)
-        one = 1 << bits
-        total_r, total_i = one, 0
-        k, low = 1, 1
-        while True:
-            term_r, term_i = _mul(low_r, low_i, one + k_r, k_i, bits)
-            if k % 2:
-                total_r, total_i = total_r - term_r, total_i - term_i
-            else:
-                total_r, total_i = total_r + term_r, total_i + term_i
-            if low * log_qabs < cutoff:
-                break
-            low += 3 * k + 1
-            k += 1
-            low_r, low_i = _mul(low_r, low_i, step_r, step_i, bits)
-            k_r, k_i = _mul(k_r, k_i, qr, qi, bits)
-            step_r, step_i = _mul(step_r, step_i, q3r, q3i, bits)
+        log_qabs, cutoff, bits = _series_plan(t, digits)
+        qr, qi = _power24(*to_gaussian(r, bits), bits)
+        (total_r, total_i), _ = _pentagonal(qr, qi, bits, log_qabs, cutoff)
         return r * from_gaussian(total_r, total_i, bits)
 
 
@@ -310,17 +372,54 @@ def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:
 
 
 def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
-    """Klein's j, computed as (1 + 256 h)^3 / h with h = (eta(2 tau) / eta(tau))^24."""
+    """Klein's j = (1 + 256 h)^3 / h with h = (eta(2 tau) / eta(tau))^24.
+
+    With q = exp(2 pi i tau) and S the pentagonal sum, h = q X with
+    X = (S(q^2) / S(q))^24, and j = 1/h + 768 + 196608 h + 16777216 h^2.
+    One complex exponential, r = exp(pi i tau / 12), feeds it all; the
+    rest is integer arithmetic on Gaussian fixed point.
+    """
     digits = resolve_digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
-        # one exponential: q^(1/24) of eta(tau) is r, that of eta(2 tau) is r^2
-        r = mpmath.expjpi(t / 12)
-        # products, not **: mpmath takes high integer powers of a long
-        # complex number through exp and log
-        ratio = eta(2 * t, digits, r=r * r) / eta(t, digits, r=r)
-        for _ in range(3):
-            ratio *= ratio
-        h = ratio * ratio * ratio
-        u = 1 + 256 * h
-        return u * u * u / h
+        log_qabs, cutoff, bits = _series_plan(t, digits)
+        bits += 32
+        # |r| = 2^-x with x = pi Im tau / (12 ln 2), so r_s = r 2^s with
+        # s = floor(x) lies in (1/2, 1] and q_s = r_s^24 = q 2^(24 s) in
+        # (2^-24, 1]: fixed point keeps q_s to full relative precision,
+        # however small q is.  The exponential is taken at the fixed-point
+        # width, and 2^(24 s) is carried as a binary exponent
+        s = math.floor(math.pi * float(t.imag) / (12 * math.log(2)))
+        shift = 24 * s
+        with mpmath.workprec(bits + 8):
+            r = mpmath.expjpi(t / 12)
+        qsr, qsi = _power24(*to_gaussian(r, bits + s), bits)
+        once, twice = _pentagonal(qsr >> shift, qsi >> shift, bits, log_qabs,
+                                  cutoff, squared=True)
+        xr, xi = _power24(*_div(*twice, *once, bits), bits)
+        # p = q_s X = h 2^(24 s)
+        p_r, p_i = _mul(qsr, qsi, xr, xi, bits)
+        inv_r, inv_i = _div(1 << bits, 0, p_r, p_i, bits)
+        hr, hi = p_r >> shift, p_i >> shift
+        h2r, h2i = _sq(hr, hi, bits)
+        # Error, in units u = 2^-bits, for Im tau >= sqrt(3)/2 as at every
+        # reduced form's root (|q| < 0.005, so S(q) and S(q^2) lie within
+        # 0.01 of 1 and |X - 1| < 0.2):
+        # - r, taken at bits + 8, is floored with |r_s| > 1/2: under 3u
+        #   relative.  Each product floors once; the last of q_s, at a
+        #   modulus down to 2^-24, costs up to 2^24.5 u relative, so q_s
+        #   is off by under 2^25 u relative and q, floored once more, by
+        #   under 2^25 u |q| + 2u < 2^18 u absolute.
+        # - S(q) and S(q^2) are off by 2^18 u plus the O(k^2) units of
+        #   their k terms (covered by _series_plan's bits), the quotient
+        #   by a unit more, and X by under 27 times that plus 2^6 units:
+        #   2^23 u relative.
+        # - p = q_s X floors once more at a modulus down to 2^-25, so
+        #   1/h = 2^(24 s) / p and h = p 2^(-24 s) are off by under
+        #   2^27 u relative; 1/p, of modulus above 1/2, floors once more.
+        # The terms in h and h^2 stay under 2^11 in modulus, so j is off by
+        # under (|j| + 2^13) 2^27 u: the 32 bits above eta's keep j to the
+        # working precision, as eta is
+        return from_gaussian(
+            (inv_r << shift) + (768 << bits) + 196608 * hr + (h2r << 24),
+            (inv_i << shift) + 196608 * hi + (h2i << 24), bits)

@@ -25,6 +25,10 @@ class QuadForm:
     b: int
     c: int
 
+    def __post_init__(self) -> None:
+        for name in ("a", "b", "c"):
+            check_integer(getattr(self, name), f"form coefficient {name}")
+
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c

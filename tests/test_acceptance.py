@@ -31,11 +31,6 @@ from classinv.orders import (
     verify_generators,
 )
 from classinv.quadforms import class_number
-from classinv.selftest import (
-    check_eta_functional_equations,
-    check_rep_numeric,
-    check_word_reconstruction,
-)
 from classinv.sl2words import Mat2, decompose, lift_word, split_det
 
 from golden_data import (
@@ -178,10 +173,10 @@ def test_criterion_5_twisted_dual_action():
           negated and fixed)
 
 
-def test_criterion_6_property_suites(main_table_results):
-    words = check_word_reconstruction()
-    eta_eqs = check_eta_functional_equations()
-    rep_num = check_rep_numeric()
+def test_criterion_6_property_suites(main_table_results, selftest_results):
+    words = selftest_results["word-reconstruction"]
+    eta_eqs = selftest_results["eta-functional-equations"]
+    rep_num = selftest_results["rep-numeric-consistency"]
     monomial = all(
         is_monomial(record.rep) and math.gcd(record.det, 72) == 1
         for result in main_table_results.values()

@@ -8,6 +8,7 @@ each mirrored pair; the floating-point mpc expansion of all h values
 it replaced is kept here as the oracle it must agree with.
 """
 
+import math
 import re
 
 import mpmath
@@ -31,7 +32,13 @@ from classinv.classpoly import (
 )
 from classinv.cyclotomic import SQRT3
 from classinv.etarep import dense_conjugate_action, is_valid_n, unit_vector
-from classinv.numeval import GUARD_DIGITS, eta, j_invariant, ramanujan_value
+from classinv.numeval import (
+    GUARD_DIGITS,
+    eta,
+    j_invariant,
+    leading_exponent,
+    ramanujan_value,
+)
 from classinv.orders import _prime_factors
 from classinv.quadforms import (
     QuadForm,
@@ -482,6 +489,19 @@ def test_skipped_rung_would_not_have_rounded(monkeypatch):
     result = compute_ramanujan(1000019)
     assert rungs == [DEFAULT_DIGITS, 2 * DEFAULT_DIGITS]
     assert result.polynomial == expected
+
+
+def test_size_estimate_matches_leading_exponent():
+    # E, which picks the first rung, equals the sum over leading_exponent
+    # itself, bit for bit
+    for n in (107, 10019, 1000019):
+        forms = reduced_forms(-n)
+        terms = [classpoly._action_data(f)[2] for f in forms]
+        bits = math.pi * math.sqrt(n) / math.log(10)
+        expected = sum(max(0.0, e * math.log10(3) / 2
+                           - float(leading_exponent(index)) * bits / f.a)
+                       for f, (index, _, e) in zip(forms, terms))
+        assert classpoly._ramanujan_size(n, forms, terms) == expected
 
 
 def test_small_sizes_start_at_the_default_rung(monkeypatch):

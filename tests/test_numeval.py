@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import classinv.numeval as numeval
 from classinv.numeval import (
     ETA_QUOTIENTS,
+    GUARD_DIGITS,
     eta,
     from_gaussian,
     j_invariant,
@@ -174,6 +175,12 @@ _signed = st.integers(min_value=-(1 << 300), max_value=1 << 300)
 def test_three_product_mul_equals_four_product_formula(ar, ai, br, bi, bits):
     expected = (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
     assert numeval._mul(ar, ai, br, bi, bits) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed, _signed, st.integers(min_value=0, max_value=320))
+def test_two_product_square_equals_mul(ar, ai, bits):
+    assert numeval._sq(ar, ai, bits) == numeval._mul(ar, ai, ar, ai, bits)
 
 
 @pytest.mark.parametrize("digits", [500, 2000])
@@ -339,6 +346,19 @@ def test_j_matches_eisenstein_series(discriminant, digits):
             assert error < tol * max(1, abs(expected))
 
 
+def test_j_keeps_its_digits_far_up_the_half_plane():
+    # |j| is about 1/|q| = exp(600 pi), some 10^819, at Im tau = 300:
+    # q = exp(-600 pi) is below 2^-2700, so only its scaled copy
+    # q 2^(24 s) carries it, and 2^(24 s) must come back exactly
+    digits = 120
+    with mpmath.workdps(digits + 15):
+        tol = mpmath.mpf(10) ** -(digits - 5)
+        for tau in (mpmath.mpc(0, 300), mpmath.mpc("0.3", 300)):
+            expected = _j_eisenstein_oracle(tau, digits)
+            assert 818 < mpmath.log10(abs(expected)) < 820
+            assert abs(j_invariant(tau, digits) - expected) < tol * abs(expected)
+
+
 def test_j_trace_matches_hilbert_coefficient():
     # sum of j over the three class representatives of disc -107
     with mpmath.workdps(140):
@@ -377,10 +397,29 @@ def test_eta_runs_at_the_requested_digits(monkeypatch):
     monkeypatch.setattr(numeval, "eta", spy)
     tau = mpmath.mpc(0, 1)
     for evaluate in (lambda: r_value(2, tau, 60), lambda: r_vector(tau, 60),
-                     lambda: ramanujan_value(107, 60), lambda: j_invariant(tau, 60)):
+                     lambda: ramanujan_value(107, 60)):
         seen.clear()
         evaluate()
         assert seen and set(seen) == {60}
+
+
+def test_j_sums_to_the_requested_digits(monkeypatch):
+    # j sums S(q) and S(q^2) in one pass of the pentagonal kernel, not
+    # through eta, and to 60 + GUARD_DIGITS digits, not 70 + GUARD_DIGITS
+    cutoffs = []
+    pentagonal = numeval._pentagonal
+
+    def spy(qr, qi, bits, log_qabs, cutoff, squared=False):
+        cutoffs.append((cutoff, squared))
+        return pentagonal(qr, qi, bits, log_qabs, cutoff, squared)
+
+    def no_eta(*args, **kwargs):
+        raise AssertionError("j called eta")
+
+    monkeypatch.setattr(numeval, "_pentagonal", spy)
+    monkeypatch.setattr(numeval, "eta", no_eta)
+    j_invariant(mpmath.mpc(0, 1), 60)
+    assert cutoffs == [(-(60 + GUARD_DIGITS), True)]
 
 
 def test_default_precision_comes_from_context():

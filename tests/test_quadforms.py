@@ -6,6 +6,7 @@ reduction recovers the original.
 """
 
 import random
+import re
 
 import mpmath
 import pytest
@@ -136,6 +137,21 @@ def test_bad_discriminants_rejected():
             reduced_forms(disc)
         with pytest.raises(ValueError, match="not a negative discriminant"):
             principal_form(disc)
+
+
+@pytest.mark.parametrize("fields, name, value", [
+    ((1.5, 1, 3), "a", 1.5),
+    ((1.0, 1, 3), "a", 1.0),
+    ((1, True, 3), "b", True),
+    ((1, 1, "3"), "c", "3"),
+])
+def test_non_integer_form_coefficients_rejected(fields, name, value):
+    # refused where the form is made, by the coefficient's name: before,
+    # [1.5, 1, 3] was reduced and given a root, and conjugate_value of
+    # [1.0, 1, 3] reported an n the caller never passed
+    message = f"form coefficient {name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        QuadForm(*fields)
 
 
 def test_principal_form():
