@@ -14,12 +14,15 @@ its conjugate is the complex conjugate of the one of (a, b, c).  Only
 the forms with b >= 0 are evaluated, about h/2 of them; each form with
 b < 0 takes the conjugate of its mirror's value, and the ambiguous
 forms (b = 0, b = a or a = c), which are their own mirrors, give real
-values.  The expansion runs over the reals on plain integers: each
-value becomes a fixed-point number (``numeval.to_gaussian``) with as
-many fractional bits as the working digits, a real value enters as
-the linear factor t - v and a mirrored pair as the real quadratic
-t^2 - 2 Re(v) t + |v|^2, smallest first, and the rounding and its
-residual are exact integer operations.  The same expansion drives
+values.  Each conjugate is formed on integer pairs: the eta quotient,
+an exact binary fraction from ``numeval.r_value``, is read as a scaled
+pair and multiplied by z^k sqrt(3)^e as a fixed-point constant
+(``numeval.times_scalar``).  The expansion runs over the reals on plain
+integers: each value is a fixed-point pair with as many fractional bits
+as the working digits, a real value enters as the linear factor t - v
+and a mirrored pair as the real quadratic t^2 - 2 Re(v) t + |v|^2,
+smallest first, and the rounding and its residual are exact integer
+operations.  The same expansion drives
 Hilbert class polynomials from j-values, which serve as an independent
 cross-check of class numbers and precision handling.
 """
@@ -32,7 +35,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import dps_to_prec, mpf_neg
 
 from .cyclotomic import CycNum
 from .etarep import (
@@ -58,9 +61,8 @@ from .numeval import (
     r_value,
     ramanujan_value,
     resolve_digits,
-    sqrt_power,
+    times_scalar,
     to_gaussian,
-    zeta72,
 )
 from .quadforms import QuadForm, check_discriminant, form_root, reduced_forms
 from .sl2words import Mat2
@@ -240,12 +242,32 @@ def _ramanujan_size(n: int, forms: Sequence[QuadForm],
                for f, (index, _, e) in zip(forms, terms))
 
 
-def _conjugate_number(form: QuadForm, term: Term, digits: int) -> mpmath.mpc:
-    """z^k * sqrt(3)^e * F_index at the form's root."""
+Pair = Tuple[int, int]
+"""A Gaussian fixed-point pair at the expansion's bits (``_expansion_bits``)."""
+
+
+def _expansion_bits(digits: int) -> int:
+    """Fractional bits of the fixed-point expansion at ``digits``."""
+    return math.ceil(digits * math.log2(10)) + EXPANSION_GUARD_BITS
+
+
+def _conjugate_number(form: QuadForm, term: Term,
+                      digits: int) -> Tuple[Pair, mpmath.mpc]:
+    """z^k * sqrt(3)^e * F_index at the form's root: its pair at the
+    expansion's bits and its exact value.
+
+    The product is a scaled pair at the working precision's width
+    (``numeval.times_scalar``), so the value keeps its full relative
+    precision; the pair, a shift of it, is off by a unit more at the
+    expansion's bits.
+    """
     index, k, e = term
-    with mpmath.workdps(digits + GUARD_DIGITS):
-        scale = zeta72(k) * sqrt_power(3, e)
-        return scale * r_value(index, form_root(form, digits + GUARD_DIGITS), digits)
+    width = dps_to_prec(digits + GUARD_DIGITS)
+    vr, vi, s = times_scalar(
+        r_value(index, form_root(form, digits + GUARD_DIGITS), digits), k, e, width)
+    shift = width + s - _expansion_bits(digits)
+    pair = (vr >> shift, vi >> shift) if shift >= 0 else (vr << -shift, vi << -shift)
+    return pair, from_gaussian(vr, vi, width + s)
 
 
 def _record(form: QuadForm, data: Tuple[Monomial, int, Term],
@@ -271,7 +293,7 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
         raise ValueError(f"form {form} is not primitive and positive definite")
     digits = resolve_digits(dps)
     data = _action_data(form)
-    return _record(form, data, _conjugate_number(form, data[2], digits))
+    return _record(form, data, _conjugate_number(form, data[2], digits)[1])
 
 
 def _mirror_pairs(forms: Sequence[QuadForm]) -> Tuple[List[int], List[bool]]:
@@ -301,26 +323,26 @@ def _mirror_pairs(forms: Sequence[QuadForm]) -> Tuple[List[int], List[bool]]:
     return source, paired
 
 
-def _expand_and_round(values: Sequence[mpmath.mpc], paired: Sequence[bool],
+def _expand_and_round(values: Sequence[Pair], paired: Sequence[bool],
                       digits: int) -> Tuple[Tuple[int, ...], mpmath.mpf]:
     """Expand prod(t - v) over the reals and round to integers, reporting
     the worst error.
 
-    ``paired[i]`` says that ``values[i]`` stands for itself and its
-    complex conjugate, and contributes t^2 - 2 Re(v) t + |v|^2; any
-    other value is real and contributes t - Re(v).  The expansion runs
-    on fixed-point integers with as many fractional bits as ``digits``
-    decimal digits, plus a few.  Factors enter smallest first, so the
-    integers stay short for as long as possible.  The residual is the
-    largest distance of a coefficient from its nearest integer or of a
-    real value's imaginary part from 0.
+    Each value is a Gaussian fixed-point pair with
+    ``_expansion_bits(digits)`` fractional bits, as many as ``digits``
+    decimal digits, plus a few.  ``paired[i]`` says that ``values[i]``
+    stands for itself and its complex conjugate, and contributes
+    t^2 - 2 Re(v) t + |v|^2; any other value is real and contributes
+    t - Re(v).  Factors enter smallest first, so the integers stay short
+    for as long as possible.  The residual is the largest distance of a
+    coefficient from its nearest integer or of a real value's imaginary
+    part from 0.
     """
-    bits = math.ceil(digits * math.log2(10)) + EXPANSION_GUARD_BITS
+    bits = _expansion_bits(digits)
     # (size, s, p): the factor t + s when p is None, else t^2 + s t + p
     factors = []
     drift = 0
-    for value, pair in zip(values, paired):
-        vr, vi = to_gaussian(value, bits)
+    for (vr, vi), pair in zip(values, paired):
         size = max(abs(vr), abs(vi)).bit_length()
         if pair:
             factors.append((size, -2 * vr, (vr * vr + vi * vi) >> bits))
@@ -345,11 +367,13 @@ def _expand_and_round(values: Sequence[mpmath.mpc], paired: Sequence[bool],
 
 
 def _round_with_retries(
-    evaluate: Callable[[int], Sequence[mpmath.mpc]], paired: Sequence[bool],
-    digits: int, size: float,
+    evaluate: Callable[[int], Tuple[Sequence[Pair], Sequence[mpmath.mpc]]],
+    paired: Sequence[bool], digits: int, size: float,
 ) -> Tuple[Tuple[int, ...], mpmath.mpf, int, Sequence[mpmath.mpc]]:
     """Round the expanded product of the values ``evaluate(digits)``,
-    each standing for a mirrored pair where ``paired`` says so.
+    each standing for a mirrored pair where ``paired`` says so;
+    ``evaluate`` returns their pairs at ``_expansion_bits(digits)`` and
+    the values themselves.
 
     Digits double on each rounding failure, up to MAX_RETRIES times,
     before PrecisionError is raised.  A rung that the a-priori size
@@ -363,8 +387,8 @@ def _round_with_retries(
         if attempt < MAX_RETRIES and digits + SKIP_MARGIN_DIGITS <= size:
             digits *= 2
             continue
-        values = evaluate(digits)
-        rounded, residual = _expand_and_round(values, paired, digits)
+        pairs, values = evaluate(digits)
+        rounded, residual = _expand_and_round(pairs, paired, digits)
         if residual < RESIDUAL_TOLERANCE:
             return rounded, residual, digits, values
         digits *= 2
@@ -394,9 +418,9 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     size = _ramanujan_size(n, forms, [data[2] for data in actions])
     source, paired = _mirror_pairs(forms)
 
-    def evaluate(digits: int) -> List[mpmath.mpc]:
-        return [_conjugate_number(f, data[2], digits)
-                for f, data in zip(forms, actions) if f.b >= 0]
+    def evaluate(digits: int) -> Tuple[Sequence[Pair], Sequence[mpmath.mpc]]:
+        return tuple(zip(*(_conjugate_number(f, data[2], digits)
+                           for f, data in zip(forms, actions) if f.b >= 0)))
 
     rounded, residual, digits, values = _round_with_retries(
         evaluate, paired, digits, size)
@@ -465,9 +489,11 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     digits = check_digits(dps) if dps is not None else _hilbert_digits(size)
     _, paired = _mirror_pairs(forms)
 
-    def evaluate(digits: int) -> List[mpmath.mpc]:
-        return [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
-                for f in forms if f.b >= 0]
+    def evaluate(digits: int) -> Tuple[Sequence[Pair], Sequence[mpmath.mpc]]:
+        values = [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
+                  for f in forms if f.b >= 0]
+        bits = _expansion_bits(digits)
+        return [to_gaussian(v, bits) for v in values], values
 
     rounded, residual, digits, _ = _round_with_retries(evaluate, paired, digits, size)
     return PolynomialResult(

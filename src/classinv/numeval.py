@@ -1,7 +1,7 @@
 """Arbitrary-precision evaluation of eta products and class invariants.
 
-All functions take an optional integer digit count (at least 1) and run
-mpmath at that precision plus a fixed guard margin.  The Dedekind eta
+All functions take an optional integer digit count (at least 1) and
+work to that precision plus a fixed guard margin.  The Dedekind eta
 function is summed with the pentagonal number theorem, so the series is
 sparse: the number of terms needed grows with the square root of the
 target digits.  No term is a fresh power of q: the k-th pair of
@@ -11,11 +11,17 @@ complex number z is the integer pair (floor(Re z 2^B), floor(Im z 2^B))
 (``to_gaussian``, ``from_gaussian``), so each product is three integer
 multiplications and two shifts (the imaginary part is
 (ar + ai)(br + bi) - ar br - ai bi; a square takes two) instead of
-mpmath's floating-point object arithmetic.  q = r^24 is formed in the
-same fixed point from r = q^(1/24), and the term count is worked out in
-machine floats.  The prefactor r, which can be as small as 10^-170 at
-the CM points met here, multiplies the series total in mpmath floating
-point at the end.
+mpmath's floating-point object arithmetic.  The term count is worked
+out in machine floats.
+
+Numbers whose size varies, such as the prefactor r = q^(1/24), which
+can be as small as 10^-170 at the CM points met here, or a quotient as
+large as 10^75, are scaled pairs: (zr, zi, s) stands for
+(zr + i zi) 2^-(B + s), a Gaussian fixed-point number times a power of
+two, so they keep their full relative precision on plain integers
+(``_scaled``, ``_scaled_mul``).  eta splits r as 2^-s r_s with
+|r_s| in [1/4, 1), forms q = r_s^24 2^(-24 s) by products and a shift,
+and returns the exact binary fraction r_s S(q) 2^-s.
 ``classpoly`` expands its polynomials on the same integer pairs.
 
 Klein's j is the eta quotient (1 + 256 h)^3 / h with
@@ -28,13 +34,15 @@ j's one exponential is integer arithmetic on Gaussian fixed point.  j
 scales r by a power of two, so that q, which it divides by, keeps its
 full relative precision however far up the half-plane tau lies.
 
-Each evaluation point costs one complex exponential.  eta forms
-q = r^24 from its prefactor r = q^(1/24) by products, and takes r from
+Each evaluation point costs one complex exponential.  eta takes r from
 the caller when the caller has it: the quotients compute one
 w = exp(pi i tau / 36) and hand eta(3 tau) w^9, eta((tau + j)/3)
-w * zeta_72^j and eta(tau) w^3.  The exact roots zeta_72^k come from a
-table per working precision (``zeta72``), as do sqrt(3)^e and
-sqrt(|D|) (``sqrt_power``).
+w * zeta_72^j and eta(tau) w^3, all formed on scaled pairs; the
+quotient of the eta values is one more scaled product and a division.
+After the exponential no step of a quotient rounds in mpmath.  The
+exact roots zeta_72^k and sqrt(3)^e come from tables, per precision
+(``zeta72``, ``sqrt_power``) and, as fixed-point pairs, per width
+(``fixed_scalar``).
 
 The three eta((tau + j)/3) multiply to zeta_24 eta(tau)^4 / eta(3 tau),
 so F_3, F_4, F_5 are zeta_24 / F_1, zeta_24 / F_2, zeta_24 / F_0
@@ -49,10 +57,21 @@ import math
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import (
+    dps_to_prec,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul_int,
+    mpf_sign,
+    round_nearest,
+    to_fixed,
+)
 
 GUARD_DIGITS = 10
 """Extra working digits carried by every routine."""
@@ -86,7 +105,7 @@ def resolve_digits(dps: Optional[int]) -> int:
 
 def _to_tau(tau) -> mpmath.mpc:
     value = mpmath.mpmathify(tau)
-    if mpmath.im(value) <= 0:
+    if not isinstance(value, mpmath.mpc) or mpf_sign(value._mpc_[1]) <= 0:
         raise ValueError("not in upper half-plane")
     return value
 
@@ -107,6 +126,31 @@ def from_gaussian(re: int, im: int, bits: int) -> mpmath.mpc:
     return mpmath.mp.make_mpc((from_man_exp(re, -bits), from_man_exp(im, -bits)))
 
 
+Scaled = Tuple[int, int, int]
+"""A scaled pair (zr, zi, s): the complex number (zr + i zi) 2^-(bits + s)
+for the fixed-point bits in use."""
+
+
+def _binary_scale(z: mpmath.mpc) -> int:
+    """The s that puts the larger part of z 2^s in [1/4, 1/2), for z != 0;
+    then |z 2^s| lies in [1/4, 1/sqrt(2))."""
+    return -1 - max(exp + bc for _, man, exp, bc in z._mpc_ if man)
+
+
+def _scaled(z: mpmath.mpc, bits: int) -> Scaled:
+    """z as a scaled pair with s = ``_binary_scale(z)``, each part floored.
+
+    The larger part is at least 2^(bits - 2), so the floors cost under
+    sqrt(2) 2^(2 - bits) < 6 units of z's modulus: 6 units relative.
+    The pair is exact when z is a binary fraction with at most
+    bits + s fractional bits, as every value made by ``from_gaussian``
+    at those bits is.
+    """
+    s = _binary_scale(z)
+    re, im = z._mpc_
+    return to_fixed(re, bits + s), to_fixed(im, bits + s), s
+
+
 def zeta72(k: int) -> mpmath.mpc:
     """zeta_72^k = exp(pi*i*k/36) at the working precision, for 0 <= k < 72.
 
@@ -125,20 +169,38 @@ def _zeta72(k: int, prec: int) -> mpmath.mpc:
         return mpmath.expjpi(mpmath.mpf(k) / 36)
 
 
-def sqrt_power(m: int, e: int) -> mpmath.mpf:
-    """sqrt(m)^e at the working precision, for integers m > 0 and e.
-
-    Kept per (m, e, working precision), like ``zeta72``: the conjugates
-    of one polynomial share the scalars sqrt(3)^e, and the roots of its
-    forms share sqrt(|D|).
-    """
-    return _sqrt_power(m, e, mpmath.mp.prec)
-
-
 @lru_cache(maxsize=256)
-def _sqrt_power(m: int, e: int, prec: int) -> mpmath.mpf:
+def sqrt_power(m: int, e: int, prec: int) -> mpmath.mpf:
+    """sqrt(m)^e at ``prec`` bits, for integers m > 0 and e.
+
+    Kept per (m, e, prec), like ``zeta72``: the roots of one
+    discriminant's forms share sqrt(|D|), and the conjugate scalars
+    share sqrt(3)^e (``fixed_scalar``).
+    """
     with mpmath.workprec(prec):
         return mpmath.sqrt(m) ** e
+
+
+@lru_cache(maxsize=1024)
+def fixed_scalar(k: int, e: int, bits: int) -> Tuple[int, int]:
+    """zeta_72^k * sqrt(3)^e as a Gaussian fixed-point pair at ``bits``,
+    each part floored from a product taken 8 bits wider: off by under
+    1.01 units per part.  Kept per (k, e, bits), for 0 <= k < 72."""
+    with mpmath.workprec(bits + 8):
+        return to_gaussian(_zeta72(k, bits + 8) * sqrt_power(3, e, bits + 8), bits)
+
+
+def times_scalar(value: mpmath.mpc, k: int, e: int, bits: int) -> Scaled:
+    """zeta_72^k * sqrt(3)^e * value as a scaled pair at ``bits``.
+
+    In units of 2^-bits relative: the value, read as a scaled pair, is
+    off by under 6 units; the constant by under 1.01 units per part, so
+    by 1.5 units as |zeta_72^k sqrt(3)^e| >= 1 for e >= 0; the product,
+    of modulus at least 2^(bits - 2), floors once, under 6 units more.
+    So the result is off by the value's own error plus under 14 units.
+    """
+    vr, vi, s = _scaled(value, bits)
+    return (*_mul(vr, vi, *fixed_scalar(k, e, bits), bits), s)
 
 
 def _mul(ar: int, ai: int, br: int, bi: int, bits: int) -> Tuple[int, int]:
@@ -169,6 +231,21 @@ def _div(ar: int, ai: int, br: int, bi: int, bits: int) -> Tuple[int, int]:
             (((ar + ai) * (br - bi) - rr + ii) << bits) // norm)
 
 
+def _scaled_mul(a: Scaled, b: Scaled, bits: int) -> Scaled:
+    """Product of two scaled pairs, taken exactly and then floored to a
+    larger part in [2^(bits - 1), 2^bits): the floor costs under
+    sqrt(2) 2^(1 - bits) < 3 units relative.  Each factor's larger part
+    must be at least 2^(bits - 3) or so, as every scaled pair's here is,
+    so that the shift is to the right."""
+    ar, ai, sa = a
+    br, bi, sb = b
+    rr = ar * br
+    ii = ai * bi
+    pr, pi = rr - ii, (ar + ai) * (br + bi) - rr - ii
+    drop = max(abs(pr), abs(pi)).bit_length() - bits
+    return pr >> drop, pi >> drop, sa + sb + bits - drop
+
+
 def _power24(ar: int, ai: int, bits: int) -> Tuple[int, int]:
     """a^24 as a^16 a^8: four squarings and one product."""
     a2r, a2i = _sq(ar, ai, bits)
@@ -178,12 +255,13 @@ def _power24(ar: int, ai: int, bits: int) -> Tuple[int, int]:
     return _mul(a16r, a16i, a8r, a8i, bits)
 
 
-def _series_plan(t: mpmath.mpc, digits: int) -> Tuple[float, int, int]:
-    """log10 |q| at tau as a machine float, the cutoff -(digits +
-    GUARD_DIGITS) at which the pentagonal sum stops, and the fixed-point
-    bits it runs at (for the working precision).  Only the term count
-    and the stopping test read the float."""
-    log_qabs = -2 * math.pi * float(t.imag) / math.log(10)
+def _series_plan(im_tau: float, digits: int) -> Tuple[float, int, int]:
+    """log10 |q| at a tau with Im tau = ``im_tau`` as a machine float, the
+    cutoff -(digits + GUARD_DIGITS) at which the pentagonal sum stops,
+    and the fixed-point bits it runs at (those of the working precision
+    of digits + GUARD_DIGITS, plus a margin).  Only the term count and
+    the stopping test read the float."""
+    log_qabs = -2 * math.pi * im_tau / math.log(10)
     cutoff = -(digits + GUARD_DIGITS)
     terms = math.isqrt(int(2 * cutoff / log_qabs) // 3 + 1) + 2
     # k terms, each off by a few units per product taken, leave the sum
@@ -194,7 +272,8 @@ def _series_plan(t: mpmath.mpc, digits: int) -> Tuple[float, int, int]:
     # q = r^16 r^8 by 47 sqrt(2) < 2^7 units, so 8 bits cover it.  r^24
     # also magnifies the relative error of r 24-fold (of w, 216-fold for
     # eta(3 tau)): about 8 bits, well inside the guard digits
-    return log_qabs, cutoff, mpmath.mp.prec + 2 * terms.bit_length() + 8
+    return (log_qabs, cutoff,
+            dps_to_prec(digits + GUARD_DIGITS) + 2 * terms.bit_length() + 8)
 
 
 def _pentagonal(qr: int, qi: int, bits: int, log_qabs: float, cutoff: int,
@@ -251,20 +330,37 @@ def eta(tau, dps: Optional[int] = None,
         r: Optional[mpmath.mpc] = None) -> mpmath.mpc:
     """Dedekind eta, e(tau) = q^(1/24) * prod(1 - q^n) with q = exp(2*pi*i*tau).
 
-    ``r`` is q^(1/24) = exp(pi*i*tau/12), at the working precision, when
-    the caller has it already; otherwise eta computes it.  Either way
-    q = r^24 comes from fixed-point products, so eta makes at most one
-    exponential.
+    ``r`` is q^(1/24) = exp(pi*i*tau/12), when the caller has it
+    already; otherwise eta computes it.  Either way q = r^24 comes
+    from fixed-point products, so eta makes at most one exponential.
+    The result is an exact binary fraction, the same whatever the
+    ambient precision; with ``r`` given, tau is read only for the term
+    count.
     """
     digits = resolve_digits(dps)
-    with mpmath.workdps(digits + GUARD_DIGITS):
-        t = _to_tau(tau)
-        if r is None:
+    t = _to_tau(tau)
+    log_qabs, cutoff, bits = _series_plan(float(t.imag), digits)
+    if r is None:
+        with mpmath.workprec(bits):
             r = mpmath.expjpi(t / 12)
-        log_qabs, cutoff, bits = _series_plan(t, digits)
-        qr, qi = _power24(*to_gaussian(r, bits), bits)
-        (total_r, total_i), _ = _pentagonal(qr, qi, bits, log_qabs, cutoff)
-        return r * from_gaussian(total_r, total_i, bits)
+    elif not isinstance(r, mpmath.mpc):
+        r = mpmath.mp.make_mpc((mpmath.mpmathify(r)._mpf_, fzero))
+    # r = 2^-s r_s with |r_s| in [1/4, 1) (s = 0 when |r| is near 1, as
+    # |r| < 1 in the upper half-plane), so q = q_s 2^(-24 s) with
+    # q_s = r_s^24, a right shift, and eta = 2^-s r_s S(q).  In units
+    # u = 2^-bits: r_s is floored, off by under sqrt(2) u (6 u relative;
+    # about a unit more when eta takes the exponential itself); q_s by
+    # under 2^7 u (``_series_plan``) and q, shifted, by a unit more; S(q)
+    # by those plus the O(k^2) units of its k terms.  The last product
+    # floors once more, and |r_s| >= 1/4, |S(q)| > 1/2 at every tau met
+    # here (|q| < 0.17), so eta is off by under twice S(q)'s error plus
+    # 18 u, relative: a bit beyond S(q)'s, inside the guard digits
+    s = max(0, _binary_scale(r))
+    re, im = r._mpc_
+    rr, ri = to_fixed(re, bits + s), to_fixed(im, bits + s)
+    qr, qi = _power24(rr, ri, bits)
+    (sr, si), _ = _pentagonal(qr >> 24 * s, qi >> 24 * s, bits, log_qabs, cutoff)
+    return from_gaussian(*_mul(rr, ri, sr, si, bits), bits + s)
 
 
 EtaFactor = Tuple[int, int]
@@ -308,36 +404,106 @@ def reciprocal_partner(index: int) -> int:
     return next(i for i, row in enumerate(ETA_QUOTIENTS) if set(row) == rest)
 
 
-def _quotient_parts(tau, digits: int, factors) -> Tuple[dict, mpmath.mpc]:
-    """The eta factors named in ``factors`` and eta(tau)^2, all from one
-    exponential w = exp(pi*i*tau/36).  The q^(1/24) handed to eta is
-    w^3 for eta(tau), w^9 for eta(3 tau) and w * zeta_72^j for
-    eta((tau + j)/3)."""
+_EVALUATED_ROWS: Tuple[Tuple[int, bool], ...] = tuple(
+    (index, False) if (3, 0) in row else (reciprocal_partner(index), True)
+    for index, row in enumerate(ETA_QUOTIENTS))
+"""For each index, the row of ``ETA_QUOTIENTS`` that ``r_value``
+evaluates and whether it inverts it: F_index itself when it has the
+factor eta(3 tau), else zeta_72^3 over its ``reciprocal_partner``."""
+
+
+def _factor_point(t: mpmath.mpc, factor: EtaFactor, prec: int) -> mpmath.mpc:
+    """The point 3 tau or (tau + j)/3 of an eta factor, each part rounded
+    to ``prec`` bits; eta reads it only for its term count."""
+    scale, shift = factor
+    re, im = t._mpc_
+    if scale == 3:
+        return mpmath.mp.make_mpc((mpf_mul_int(re, 3, prec, round_nearest),
+                                   mpf_mul_int(im, 3, prec, round_nearest)))
+    three = from_int(3)
+    return mpmath.mp.make_mpc((
+        mpf_div(mpf_add(re, from_int(shift), prec, round_nearest), three, prec,
+                round_nearest),
+        mpf_div(im, three, prec, round_nearest)))
+
+
+def _eta_scaled(point, digits: int, root: Scaled, bits: int) -> Scaled:
+    """eta at ``point`` with q^(1/24) the scaled pair ``root``, handed to
+    eta exactly and read back as a scaled pair."""
+    rr, ri, s = root
+    return _scaled(eta(point, digits, r=from_gaussian(rr, ri, bits + s)), bits)
+
+
+def _quotients(tau, digits: int,
+               rows: Sequence[Tuple[int, bool]]) -> List[mpmath.mpc]:
+    """For each (row, inverted) of ``rows``, the quotient of that row of
+    ``ETA_QUOTIENTS`` at tau, or zeta_72^3 over it when ``inverted``, as
+    an exact binary fraction.
+
+    One exponential w = exp(pi*i*tau/36) feeds every eta factor: the
+    q^(1/24) handed to eta is w^3 for eta(tau), w^9 for eta(3 tau) and
+    w * zeta_72^j for eta((tau + j)/3).  Every step after it runs on
+    scaled pairs, so the result does not depend on the ambient precision.
+    """
     t = _to_tau(tau)
-    w = mpmath.expjpi(t / 36)
-    w3 = w * w * w
+    # the slow factors eta((tau + j)/3) take the most terms, and so the
+    # widest fixed point; the whole quotient runs at their width
+    bits = _series_plan(float(t.imag) / 3, digits)[2]
+    factors = sorted({f for row, _ in rows for f in ETA_QUOTIENTS[row]})
+    with mpmath.workprec(bits + 8):
+        w = mpmath.expjpi(t / 36)
+    points = [_factor_point(t, factor, bits + 8) for factor in factors]
+    # Error, in units u = 2^-bits relative:
+    # - w, for tau as given, is off by under 2^-8 (1 + pi |tau| / 36) u
+    #   (the exponential and tau/36 are taken 8 bits wider), under 1 u
+    #   for |tau| < 2900, and by 6 more once floored (``_scaled``): 7 u.
+    # - Each scaled product adds its factors' errors and 3 u: w^3 is off
+    #   by under 27 u, w^9 by 87 u, w zeta_72^j by 12 u (the root's floor
+    #   costs 1.5 u).
+    # - A root off by d moves eta's prefactor by d and S(q) by about
+    #   24 d |q S'(q) / S(q)|, under 7 d at |q| < 0.17: under 2^8 u over
+    #   the three eta values, the denominator counted twice.  Each eta
+    #   value is off by its own error besides (see ``eta``), and its
+    #   readback by at most 6 u more (none when eta ran at ``bits``).
+    # - The two products, the division (each part off by under a unit,
+    #   with |numerator / denominator| > 2^-1.5: 4 u) and, inverted, the
+    #   product with zeta_72^3 (3 u) add under 2^4 u.
+    # So F is off by its eta values' errors plus under 2^9 u: 9 bits,
+    # inside the 2 bitlen(terms) + 8 by which ``bits`` exceeds the
+    # working precision and the guard digits beyond it.
+    w1 = _scaled(w, bits)
+    w3 = _scaled_mul(_scaled_mul(w1, w1, bits), w1, bits)
     values = {}
-    for scale, shift in factors:
+    for (scale, shift), point in zip(factors, points):
         if scale == 3:
-            value = eta(3 * t, digits, r=w3 * w3 * w3)
+            root = _scaled_mul(_scaled_mul(w3, w3, bits), w3, bits)
         else:
-            value = eta((t + shift) / 3, digits, r=w * zeta72(shift))
-        values[scale, shift] = value
-    return values, eta(t, digits, r=w3) ** 2
+            root = _scaled_mul(w1, (*fixed_scalar(shift, 0, bits), 0), bits)
+        values[scale, shift] = _eta_scaled(point, digits, root, bits)
+    d = _eta_scaled(t, digits, w3, bits)
+    dr, di, ds = _scaled_mul(d, d, bits)
+    results = []
+    for row, inverted in rows:
+        nr, ni, ns = _scaled_mul(*(values[f] for f in ETA_QUOTIENTS[row]), bits)
+        if inverted:
+            qr, qi = _mul(*_div(dr, di, nr, ni, bits), *fixed_scalar(3, 0, bits), bits)
+            s = ds - ns
+        else:
+            qr, qi = _div(nr, ni, dr, di, bits)
+            s = ns - ds
+        results.append(from_gaussian(qr, qi, bits + s))
+    return results
 
 
 def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
     """All six eta quotients at tau, sharing the eta evaluations."""
     digits = resolve_digits(dps)
-    with mpmath.workdps(digits + GUARD_DIGITS):
-        factors, denom = _quotient_parts(tau, digits, set().union(*ETA_QUOTIENTS))
-        return tuple(
-            factors[f1] * factors[f2] / denom for f1, f2 in ETA_QUOTIENTS
-        )
+    rows = [(row, False) for row in range(len(ETA_QUOTIENTS))]
+    return tuple(_quotients(tau, digits, rows))
 
 
 def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
-    """One of the six eta quotients at tau.
+    """One of the six eta quotients at tau, as an exact binary fraction.
 
     A quotient without the factor eta(3 tau) is zeta_72^3 over its
     ``reciprocal_partner``, which has it: Im(3 tau) is nine times
@@ -347,13 +513,7 @@ def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
     digits = resolve_digits(dps)
     if not 0 <= index < len(ETA_QUOTIENTS):
         raise ValueError("index out of range")
-    with mpmath.workdps(digits + GUARD_DIGITS):
-        row = index if (3, 0) in ETA_QUOTIENTS[index] else reciprocal_partner(index)
-        f1, f2 = ETA_QUOTIENTS[row]
-        factors, denom = _quotient_parts(tau, digits, (f1, f2))
-        if row == index:
-            return factors[f1] * factors[f2] / denom
-        return zeta72(3) * denom / (factors[f1] * factors[f2])
+    return _quotients(tau, digits, [_EVALUATED_ROWS[index]])[0]
 
 
 def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:
@@ -382,7 +542,7 @@ def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
     digits = resolve_digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
-        log_qabs, cutoff, bits = _series_plan(t, digits)
+        log_qabs, cutoff, bits = _series_plan(float(t.imag), digits)
         bits += 32
         # |r| = 2^-x with x = pi Im tau / (12 ln 2), so r_s = r 2^s with
         # s = floor(x) lies in (1/2, 1] and q_s = r_s^24 = q 2^(24 s) in

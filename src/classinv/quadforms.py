@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List
 
 import mpmath
+from mpmath.libmp import dps_to_prec, from_int, mpf_div, round_nearest
 
 from .numeval import check_integer, resolve_digits, sqrt_power
 
@@ -113,6 +114,11 @@ def form_root(form: QuadForm, dps: int | None = None) -> mpmath.mpc:
     """The root of a*t^2 + b*t + c in the upper half-plane, at dps digits."""
     if not form.is_positive_definite():
         raise ValueError("not a positive definite form")
-    digits = resolve_digits(dps)
-    with mpmath.workdps(digits):
-        return (mpmath.mpf(-form.b) + sqrt_power(-form.discriminant, 1) * 1j) / (2 * form.a)
+    prec = dps_to_prec(resolve_digits(dps))
+    # -b / 2a and sqrt(|D|) / 2a, each rounded to nearest at the working
+    # precision of dps digits, with sqrt(|D|) from the per-precision table
+    two_a = from_int(2 * form.a)
+    return mpmath.mp.make_mpc((
+        mpf_div(from_int(-form.b), two_a, prec, round_nearest),
+        mpf_div(sqrt_power(-form.discriminant, 1, prec)._mpf_, two_a, prec,
+                round_nearest)))

@@ -10,6 +10,7 @@ it replaced is kept here as the oracle it must agree with.
 
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -38,6 +39,7 @@ from classinv.numeval import (
     j_invariant,
     leading_exponent,
     ramanujan_value,
+    to_gaussian,
 )
 from classinv.orders import _prime_factors
 from classinv.quadforms import (
@@ -81,9 +83,11 @@ def _expand_and_round_oracle(values, digits):
         return tuple(rounded), residual
 
 
-def _evaluated(forms, values):
-    """The values of the forms with b >= 0, the ones the library evaluates."""
-    return [v for f, v in zip(forms, values) if f.b >= 0]
+def _evaluated(forms, values, digits):
+    """The values of the forms with b >= 0, the ones the library
+    evaluates, as the pairs it expands at ``digits``."""
+    bits = classpoly._expansion_bits(digits)
+    return [to_gaussian(v, bits) for f, v in zip(forms, values) if f.b >= 0]
 
 
 def _assert_expansion_matches_oracle(forms, values, digits):
@@ -97,10 +101,10 @@ def _assert_expansion_matches_oracle(forms, values, digits):
     perturbed pair member, whose mirror keeps the unperturbed conjugate,
     fails both."""
     source, paired = _mirror_pairs(forms)
-    evaluated = _evaluated(forms, values)
-    rounded, residual = _expand_and_round(evaluated, paired, digits)
-    expected, _ = _expand_and_round_oracle(
-        classpoly._mirrored_values(forms, source, evaluated), digits)
+    rounded, residual = _expand_and_round(_evaluated(forms, values, digits),
+                                          paired, digits)
+    expected, _ = _expand_and_round_oracle(classpoly._mirrored_values(
+        forms, source, [v for f, v in zip(forms, values) if f.b >= 0]), digits)
     assert rounded == expected
     _, oracle_residual = _expand_and_round_oracle(values, digits)
     passed = residual < RESIDUAL_TOLERANCE
@@ -222,6 +226,22 @@ def test_conjugates_agree_with_the_dense_oracle(main_table_results):
                 assert moved == unit_vector(record.index, record.scalar)
                 scale = mpmath.expjpi(mpmath.mpf(record.k) / 36) * mpmath.sqrt(3) ** record.e
                 assert abs(record.scalar.embed(130) - scale) < mpmath.mpf("1e-125")
+
+
+def test_conjugates_keep_their_relative_precision():
+    # n = 1000019: t_n itself is about 10^-76 and the conjugate of
+    # (3, 1, 83335) about 10^25; each record agrees with t_n, or with the
+    # same conjugate at twice the digits, to 115 digits of its own size
+    forms = reduced_forms(-1000019)
+    with mpmath.workdps(260):
+        tol = mpmath.mpf(10) ** -115
+        principal = conjugate_value(forms[0], 120).value
+        assert mpmath.log10(abs(principal)) < -75
+        assert abs(principal - ramanujan_value(1000019, 240)) < tol * abs(principal)
+        large = conjugate_value(forms[1], 120)
+        assert large.index == 3 and mpmath.log10(abs(large.value)) > 25
+        finer = conjugate_value(forms[1], 240).value
+        assert abs(large.value - finer) < tol * abs(finer)
 
 
 def test_non_positive_precision_rejected():
@@ -353,6 +373,49 @@ def test_expansion_matches_oracle_on_j_values(discriminant):
     assert _assert_expansion_matches_oracle(*_j_values(discriminant))
 
 
+def _exact_expansion(values, paired, bits):
+    """The product of the factors the pairs stand for, in exact rationals:
+    the rounded ascending coefficients and the largest distance of a
+    coefficient from its integer or of a real value's imaginary part
+    from 0, both as the library defines them."""
+    coeffs = [Fraction(1)]
+    drift = Fraction(0)
+    for (vr, vi), pair in zip(values, paired):
+        re_v, im_v = Fraction(vr, 1 << bits), Fraction(vi, 1 << bits)
+        if pair:
+            factor = [re_v * re_v + im_v * im_v, -2 * re_v, Fraction(1)]
+        else:
+            factor = [-re_v, Fraction(1)]
+            drift = max(drift, abs(im_v))
+        product = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
+        for i, c in enumerate(coeffs):
+            for j, f in enumerate(factor):
+                product[i + j] += c * f
+        coeffs = product
+    rounded = tuple(math.floor(c + Fraction(1, 2)) for c in coeffs)
+    return rounded, max(drift, max(abs(c - r) for c, r in zip(coeffs, rounded)))
+
+
+@pytest.mark.parametrize("imaginary", ["1e-25", "1e-15"])
+def test_expansion_of_hand_made_pairs_matches_exact_rationals(imaginary):
+    # a real value just above 2 and the pair 1 +- i sqrt(2):
+    # (t - 2)(t^2 - 2t + 3) = t^3 - 4t^2 + 7t - 6; the real value's
+    # imaginary part, below or above the coefficients' distance to their
+    # integers (about 3e-20), decides the residual
+    digits = 30
+    bits = classpoly._expansion_bits(digits)
+    paired = [False, True]
+    with mpmath.workdps(60):
+        values = [to_gaussian(mpmath.mpc(2 + mpmath.mpf("1e-20"), imaginary), bits),
+                  to_gaussian(mpmath.mpc(1, mpmath.sqrt(2)), bits)]
+        rounded, residual = _expand_and_round(values, paired, digits)
+        expected, exact_residual = _exact_expansion(values, paired, bits)
+        assert rounded == expected == (-6, 7, -4, 1)
+        # the library floors each product: a few units of 2^-bits apart
+        units = int(mpmath.ldexp(residual, bits))
+        assert abs(units - exact_residual * (1 << bits)) < 16
+
+
 def test_expansion_rejects_non_integral_input():
     forms, values, digits = _j_values(-107)
     values[1] += mpmath.mpf(1) / 3
@@ -391,7 +454,7 @@ def test_expansion_keeps_the_imaginary_part_of_real_values(main_table_results):
                                            mpmath.mpc(0, "1e-5"))
     assert not _assert_expansion_matches_oracle(forms, values, digits)
     _, paired = _mirror_pairs(forms)
-    _, residual = _expand_and_round(_evaluated(forms, values), paired, digits)
+    _, residual = _expand_and_round(_evaluated(forms, values, digits), paired, digits)
     assert abs(residual - mpmath.mpf("1e-5")) < mpmath.mpf("1e-12")
 
 

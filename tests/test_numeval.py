@@ -155,6 +155,15 @@ def test_eta_matches_direct_product():
             assert abs(eta(tau, 120) - _eta_product_oracle(tau, 120)) < tol
 
 
+def test_eta_takes_a_real_r_as_the_complex_one():
+    # on the imaginary axis r = exp(-pi Im tau / 12) is real
+    tau = mpmath.mpc(0, 1)
+    with mpmath.workdps(80):
+        r = mpmath.exp(-mpmath.pi / 12)
+        assert eta(tau, 60, r=r) == eta(tau, 60, r=mpmath.mpc(r, 0))
+        assert eta(tau, 60, r=float(r)) == eta(tau, 60, r=mpmath.mpc(float(r), 0))
+
+
 def test_eta_where_r_is_below_one_fixed_point_unit():
     # |r| = exp(-pi 2000 / 12) is about 10^-227, far below 2^-bits at 120
     # digits: q rounds to 0, the series to 1, and eta returns r itself
@@ -220,6 +229,51 @@ def test_quotients_match_direct_products_at_high_precision():
                 assert abs(r_value(index, tau, digits) - expected) < tol, index
 
 
+def _extreme_roots(discriminant, dps):
+    """The roots of the a = 1 form and of a widest reduced form."""
+    forms = reduced_forms(discriminant)
+    return [form_root(forms[0], dps), form_root(max(forms, key=lambda f: f.a), dps)]
+
+
+@pytest.mark.parametrize("digits", [120, 240])
+def test_quotients_match_direct_products_at_the_extreme_forms(digits):
+    # at the a = 1 form of n = 1000019, Im tau is about 500: w^9 is about
+    # 10^-171, F_0..F_2 about 10^-76 and F_3..F_5 about 10^76, so each is
+    # checked to the requested digits relative to its own size
+    with mpmath.workdps(digits + 15):
+        tol = mpmath.mpf(10) ** -(digits - 5)
+        top, widest = _extreme_roots(-1000019, digits + 15)
+        assert -172 < mpmath.log10(abs(mpmath.expjpi(top / 4))) < -170
+        for tau in (top, widest):
+            for index in range(len(ETA_QUOTIENTS)):
+                expected = _quotient_oracle(index, tau, digits)
+                error = abs(r_value(index, tau, digits) - expected)
+                assert error < tol * abs(expected), (index, tau.real)
+        assert abs(r_value(0, top, digits)) < mpmath.mpf(10) ** -75
+        assert abs(r_value(3, top, digits)) > mpmath.mpf(10) ** 75
+
+
+def test_evaluation_is_independent_of_the_ambient_precision():
+    # eta, with or without r, the six quotients and r_vector return the
+    # same bits whatever the ambient precision around them
+    points = _extreme_roots(-10019, 80) + [mpmath.mpc("0.3", "0.29")]
+    with mpmath.workdps(80):
+        roots = [mpmath.expjpi(tau / 12) for tau in points]
+
+    def evaluate():
+        out = []
+        for tau, r in zip(points, roots):
+            out += [eta(tau, 60), eta(tau, 60, r=r), *r_vector(tau, 60)]
+            out += [r_value(index, tau, 60) for index in range(6)]
+        return [value._mpc_ for value in out]
+
+    with mpmath.workdps(15):
+        low = evaluate()
+    with mpmath.workdps(400):
+        high = evaluate()
+    assert low == high
+
+
 def test_one_complex_exponential_per_point(monkeypatch):
     complex_calls = []
     expjpi = mpmath.expjpi
@@ -266,7 +320,7 @@ def test_eta_functional_equations():
 
 
 def test_eta_rejects_lower_half_plane():
-    for tau in (mpmath.mpc(0, -1), mpmath.mpc(2, 0), 0.5):
+    for tau in (mpmath.mpc(0, -1), mpmath.mpc(2, 0), 0.5, mpmath.mpc(0, mpmath.nan)):
         with pytest.raises(ValueError, match="not in upper half-plane"):
             eta(tau)
 

@@ -186,3 +186,18 @@ def test_form_root_satisfies_form():
 def test_form_root_rejects_indefinite_forms():
     with pytest.raises(ValueError, match="not a positive definite form"):
         form_root(QuadForm(1, 5, 1))
+
+
+def test_form_root_is_the_correctly_rounded_root():
+    # each part is -b / 2a or sqrt(|D|) / 2a rounded to nearest at the
+    # working precision, bit for bit the root mpmath computes at dps
+    # digits, whatever the ambient precision
+    for ambient in (15, 400):
+        with mpmath.workdps(ambient):
+            for discriminant in (-107, -611, -10019):
+                for form in reduced_forms(discriminant):
+                    for dps in (15, 130, 250):
+                        with mpmath.workdps(dps):
+                            expected = (mpmath.mpf(-form.b)
+                                        + mpmath.sqrt(-discriminant) * 1j) / (2 * form.a)
+                        assert form_root(form, dps)._mpc_ == expected._mpc_
