@@ -11,20 +11,26 @@ t_n is real, so its minimal polynomial has real coefficients, and
 complex conjugation acts on the class group as inversion: the root of
 the mirror (a, -b, c) of a reduced form (a, b, c) is -conj(tau), and
 its conjugate is the complex conjugate of the one of (a, b, c).  Only
-the forms with b >= 0 are evaluated, about h/2 of them; each form with
-b < 0 takes the conjugate of its mirror's value, and the ambiguous
-forms (b = 0, b = a or a = c), which are their own mirrors, give real
-values.  Each conjugate is formed on integer pairs: the eta quotient,
-an exact binary fraction from ``numeval.r_value``, is read as a scaled
-pair and multiplied by z^k sqrt(3)^e as a fixed-point constant
-(``numeval.times_scalar``).  The expansion runs over the reals on plain
-integers: each value is a fixed-point pair with as many fractional bits
-as the working digits, a real value enters as the linear factor t - v
-and a mirrored pair as the real quadratic t^2 - 2 Re(v) t + |v|^2,
-smallest first, and the rounding and its residual are exact integer
-operations.  The same expansion drives
-Hilbert class polynomials from j-values, which serve as an independent
-cross-check of class numbers and precision handling.
+the forms with b >= 0 are evaluated, about h/2 of them, and only they
+get an exact action (``form_action``): each form with b < 0 takes its
+term (index, k, e) from its mirror's by the rule derived from the eta
+quotients (``etarep.mirror_term``) and the conjugate of its mirror's
+value, and the ambiguous forms (b = 0, b = a or a = c), which are their
+own mirrors, give real values.  Each conjugate is formed on integer
+pairs: the eta quotient, an exact binary fraction from
+``numeval.r_value``, is read as a scaled pair and multiplied by
+z^k sqrt(3)^e as a fixed-point constant (``numeval.times_scalar``).
+The expansion runs over the reals on plain integers: each value is a
+fixed-point pair with as many fractional bits as the working digits, a
+real value enters as the linear factor t - v and a mirrored pair as the
+real quadratic t^2 - 2 Re(v) t + |v|^2.  The factors, sorted by size,
+are dealt round-robin into one group per 40 values (one group below
+80); each group is swept smallest first, and the groups' products are
+joined pairwise, each join one Kronecker product of two packed
+integers.  The rounding and its residual are exact integer operations.
+The same expansion drives Hilbert class polynomials from j-values,
+which serve as an independent cross-check of class numbers and
+precision handling.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .etarep import (
     form_matrix_mod72,
     full_action,
     is_valid_n,
+    mirror_term,
     monomial_entry,
 )
 from .numeval import (
@@ -75,6 +82,11 @@ RESIDUAL_TOLERANCE = mpmath.mpf("1e-10")
 
 EXPANSION_GUARD_BITS = 8
 """Fractional bits of the fixed-point expansion beyond the requested digits."""
+
+GROUP_SIZE = 40
+"""The expansion sweeps m values in max(1, m // GROUP_SIZE) groups, whose
+products are then joined (``_expand_and_round``): below 80 values there
+is one group, a plain smallest-first sweep."""
 
 MAX_RETRIES = 3
 """Number of precision doublings attempted before giving up."""
@@ -167,18 +179,32 @@ class ConjugateRecord:
     The conjugate is scalar = z^k * sqrt(3)^e, z = exp(2*pi*i/72), times
     the eta quotient F_index at the form's root; (index, k, e) is where
     the integer action with determinant det sends sqrt(3) * F_2.  A form
-    with b < 0 keeps its own action data, but its value is the complex
-    conjugate of its mirror's.
+    with b < 0 takes its term from its mirror's by ``etarep.mirror_term``
+    and its value is the complex conjugate of its mirror's.  ``action``
+    and ``det`` are computed on first read, by ``form_action`` on the
+    record's own form, mirrors included.
     """
 
     form: QuadForm
-    det: int
-    action: Monomial
     index: int
     k: int
     e: int
     scalar: CycNum
     value: mpmath.mpc
+
+    @cached_property
+    def _form_action(self) -> Tuple[Monomial, int]:
+        return form_action(self.form)
+
+    @property
+    def action(self) -> Monomial:
+        """The form's integer action, computed on first read."""
+        return self._form_action[0]
+
+    @property
+    def det(self) -> int:
+        """The determinant d mod 72 of the form's matrix, computed on first read."""
+        return self._form_action[1]
 
     @cached_property
     def rep(self) -> RepMatrix:
@@ -219,11 +245,10 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def _action_data(form: QuadForm) -> Tuple[Monomial, int, Term]:
-    """The form's integer action, its determinant, and the term
-    (index, k, e) of the conjugate of sqrt(3) * F_2."""
-    action, det = form_action(form)
-    return action, det, conjugate_action(action, det, SQRT3_F2)
+def _action_data(form: QuadForm) -> Term:
+    """The term (index, k, e) of the conjugate of sqrt(3) * F_2, from the
+    form's exact integer action and its determinant."""
+    return conjugate_action(*form_action(form), SQRT3_F2)
 
 
 _LEADING_EXPONENTS = tuple(float(leading_exponent(index))
@@ -270,11 +295,10 @@ def _conjugate_number(form: QuadForm, term: Term,
     return pair, from_gaussian(vr, vi, width + s)
 
 
-def _record(form: QuadForm, data: Tuple[Monomial, int, Term],
-            value: mpmath.mpc) -> ConjugateRecord:
-    action, det, (index, k, e) = data
-    return ConjugateRecord(form=form, det=det, action=action, index=index, k=k,
-                           e=e, scalar=monomial_entry(k, e), value=value)
+def _record(form: QuadForm, term: Term, value: mpmath.mpc) -> ConjugateRecord:
+    index, k, e = term
+    return ConjugateRecord(form=form, index=index, k=k, e=e,
+                           scalar=monomial_entry(k, e), value=value)
 
 
 def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecord:
@@ -292,8 +316,8 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
     if not (form.is_primitive() and form.is_positive_definite()):
         raise ValueError(f"form {form} is not primitive and positive definite")
     digits = resolve_digits(dps)
-    data = _action_data(form)
-    return _record(form, data, _conjugate_number(form, data[2], digits)[1])
+    term = _action_data(form)
+    return _record(form, term, _conjugate_number(form, term, digits)[1])
 
 
 def _mirror_pairs(forms: Sequence[QuadForm]) -> Tuple[List[int], List[bool]]:
@@ -323,6 +347,64 @@ def _mirror_pairs(forms: Sequence[QuadForm]) -> Tuple[List[int], List[bool]]:
     return source, paired
 
 
+def _sweep(factors: Sequence[Tuple[int, int, Optional[int]]], bits: int) -> List[int]:
+    """The ascending fixed-point coefficients of the monic product of the
+    factors (size, s, p), t + s when p is None and t^2 + s t + p
+    otherwise, multiplied in one at a time in the order given.
+
+    Each step floors once per coefficient.  With sigma = s 2^-bits,
+    pi = p 2^-bits, a step turns an error of eps units (of 2^-bits) into
+    under (1 + |sigma| + |pi|) eps + |P| + 1 units, |P| the largest
+    coefficient so far (p itself is floored); so m factors are off by
+    under 2 m M units, M = prod(1 + |sigma| + |pi|)."""
+    coeffs = [1 << bits]
+    for _, s, p in factors:
+        if p is None:
+            coeffs = [a + ((s * b) >> bits)
+                      for a, b in zip([0] + coeffs, coeffs + [0])]
+        else:
+            coeffs = [a + ((s * b + p * c) >> bits)
+                      for a, b, c in zip([0, 0] + coeffs, [0] + coeffs + [0],
+                                         coeffs + [0, 0])]
+    return coeffs
+
+
+def _join(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
+    """The product of two fixed-point polynomials, by one Kronecker product.
+
+    Each signed coefficient is packed, plus a bias of 2^(w - 1), into a
+    w-bit slot of one integer, w a multiple of 8 and wide enough for every
+    coefficient of the exact product (under min(len) max|a| max|b|); the
+    bias of the packed slots is taken back off, the two integers are
+    multiplied, the bias is added to every slot of the product so that
+    none borrows, and the slots are read back and shifted right by bits.
+
+    Every coefficient is an exact sum of products floored once, so it is
+    off by under 1 unit from the product of a and b.  If a and b are off
+    by eps_a and eps_b units, with coefficient sums |a|_1 and |b|_1 in
+    value, the join is off by under |a|_1 eps_b + |b|_1 eps_a + 1 units,
+    plus min(len) eps_a eps_b 2^-bits: to first order what sweeping b's
+    factors into a would give, so joined groups keep the 2 m M bound of
+    ``_sweep`` plus a unit per join.
+    """
+    size = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (size + 7) // 8
+    bias = 1 << (8 * width - 1)
+    slot = bias.to_bytes(width, "little")
+
+    def pack(poly: Sequence[int]) -> int:
+        packed = b"".join((x + bias).to_bytes(width, "little") for x in poly)
+        return (int.from_bytes(packed, "little")
+                - int.from_bytes(slot * len(poly), "little"))
+
+    count = len(a) + len(b) - 1
+    product = pack(a) * pack(b) + int.from_bytes(slot * count, "little")
+    packed = product.to_bytes(width * count, "little")
+    return [(int.from_bytes(packed[i:i + width], "little") - bias) >> bits
+            for i in range(0, width * count, width)]
+
+
 def _expand_and_round(values: Sequence[Pair], paired: Sequence[bool],
                       digits: int) -> Tuple[Tuple[int, ...], mpmath.mpf]:
     """Expand prod(t - v) over the reals and round to integers, reporting
@@ -333,10 +415,12 @@ def _expand_and_round(values: Sequence[Pair], paired: Sequence[bool],
     decimal digits, plus a few.  ``paired[i]`` says that ``values[i]``
     stands for itself and its complex conjugate, and contributes
     t^2 - 2 Re(v) t + |v|^2; any other value is real and contributes
-    t - Re(v).  Factors enter smallest first, so the integers stay short
-    for as long as possible.  The residual is the largest distance of a
-    coefficient from its nearest integer or of a real value's imaginary
-    part from 0.
+    t - Re(v).  The factors, sorted by size, are dealt round-robin into
+    max(1, m // GROUP_SIZE) groups for m values; each group is swept
+    smallest first (``_sweep``), so the integers stay short for as long
+    as possible, and the groups' products are joined pairwise
+    (``_join``).  The residual is the largest distance of a coefficient
+    from its nearest integer or of a real value's imaginary part from 0.
     """
     bits = _expansion_bits(digits)
     # (size, s, p): the factor t + s when p is None, else t^2 + s t + p
@@ -350,16 +434,13 @@ def _expand_and_round(values: Sequence[Pair], paired: Sequence[bool],
             drift = max(drift, abs(vi))
             factors.append((size, -vr, None))
     factors.sort(key=lambda factor: factor[0])
-    # ascending coefficients of the monic product
-    coeffs = [1 << bits]
-    for _, s, p in factors:
-        if p is None:
-            coeffs = [a + ((s * b) >> bits)
-                      for a, b in zip([0] + coeffs, coeffs + [0])]
-        else:
-            coeffs = [a + ((s * b + p * c) >> bits)
-                      for a, b, c in zip([0, 0] + coeffs, [0] + coeffs + [0],
-                                         coeffs + [0, 0])]
+    groups = max(1, len(factors) // GROUP_SIZE)
+    # ascending coefficients of the monic product of each group
+    polys = [_sweep(factors[g::groups], bits) for g in range(groups)]
+    while len(polys) > 1:
+        polys = [_join(*polys[i:i + 2], bits) if i + 1 < len(polys) else polys[i]
+                 for i in range(0, len(polys), 2)]
+    coeffs = polys[0]
     half = 1 << (bits - 1)
     rounded = tuple((a + half) >> bits for a in coeffs)
     residual = max(drift, max(abs(a - (r << bits)) for a, r in zip(coeffs, rounded)))
@@ -404,23 +485,27 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     n must be positive and congruent to 11 mod 24.  Non-squarefree n is
     accepted (the caller may warn); precision doubles on rounding
     failure up to MAX_RETRIES times before PrecisionError is raised.
-    The exact actions are computed once, for every form; only the
-    evaluations, of the forms with b >= 0, repeat.  A rounded
-    polynomial that is not monic or whose constant term is not +-1
-    cannot be the minimal polynomial of a unit, and raises
-    PrecisionError as well.
+    The exact actions are computed once, for the forms with b >= 0 only:
+    each form with b < 0 takes its term from its mirror's
+    (``etarep.mirror_term``).  Only the evaluations, of the forms with
+    b >= 0, repeat.  A rounded polynomial that is not monic or whose
+    constant term is not +-1 cannot be the minimal polynomial of a unit,
+    and raises PrecisionError as well.
     """
     if not is_valid_n(n):
         raise ValueError(BAD_RESIDUE_MESSAGE)
     digits = check_digits(dps) if dps is not None else DEFAULT_DIGITS
     forms = reduced_forms(-n)
-    actions = [_action_data(f) for f in forms]
-    size = _ramanujan_size(n, forms, [data[2] for data in actions])
     source, paired = _mirror_pairs(forms)
+    evaluated = [f for f in forms if f.b >= 0]
+    own = [_action_data(f) for f in evaluated]
+    terms = [own[i] if f.b >= 0 else mirror_term(own[i])
+             for f, i in zip(forms, source)]
+    size = _ramanujan_size(n, forms, terms)
 
     def evaluate(digits: int) -> Tuple[Sequence[Pair], Sequence[mpmath.mpc]]:
-        return tuple(zip(*(_conjugate_number(f, data[2], digits)
-                           for f, data in zip(forms, actions) if f.b >= 0)))
+        return tuple(zip(*(_conjugate_number(f, term, digits)
+                           for f, term in zip(evaluated, own))))
 
     rounded, residual, digits, values = _round_with_retries(
         evaluate, paired, digits, size)
@@ -441,7 +526,7 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         max_residual=residual,
         size_estimate=size,
         conjugates=tuple(_record(*row) for row in
-                         zip(forms, actions, _mirrored_values(forms, source, values))),
+                         zip(forms, terms, _mirrored_values(forms, source, values))),
     )
 
 

@@ -35,7 +35,10 @@ column vector F of the six functions.  A function written as a
 coefficient vector a (meaning sum a_i F_i) therefore transforms by the
 transpose: precomposing with a word g_1 ... g_k sends a to
 (A_{g_1} ... A_{g_k})^t a.  On the hot path such a vector is a single
-scaled basis vector, stored as a ``Term`` (index, k, e).
+scaled basis vector, stored as a ``Term`` (index, k, e).  The term of
+the mirror (a, -b, c) of a form follows from the form's own by a fixed
+rule (``mirror_rule``, ``mirror_term``), derived once from the eta
+quotients, so the action of a mirror is never needed to find it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .cyclotomic import ORDER, SQRT3, CycNum
-from .numeval import check_integer
+from .numeval import ETA_QUOTIENTS, check_integer
 from .orders import generator_matrix, generators_for, unit_group
 from .quadforms import QuadForm
 from .sl2words import (Mat2, Word, crt72, crt_combine, decompose, form_matrix, lift_word,
@@ -316,6 +319,57 @@ def is_valid_n(n: int) -> bool:
 
 SQRT3_F2: Term = (2, 0, 1)
 """sqrt(3) * F_2, the function whose conjugates are the class invariants."""
+
+
+def mirror_rule() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The exact rule for the conjugate of a mirrored form, derived from
+    ``ETA_QUOTIENTS``.
+
+    eta has real q-coefficients and q^(1/24) = exp(pi i tau / 12), so
+    eta(-conj(tau)) = conj(eta(tau)), and likewise for eta(3 tau).  For
+    a factor eta((tau + j)/3), (-conj(tau) + j)/3 = -conj((tau + j')/3)
+    + m with j' = (3 - j) mod 3 and m = (j + j')/3, and
+    eta(x + m) = zeta_24^m eta(x), so that factor at -conj(tau) is
+    z^(3m) conj(eta((tau + j')/3)), z = zeta_72.  Hence
+    F_i(-conj(tau)) = z^(d_i) conj(F_s(i)(tau)) for a permutation s.
+    The root of the mirror (a, -b, c) of a form is -conj(tau), so if
+    the conjugate of the form is z^k sqrt(3)^e F_i(tau), the one of
+    its mirror, the complex conjugate, is
+    z^(c_i - k) sqrt(3)^e F_perm(i)(-conj(tau)), with perm the inverse
+    of s and c_i = -d_perm(i) mod 72.  Returns (perm, c).
+    """
+    d, s = [], []
+    for factors in ETA_QUOTIENTS:
+        mirrored, m = [], 0
+        for scale, shift in factors:
+            if scale == 3:
+                mirrored.append((scale, shift))
+            else:
+                partner = (3 - shift) % 3
+                mirrored.append((scale, partner))
+                m += (shift + partner) // 3
+        # a quotient is the same function whichever factor comes first
+        s.append(next(i for i, row in enumerate(ETA_QUOTIENTS)
+                      if sorted(row) == sorted(mirrored)))
+        d.append(3 * m)
+    perm = [0] * len(s)
+    for i, j in enumerate(s):
+        perm[j] = i
+    return tuple(perm), tuple(-d[perm[i]] % ORDER for i in range(len(perm)))
+
+
+MIRROR_RULE = mirror_rule()
+"""(perm, c) of ``mirror_rule``, derived once: (0, 2, 1, 4, 3, 5) and
+(0, 69, 69, 69, 69, 66)."""
+
+
+def mirror_term(term: Term) -> Term:
+    """The conjugate term of the mirror (a, -b, c) of a form whose
+    conjugate term is ``term``: (perm[i], c_i - k mod 72, e) by
+    ``MIRROR_RULE``, with no action computed."""
+    perm, c = MIRROR_RULE
+    index, k, e = term
+    return perm[index], (c[index] - k) % ORDER, e
 
 
 def _sqrt3_sign(d: int) -> int:

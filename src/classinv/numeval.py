@@ -62,11 +62,14 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath
 from mpmath.libmp import (
     dps_to_prec,
+    fone,
     from_int,
     from_man_exp,
     fzero,
     mpf_add,
     mpf_div,
+    mpf_lt,
+    mpf_mul,
     mpf_mul_int,
     mpf_sign,
     round_nearest,
@@ -326,6 +329,24 @@ def _pentagonal(qr: int, qi: int, bits: int, log_qabs: float, cutoff: int,
     return (total_r, total_i), ((twice_r, twice_i) if squared else None)
 
 
+def _check_r(r) -> mpmath.mpc:
+    """r as an mpc (a real r taken as r + 0i); a ValueError naming it
+    unless 0 < |r| < 1, as every q^(1/24) with Im tau > 0 is.  The test
+    is exact."""
+    value = mpmath.mpmathify(r)
+    if not isinstance(value, mpmath.mpc):
+        value = mpmath.mp.make_mpc((value._mpf_, fzero))
+    re, im = value._mpc_
+    # (sign, man, exp, bc) is man 2^exp with man < 2^bc: two nonzero
+    # finite parts below 1/2 put |r| in (0, 1/sqrt(2)) at once
+    if re[1] and im[1] and re[2] + re[3] < 0 and im[2] + im[3] < 0:
+        return value
+    norm = mpf_add(mpf_mul(re, re), mpf_mul(im, im))
+    if not mpf_lt(fzero, norm) or not mpf_lt(norm, fone):
+        raise ValueError(f"r = q^(1/24) must have 0 < |r| < 1, got {r!r}")
+    return value
+
+
 def eta(tau, dps: Optional[int] = None,
         r: Optional[mpmath.mpc] = None) -> mpmath.mpc:
     """Dedekind eta, e(tau) = q^(1/24) * prod(1 - q^n) with q = exp(2*pi*i*tau).
@@ -335,7 +356,8 @@ def eta(tau, dps: Optional[int] = None,
     from fixed-point products, so eta makes at most one exponential.
     The result is an exact binary fraction, the same whatever the
     ambient precision; with ``r`` given, tau is read only for the term
-    count.
+    count.  A given ``r`` of 0 or of modulus at least 1 cannot be
+    q^(1/24) for any tau in the upper half-plane, and raises ValueError.
     """
     digits = resolve_digits(dps)
     t = _to_tau(tau)
@@ -343,8 +365,8 @@ def eta(tau, dps: Optional[int] = None,
     if r is None:
         with mpmath.workprec(bits):
             r = mpmath.expjpi(t / 12)
-    elif not isinstance(r, mpmath.mpc):
-        r = mpmath.mp.make_mpc((mpmath.mpmathify(r)._mpf_, fzero))
+    else:
+        r = _check_r(r)
     # r = 2^-s r_s with |r_s| in [1/4, 1) (s = 0 when |r| is near 1, as
     # |r| < 1 in the upper half-plane), so q = q_s 2^(-24 s) with
     # q_s = r_s^24, a right shift, and eta = 2^-s r_s S(q).  In units
@@ -511,6 +533,7 @@ def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
     one slow eta((tau + j)/3) series is summed per point.
     """
     digits = resolve_digits(dps)
+    index = check_integer(index, "index")
     if not 0 <= index < len(ETA_QUOTIENTS):
         raise ValueError("index out of range")
     return _quotients(tau, digits, [_EVALUATED_ROWS[index]])[0]

@@ -87,20 +87,16 @@ def reduced_forms(discriminant: int) -> List[QuadForm]:
     """
     discriminant = check_discriminant(discriminant)
     forms: List[QuadForm] = []
-    b = discriminant & 1  # b must match the parity of the discriminant
-    while 3 * b * b <= -discriminant:
+    # b matches the parity of the discriminant, and 3 b^2 <= -D
+    for b in range(discriminant & 1, math.isqrt(-discriminant // 3) + 1, 2):
         m = (b * b - discriminant) // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
-                f = QuadForm(a, b, c)
-                if f.is_primitive():
-                    forms.append(f)
-                    if 0 < b < a < c:
-                        forms.append(QuadForm(a, -b, c))
-            a += 1
-        b += 2
+        # a runs over the divisors of m = ac with b <= a <= c
+        for a in [a for a in range(max(b, 1), math.isqrt(m) + 1) if m % a == 0]:
+            c = m // a
+            if math.gcd(a, b, c) == 1:
+                forms.append(QuadForm(a, b, c))
+                if 0 < b < a < c:
+                    forms.append(QuadForm(a, -b, c))
     forms.sort(key=lambda f: (f.a, abs(f.b), -f.b))
     return forms
 

@@ -7,7 +7,8 @@ numeric eta evaluation, the Galois permutation matrices against exact
 q-expansions, the integer monomial encoding of the hot path against
 the dense cyclotomic matrices, and the exact action of each mirrored
 form (a, -b, c) against the complex conjugation rule derived from the
-eta quotients.
+eta quotients, the one ``compute_ramanujan`` applies
+(``etarep.mirror_term``).
 Every suite has one fixed configuration (the constants below), which
 ``classinv selftest`` and the test suite both run through ``run_all``.
 """
@@ -20,12 +21,13 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import mpmath
 
 from .cyclotomic import GALOIS_EXPONENTS, CycNum
 from .etarep import (
+    MIRROR_RULE,
     MONOMIAL_S,
     MONOMIAL_T,
     SQRT3_F2,
@@ -35,6 +37,7 @@ from .etarep import (
     dual_action,
     form_action,
     full_action,
+    mirror_term,
     monomial_action,
     monomial_dual_action,
     monomial_entry,
@@ -44,7 +47,7 @@ from .etarep import (
     rep_t,
     unit_vector,
 )
-from .numeval import ETA_QUOTIENTS, GUARD_DIGITS, eta, r_vector, r_value
+from .numeval import GUARD_DIGITS, eta, r_vector, r_value
 from .qseries import r_series
 from .quadforms import QuadForm, reduced_forms
 from .sl2words import (
@@ -266,43 +269,6 @@ def check_monomial_oracle() -> CheckResult:
     )
 
 
-def mirror_rule() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The exact rule for the conjugate of a mirrored form, derived from
-    ``ETA_QUOTIENTS``.
-
-    eta has real q-coefficients and q^(1/24) = exp(pi i tau / 12), so
-    eta(-conj(tau)) = conj(eta(tau)), and likewise for eta(3 tau).  For
-    a factor eta((tau + j)/3), (-conj(tau) + j)/3 = -conj((tau + j')/3)
-    + m with j' = (3 - j) mod 3 and m = (j + j')/3, and
-    eta(x + m) = zeta_24^m eta(x), so that factor at -conj(tau) is
-    z^(3m) conj(eta((tau + j')/3)), z = zeta_72.  Hence
-    F_i(-conj(tau)) = z^(d_i) conj(F_s(i)(tau)) for a permutation s.
-    The root of the mirror (a, -b, c) of a form is -conj(tau), so if
-    the conjugate of the form is z^k sqrt(3)^e F_i(tau), the one of
-    its mirror, the complex conjugate, is
-    z^(c_i - k) sqrt(3)^e F_perm(i)(-conj(tau)), with perm the inverse
-    of s and c_i = -d_perm(i) mod 72.  Returns (perm, c).
-    """
-    d, s = [], []
-    for factors in ETA_QUOTIENTS:
-        mirrored, m = [], 0
-        for scale, shift in factors:
-            if scale == 3:
-                mirrored.append((scale, shift))
-            else:
-                partner = (3 - shift) % 3
-                mirrored.append((scale, partner))
-                m += (shift + partner) // 3
-        # a quotient is the same function whichever factor comes first
-        s.append(next(i for i, row in enumerate(ETA_QUOTIENTS)
-                      if sorted(row) == sorted(mirrored)))
-        d.append(3 * m)
-    perm = [0] * len(s)
-    for i, j in enumerate(s):
-        perm[j] = i
-    return tuple(perm), tuple(-d[perm[i]] % 72 for i in range(len(perm)))
-
-
 def _conjugate_term(form: QuadForm) -> Term:
     return conjugate_action(*form_action(form), SQRT3_F2)
 
@@ -312,14 +278,15 @@ def _is_ambiguous(form: QuadForm) -> bool:
 
 
 def check_mirror_rule(ns: Sequence[int] = MIRROR_RULE_NS) -> CheckResult:
-    """Every mirrored pair of reduced forms against ``mirror_rule``.
+    """Every mirrored pair of reduced forms against ``etarep.mirror_term``,
+    the rule ``compute_ramanujan`` applies in place of a mirror's action.
 
     For each n the forms with b < 0 must be exactly the mirrors
     (a, -b, c) of the forms with b > 0 that are not ambiguous, and the
     exact conjugate term of each mirror must be the rule applied to the
     term of its partner.
     """
-    perm, c = mirror_rule()
+    perm, c = MIRROR_RULE
     failures = []
     pairs = 0
     for n in ns:
@@ -330,9 +297,9 @@ def check_mirror_rule(ns: Sequence[int] = MIRROR_RULE_NS) -> CheckResult:
         if negative != mirrors:
             failures.append(f"n={n} forms")
         for mirror in sorted(mirrors & negative):
-            index, k, e = _conjugate_term(QuadForm(mirror.a, -mirror.b, mirror.c))
+            partner = _conjugate_term(QuadForm(mirror.a, -mirror.b, mirror.c))
             pairs += 1
-            if _conjugate_term(mirror) != (perm[index], (c[index] - k) % 72, e):
+            if _conjugate_term(mirror) != mirror_term(partner):
                 failures.append(f"n={n} {mirror}")
     return CheckResult(
         "mirror-rule",

@@ -9,6 +9,7 @@ it replaced is kept here as the oracle it must agree with.
 """
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -32,7 +33,15 @@ from classinv.classpoly import (
     verify_polynomial,
 )
 from classinv.cyclotomic import SQRT3
-from classinv.etarep import dense_conjugate_action, is_valid_n, unit_vector
+from classinv.etarep import (
+    SQRT3_F2,
+    conjugate_action,
+    dense_conjugate_action,
+    form_action,
+    is_valid_n,
+    mirror_rule,
+    unit_vector,
+)
 from classinv.numeval import (
     GUARD_DIGITS,
     eta,
@@ -49,7 +58,7 @@ from classinv.quadforms import (
     principal_form,
     reduced_forms,
 )
-from classinv.selftest import MIRROR_RULE_NS, check_mirror_rule, mirror_rule
+from classinv.selftest import MIRROR_RULE_NS, check_mirror_rule
 
 from golden_data import (
     HILBERT_11,
@@ -377,23 +386,30 @@ def _exact_expansion(values, paired, bits):
     """The product of the factors the pairs stand for, in exact rationals:
     the rounded ascending coefficients and the largest distance of a
     coefficient from its integer or of a real value's imaginary part
-    from 0, both as the library defines them."""
-    coeffs = [Fraction(1)]
-    drift = Fraction(0)
+    from 0, both as the library defines them.
+
+    With v = (vr + i vi) / 2^bits, the coefficient of t^k of a product of
+    degree d is kept as the integer N_k over 2^(bits (d - k)); a factor
+    t - v then maps N_k to N_(k-1) - vr N_k, and t^2 - 2 Re(v) t + |v|^2
+    to N_(k-2) - 2 vr N_(k-1) + (vr^2 + vi^2) N_k, exactly."""
+    numerators = [1]
+    drift = 0
     for (vr, vi), pair in zip(values, paired):
-        re_v, im_v = Fraction(vr, 1 << bits), Fraction(vi, 1 << bits)
         if pair:
-            factor = [re_v * re_v + im_v * im_v, -2 * re_v, Fraction(1)]
+            factor = [vr * vr + vi * vi, -2 * vr, 1]
         else:
-            factor = [-re_v, Fraction(1)]
-            drift = max(drift, abs(im_v))
-        product = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
-        for i, c in enumerate(coeffs):
+            factor = [-vr, 1]
+            drift = max(drift, abs(vi))
+        product = [0] * (len(numerators) + len(factor) - 1)
+        for i, c in enumerate(numerators):
             for j, f in enumerate(factor):
                 product[i + j] += c * f
-        coeffs = product
+        numerators = product
+    degree = len(numerators) - 1
+    coeffs = [Fraction(c, 1 << bits * (degree - k)) for k, c in enumerate(numerators)]
     rounded = tuple(math.floor(c + Fraction(1, 2)) for c in coeffs)
-    return rounded, max(drift, max(abs(c - r) for c, r in zip(coeffs, rounded)))
+    return rounded, max(Fraction(drift, 1 << bits),
+                        max(abs(c - r) for c, r in zip(coeffs, rounded)))
 
 
 @pytest.mark.parametrize("imaginary", ["1e-25", "1e-15"])
@@ -414,6 +430,93 @@ def test_expansion_of_hand_made_pairs_matches_exact_rationals(imaginary):
         # the library floors each product: a few units of 2^-bits apart
         units = int(mpmath.ldexp(residual, bits))
         assert abs(units - exact_residual * (1 << bits)) < 16
+
+
+def _hand_made(count, bits, high, low, rng):
+    """``count`` Gaussian pairs at ``bits`` and their pair flags: first a
+    negative real value of size 2^high, then a pair of size 2^low, the
+    real value 0, a pure imaginary pair, a real pair, a real value with
+    an imaginary part of 3 units, and then random values of either sign
+    in each part, of sizes 2^-6 to 2, about a quarter of them pairs;
+    shuffled, so that sizes are mixed in the input."""
+    def part(size):
+        mantissa = rng.getrandbits(60) | 1 << 59
+        shift = bits + size - 60
+        value = mantissa << shift if shift >= 0 else mantissa >> -shift
+        return value if rng.random() < 0.5 else -value
+
+    special = [((-abs(part(high)), 0), False), ((part(low), -abs(part(low))), True),
+               ((0, 0), False), ((0, part(0)), True), ((part(1), 0), True),
+               ((part(-1), 3), False)]
+    made = special[:count]
+    while len(made) < count:
+        made.append(((part(rng.randint(-6, 1)), part(rng.randint(-6, 1))),
+                     rng.random() < 0.25))
+    rng.shuffle(made)
+    return [v for v, _ in made], [p for _, p in made]
+
+
+def _expansion_error_bound(values, paired, bits):
+    """The bound ``_sweep`` and ``_join`` state for m values, in units of
+    2^-bits: 2 m M plus a unit per join, M = prod(1 + |sigma| + |pi|)
+    over the factors t + sigma and t^2 + sigma t + pi, as a float."""
+    log_m = 0.0
+    for (vr, vi), pair in zip(values, paired):
+        if pair:
+            log_m += math.log2((1 << 2 * bits) + (abs(vr) << bits + 1) + vr * vr + vi * vi) - 2 * bits
+        else:
+            log_m += math.log2((1 << bits) + abs(vr)) - bits
+    return 2 * len(values) * 2.0 ** log_m + len(values)
+
+
+@pytest.mark.parametrize("count, digits, high, low", [
+    (1, 240, 600, -600),
+    (79, 240, 600, -600),
+    (80, 240, 600, -600),
+    (81, 240, 600, -600),
+    (160, 60, 40, -120),
+    (172, 60, 40, -120),
+])
+def test_grouped_expansion_matches_exact_rationals(monkeypatch, count, digits, high, low):
+    # below 80 values one group is swept; from 80, count // 40 groups are
+    # joined pairwise, groups - 1 joins; the rounded coefficients are the
+    # exact ones, and the residual is within the stated error of the
+    # exact residual
+    joins = []
+    join = classpoly._join
+    monkeypatch.setattr(classpoly, "_join", lambda *args: joins.append(1) or join(*args))
+    bits = classpoly._expansion_bits(digits)
+    values, paired = _hand_made(count, bits, high, low, random.Random(count))
+    rounded, residual = _expand_and_round(values, paired, digits)
+    assert len(joins) == max(1, count // classpoly.GROUP_SIZE) - 1
+    expected, exact_residual = _exact_expansion(values, paired, bits)
+    assert rounded == expected
+    bound = _expansion_error_bound(values, paired, bits)
+    assert math.log2(bound) < bits - 40  # far from deciding any rounding
+    units = int(mpmath.ldexp(residual, bits))
+    assert abs(units - exact_residual * (1 << bits)) <= bound
+
+
+def test_join_unpacks_signed_coefficients():
+    bits = 20
+    cases = [
+        # every coefficient of the product negative, at very different sizes
+        ([-(1 << 300) + 7, -1, -(1 << 40), -5], [3, 1 << 200, 9, 1]),
+        ([-1] * 41, [-(1 << 64) + 1] * 40),
+        # coefficients near the slot limit: 60 (2^100 - 1)(2^101 - 1) is
+        # above 2^206 in 208-bit slots, and 60 (2^100 - 1)(2^99 - 1) needs
+        # the bits for the 60 terms beyond 2^100 2^99
+        ([-(1 << 100) + 1] * 60, [(1 << 101) - 1] * 60),
+        ([-(1 << 100) + 1] * 60, [(1 << 99) - 1] * 60),
+        ([-(1 << 100)] * 3, [-(1 << 100)] * 3),
+        ([0, -3, 0, 1 << 90], [-(1 << 90), 0, 5]),
+        ([-1], [-1]),
+    ]
+    for a, b in cases:
+        exact = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+                 for k in range(len(a) + len(b) - 1)]
+        assert classpoly._join(a, b, bits) == [c >> bits for c in exact]
+    assert all(c < 0 for c in classpoly._join(*cases[0], 0))
 
 
 def test_expansion_rejects_non_integral_input():
@@ -517,6 +620,34 @@ def test_one_evaluation_per_mirrored_pair(monkeypatch):
     assert len(calls) == 31
 
 
+def test_form_action_runs_once_per_form_with_b_at_least_0(monkeypatch):
+    # a form with b < 0 takes its term from its mirror's by the rule
+    seen = []
+    original = classpoly.form_action
+    monkeypatch.setattr(classpoly, "form_action",
+                        lambda form: seen.append(form) or original(form))
+    for n in (107, 10019, 100019):
+        seen.clear()
+        compute_ramanujan(n)
+        own = [f for f in reduced_forms(-n) if f.b >= 0]
+        assert sorted(seen) == sorted(own) and len(set(seen)) == len(own), n
+
+
+def test_every_term_is_its_own_exact_action(main_table_results):
+    # the mirrors' terms, taken by the rule, against the exact action of
+    # each record's own form, for the table and the three large n
+    results = [*main_table_results.values(),
+               *(compute_ramanujan(n) for n in (10019, 100019, 1000019))]
+    for result in results:
+        for record in result.conjugates:
+            exact = conjugate_action(*form_action(record.form), SQRT3_F2)
+            assert (record.index, record.k, record.e) == exact, record.form
+    # the lazy action data are those of the record's own form
+    record = results[-1].conjugates[-1]
+    assert record.form.b < 0
+    assert (record.action, record.det) == form_action(record.form)
+
+
 def _record_rungs(monkeypatch):
     """The digits of every expansion made from now on, in order."""
     rungs = []
@@ -559,7 +690,7 @@ def test_size_estimate_matches_leading_exponent():
     # itself, bit for bit
     for n in (107, 10019, 1000019):
         forms = reduced_forms(-n)
-        terms = [classpoly._action_data(f)[2] for f in forms]
+        terms = [classpoly._action_data(f) for f in forms]
         bits = math.pi * math.sqrt(n) / math.log(10)
         expected = sum(max(0.0, e * math.log10(3) / 2
                            - float(leading_exponent(index)) * bits / f.a)

@@ -9,6 +9,7 @@ independent of the library's eta quotient (1 + 256 h)^3 / h.
 import functools
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -162,6 +163,30 @@ def test_eta_takes_a_real_r_as_the_complex_one():
         r = mpmath.exp(-mpmath.pi / 12)
         assert eta(tau, 60, r=r) == eta(tau, 60, r=mpmath.mpc(r, 0))
         assert eta(tau, 60, r=float(r)) == eta(tau, 60, r=mpmath.mpc(float(r), 0))
+
+
+@pytest.mark.parametrize("r", [
+    0, 0.0, mpmath.mpc(0, 0), 2, -1, 1j, mpmath.mpc(3, 4) / 5,
+    mpmath.mpc(0.6, 0.8), mpmath.mpc(1, mpmath.mpf(2) ** -300),
+    mpmath.mpc(0.1, mpmath.nan), mpmath.mpc(mpmath.inf, 0.1),
+])
+def test_eta_rejects_an_r_that_is_no_q_to_the_one_24th(r):
+    # r = q^(1/24) has 0 < |r| < 1 for every tau in the upper half-plane;
+    # r = 0 used to fail inside the fixed-point scaling and r = 2 to sum
+    # a meaningless series (eta(i, 30, r=2) was about 1.39e188)
+    with pytest.raises(ValueError, match=re.escape("r = q^(1/24) must have 0 < |r| < 1")):
+        eta(1j, 30, r=r)
+
+
+def test_eta_accepts_an_r_just_inside_the_unit_disc():
+    # |r|^2 is compared with 1 exactly, not at the ambient precision
+    with mpmath.workdps(400):
+        r = 1 - mpmath.mpf(2) ** -300
+    assert mpmath.isfinite(eta(1j, 15, r=r))
+    assert eta(1j, 30, r=0.5j) == eta(1j, 30, r=mpmath.mpc(0, 0.5))
+    # parts below 1/2 pass without the exact test, parts above it take it
+    for r in (mpmath.mpc("0.49", "-0.49"), mpmath.mpc("0.6", "0.6"), mpmath.mpc("-0.3", "0.95")):
+        assert mpmath.isfinite(eta(1j, 15, r=r))
 
 
 def test_eta_where_r_is_below_one_fixed_point_unit():
@@ -338,6 +363,12 @@ def test_quotients_are_finite_nonzero_and_periodic():
             assert abs(r_value(index, tau + 72, 120) - values[index]) < tol
     with pytest.raises(ValueError, match="index out of range"):
         r_value(6, mpmath.mpc(0, 2))
+
+
+@pytest.mark.parametrize("index", [1.0, True, "1"])
+def test_r_value_rejects_an_index_that_is_not_an_integer(index):
+    with pytest.raises(ValueError, match=re.escape(f"index must be an integer, got {index!r}")):
+        r_value(index, mpmath.mpc(0, 2), 30)
 
 
 def test_invariant_anchors():

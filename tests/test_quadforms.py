@@ -119,6 +119,36 @@ def test_enumeration_lists_reduced_primitive_forms():
         assert forms[0] == principal_form(disc)
 
 
+def _reduced_forms_by_scan(discriminant):
+    """The enumeration as it was written before, with nested while
+    loops over b and a: the oracle for the divisor comprehension."""
+    forms = []
+    b = discriminant & 1
+    while 3 * b * b <= -discriminant:
+        m = (b * b - discriminant) // 4
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                f = QuadForm(a, b, c)
+                if f.is_primitive():
+                    forms.append(f)
+                    if 0 < b < a < c:
+                        forms.append(QuadForm(a, -b, c))
+            a += 1
+        b += 2
+    forms.sort(key=lambda f: (f.a, abs(f.b), -f.b))
+    return forms
+
+
+def test_enumeration_matches_the_while_scan():
+    # the same forms in the same order, for every n = 11 mod 24 below 5000
+    # and for n = 1000019
+    for n in (*range(11, 5000, 24), 1000019):
+        assert reduced_forms(-n) == _reduced_forms_by_scan(-n), n
+    assert len(reduced_forms(-1000019)) == 342
+
+
 def test_enumeration_drops_imprimitive_forms():
     # disc -275: [5, 5, 15] has content 5 and must not appear
     forms = reduced_forms(-275)
