@@ -26,8 +26,12 @@ real value enters as the linear factor t - v and a mirrored pair as the
 real quadratic t^2 - 2 Re(v) t + |v|^2.  The factors, sorted by size,
 are dealt round-robin into one group per 40 values (one group below
 80); each group is swept smallest first, and the groups' products are
-joined pairwise, each join one Kronecker product of two packed
-integers.  The rounding and its residual are exact integer operations.
+joined pairwise, each join one Kronecker product in base 10: both
+polynomials are packed into decimal slots of one exact ``decimal``
+number each, multiplied once by libmpdec, whose number-theoretic
+transform is much faster than int's Karatsuba on operands of hundreds
+of thousands of bits, and read back as integers.  The rounding and its
+residual are exact integer operations.
 The same expansion drives Hilbert class polynomials from j-values,
 which serve as an independent cross-check of class numbers and
 precision handling.
@@ -35,7 +39,9 @@ precision handling.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -89,7 +95,8 @@ products are then joined (``_expand_and_round``): below 80 values there
 is one group, a plain smallest-first sweep."""
 
 MAX_RETRIES = 3
-"""Number of precision doublings attempted before giving up."""
+"""Number of precision doublings after the first evaluated rung before
+giving up; rungs skipped unevaluated do not count."""
 
 SKIP_MARGIN_DIGITS = 10
 """A rung of r digits is skipped, unevaluated, while r + SKIP_MARGIN_DIGITS
@@ -334,11 +341,11 @@ def _mirror_pairs(forms: Sequence[QuadForm]) -> Tuple[List[int], List[bool]]:
     slot = {}
     for f in forms:
         if f.b >= 0:
-            slot[f] = len(slot)
+            slot[f.a, f.b, f.c] = len(slot)
     source = []
     paired = [False] * len(slot)
     for f in forms:
-        i = slot.get(QuadForm(f.a, abs(f.b), f.c))
+        i = slot.get((f.a, abs(f.b), f.c))
         if i is None:
             raise ValueError(f"form {f} has no mirror among the forms")
         if f.b < 0:
@@ -369,15 +376,32 @@ def _sweep(factors: Sequence[Tuple[int, int, Optional[int]]], bits: int) -> List
     return coeffs
 
 
-def _join(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
-    """The product of two fixed-point polynomials, by one Kronecker product.
+def _str_digits_limit() -> int:
+    """Python's limit on the digits of an int <-> str conversion, 0 for
+    none (builds before 3.10.7, or the limit switched off)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
 
-    Each signed coefficient is packed, plus a bias of 2^(w - 1), into a
-    w-bit slot of one integer, w a multiple of 8 and wide enough for every
-    coefficient of the exact product (under min(len) max|a| max|b|); the
-    bias of the packed slots is taken back off, the two integers are
-    multiplied, the bias is added to every slot of the product so that
-    none borrows, and the slots are read back and shifted right by bits.
+
+def _join(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
+    """The product of two fixed-point polynomials, by one Kronecker product
+    in base 10, multiplied by libmpdec's number-theoretic transform.
+
+    Each polynomial is packed as the exact decimal sum of its signed
+    coefficients times 10^(w i), w digits wide enough for every
+    coefficient of the exact product, under min(len) max|a| max|b|, to
+    lie strictly inside +-10^w / 2.  The packing adds neighbours
+    pairwise, so it is linear in the digits up to a log factor.  The two
+    packed numbers are multiplied once, plus 10^(w count) for the count
+    coefficients of the product, in a private context of maximal
+    precision that traps any inexact result.  The low w count digits of
+    that positive number are read back in w-digit slots from the lowest:
+    a slot read as u, plus the carry from the slot below, is the
+    coefficient when under 10^w / 2 and the coefficient plus 10^w,
+    carrying 1, otherwise.  Each coefficient is then shifted right by
+    bits.  A slot wider than Python's int <-> str limit
+    (``_str_digits_limit``) is read in pieces of at most that many
+    digits.
 
     Every coefficient is an exact sum of products floored once, so it is
     off by under 1 unit from the product of a and b.  If a and b are off
@@ -389,20 +413,47 @@ def _join(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
     """
     size = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(len(a), len(b)).bit_length() + 1)
-    width = (size + 7) // 8
-    bias = 1 << (8 * width - 1)
-    slot = bias.to_bytes(width, "little")
+    # 30103 / 100000 exceeds log10(2), so 10^width > 2^size
+    width = size * 30103 // 100000 + 1
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
 
-    def pack(poly: Sequence[int]) -> int:
-        packed = b"".join((x + bias).to_bytes(width, "little") for x in poly)
-        return (int.from_bytes(packed, "little")
-                - int.from_bytes(slot * len(poly), "little"))
+    def pack(poly: Sequence[int]) -> decimal.Decimal:
+        # Decimal(x) has exponent 0, and so has every sum with it at the low
+        # end: str() of the sum below gives plain digits
+        parts = [decimal.Decimal(x) for x in poly]
+        shift = width
+        while len(parts) > 1:
+            parts = [context.add(parts[i], context.scaleb(parts[i + 1], shift))
+                     if i + 1 < len(parts) else parts[i]
+                     for i in range(0, len(parts), 2)]
+            shift *= 2
+        return parts[0]
 
     count = len(a) + len(b) - 1
-    product = pack(a) * pack(b) + int.from_bytes(slot * count, "little")
-    packed = product.to_bytes(width * count, "little")
-    return [(int.from_bytes(packed[i:i + width], "little") - bias) >> bits
-            for i in range(0, width * count, width)]
+    # the product lies within +-10^(w count) / 2, so adding 10^(w count)
+    # makes it positive, of at least w count digits, and keeps its low
+    # w count digits: the string needs no sign and no padding
+    digits = str(context.fma(pack(a), pack(b), context.scaleb(1, width * count)))
+    piece = _str_digits_limit() or width
+    head = width % piece or piece
+    scale = 10 ** piece
+    slot = 10 ** width
+    half = slot >> 1
+    coeffs = []
+    carry = 0
+    for end in range(len(digits), len(digits) - width * count, -width):
+        # the slot's digits, in pieces within the int <-> str limit
+        start = end - width + head
+        c = int(digits[end - width:start])
+        for i in range(start, end, piece):
+            c = c * scale + int(digits[i:i + piece])
+        c += carry
+        carry = c >= half
+        if carry:
+            c -= slot
+        coeffs.append(c >> bits)
+    return coeffs
 
 
 def _expand_and_round(values: Sequence[Pair], paired: Sequence[bool],
@@ -456,18 +507,17 @@ def _round_with_retries(
     ``evaluate`` returns their pairs at ``_expansion_bits(digits)`` and
     the values themselves.
 
-    Digits double on each rounding failure, up to MAX_RETRIES times,
-    before PrecisionError is raised.  A rung that the a-priori size
-    estimate ``size`` shows cannot round (SKIP_MARGIN_DIGITS) is doubled
-    past without evaluating; it counts against MAX_RETRIES, and the
-    last rung is always evaluated.  Returns the rounded coefficients,
-    the residual, the digits used and the values at those digits.
+    The first rung evaluated is the first of digits * 2^k, k >= 0, that
+    the a-priori size estimate ``size`` does not rule out
+    (SKIP_MARGIN_DIGITS), however far up the ladder it lies; the rungs
+    below it are skipped unevaluated.  Digits then double on each
+    rounding failure, up to MAX_RETRIES times, before PrecisionError is
+    raised.  Returns the rounded coefficients, the residual, the digits
+    used and the values at those digits.
     """
-    residual = None
-    for attempt in range(MAX_RETRIES + 1):
-        if attempt < MAX_RETRIES and digits + SKIP_MARGIN_DIGITS <= size:
-            digits *= 2
-            continue
+    while digits + SKIP_MARGIN_DIGITS <= size:
+        digits *= 2
+    for _ in range(MAX_RETRIES + 1):
         pairs, values = evaluate(digits)
         rounded, residual = _expand_and_round(pairs, paired, digits)
         if residual < RESIDUAL_TOLERANCE:
@@ -483,7 +533,8 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     """Minimal polynomial of t_n over the rationals, with retry on precision.
 
     n must be positive and congruent to 11 mod 24.  Non-squarefree n is
-    accepted (the caller may warn); precision doubles on rounding
+    accepted (the caller may warn); the first precision rung is the one
+    the a-priori size estimate allows, and precision doubles on rounding
     failure up to MAX_RETRIES times before PrecisionError is raised.
     The exact actions are computed once, for the forms with b >= 0 only:
     each form with b < 0 takes its term from its mirror's

@@ -25,17 +25,15 @@ from typing import Callable, List, Sequence
 
 import mpmath
 
+from .classpoly import _action_data
 from .cyclotomic import GALOIS_EXPONENTS, CycNum
 from .etarep import (
     MIRROR_RULE,
     MONOMIAL_S,
     MONOMIAL_T,
-    SQRT3_F2,
-    Term,
     conjugate_action,
     dense_conjugate_action,
     dual_action,
-    form_action,
     full_action,
     mirror_term,
     monomial_action,
@@ -269,10 +267,6 @@ def check_monomial_oracle() -> CheckResult:
     )
 
 
-def _conjugate_term(form: QuadForm) -> Term:
-    return conjugate_action(*form_action(form), SQRT3_F2)
-
-
 def _is_ambiguous(form: QuadForm) -> bool:
     return form.b == 0 or form.b == form.a or form.a == form.c
 
@@ -297,9 +291,9 @@ def check_mirror_rule(ns: Sequence[int] = MIRROR_RULE_NS) -> CheckResult:
         if negative != mirrors:
             failures.append(f"n={n} forms")
         for mirror in sorted(mirrors & negative):
-            partner = _conjugate_term(QuadForm(mirror.a, -mirror.b, mirror.c))
+            partner = _action_data(QuadForm(mirror.a, -mirror.b, mirror.c))
             pairs += 1
-            if _conjugate_term(mirror) != mirror_term(partner):
+            if _action_data(mirror) != mirror_term(partner):
                 failures.append(f"n={n} {mirror}")
     return CheckResult(
         "mirror-rule",

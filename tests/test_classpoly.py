@@ -8,9 +8,11 @@ each mirrored pair; the floating-point mpc expansion of all h values
 it replaced is kept here as the oracle it must agree with.
 """
 
+import decimal
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -519,6 +521,45 @@ def test_join_unpacks_signed_coefficients():
     assert all(c < 0 for c in classpoly._join(*cases[0], 0))
 
 
+def _exact_floors(a, b, bits):
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) >> bits
+            for k in range(len(a) + len(b) - 1)]
+
+
+def _wide_operands(count, low, rng):
+    """Two lists of ``count`` coefficients of random sign, each at least
+    2^low and below 2^(low + 200)."""
+    return [[rng.choice((-1, 1)) * ((1 << low) + rng.getrandbits(low + 200))
+             for _ in range(count)] for _ in range(2)]
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+def test_join_reads_slots_wider_than_the_int_string_limit(monkeypatch, limit):
+    # coefficients of at least 2^15000 give product slots of over 9000
+    # digits, past the default 4300-digit int <-> str limit: each slot is
+    # read in pieces, here also under the lowest limit Python accepts
+    if limit is not None:
+        monkeypatch.setattr(classpoly, "_str_digits_limit", lambda: limit)
+    a, b = _wide_operands(5, 15000, random.Random(15000))
+    bits = 7000
+    assert classpoly._join(a, b, bits) == _exact_floors(a, b, bits)
+
+
+def test_join_leaves_the_decimal_context_and_int_limit_alone():
+    # the join multiplies in its own context, whatever the current one
+    # says, and converts without touching the int <-> str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    a, b = _wide_operands(4, 15000, random.Random(4))
+    with decimal.localcontext() as ambient:
+        ambient.prec = 5
+        ambient.traps[decimal.Inexact] = True
+        before = repr(ambient)
+        assert classpoly._join(a, b, 100) == _exact_floors(a, b, 100)
+        assert decimal.getcontext() is ambient
+        assert repr(ambient) == before
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_expansion_rejects_non_integral_input():
     forms, values, digits = _j_values(-107)
     values[1] += mpmath.mpf(1) / 3
@@ -706,13 +747,47 @@ def test_small_sizes_start_at_the_default_rung(monkeypatch):
         assert rungs == [DEFAULT_DIGITS], n
 
 
-def test_last_rung_is_evaluated_even_when_ruled_out(monkeypatch):
-    # from 15 digits the ladder is 15, 30, 60, 120: the estimate rules
-    # out all four, the first three are skipped and 120 fails to round
+def _stub_evaluate(value, rungs):
+    """An ``evaluate`` for ``_round_with_retries`` that records its digits
+    and returns the one real value ``value``, a Fraction, as a pair and
+    as itself."""
+    def evaluate(digits):
+        rungs.append(digits)
+        bits = classpoly._expansion_bits(digits)
+        return [((value.numerator << bits) // value.denominator, 0)], [value]
+    return evaluate
+
+
+def test_ruled_out_rungs_are_never_evaluated(monkeypatch):
+    # from 15 digits the estimate (about 173 digits for n = 1000019)
+    # rules out 15, 30, 60 and 120, and the first rung evaluated, 240,
+    # rounds to the default run's polynomial
+    expected = compute_ramanujan(1000019).polynomial
     rungs = _record_rungs(monkeypatch)
-    with pytest.raises(PrecisionError, match="failed to round"):
-        compute_ramanujan(1000019, 15)
-    assert rungs == [DEFAULT_DIGITS]
+    result = compute_ramanujan(1000019, 15)
+    assert rungs == [2 * DEFAULT_DIGITS]
+    assert result.polynomial == expected
+    # a value that never rounds: no rung at or below the size is
+    # evaluated, and PrecisionError follows MAX_RETRIES + 1 evaluated
+    # failures, however many rungs were skipped before them
+    for digits, size, first in [(15, 173.0, 240), (DEFAULT_DIGITS, 1000.0, 1920),
+                                (DEFAULT_DIGITS, 0.0, DEFAULT_DIGITS)]:
+        rungs = []
+        with pytest.raises(PrecisionError, match="failed to round"):
+            classpoly._round_with_retries(_stub_evaluate(Fraction(1, 2), rungs), [False],
+                                          digits, size)
+        assert rungs == [first << k for k in range(classpoly.MAX_RETRIES + 1)]
+        assert all(r + classpoly.SKIP_MARGIN_DIGITS > size for r in rungs)
+
+
+def test_first_rung_for_size_1653_is_1920_digits():
+    # 1653 is the size estimate of n = 30000011 (h = 3154), whose full run
+    # takes a minute or more: the ladder skips 120 to 960 and evaluates 1920
+    rungs = []
+    rounded, residual, digits, values = classpoly._round_with_retries(
+        _stub_evaluate(Fraction(3), rungs), [False], DEFAULT_DIGITS, 1653.0)
+    assert rungs == [1920] and digits == 1920
+    assert rounded == (-3, 1) and residual == 0
 
 
 @pytest.mark.parametrize("coefficients, gate", [
