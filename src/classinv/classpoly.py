@@ -12,12 +12,15 @@ complex conjugation acts on the class group as inversion: the root of
 the mirror (a, -b, c) of a reduced form (a, b, c) is -conj(tau), and
 its conjugate is the complex conjugate of the one of (a, b, c).  Only
 the forms with b >= 0 are evaluated, about h/2 of them, and only they
-get an exact action (``form_action``): each form with b < 0 takes its
-term (index, k, e) from its mirror's by the rule derived from the eta
-quotients (``etarep.mirror_term``) and the conjugate of its mirror's
-value, and the ambiguous forms (b = 0, b = a or a = c), which are their
-own mirrors, give real values.  Each conjugate is formed on integer
-pairs: the eta quotient, an exact binary fraction from
+get an exact action (``form_action``).  ``reduced_forms`` lists each
+form with b < 0 right after its mirror, so it takes its term
+(index, k, e) from the form before it, by the rule derived from the eta
+quotients (``etarep.mirror_term``), and the conjugate of that form's
+value; the ambiguous forms (``quadforms.is_ambiguous``: b = 0, b = a or
+a = c), which are their own mirrors, give real values.  The records
+of the conjugates are plain data; nothing here touches the dense
+oracle (``RepMatrix``, ``full_action``).  Each conjugate is formed on
+integer pairs: the eta quotient, an exact binary fraction from
 ``numeval.r_value``, is read as a scaled pair and multiplied by
 z^k sqrt(3)^e as a fixed-point constant (``numeval.times_scalar``).
 The expansion runs over the reals on plain integers: each value is a
@@ -43,8 +46,7 @@ import decimal
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
 from mpmath.libmp import dps_to_prec, mpf_neg
@@ -53,13 +55,9 @@ from .cyclotomic import CycNum
 from .etarep import (
     BAD_RESIDUE_MESSAGE,
     SQRT3_F2,
-    Monomial,
-    RepMatrix,
     Term,
     conjugate_action,
     form_action,
-    form_matrix_mod72,
-    full_action,
     is_valid_n,
     mirror_term,
     monomial_entry,
@@ -68,6 +66,7 @@ from .numeval import (
     ETA_QUOTIENTS,
     GUARD_DIGITS,
     check_digits,
+    check_integer,
     from_gaussian,
     j_invariant,
     leading_exponent,
@@ -77,8 +76,13 @@ from .numeval import (
     times_scalar,
     to_gaussian,
 )
-from .quadforms import QuadForm, check_discriminant, form_root, reduced_forms
-from .sl2words import Mat2
+from .quadforms import (
+    QuadForm,
+    check_discriminant,
+    form_root,
+    is_ambiguous,
+    reduced_forms,
+)
 
 DEFAULT_DIGITS = 120
 """Working precision for invariant polynomials unless overridden."""
@@ -116,11 +120,17 @@ class PrecisionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """A polynomial with integer coefficients, stored constant-term first."""
+    """A polynomial with integer coefficients, stored constant-term first.
+
+    A coefficient that is not an integer (a float, a Fraction, a string
+    or a bool) raises ValueError.
+    """
 
     coefficients: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for power, c in enumerate(self.coefficients):
+            check_integer(c, f"coefficient of x^{power}")
         if not self.coefficients:
             raise ValueError("polynomial needs at least one coefficient")
         if len(self.coefficients) > 1 and self.coefficients[-1] == 0:
@@ -181,15 +191,14 @@ class IntPolynomial:
 
 @dataclass(frozen=True)
 class ConjugateRecord:
-    """One conjugate of the invariant: its form, action data, and value.
+    """One conjugate of the invariant: its form, its term and its value.
 
     The conjugate is scalar = z^k * sqrt(3)^e, z = exp(2*pi*i/72), times
     the eta quotient F_index at the form's root; (index, k, e) is where
-    the integer action with determinant det sends sqrt(3) * F_2.  A form
-    with b < 0 takes its term from its mirror's by ``etarep.mirror_term``
-    and its value is the complex conjugate of its mirror's.  ``action``
-    and ``det`` are computed on first read, by ``form_action`` on the
-    record's own form, mirrors included.
+    the form's integer action (``etarep.form_action``) sends
+    sqrt(3) * F_2.  A form with b < 0 takes its term from its mirror's
+    by ``etarep.mirror_term``, and its value is the complex conjugate of
+    its mirror's.
     """
 
     form: QuadForm
@@ -198,32 +207,6 @@ class ConjugateRecord:
     e: int
     scalar: CycNum
     value: mpmath.mpc
-
-    @cached_property
-    def _form_action(self) -> Tuple[Monomial, int]:
-        return form_action(self.form)
-
-    @property
-    def action(self) -> Monomial:
-        """The form's integer action, computed on first read."""
-        return self._form_action[0]
-
-    @property
-    def det(self) -> int:
-        """The determinant d mod 72 of the form's matrix, computed on first read."""
-        return self._form_action[1]
-
-    @cached_property
-    def rep(self) -> RepMatrix:
-        """The dense substitution matrix, recomputed by the exact oracle
-        (``full_action`` on the form's GL2(Z/72) matrix) on first use and
-        shared by every form with the same matrix."""
-        return _dense_action(form_matrix_mod72(self.form))
-
-
-@lru_cache(maxsize=1024)
-def _dense_action(matrix: Mat2) -> RepMatrix:
-    return full_action(matrix)[0]
 
 
 @dataclass(frozen=True)
@@ -327,31 +310,20 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
     return _record(form, term, _conjugate_number(form, term, digits)[1])
 
 
-def _mirror_pairs(forms: Sequence[QuadForm]) -> Tuple[List[int], List[bool]]:
-    """Where each form's value comes from, and which evaluated values
-    stand for a mirrored pair.
+T = TypeVar("T")
 
-    Only the forms with b >= 0 are evaluated, in list order.  Returns,
-    for every form, the index among those of the value it takes: its
-    own, or, for a form with b < 0, that of its mirror (a, -b, c), whose
-    complex conjugate it is.  The flags say, for each evaluated form,
-    whether its mirror is in the list too.  A form with b < 0 whose
-    mirror is missing from the list raises ValueError.
-    """
-    slot = {}
+
+def _with_mirrors(forms: Sequence[QuadForm], own: Sequence[T],
+                  mirror: Callable[[T], T]) -> List[T]:
+    """The data of every form of ``reduced_forms`` from ``own``, those of
+    its forms with b >= 0 in list order: a form with b < 0 takes
+    ``mirror`` of the data of the form just before it, its mirror
+    (a, -b, c)."""
+    data: List[T] = []
+    rest = iter(own)
     for f in forms:
-        if f.b >= 0:
-            slot[f.a, f.b, f.c] = len(slot)
-    source = []
-    paired = [False] * len(slot)
-    for f in forms:
-        i = slot.get((f.a, abs(f.b), f.c))
-        if i is None:
-            raise ValueError(f"form {f} has no mirror among the forms")
-        if f.b < 0:
-            paired[i] = True
-        source.append(i)
-    return source, paired
+        data.append(next(rest) if f.b >= 0 else mirror(data[-1]))
+    return data
 
 
 def _sweep(factors: Sequence[Tuple[int, int, Optional[int]]], bits: int) -> List[int]:
@@ -537,9 +509,9 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     the a-priori size estimate allows, and precision doubles on rounding
     failure up to MAX_RETRIES times before PrecisionError is raised.
     The exact actions are computed once, for the forms with b >= 0 only:
-    each form with b < 0 takes its term from its mirror's
-    (``etarep.mirror_term``).  Only the evaluations, of the forms with
-    b >= 0, repeat.  A rounded polynomial that is not monic or whose
+    each form with b < 0 takes its term from its mirror's, the form just
+    before it (``etarep.mirror_term``).  Only the evaluations, of the
+    forms with b >= 0, repeat.  A rounded polynomial that is not monic or whose
     constant term is not +-1 cannot be the minimal polynomial of a unit,
     and raises PrecisionError as well.
     """
@@ -547,11 +519,10 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         raise ValueError(BAD_RESIDUE_MESSAGE)
     digits = check_digits(dps) if dps is not None else DEFAULT_DIGITS
     forms = reduced_forms(-n)
-    source, paired = _mirror_pairs(forms)
     evaluated = [f for f in forms if f.b >= 0]
+    paired = [not is_ambiguous(f) for f in evaluated]
     own = [_action_data(f) for f in evaluated]
-    terms = [own[i] if f.b >= 0 else mirror_term(own[i])
-             for f, i in zip(forms, source)]
+    terms = _with_mirrors(forms, own, mirror_term)
     size = _ramanujan_size(n, forms, terms)
 
     def evaluate(digits: int) -> Tuple[Sequence[Pair], Sequence[mpmath.mpc]]:
@@ -577,21 +548,13 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         max_residual=residual,
         size_estimate=size,
         conjugates=tuple(_record(*row) for row in
-                         zip(forms, terms, _mirrored_values(forms, source, values))),
+                         zip(forms, terms, _with_mirrors(forms, values, _conjugate))),
     )
 
 
-def _mirrored_values(forms: Sequence[QuadForm], source: Sequence[int],
-                     values: Sequence[mpmath.mpc]) -> List[mpmath.mpc]:
-    """The value of every form from those of the evaluated forms, with
-    ``source`` from ``_mirror_pairs``: a form with b < 0 takes the
-    complex conjugate of its mirror's, negated exactly rather than
-    rounded to the ambient precision."""
-    return [values[i] if f.b >= 0 else _conjugate(values[i])
-            for f, i in zip(forms, source)]
-
-
 def _conjugate(value: mpmath.mpc) -> mpmath.mpc:
+    """The complex conjugate, negated exactly rather than rounded to the
+    ambient precision."""
     re, im = value._mpc_
     return mpmath.mp.make_mpc((re, mpf_neg(im)))
 
@@ -623,11 +586,12 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     forms = reduced_forms(discriminant)
     size = _hilbert_size(discriminant, forms)
     digits = check_digits(dps) if dps is not None else _hilbert_digits(size)
-    _, paired = _mirror_pairs(forms)
+    evaluated = [f for f in forms if f.b >= 0]
+    paired = [not is_ambiguous(f) for f in evaluated]
 
     def evaluate(digits: int) -> Tuple[Sequence[Pair], Sequence[mpmath.mpc]]:
         values = [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
-                  for f in forms if f.b >= 0]
+                  for f in evaluated]
         bits = _expansion_bits(digits)
         return [to_gaussian(v, bits) for v in values], values
 

@@ -543,10 +543,12 @@ def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:
     """The class invariant t_n, a real number in (0, 1) for n > 3.
 
     Evaluated as sqrt(3) times the index-2 quotient at (-1 + sqrt(-n))/2,
-    which agrees with the defining product in exp(-pi*sqrt(n)).
+    which agrees with the defining product in exp(-pi*sqrt(n)).  An n
+    that is not a positive integer raises ValueError.
     """
+    n = check_integer(n, "n")
     if n <= 0:
-        raise ValueError("n must be positive")
+        raise ValueError(f"n must be positive, got {n}")
     digits = resolve_digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         tau = (mpmath.mpc(-1, 0) + mpmath.sqrt(mpmath.mpf(n)) * 1j) / 2

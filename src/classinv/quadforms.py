@@ -80,10 +80,23 @@ def principal_form(discriminant: int) -> QuadForm:
     return QuadForm(1, 1, (1 - discriminant) // 4)
 
 
+def is_ambiguous(form: QuadForm) -> bool:
+    """Whether a reduced form is its own mirror: b = 0, b = a or a = c.
+
+    Inversion in the class group sends (a, b, c) to its mirror
+    (a, -b, c), which for these forms reduces back to (a, b, c); every
+    other reduced form has a distinct mirror, also reduced.
+    """
+    return form.b == 0 or form.b == form.a or form.a == form.c
+
+
 def reduced_forms(discriminant: int) -> List[QuadForm]:
     """All primitive reduced forms of the given negative discriminant.
 
-    Sorted with the principal form first, then by (a, |b|, sign).
+    Sorted with the principal form first, then by (a, |b|, -b): the
+    mirror (a, -b, c) of each form with b > 0 that is not ambiguous
+    (``is_ambiguous``) comes right after it, and every form with b < 0
+    is such a mirror.
     """
     discriminant = check_discriminant(discriminant)
     forms: List[QuadForm] = []
@@ -94,8 +107,9 @@ def reduced_forms(discriminant: int) -> List[QuadForm]:
         for a in [a for a in range(max(b, 1), math.isqrt(m) + 1) if m % a == 0]:
             c = m // a
             if math.gcd(a, b, c) == 1:
-                forms.append(QuadForm(a, b, c))
-                if 0 < b < a < c:
+                form = QuadForm(a, b, c)
+                forms.append(form)
+                if b > 0 and not is_ambiguous(form):
                     forms.append(QuadForm(a, -b, c))
     forms.sort(key=lambda f: (f.a, abs(f.b), -f.b))
     return forms

@@ -47,7 +47,7 @@ from .etarep import (
 )
 from .numeval import GUARD_DIGITS, eta, r_vector, r_value
 from .qseries import r_series
-from .quadforms import QuadForm, reduced_forms
+from .quadforms import QuadForm, is_ambiguous, reduced_forms
 from .sl2words import (
     Mat2,
     S_WORD_MOD8,
@@ -267,10 +267,6 @@ def check_monomial_oracle() -> CheckResult:
     )
 
 
-def _is_ambiguous(form: QuadForm) -> bool:
-    return form.b == 0 or form.b == form.a or form.a == form.c
-
-
 def check_mirror_rule(ns: Sequence[int] = MIRROR_RULE_NS) -> CheckResult:
     """Every mirrored pair of reduced forms against ``etarep.mirror_term``,
     the rule ``compute_ramanujan`` applies in place of a mirror's action.
@@ -287,7 +283,7 @@ def check_mirror_rule(ns: Sequence[int] = MIRROR_RULE_NS) -> CheckResult:
         forms = reduced_forms(-n)
         negative = {f for f in forms if f.b < 0}
         mirrors = {QuadForm(f.a, -f.b, f.c) for f in forms
-                   if f.b > 0 and not _is_ambiguous(f)}
+                   if f.b > 0 and not is_ambiguous(f)}
         if negative != mirrors:
             failures.append(f"n={n} forms")
         for mirror in sorted(mirrors & negative):

@@ -18,6 +18,7 @@ from classinv.cyclotomic import SQRT3, CycNum
 from classinv.etarep import (
     RepMatrix,
     dual_action,
+    form_action,
     full_action,
     invariance_check,
     unit_vector,
@@ -48,7 +49,7 @@ from golden_data import (
     UNIT_MOD72_ENTRIES,
     UNIT_REP_ENTRIES,
 )
-from rep_helpers import is_monomial
+from rep_helpers import dense_action, is_monomial
 
 
 def _gate(label, ok, detail=""):
@@ -178,7 +179,8 @@ def test_criterion_6_property_suites(main_table_results, selftest_results):
     eta_eqs = selftest_results["eta-functional-equations"]
     rep_num = selftest_results["rep-numeric-consistency"]
     monomial = all(
-        is_monomial(record.rep) and math.gcd(record.det, 72) == 1
+        is_monomial(dense_action(record.form)[0])
+        and math.gcd(form_action(record.form)[1], 72) == 1
         for result in main_table_results.values()
         for record in result.conjugates
     )

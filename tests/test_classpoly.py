@@ -26,7 +26,6 @@ from classinv.classpoly import (
     IntPolynomial,
     PrecisionError,
     _expand_and_round,
-    _mirror_pairs,
     compute_hilbert,
     compute_ramanujan,
     conjugate_value,
@@ -57,6 +56,7 @@ from classinv.quadforms import (
     QuadForm,
     class_number,
     form_root,
+    is_ambiguous,
     principal_form,
     reduced_forms,
 )
@@ -71,7 +71,7 @@ from golden_data import (
     SMALL_TABLE_TEXT,
     TEXT_611,
 )
-from rep_helpers import is_monomial
+from rep_helpers import dense_action, is_monomial
 
 
 def _expand_and_round_oracle(values, digits):
@@ -101,6 +101,12 @@ def _evaluated(forms, values, digits):
     return [to_gaussian(v, bits) for f, v in zip(forms, values) if f.b >= 0]
 
 
+def _paired(forms):
+    """For each form with b >= 0, whether its value stands for a
+    mirrored pair: whether it is not ambiguous."""
+    return [not is_ambiguous(f) for f in forms if f.b >= 0]
+
+
 def _assert_expansion_matches_oracle(forms, values, digits):
     """The real expansion of the values of the forms with b >= 0 against
     the oracle; returns its verdict at the tolerance.
@@ -111,11 +117,11 @@ def _assert_expansion_matches_oracle(forms, values, digits):
     the oracle's expansion of all the values as given, so that a
     perturbed pair member, whose mirror keeps the unperturbed conjugate,
     fails both."""
-    source, paired = _mirror_pairs(forms)
     rounded, residual = _expand_and_round(_evaluated(forms, values, digits),
-                                          paired, digits)
-    expected, _ = _expand_and_round_oracle(classpoly._mirrored_values(
-        forms, source, [v for f, v in zip(forms, values) if f.b >= 0]), digits)
+                                          _paired(forms), digits)
+    expected, _ = _expand_and_round_oracle(classpoly._with_mirrors(
+        forms, [v for f, v in zip(forms, values) if f.b >= 0],
+        classpoly._conjugate), digits)
     assert rounded == expected
     _, oracle_residual = _expand_and_round_oracle(values, digits)
     passed = residual < RESIDUAL_TOLERANCE
@@ -153,6 +159,15 @@ def test_polynomial_validation():
         IntPolynomial(())
     with pytest.raises(ValueError, match="leading coefficient"):
         IntPolynomial.from_descending((0, 1, 2))
+
+
+@pytest.mark.parametrize("bad", [1.5, True, Fraction(3, 2), "2"])
+def test_non_integer_coefficients_rejected(bad):
+    message = f"coefficient of x^1 must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IntPolynomial((1, bad, 1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IntPolynomial.from_descending((1, bad, 1))
 
 
 def test_polynomial_evaluation():
@@ -219,7 +234,7 @@ def test_conjugate_data(main_table_results):
                 for w in values[i + 1:]:
                     assert abs(v - w) > mpmath.mpf("1e-50")
             for record in records:
-                assert is_monomial(record.rep)
+                assert is_monomial(dense_action(record.form)[0])
 
 
 def test_conjugates_agree_with_the_dense_oracle(main_table_results):
@@ -231,9 +246,10 @@ def test_conjugates_agree_with_the_dense_oracle(main_table_results):
     with mpmath.workdps(130):
         for result in main_table_results.values():
             for record in result.conjugates:
-                rep = record.rep
-                assert rep == record.action.dense()
-                moved = dense_conjugate_action(rep, record.det, start)
+                action, det = form_action(record.form)
+                rep, dense_det = dense_action(record.form)
+                assert (rep, dense_det) == (action.dense(), det)
+                moved = dense_conjugate_action(rep, det, start)
                 assert moved == unit_vector(record.index, record.scalar)
                 scale = mpmath.expjpi(mpmath.mpf(record.k) / 36) * mpmath.sqrt(3) ** record.e
                 assert abs(record.scalar.embed(130) - scale) < mpmath.mpf("1e-125")
@@ -253,6 +269,21 @@ def test_conjugates_keep_their_relative_precision():
         assert large.index == 3 and mpmath.log10(abs(large.value)) > 25
         finer = conjugate_value(forms[1], 240).value
         assert abs(large.value - finer) < tol * abs(finer)
+
+
+@pytest.mark.parametrize("n", [107.0, 107.5, True, "107"])
+def test_non_integer_n_rejected_by_the_invariant(n):
+    message = f"n must be an integer, got {n!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ramanujan_value(n)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_polynomial(IntPolynomial.from_descending(SMALL_TABLE[107]), n)
+
+
+def test_invariant_of_an_integer_n_is_unchanged():
+    # t_107 at 30 digits, bit for bit as before n was validated
+    assert ramanujan_value(107, 30)._mpf_ == (
+        0, 49614760911182497766455874906141340245511, -137, 136)
 
 
 def test_non_positive_precision_rejected():
@@ -572,9 +603,9 @@ def _perturbed_611(main_table_results, paired_member, shift):
     result = main_table_results[611]
     forms = [r.form for r in result.conjugates]
     values = [r.value for r in result.conjugates]
-    _, paired = _mirror_pairs(forms)
     evaluated = [i for i, f in enumerate(forms) if f.b >= 0]
-    moved = next(i for i, pair in zip(evaluated, paired) if pair == paired_member)
+    moved = next(i for i, pair in zip(evaluated, _paired(forms))
+                 if pair == paired_member)
     digits = result.precision_digits
     with mpmath.workdps(digits + GUARD_DIGITS):
         values[moved] += shift
@@ -597,8 +628,8 @@ def test_expansion_keeps_the_imaginary_part_of_real_values(main_table_results):
     forms, values, digits = _perturbed_611(main_table_results, False,
                                            mpmath.mpc(0, "1e-5"))
     assert not _assert_expansion_matches_oracle(forms, values, digits)
-    _, paired = _mirror_pairs(forms)
-    _, residual = _expand_and_round(_evaluated(forms, values, digits), paired, digits)
+    _, residual = _expand_and_round(_evaluated(forms, values, digits),
+                                    _paired(forms), digits)
     assert abs(residual - mpmath.mpf("1e-5")) < mpmath.mpf("1e-12")
 
 
@@ -617,10 +648,10 @@ def test_mirror_rule(main_table_results):
     # genus theory: 2^(omega(n) - 1) ambiguous classes, whose values are real
     for n in (*MAIN_TABLE, 10019, 100019, 1000019):
         if is_squarefree(n):
-            _, paired = _mirror_pairs(reduced_forms(-n))
+            paired = _paired(reduced_forms(-n))
             assert paired.count(False) == 2 ** (len(_prime_factors(n)) - 1), n
-    assert _mirror_pairs(reduced_forms(-1000019))[1].count(False) == 2
-    assert _mirror_pairs(reduced_forms(-100019))[1].count(False) == 1
+    assert _paired(reduced_forms(-1000019)).count(False) == 2
+    assert _paired(reduced_forms(-100019)).count(False) == 1
     # a stored mirror value is the conjugate of its partner's, and it
     # agrees with a direct evaluation at the mirror's own root
     with mpmath.workdps(130):
@@ -635,11 +666,15 @@ def test_mirror_rule(main_table_results):
                     assert abs(direct - record.value) < mpmath.mpf("1e-110")
 
 
-def test_a_form_without_its_mirror_is_rejected():
-    forms = reduced_forms(-611)
-    lone = next(f for f in forms if f.b < 0)
-    with pytest.raises(ValueError, match="no mirror"):
-        _mirror_pairs([f for f in forms if f != QuadForm(lone.a, -lone.b, lone.c)])
+def test_each_mirror_takes_the_data_of_the_form_before_it():
+    # the forms with b >= 0 keep their own data, in list order; a form
+    # with b < 0 takes the mirror of the data of the form before it, so
+    # mirroring the forms themselves must give each form back
+    for n in (611, 10019):
+        forms = reduced_forms(-n)
+        own = [f for f in forms if f.b >= 0]
+        assert classpoly._with_mirrors(
+            forms, own, lambda f: QuadForm(f.a, -f.b, f.c)) == forms
 
 
 def test_one_evaluation_per_mirrored_pair(monkeypatch):
@@ -683,10 +718,6 @@ def test_every_term_is_its_own_exact_action(main_table_results):
         for record in result.conjugates:
             exact = conjugate_action(*form_action(record.form), SQRT3_F2)
             assert (record.index, record.k, record.e) == exact, record.form
-    # the lazy action data are those of the record's own form
-    record = results[-1].conjugates[-1]
-    assert record.form.b < 0
-    assert (record.action, record.det) == form_action(record.form)
 
 
 def _record_rungs(monkeypatch):

@@ -255,9 +255,10 @@ def test_form_actions_build_no_mod72_matrix(monkeypatch):
             return fn(*args)
         return record
 
-    for owner in (etarep, classpoly):
-        monkeypatch.setattr(owner, "form_matrix_mod72",
-                            recorder("form_matrix_mod72", etarep.form_matrix_mod72))
+    # classpoly holds no name of the dense oracle to call it by
+    assert not {"RepMatrix", "full_action", "form_matrix_mod72"} & set(vars(classpoly))
+    monkeypatch.setattr(etarep, "form_matrix_mod72",
+                        recorder("form_matrix_mod72", etarep.form_matrix_mod72))
     monkeypatch.setattr(etarep, "crt_combine", recorder("crt_combine", etarep.crt_combine))
     plain_to_mod = Mat2.to_mod
 

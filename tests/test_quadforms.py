@@ -17,6 +17,7 @@ from classinv.quadforms import (
     QuadForm,
     class_number,
     form_root,
+    is_ambiguous,
     principal_form,
     reduce_form,
     reduced_forms,
@@ -147,6 +148,29 @@ def test_enumeration_matches_the_while_scan():
     for n in (*range(11, 5000, 24), 1000019):
         assert reduced_forms(-n) == _reduced_forms_by_scan(-n), n
     assert len(reduced_forms(-1000019)) == 342
+
+
+def test_each_mirror_follows_its_form():
+    # the order classpoly relies on: a form with b < 0 comes right after
+    # its mirror (a, -b, c), and the forms with b >= 0 that have no
+    # mirror in the list are exactly the ambiguous ones; for -n, n = 11
+    # mod 24 below 20000 and n = 100019, 1000019 and 10000019, and for
+    # every discriminant from -3 to -2999
+    ns = (*range(11, 20000, 24), 100019, 1000019, 10000019)
+    discriminants = sorted({*(-n for n in ns),
+                            *(d for d in range(-3, -3000, -1) if d % 4 in (0, 1))})
+    assert len(discriminants) == 2210
+    for disc in discriminants:
+        forms = reduced_forms(disc)
+        assert forms[0].b >= 0, disc
+        for before, form in zip(forms, forms[1:]):
+            if form.b < 0:
+                assert before == QuadForm(form.a, -form.b, form.c), (disc, form)
+        negative = {f for f in forms if f.b < 0}
+        for form in forms:
+            if form.b >= 0:
+                mirrored = QuadForm(form.a, -form.b, form.c) in negative
+                assert is_ambiguous(form) != mirrored, (disc, form)
 
 
 def test_enumeration_drops_imprimitive_forms():
