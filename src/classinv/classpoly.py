@@ -122,13 +122,15 @@ class PrecisionError(ArithmeticError):
 class IntPolynomial:
     """A polynomial with integer coefficients, stored constant-term first.
 
-    A coefficient that is not an integer (a float, a Fraction, a string
-    or a bool) raises ValueError.
+    Any sequence of coefficients is stored as a tuple, so equal
+    polynomials compare and hash equal.  A coefficient that is not an
+    integer (a float, a Fraction, a string or a bool) raises ValueError.
     """
 
     coefficients: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
         for power, c in enumerate(self.coefficients):
             check_integer(c, f"coefficient of x^{power}")
         if not self.coefficients:

@@ -2,9 +2,12 @@
 
 Subcommands: pn (one minimal polynomial), pn-range (all valid n in an
 interval), hilbert (Hilbert class polynomial), check-invariance (exact
-stabilizer check), selftest (cross-validation suites).  Output is text
-or JSON; precision comes from --prec, then the CLASSINV_PREC
-environment variable, then per-command defaults.
+stabilizer check), selftest (cross-validation suites).  The three
+polynomial commands share one option set: --prec, then the CLASSINV_PREC
+environment variable, then per-command defaults give the precision, and
+--format picks text or canonical JSON for the one printer.  The two
+check commands share one PASS/FAIL reporter; only selftest imports the
+suites, when it runs.
 """
 
 from __future__ import annotations
@@ -13,19 +16,17 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple, Union
 
 import mpmath
 
 from .classpoly import (
     PolynomialResult,
-    PrecisionError,
     compute_hilbert,
     compute_ramanujan,
     is_squarefree,
 )
 from .etarep import invariance_check, is_valid_n
-from .selftest import run_all
 
 INVARIANCE_CLASSES = tuple(range(11, 288, 24))
 """One n = 11 (mod 24) in each of the 12 residue classes mod 288,
@@ -37,27 +38,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="classinv",
         description="Minimal polynomials of Ramanujan-type class invariants.",
     )
+    # dest only names the subcommand in argparse's "required" error
     sub = parser.add_subparsers(dest="command", required=True)
 
     pn = sub.add_parser("pn", help="minimal polynomial of t_n")
     pn.add_argument("--n", type=int, required=True)
-    pn.add_argument("--prec", type=int, default=None)
-    pn.add_argument("--format", choices=("text", "json"), default="text")
+    pn.set_defaults(handler=_cmd_pn)
 
     rng = sub.add_parser("pn-range", help="polynomials for all n in a range")
     rng.add_argument("--from", dest="start", type=int, required=True)
     rng.add_argument("--to", dest="stop", type=int, required=True)
-    rng.add_argument("--prec", type=int, default=None)
-    rng.add_argument("--format", choices=("text", "json"), default="text")
+    rng.set_defaults(handler=_cmd_pn_range)
 
     hil = sub.add_parser("hilbert", help="Hilbert class polynomial")
     hil.add_argument("--disc", type=int, required=True)
-    hil.add_argument("--prec", type=int, default=None)
-    hil.add_argument("--format", choices=("text", "json"), default="text")
+    hil.set_defaults(handler=_cmd_hilbert)
 
-    sub.add_parser("check-invariance",
-                   help="exact invariance under the stabilizer unit groups")
-    sub.add_parser("selftest", help="run the cross-validation suites")
+    # after each command's own options, so usage lines list those first
+    for polynomial_command in (pn, rng, hil):
+        polynomial_command.add_argument("--prec", type=int, default=None)
+        polynomial_command.add_argument("--format", choices=("text", "json"),
+                                        default="text")
+
+    sub.add_parser(
+        "check-invariance",
+        help="exact invariance under the stabilizer unit groups",
+    ).set_defaults(handler=_cmd_check_invariance)
+    sub.add_parser(
+        "selftest", help="run the cross-validation suites",
+    ).set_defaults(handler=_cmd_selftest)
     return parser
 
 
@@ -88,24 +97,41 @@ def _result_payload(result: PolynomialResult) -> dict:
     }
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _print_results(args: argparse.Namespace,
+                   results: Union[PolynomialResult, List[PolynomialResult]]) -> int:
+    """Print one result, or pn-range's list, as text or canonical JSON."""
+    many = isinstance(results, list)
+    if args.format == "json":
+        payload = ([_result_payload(r) for r in results] if many
+                   else _result_payload(results))
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif many:
+        for r in results:
+            print(f"n={-r.discriminant}: {r.polynomial}")
+    else:
+        print(results.polynomial)
+    return 0
 
 
-def _warn_not_squarefree(n: int) -> None:
-    print(f"warning: {n} is not squarefree", file=sys.stderr)
+def _ramanujan(n: int, prec: Optional[int]) -> PolynomialResult:
+    """compute_ramanujan, after a stderr warning for a valid n with a square factor."""
+    if is_valid_n(n) and not is_squarefree(n):
+        print(f"warning: {n} is not squarefree", file=sys.stderr)
+    return compute_ramanujan(n, prec)
+
+
+def _report(checks: Iterable[Tuple[str, bool, str]]) -> int:
+    """Print `name: PASS|FAIL (detail)` per check; exit code 1 if any failed."""
+    all_ok = True
+    for name, passed, detail in checks:
+        line = f"{name}: {'PASS' if passed else 'FAIL'}"
+        print(f"{line} ({detail})" if detail else line)
+        all_ok = all_ok and passed
+    return 0 if all_ok else 1
 
 
 def _cmd_pn(args: argparse.Namespace) -> int:
-    prec = _resolve_prec(args.prec)
-    if is_valid_n(args.n) and not is_squarefree(args.n):
-        _warn_not_squarefree(args.n)
-    result = compute_ramanujan(args.n, prec)
-    if args.format == "json":
-        _emit_json(_result_payload(result))
-    else:
-        print(str(result.polynomial))
-    return 0
+    return _print_results(args, _ramanujan(args.n, _resolve_prec(args.prec)))
 
 
 def _cmd_pn_range(args: argparse.Namespace) -> int:
@@ -114,68 +140,31 @@ def _cmd_pn_range(args: argparse.Namespace) -> int:
     if args.start <= 0:
         raise ValueError(f"range start must be positive, got {args.start}")
     prec = _resolve_prec(args.prec)
-    targets = [n for n in range(args.start, args.stop + 1) if is_valid_n(n)]
-    results = []
-    for n in targets:
-        if not is_squarefree(n):
-            _warn_not_squarefree(n)
-        results.append(compute_ramanujan(n, prec))
-    if args.format == "json":
-        _emit_json([_result_payload(r) for r in results])
-    else:
-        for r in results:
-            print(f"n={-r.discriminant}: {r.polynomial}")
-    return 0
+    return _print_results(args, [_ramanujan(n, prec)
+                                 for n in range(args.start, args.stop + 1)
+                                 if is_valid_n(n)])
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    prec = _resolve_prec(args.prec)
-    result = compute_hilbert(args.disc, prec)
-    if args.format == "json":
-        _emit_json(_result_payload(result))
-    else:
-        print(str(result.polynomial))
-    return 0
+    return _print_results(args, compute_hilbert(args.disc, _resolve_prec(args.prec)))
 
 
-def _cmd_check_invariance() -> int:
-    all_ok = True
-    for n in INVARIANCE_CLASSES:
-        results = invariance_check(n)
-        ok = all(r.invariant for r in results)
-        all_ok = all_ok and ok
-        print(f"check-invariance n={n}: {'PASS' if ok else 'FAIL'}")
-    return 0 if all_ok else 1
+def _cmd_check_invariance(args: argparse.Namespace) -> int:
+    return _report((f"check-invariance n={n}",
+                    all(r.invariant for r in invariance_check(n)), "")
+                   for n in INVARIANCE_CLASSES)
 
 
-def _cmd_selftest() -> int:
-    results = run_all()
-    all_ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        line = f"{r.name}: {status}"
-        if r.detail:
-            line += f" ({r.detail})"
-        print(line)
-        all_ok = all_ok and r.passed
-    return 0 if all_ok else 1
+def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_all
+
+    return _report((r.name, r.passed, r.detail) for r in run_all())
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "pn":
-            return _cmd_pn(args)
-        if args.command == "pn-range":
-            return _cmd_pn_range(args)
-        if args.command == "hilbert":
-            return _cmd_hilbert(args)
-        if args.command == "check-invariance":
-            return _cmd_check_invariance()
-        if args.command == "selftest":
-            return _cmd_selftest()
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,6 @@ import math
 import time
 from fractions import Fraction
 
-import mpmath
-
 from classinv import cli
 from classinv.classpoly import IntPolynomial
 from classinv.cyclotomic import SQRT3, CycNum

@@ -150,6 +150,13 @@ def test_polynomial_construction_and_rendering():
     assert str(IntPolynomial.from_descending((1, 1, 0))) == "x^2 + x"
 
 
+def test_polynomial_stores_any_sequence_as_a_tuple():
+    from_list, from_tuple = IntPolynomial([1, 1]), IntPolynomial((1, 1))
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert type(from_list.coefficients) is tuple
+
+
 def test_polynomial_rendering_round_trips_through_table():
     assert str(IntPolynomial.from_descending(MAIN_TABLE[611])) == TEXT_611
 

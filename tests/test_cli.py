@@ -1,14 +1,18 @@
 """The command-line interface: output formats, precision plumbing, errors."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from classinv import cli
+from classinv import cli, selftest
 from classinv.selftest import CheckResult
 
 from golden_data import (
     HILBERT_107_TEXT,
+    MAIN_TABLE,
     SMALL_TABLE,
     SMALL_TABLE_TEXT,
 )
@@ -74,6 +78,19 @@ def test_pn_range_json(capsys):
     payload = json.loads(out)
     assert [entry["n"] for entry in payload] == [11, 35, 59]
     assert payload[0]["coefficients"] == ["-1", "1"]
+
+
+def test_pn_range_json_warns_on_square_factor(capsys):
+    code, out, err = run_cli(capsys, "pn-range", "--from", "251", "--to", "299",
+                             "--format", "json")
+    assert code == 0
+    assert err == "warning: 275 is not squarefree\n"
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert [entry["n"] for entry in payload] == [251, 275, 299]
+    assert [entry["coefficients"] for entry in payload] == [
+        [str(c) for c in reversed(MAIN_TABLE[n])] for n in (251, 275, 299)
+    ]
 
 
 def test_pn_range_rejects_reversed_interval(capsys):
@@ -165,7 +182,7 @@ def test_selftest_reporting(capsys, monkeypatch):
         CheckResult("alpha", True, "10 points"),
         CheckResult("beta", True),
     ]
-    monkeypatch.setattr(cli, "run_all", lambda: fake)
+    monkeypatch.setattr(selftest, "run_all", lambda: fake)
     code, out, err = run_cli(capsys, "selftest")
     assert code == 0
     assert out == "alpha: PASS (10 points)\nbeta: PASS\n"
@@ -178,3 +195,40 @@ def test_selftest_reporting(capsys, monkeypatch):
 def test_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+@pytest.mark.parametrize("command, usage", [
+    ("pn", "usage: classinv pn [-h] --n N [--prec PREC] [--format {text,json}]\n"),
+    ("pn-range", "usage: classinv pn-range [-h] --from START --to STOP [--prec PREC]\n"
+                 "                         [--format {text,json}]\n"),
+    ("hilbert", "usage: classinv hilbert [-h] --disc DISC [--prec PREC] "
+                "[--format {text,json}]\n"),
+], ids=["pn", "pn-range", "hilbert"])
+def test_polynomial_commands_require_their_own_options(capsys, monkeypatch,
+                                                        command, usage):
+    # each command's own options come before the shared --prec and --format
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith(usage)
+
+
+def run_python(*args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_module_entry_point():
+    done = run_python("-m", "classinv", "pn", "--n", "107")
+    assert done.returncode == 0
+    assert done.stdout == SMALL_TABLE_TEXT[107] + "\n"
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    done = run_python("-c", "import sys, classinv.cli; print("
+                      "'classinv.selftest' in sys.modules, 'classinv.qseries' in sys.modules)")
+    assert done.returncode == 0
+    assert done.stdout == "False False\n"
