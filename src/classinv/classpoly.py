@@ -19,10 +19,12 @@ quotients (``etarep.mirror_term``), and the conjugate of that form's
 value; the ambiguous forms (``quadforms.is_ambiguous``: b = 0, b = a or
 a = c), which are their own mirrors, give real values.  The records
 of the conjugates are plain data; nothing here touches the dense
-oracle (``RepMatrix``, ``full_action``).  Each conjugate is formed on
-integer pairs: the eta quotient, an exact binary fraction from
-``numeval.r_value``, is read as a scaled pair and multiplied by
-z^k sqrt(3)^e as a fixed-point constant (``numeval.times_scalar``).
+oracle (``RepMatrix``, ``full_action``).  Each conjugate is an exact
+binary fraction from ``numeval``: the eta quotient (``r_value``) times
+z^k sqrt(3)^e, formed on numeval's scaled pairs (``times_scalar``).
+One loop for both polynomials (``_round_with_retries``) evaluates the
+forms with b >= 0, pairs each that is not ambiguous and reads every
+value into the expansion's fixed point (``to_gaussian``).
 The expansion runs over the reals on plain integers: each value is a
 fixed-point pair with as many fractional bits as the working digits, a
 real value enters as the linear factor t - v and a mirrored pair as the
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
-from mpmath.libmp import dps_to_prec, mpf_neg
+from mpmath.libmp import mpf_neg
 
 from .cyclotomic import CycNum
 from .etarep import (
@@ -259,32 +261,18 @@ def _ramanujan_size(n: int, forms: Sequence[QuadForm],
                for f, (index, _, e) in zip(forms, terms))
 
 
-Pair = Tuple[int, int]
-"""A Gaussian fixed-point pair at the expansion's bits (``_expansion_bits``)."""
-
-
 def _expansion_bits(digits: int) -> int:
     """Fractional bits of the fixed-point expansion at ``digits``."""
     return math.ceil(digits * math.log2(10)) + EXPANSION_GUARD_BITS
 
 
-def _conjugate_number(form: QuadForm, term: Term,
-                      digits: int) -> Tuple[Pair, mpmath.mpc]:
-    """z^k * sqrt(3)^e * F_index at the form's root: its pair at the
-    expansion's bits and its exact value.
-
-    The product is a scaled pair at the working precision's width
-    (``numeval.times_scalar``), so the value keeps its full relative
-    precision; the pair, a shift of it, is off by a unit more at the
-    expansion's bits.
-    """
+def _conjugate_number(form: QuadForm, term: Term, digits: int) -> mpmath.mpc:
+    """z^k * sqrt(3)^e * F_index at the form's root, an exact binary
+    fraction with the full relative precision of ``digits``
+    (``numeval.times_scalar``)."""
     index, k, e = term
-    width = dps_to_prec(digits + GUARD_DIGITS)
-    vr, vi, s = times_scalar(
-        r_value(index, form_root(form, digits + GUARD_DIGITS), digits), k, e, width)
-    shift = width + s - _expansion_bits(digits)
-    pair = (vr >> shift, vi >> shift) if shift >= 0 else (vr << -shift, vi << -shift)
-    return pair, from_gaussian(vr, vi, width + s)
+    return times_scalar(
+        r_value(index, form_root(form, digits + GUARD_DIGITS), digits), k, e, digits)
 
 
 def _record(form: QuadForm, term: Term, value: mpmath.mpc) -> ConjugateRecord:
@@ -309,7 +297,7 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
         raise ValueError(f"form {form} is not primitive and positive definite")
     digits = resolve_digits(dps)
     term = _action_data(form)
-    return _record(form, term, _conjugate_number(form, term, digits)[1])
+    return _record(form, term, _conjugate_number(form, term, digits))
 
 
 T = TypeVar("T")
@@ -326,6 +314,13 @@ def _with_mirrors(forms: Sequence[QuadForm], own: Sequence[T],
     for f in forms:
         data.append(next(rest) if f.b >= 0 else mirror(data[-1]))
     return data
+
+
+def _conjugate(value: mpmath.mpc) -> mpmath.mpc:
+    """The complex conjugate, negated exactly rather than rounded to the
+    ambient precision."""
+    re, im = value._mpc_
+    return mpmath.mp.make_mpc((re, mpf_neg(im)))
 
 
 def _sweep(factors: Sequence[Tuple[int, int, Optional[int]]], bits: int) -> List[int]:
@@ -430,7 +425,7 @@ def _join(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
     return coeffs
 
 
-def _expand_and_round(values: Sequence[Pair], paired: Sequence[bool],
+def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
                       digits: int) -> Tuple[Tuple[int, ...], mpmath.mpf]:
     """Expand prod(t - v) over the reals and round to integers, reporting
     the worst error.
@@ -473,13 +468,16 @@ def _expand_and_round(values: Sequence[Pair], paired: Sequence[bool],
 
 
 def _round_with_retries(
-    evaluate: Callable[[int], Tuple[Sequence[Pair], Sequence[mpmath.mpc]]],
-    paired: Sequence[bool], digits: int, size: float,
-) -> Tuple[Tuple[int, ...], mpmath.mpf, int, Sequence[mpmath.mpc]]:
-    """Round the expanded product of the values ``evaluate(digits)``,
-    each standing for a mirrored pair where ``paired`` says so;
-    ``evaluate`` returns their pairs at ``_expansion_bits(digits)`` and
-    the values themselves.
+    forms: Sequence[QuadForm], evaluate: Callable[[QuadForm, int], mpmath.mpc],
+    digits: int, size: float,
+) -> Tuple[Tuple[int, ...], mpmath.mpf, int, List[mpmath.mpc]]:
+    """Round the expanded product of t - v over the values v of the
+    reduced forms ``forms``, each the exact ``evaluate(form, digits)``.
+
+    Only the forms with b >= 0 are evaluated; each that is not
+    ambiguous (``quadforms.is_ambiguous``) stands for itself and its
+    mirror, whose value is its conjugate.  The values are read into
+    fixed point at ``_expansion_bits(digits)`` for ``_expand_and_round``.
 
     The first rung evaluated is the first of digits * 2^k, k >= 0, that
     the a-priori size estimate ``size`` does not rule out
@@ -487,15 +485,20 @@ def _round_with_retries(
     below it are skipped unevaluated.  Digits then double on each
     rounding failure, up to MAX_RETRIES times, before PrecisionError is
     raised.  Returns the rounded coefficients, the residual, the digits
-    used and the values at those digits.
+    used and the value of every form at those digits, each mirror's the
+    conjugate of its form's (``_with_mirrors``).
     """
+    evaluated = [f for f in forms if f.b >= 0]
+    paired = [not is_ambiguous(f) for f in evaluated]
     while digits + SKIP_MARGIN_DIGITS <= size:
         digits *= 2
     for _ in range(MAX_RETRIES + 1):
-        pairs, values = evaluate(digits)
-        rounded, residual = _expand_and_round(pairs, paired, digits)
+        values = [evaluate(f, digits) for f in evaluated]
+        bits = _expansion_bits(digits)
+        rounded, residual = _expand_and_round(
+            [to_gaussian(v, bits) for v in values], paired, digits)
         if residual < RESIDUAL_TOLERANCE:
-            return rounded, residual, digits, values
+            return rounded, residual, digits, _with_mirrors(forms, values, _conjugate)
         digits *= 2
     raise PrecisionError(
         f"coefficients failed to round to integers (residual {mpmath.nstr(residual)})",
@@ -521,18 +524,13 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         raise ValueError(BAD_RESIDUE_MESSAGE)
     digits = check_digits(dps) if dps is not None else DEFAULT_DIGITS
     forms = reduced_forms(-n)
-    evaluated = [f for f in forms if f.b >= 0]
-    paired = [not is_ambiguous(f) for f in evaluated]
-    own = [_action_data(f) for f in evaluated]
-    terms = _with_mirrors(forms, own, mirror_term)
+    terms = _with_mirrors(forms, [_action_data(f) for f in forms if f.b >= 0],
+                          mirror_term)
     size = _ramanujan_size(n, forms, terms)
-
-    def evaluate(digits: int) -> Tuple[Sequence[Pair], Sequence[mpmath.mpc]]:
-        return tuple(zip(*(_conjugate_number(f, term, digits)
-                           for f, term in zip(evaluated, own))))
-
+    term_of = dict(zip(forms, terms))
     rounded, residual, digits, values = _round_with_retries(
-        evaluate, paired, digits, size)
+        forms, lambda f, digits: _conjugate_number(f, term_of[f], digits),
+        digits, size)
     # t_n is a unit, so its minimal polynomial is monic with constant term +-1
     if rounded[-1] != 1:
         raise PrecisionError(
@@ -549,16 +547,8 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         precision_digits=digits,
         max_residual=residual,
         size_estimate=size,
-        conjugates=tuple(_record(*row) for row in
-                         zip(forms, terms, _with_mirrors(forms, values, _conjugate))),
+        conjugates=tuple(map(_record, forms, terms, values)),
     )
-
-
-def _conjugate(value: mpmath.mpc) -> mpmath.mpc:
-    """The complex conjugate, negated exactly rather than rounded to the
-    ambient precision."""
-    re, im = value._mpc_
-    return mpmath.mp.make_mpc((re, mpf_neg(im)))
 
 
 def _hilbert_size(discriminant: int, forms: Sequence[QuadForm]) -> float:
@@ -588,16 +578,9 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     forms = reduced_forms(discriminant)
     size = _hilbert_size(discriminant, forms)
     digits = check_digits(dps) if dps is not None else _hilbert_digits(size)
-    evaluated = [f for f in forms if f.b >= 0]
-    paired = [not is_ambiguous(f) for f in evaluated]
-
-    def evaluate(digits: int) -> Tuple[Sequence[Pair], Sequence[mpmath.mpc]]:
-        values = [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
-                  for f in evaluated]
-        bits = _expansion_bits(digits)
-        return [to_gaussian(v, bits) for v in values], values
-
-    rounded, residual, digits, _ = _round_with_retries(evaluate, paired, digits, size)
+    rounded, residual, digits, _ = _round_with_retries(
+        forms, lambda f, digits: j_invariant(form_root(f, digits + GUARD_DIGITS), digits),
+        digits, size)
     return PolynomialResult(
         discriminant=discriminant,
         class_number=len(forms),

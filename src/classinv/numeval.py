@@ -21,8 +21,9 @@ large as 10^75, are scaled pairs: (zr, zi, s) stands for
 two, so they keep their full relative precision on plain integers
 (``_scaled``, ``_scaled_mul``).  eta splits r as 2^-s r_s with
 |r_s| in [1/4, 1), forms q = r_s^24 2^(-24 s) by products and a shift,
-and returns the exact binary fraction r_s S(q) 2^-s.
-``classpoly`` expands its polynomials on the same integer pairs.
+and returns the exact binary fraction r_s S(q) 2^-s.  No scaled pair
+leaves this module: ``times_scalar`` too returns an exact binary
+fraction, which ``classpoly`` reads into fixed point (``to_gaussian``).
 
 Klein's j is the eta quotient (1 + 256 h)^3 / h with
 h = (eta(2 tau) / eta(tau))^24, which is Weber's
@@ -78,6 +79,11 @@ from mpmath.libmp import (
 
 GUARD_DIGITS = 10
 """Extra working digits carried by every routine."""
+
+MAX_SERIES_TERMS = 10**6
+"""The most terms an eta series may plan (``_series_plan``).  Every point
+the library evaluates needs about 50 or fewer; a point whose Im tau is
+near 0 would need millions, at microseconds each, and is refused."""
 
 
 def check_integer(value, name: str) -> int:
@@ -193,8 +199,9 @@ def fixed_scalar(k: int, e: int, bits: int) -> Tuple[int, int]:
         return to_gaussian(_zeta72(k, bits + 8) * sqrt_power(3, e, bits + 8), bits)
 
 
-def times_scalar(value: mpmath.mpc, k: int, e: int, bits: int) -> Scaled:
-    """zeta_72^k * sqrt(3)^e * value as a scaled pair at ``bits``.
+def times_scalar(value: mpmath.mpc, k: int, e: int, digits: int) -> mpmath.mpc:
+    """zeta_72^k * sqrt(3)^e * value, an exact binary fraction formed on
+    a scaled pair at the bits of digits + GUARD_DIGITS.
 
     In units of 2^-bits relative: the value, read as a scaled pair, is
     off by under 6 units; the constant by under 1.01 units per part, so
@@ -202,8 +209,9 @@ def times_scalar(value: mpmath.mpc, k: int, e: int, bits: int) -> Scaled:
     of modulus at least 2^(bits - 2), floors once, under 6 units more.
     So the result is off by the value's own error plus under 14 units.
     """
+    bits = dps_to_prec(digits + GUARD_DIGITS)
     vr, vi, s = _scaled(value, bits)
-    return (*_mul(vr, vi, *fixed_scalar(k, e, bits), bits), s)
+    return from_gaussian(*_mul(vr, vi, *fixed_scalar(k, e, bits), bits), bits + s)
 
 
 def _mul(ar: int, ai: int, br: int, bi: int, bits: int) -> Tuple[int, int]:
@@ -263,9 +271,15 @@ def _series_plan(im_tau: float, digits: int) -> Tuple[float, int, int]:
     cutoff -(digits + GUARD_DIGITS) at which the pentagonal sum stops,
     and the fixed-point bits it runs at (those of the working precision
     of digits + GUARD_DIGITS, plus a margin).  Only the term count and
-    the stopping test read the float."""
+    the stopping test read the float.  An Im tau that is 0 as a float,
+    or that needs more than MAX_SERIES_TERMS terms, raises ValueError."""
     log_qabs = -2 * math.pi * im_tau / math.log(10)
     cutoff = -(digits + GUARD_DIGITS)
+    # the sum takes about sqrt(2 cutoff / (3 log10 |q|)) terms; bound that
+    # before forming it, which overflows as log10 |q| reaches 0
+    if not log_qabs or 2 * cutoff / log_qabs > 3 * MAX_SERIES_TERMS ** 2:
+        raise ValueError(f"eta at Im tau = {im_tau!r} would need more than "
+                         f"{MAX_SERIES_TERMS} terms: Im tau is too close to 0")
     terms = math.isqrt(int(2 * cutoff / log_qabs) // 3 + 1) + 2
     # k terms, each off by a few units per product taken, leave the sum
     # off by O(k^2) units.  q = r^24 takes five products of numbers of
@@ -567,14 +581,18 @@ def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
     digits = resolve_digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
-        log_qabs, cutoff, bits = _series_plan(float(t.imag), digits)
+        im_tau = float(t.imag)
+        if math.isinf(im_tau):
+            raise ValueError(f"Im tau = {mpmath.nstr(t.imag)} is too large for j: "
+                             "it is infinite as a float")
+        log_qabs, cutoff, bits = _series_plan(im_tau, digits)
         bits += 32
         # |r| = 2^-x with x = pi Im tau / (12 ln 2), so r_s = r 2^s with
         # s = floor(x) lies in (1/2, 1] and q_s = r_s^24 = q 2^(24 s) in
         # (2^-24, 1]: fixed point keeps q_s to full relative precision,
         # however small q is.  The exponential is taken at the fixed-point
         # width, and 2^(24 s) is carried as a binary exponent
-        s = math.floor(math.pi * float(t.imag) / (12 * math.log(2)))
+        s = math.floor(math.pi * im_tau / (12 * math.log(2)))
         shift = 24 * s
         with mpmath.workprec(bits + 8):
             r = mpmath.expjpi(t / 12)

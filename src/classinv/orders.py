@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
+from .numeval import check_integer
 from .sl2words import Mat2
 
 Element = Tuple[int, int]
@@ -30,6 +31,11 @@ def multiply(x: Element, y: Element, c_param: int, modulus: int) -> Element:
 
 
 def power(x: Element, k: int, c_param: int, modulus: int) -> Element:
+    """x^k by repeated squaring; an exponent k that is not an integer of
+    at least 0 raises ValueError."""
+    k = check_integer(k, "exponent")
+    if k < 0:
+        raise ValueError(f"exponent must be at least 0, got {k}")
     result: Element = (1 % modulus, 0)
     base = x
     while k:

@@ -9,6 +9,7 @@ it replaced is kept here as the oracle it must agree with.
 """
 
 import decimal
+import hashlib
 import math
 import random
 import re
@@ -46,6 +47,7 @@ from classinv.etarep import (
 from classinv.numeval import (
     GUARD_DIGITS,
     eta,
+    from_gaussian,
     j_invariant,
     leading_exponent,
     ramanujan_value,
@@ -408,6 +410,32 @@ def test_hilbert_validation():
 def test_precision_error_reports_residual():
     error = PrecisionError("failed", mpmath.mpf("0.25"))
     assert error.residual == mpmath.mpf("0.25")
+
+
+def _mpf_bits(mpf):
+    """An mpf's (sign, mantissa, exponent, bit count), the mantissa as int."""
+    sign, man, exp, bc = mpf
+    return sign, int(man), exp, bc
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+def test_conjugates_and_residuals_keep_every_bit():
+    # scripts/output_digest.py hashes the coefficients and the rungs only,
+    # so a conjugate or a max_residual that moved by one unit would pass
+    # it: these are pinned to the bit
+    result = compute_ramanujan(1000019)
+    rows = [(c.index, c.k, c.e, tuple(map(_mpf_bits, c.value._mpc_)))
+            for c in result.conjugates]
+    assert _sha256(rows) == (
+        "3a9e3895d59b8a97132ae5946e380cd8014057a01d9df6f11f996b47d5c803a9")
+    assert _mpf_bits(compute_ramanujan(107).max_residual._mpf_) == (0, 1, -405, 1)
+    assert _sha256(_mpf_bits(result.max_residual._mpf_)) == (
+        "9b4102533c56a5dc202686963129614905c39e7ea01aff59fea2b3ed5225f8c3")
+    assert _sha256(_mpf_bits(compute_hilbert(-10019).max_residual._mpf_)) == (
+        "872c8de9c25e4c146706d18f0adef2213b775ff71758db5babd00be1f7a0ea14")
 
 
 def test_expansion_matches_oracle_on_the_table(main_table_results):
@@ -785,14 +813,18 @@ def test_small_sizes_start_at_the_default_rung(monkeypatch):
         assert rungs == [DEFAULT_DIGITS], n
 
 
+_STUB_FORMS = [QuadForm(1, 1, 1)]
+"""One ambiguous form, so its value enters the expansion unpaired."""
+
+
 def _stub_evaluate(value, rungs):
-    """An ``evaluate`` for ``_round_with_retries`` that records its digits
-    and returns the one real value ``value``, a Fraction, as a pair and
-    as itself."""
-    def evaluate(digits):
+    """An ``evaluate`` for ``_round_with_retries`` over ``_STUB_FORMS``
+    that records its digits and returns the real value ``value``, a
+    Fraction, floored to the expansion's bits."""
+    def evaluate(form, digits):
         rungs.append(digits)
         bits = classpoly._expansion_bits(digits)
-        return [((value.numerator << bits) // value.denominator, 0)], [value]
+        return from_gaussian((value.numerator << bits) // value.denominator, 0, bits)
     return evaluate
 
 
@@ -812,8 +844,8 @@ def test_ruled_out_rungs_are_never_evaluated(monkeypatch):
                                 (DEFAULT_DIGITS, 0.0, DEFAULT_DIGITS)]:
         rungs = []
         with pytest.raises(PrecisionError, match="failed to round"):
-            classpoly._round_with_retries(_stub_evaluate(Fraction(1, 2), rungs), [False],
-                                          digits, size)
+            classpoly._round_with_retries(
+                _STUB_FORMS, _stub_evaluate(Fraction(1, 2), rungs), digits, size)
         assert rungs == [first << k for k in range(classpoly.MAX_RETRIES + 1)]
         assert all(r + classpoly.SKIP_MARGIN_DIGITS > size for r in rungs)
 
@@ -823,7 +855,7 @@ def test_first_rung_for_size_1653_is_1920_digits():
     # takes a minute or more: the ladder skips 120 to 960 and evaluates 1920
     rungs = []
     rounded, residual, digits, values = classpoly._round_with_retries(
-        _stub_evaluate(Fraction(3), rungs), [False], DEFAULT_DIGITS, 1653.0)
+        _STUB_FORMS, _stub_evaluate(Fraction(3), rungs), DEFAULT_DIGITS, 1653.0)
     assert rungs == [1920] and digits == 1920
     assert rounded == (-3, 1) and residual == 0
 

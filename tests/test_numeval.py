@@ -350,6 +350,28 @@ def test_eta_rejects_lower_half_plane():
             eta(tau)
 
 
+@pytest.mark.parametrize("imag", ["1e-30", "1e-400"])
+@pytest.mark.parametrize("evaluate", [
+    eta, j_invariant, functools.partial(r_value, 2),
+], ids=["eta", "j_invariant", "r_value"])
+def test_a_point_too_close_to_the_real_axis_is_refused(monkeypatch, evaluate, imag):
+    # at Im tau = 1e-30 the series would plan some 10^15 terms; 1e-400 is
+    # 0 as a float.  Either is refused before any series is summed
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(numeval, "_pentagonal", no_series)
+    with pytest.raises(ValueError, match=r"eta at Im tau = .* too close to 0"):
+        evaluate(mpmath.mpc(0, mpmath.mpf(imag)), 20)
+
+
+def test_j_refuses_an_im_tau_that_is_infinite_as_a_float():
+    # j's exact value at a large finite Im tau holds about 9 Im tau bits,
+    # so only a point past the float range is tried
+    with pytest.raises(ValueError, match="too large for j"):
+        j_invariant(mpmath.mpc(0, mpmath.mpf("1e400")), 20)
+
+
 def test_quotients_are_finite_nonzero_and_periodic():
     with mpmath.workdps(130):
         tau = mpmath.mpc(0, 2)

@@ -82,6 +82,15 @@ def test_power_matches_repeated_multiplication():
         acc = multiply(acc, x, 9, 8)
 
 
+def test_power_rejects_a_negative_or_non_integer_exponent():
+    # a negative k never reached 0 under k >>= 1, so the loop did not end
+    with pytest.raises(ValueError, match="exponent must be at least 0, got -1"):
+        power((2, 1), -1, 3, 8)
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        power((2, 1), 1.5, 3, 8)
+    assert power((2, 1), 0, 3, 8) == (1, 0)
+
+
 def test_generator_matrix_anchors():
     assert generator_matrix(UNIT_ELEMENT, 3, 9) == Mat2(*UNIT_MATRIX_ENTRIES, 9)
     assert generator_matrix((1, 0), 3, 9) == Mat2.identity(9)
