@@ -563,11 +563,6 @@ def _hilbert_digits(size: float) -> int:
     return int(math.ceil(size)) + 20
 
 
-def hilbert_default_digits(discriminant: int) -> int:
-    """Precision heuristic from the coefficient growth of j-values."""
-    return _hilbert_digits(_hilbert_size(discriminant, reduced_forms(discriminant)))
-
-
 def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialResult:
     """Hilbert class polynomial of a negative discriminant.
 

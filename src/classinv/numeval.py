@@ -4,15 +4,19 @@ All functions take an optional integer digit count (at least 1) and
 work to that precision plus a fixed guard margin.  The Dedekind eta
 function is summed with the pentagonal number theorem, so the series is
 sparse: the number of terms needed grows with the square root of the
-target digits.  No term is a fresh power of q: the k-th pair of
-pentagonal powers q^(k(3k-1)/2), q^(k(3k+1)/2) comes from the previous
-pair by multiplication.  The series runs in Gaussian fixed point: a
-complex number z is the integer pair (floor(Re z 2^B), floor(Im z 2^B))
-(``to_gaussian``, ``from_gaussian``), so each product is three integer
-multiplications and two shifts (the imaginary part is
-(ar + ai)(br + bi) - ar br - ai bi; a square takes two) instead of
-mpmath's floating-point object arithmetic.  The term count is worked
-out in machine floats.
+target digits.  No term is a fresh power of q: each power the sum takes
+is the product of two powers made before it, along an addition sequence
+over the pentagonal exponents k(3k -+ 1)/2 that is built once per term
+count and cached (``_addition_sequence``, after Enge, Hart and
+Johansson, Short addition sequences for theta functions, 2018).  17
+terms take 46 products and 29 take 75, against 68 and 116 when each
+pair of powers is stepped from the pair before.  The series runs in
+Gaussian fixed point: a complex number z is the integer pair
+(floor(Re z 2^B), floor(Im z 2^B)) (``to_gaussian``,
+``from_gaussian``), so each product is three integer multiplications
+and two shifts (the imaginary part is (ar + ai)(br + bi) - ar br - ai bi;
+a square takes two) instead of mpmath's floating-point object
+arithmetic.  The term count is worked out in machine floats.
 
 Numbers whose size varies, such as the prefactor r = q^(1/24), which
 can be as small as 10^-170 at the CM points met here, or a quotient as
@@ -29,11 +33,12 @@ Klein's j is the eta quotient (1 + 256 h)^3 / h with
 h = (eta(2 tau) / eta(tau))^24, which is Weber's
 j = (f2^24 + 16)^3 / f2^24, so it needs two eta series and no
 Eisenstein series.  It does not call eta: the series of eta(2 tau) is
-S(q^2), whose powers are the squares of those of q, so one pass of the
-pentagonal kernel (``_pentagonal``) sums both, and every step after
-j's one exponential is integer arithmetic on Gaussian fixed point.  j
-scales r by a power of two, so that q, which it divides by, keeps its
-full relative precision however far up the half-plane tau lies.
+S(q^2), whose exponents are twice the pentagonal ones, so one addition
+sequence over both sets of exponents (``_pentagonal``) sums both, 40
+and 28 terms in 133 products, and every step after j's one exponential
+is integer arithmetic on Gaussian fixed point.  j scales r by a power
+of two, so that q, which it divides by, keeps its full relative
+precision however far up the half-plane tau lies.
 
 Each evaluation point costs one complex exponential.  eta takes r from
 the caller when the caller has it: the quotients compute one
@@ -58,7 +63,7 @@ import math
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath.libmp import (
@@ -80,10 +85,20 @@ from mpmath.libmp import (
 GUARD_DIGITS = 10
 """Extra working digits carried by every routine."""
 
-MAX_SERIES_TERMS = 10**6
+MAX_SERIES_TERMS = 10**5
 """The most terms an eta series may plan (``_series_plan``).  Every point
-the library evaluates needs about 50 or fewer; a point whose Im tau is
-near 0 would need millions, at microseconds each, and is refused."""
+the library evaluates needs about 50 or fewer.  The addition sequence of
+a series (``_addition_sequence``) makes about 3.5 powers of q per term
+and holds them all, some 350,000 at this bound; a point whose Im tau is
+nearer 0 is refused."""
+
+MAX_J_IM_TAU = 10**6
+"""The largest Im tau at which ``j_invariant`` evaluates.  j is returned
+exactly, and |j| is about exp(2 pi Im tau), so its value holds about
+9 Im tau bits: 1.1 MB at this bound, where Im tau = 10^9 would take
+1 GB.  A reduced form's root has Im tau at most sqrt(|D|)/2, so every
+discriminant with |D| up to 4 10^12 is inside it; a larger Im tau is
+refused."""
 
 
 def check_integer(value, name: str) -> int:
@@ -281,16 +296,107 @@ def _series_plan(im_tau: float, digits: int) -> Tuple[float, int, int]:
         raise ValueError(f"eta at Im tau = {im_tau!r} would need more than "
                          f"{MAX_SERIES_TERMS} terms: Im tau is too close to 0")
     terms = math.isqrt(int(2 * cutoff / log_qabs) // 3 + 1) + 2
-    # k terms, each off by a few units per product taken, leave the sum
-    # off by O(k^2) units.  q = r^24 takes five products of numbers of
-    # modulus at most 1, each of which at most adds the errors it is
-    # given and floors one more unit per part: from r off by sqrt(2)
-    # units, r^2, r^4, r^8, r^16 are off by 3, 7, 15, 31 times that and
-    # q = r^16 r^8 by 47 sqrt(2) < 2^7 units, so 8 bits cover it.  r^24
-    # also magnifies the relative error of r 24-fold (of w, 216-fold for
-    # eta(3 tau)): about 8 bits, well inside the guard digits
+    # Each product floors once: q^a q^b, from powers off by e_a and e_b
+    # units, is off by at most e_a |q|^b + e_b |q|^a + 1 units per part,
+    # so along the addition sequence of ``_pentagonal`` q^e is off by at
+    # most e (d + 1) units when q is off by d: O(k^2) units for the
+    # exponents, under 2 k^2, of k terms, which 2 bitlen(terms) bits
+    # cover.  (At |q| <= 1/4, as at every point the library evaluates,
+    # the factors |q|^b keep q^e within 2 + d e |q|^(e - 1) units and
+    # the whole sum within 4k + 2d.)  q = r^24 takes five products of
+    # numbers of modulus at most 1, each of which at most adds the
+    # errors it is given and floors one more unit per part: from r off
+    # by sqrt(2) units, r^2, r^4, r^8, r^16 are off by 3, 7, 15, 31 times
+    # that and q = r^16 r^8 by 47 sqrt(2) < 2^7 units, so 8 bits cover
+    # it.  r^24 also magnifies the relative error of r 24-fold (of w,
+    # 216-fold for eta(3 tau)): about 8 bits, well inside the guard digits
     return (log_qabs, cutoff,
             dps_to_prec(digits + GUARD_DIGITS) + 2 * terms.bit_length() + 8)
+
+
+def _term_count(log_qabs: float, cutoff: int, scale: int) -> int:
+    """The first k >= 1 with |q|^(scale low) < 10^cutoff, low = k(3k - 1)/2,
+    where log10 |q| is ``log_qabs``: the last k the pentagonal sum of
+    q^scale takes."""
+    k = 1
+    while scale * (k * (3 * k - 1) // 2) * log_qabs >= cutoff:
+        k += 1
+    return k
+
+
+def _signed_exponents(terms: int, scale: int) -> Tuple[List[int], List[int]]:
+    """The exponents scale k(3k - 1)/2 and scale k(3k + 1)/2 for
+    k = 1, ..., terms, split by the sign (-1)^k: (plus, minus)."""
+    plus: List[int] = []
+    minus: List[int] = []
+    for k in range(1, terms + 1):
+        low = k * (3 * k - 1) // 2
+        (minus if k % 2 else plus).extend((scale * low, scale * (low + k)))
+    return plus, minus
+
+
+_WINDOW = 16
+"""How many of the first and of the last exponents made so far
+``_addition_sequence`` tries as the first factor of the next power."""
+
+
+class _Plan(NamedTuple):
+    """An addition sequence from q: power 0 is q^1, and step i makes
+    power i + 1, q^exponents[i + 1], as the product of the powers at its
+    two indices (a square when they are equal).  ``once`` and ``twice``
+    are each (plus, minus), the indices of the powers that the sums
+    S(q) and S(q^2) add and subtract."""
+
+    exponents: Tuple[int, ...]
+    steps: Tuple[Tuple[int, int], ...]
+    once: Tuple[Tuple[int, ...], Tuple[int, ...]]
+    twice: Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+@lru_cache(maxsize=64)
+def _addition_sequence(terms: int, twice_terms: int) -> _Plan:
+    """The plan of ``_pentagonal`` for S(q) to ``terms`` values of k and
+    S(q^2) to ``twice_terms`` (none for 0): one sequence over the union
+    of the exponents p of the first sum and 2p of the second, after
+    Enge, Hart and Johansson, Short addition sequences for theta
+    functions (J. Integer Seq. 21, 2018).
+
+    Each exponent t, in increasing order, is made as a + (t - a) for a
+    among the ``_WINDOW`` first and ``_WINDOW`` last exponents made (the
+    smallest, and the latest targets and their differences) with t - a
+    made too: a search of O(1) lookups per exponent, not of every made
+    pair, so the plan takes time linear in its length.  Failing that,
+    t - a for the last exponent a made below t is made first, by the
+    same rule, and t takes two products or more.
+    """
+    plus, minus = _signed_exponents(terms, 1)
+    plus2, minus2 = _signed_exponents(twice_terms, 2)
+    index = {1: 0}
+    exponents = [1]
+    steps = []
+    for target in sorted(set(plus + minus + plus2 + minus2) - {1}):
+        window = exponents[-_WINDOW:] + exponents[:_WINDOW]
+        chain = []
+        t = target
+        while True:
+            for a in window:
+                if t - a in index:
+                    break
+            else:
+                # no a in the window has t - a made: make t - a first,
+                # by the same rule, for the last exponent a made below t
+                a = next(a for a in reversed(exponents) if a < t)
+            chain.append((a, t))
+            if t - a in index:
+                break
+            t -= a
+        for a, t in reversed(chain):
+            steps.append((index[a], index[t - a]))
+            index[t] = len(exponents)
+            exponents.append(t)
+    signs = tuple(tuple(index[e] for e in group)
+                  for group in (plus, minus, plus2, minus2))
+    return _Plan(tuple(exponents), tuple(steps), signs[:2], signs[2:])
 
 
 def _pentagonal(qr: int, qi: int, bits: int, log_qabs: float, cutoff: int,
@@ -301,46 +407,28 @@ def _pentagonal(qr: int, qi: int, bits: int, log_qabs: float, cutoff: int,
     point.  It stops after the first k with |q|^low < 10^cutoff, where
     log10 |q| is ``log_qabs``.
 
-    Returns S(q) and, when ``squared``, S(q^2) from the same pass, else
-    None.  j needs both: the powers of q^2 are the squares of those of
-    q, (q^2)^low = (q^low)^2 and (q^2)^k = (q^k)^2, and that sum stops
-    by the same rule at 2 low.
+    Returns S(q) and, when ``squared``, S(q^2), else None.  j needs
+    both: S(q^2) sums q^(2 low) and q^(2 low + 2k), and stops by the same
+    rule at 2 low.  Every power either sum takes is the product of two
+    powers made before it, along one addition sequence over the
+    exponents of both (``_addition_sequence``), built once per pair of
+    term counts.
     """
-    q3r, q3i = _mul(*_sq(qr, qi, bits), qr, qi, bits)
-    # low(k+1) = low(k) + 3k + 1, so q^low, q^k and q^(3k+1) step by products
-    low_r, low_i, k_r, k_i = qr, qi, qr, qi
-    step_r, step_i = _mul(q3r, q3i, qr, qi, bits)
-    one = 1 << bits
-    total_r, total_i = one, 0
-    twice_r, twice_i = one, 0
-    more_twice = squared
-    k, low = 1, 1
-    while True:
-        # q^low (1 + q^k) as q^low + q^low q^k: the same integers as
-        # _mul(q^low, 1 + q^k), as 2^bits divides q^low 2^bits, from two
-        # short factors instead of a short and a full-width one
-        prod_r, prod_i = _mul(low_r, low_i, k_r, k_i, bits)
-        term_r, term_i = low_r + prod_r, low_i + prod_i
-        if k % 2:
-            total_r, total_i = total_r - term_r, total_i - term_i
-        else:
-            total_r, total_i = total_r + term_r, total_i + term_i
-        if more_twice:
-            l2r, l2i = _sq(low_r, low_i, bits)
-            prod_r, prod_i = _mul(l2r, l2i, *_sq(k_r, k_i, bits), bits)
-            if k % 2:
-                twice_r, twice_i = twice_r - l2r - prod_r, twice_i - l2i - prod_i
-            else:
-                twice_r, twice_i = twice_r + l2r + prod_r, twice_i + l2i + prod_i
-            more_twice = 2 * low * log_qabs >= cutoff
-        if low * log_qabs < cutoff:
-            break
-        low += 3 * k + 1
-        k += 1
-        low_r, low_i = _mul(low_r, low_i, step_r, step_i, bits)
-        k_r, k_i = _mul(k_r, k_i, qr, qi, bits)
-        step_r, step_i = _mul(step_r, step_i, q3r, q3i, bits)
-    return (total_r, total_i), ((twice_r, twice_i) if squared else None)
+    plan = _addition_sequence(
+        _term_count(log_qabs, cutoff, 1),
+        _term_count(log_qabs, cutoff, 2) if squared else 0)
+    re, im = [qr], [qi]
+    for a, b in plan.steps:
+        pr, pi = (_sq(re[a], im[a], bits) if a == b
+                  else _mul(re[a], im[a], re[b], im[b], bits))
+        re.append(pr)
+        im.append(pi)
+
+    def total(plus, minus):
+        return ((1 << bits) + sum(re[i] for i in plus) - sum(re[i] for i in minus),
+                sum(im[i] for i in plus) - sum(im[i] for i in minus))
+
+    return total(*plan.once), (total(*plan.twice) if squared else None)
 
 
 def _check_r(r) -> mpmath.mpc:
@@ -576,15 +664,16 @@ def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
     With q = exp(2 pi i tau) and S the pentagonal sum, h = q X with
     X = (S(q^2) / S(q))^24, and j = 1/h + 768 + 196608 h + 16777216 h^2.
     One complex exponential, r = exp(pi i tau / 12), feeds it all; the
-    rest is integer arithmetic on Gaussian fixed point.
+    rest is integer arithmetic on Gaussian fixed point.  An Im tau above
+    MAX_J_IM_TAU raises ValueError before either runs.
     """
     digits = resolve_digits(dps)
     with mpmath.workdps(digits + GUARD_DIGITS):
         t = _to_tau(tau)
         im_tau = float(t.imag)
-        if math.isinf(im_tau):
+        if not im_tau <= MAX_J_IM_TAU:
             raise ValueError(f"Im tau = {mpmath.nstr(t.imag)} is too large for j: "
-                             "it is infinite as a float")
+                             f"it is above {MAX_J_IM_TAU}")
         log_qabs, cutoff, bits = _series_plan(im_tau, digits)
         bits += 32
         # |r| = 2^-x with x = pi Im tau / (12 ln 2), so r_s = r 2^s with

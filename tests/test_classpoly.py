@@ -30,7 +30,6 @@ from classinv.classpoly import (
     compute_hilbert,
     compute_ramanujan,
     conjugate_value,
-    hilbert_default_digits,
     is_squarefree,
     verify_polynomial,
 )
@@ -133,7 +132,7 @@ def _assert_expansion_matches_oracle(forms, values, digits):
 
 def _j_values(discriminant):
     """The forms and the j-value of every one of them, mirrors included."""
-    digits = hilbert_default_digits(discriminant)
+    digits = compute_hilbert(discriminant).precision_digits
     forms = reduced_forms(discriminant)
     return forms, [j_invariant(form_root(f, digits + GUARD_DIGITS), digits)
                    for f in forms], digits
@@ -395,9 +394,12 @@ def test_hilbert_anchors():
 
 def test_hilbert_default_digits_grow_with_coefficients():
     # the heuristic must clear the 24 digits of the disc -107 trace
-    assert hilbert_default_digits(-107) >= 30
-    assert hilbert_default_digits(-971) > hilbert_default_digits(-107) / 4
-    assert hilbert_default_digits(-11) >= 20
+    def digits(discriminant):
+        return compute_hilbert(discriminant).precision_digits
+
+    assert digits(-107) >= 30
+    assert digits(-971) > digits(-107) / 4
+    assert digits(-11) >= 20
 
 
 def test_hilbert_validation():

@@ -217,6 +217,105 @@ def test_two_product_square_equals_mul(ar, ai, bits):
     assert numeval._sq(ar, ai, bits) == numeval._mul(ar, ai, ar, ai, bits)
 
 
+def _stepped_walk_exponents(log_qabs, cutoff):
+    """The signed exponents (sign, e) that the pentagonal sums of q and
+    q^2 take when k steps up until |q|^low < 10^cutoff, low = k(3k - 1)/2:
+    S(q) takes q^low and q^(low + k) for every k up to that one, S(q^2)
+    the squares of both until |q|^(2 low) < 10^cutoff as well."""
+    once, twice = [], []
+    more_twice = True
+    k, low = 1, 1
+    while True:
+        sign = (-1) ** k
+        once += [(sign, low), (sign, low + k)]
+        if more_twice:
+            twice += [(sign, 2 * low), (sign, 2 * low + 2 * k)]
+            more_twice = 2 * low * log_qabs >= cutoff
+        if low * log_qabs < cutoff:
+            return once, twice
+        low += 3 * k + 1
+        k += 1
+
+
+def _signed(plan, sums):
+    plus, minus = sums
+    return sorted([(1, plan.exponents[i]) for i in plus]
+                  + [(-1, plan.exponents[i]) for i in minus])
+
+
+def _pentagonal_terms(terms, scale):
+    """(sign, e) for e = scale k(3k -+ 1)/2, sign (-1)^k, k = 1..terms."""
+    return sorted(((-1) ** k, scale * k * (3 * k + side) // 2)
+                  for k in range(1, terms + 1) for side in (-1, 1))
+
+
+@pytest.mark.parametrize("plans", [
+    [(terms, twice) for terms in range(1, 61) for twice in range(terms + 1)],
+    [(2000, 1414)], [(31000, 0)], [(31000, 21920)],
+], ids=["to-60", "2000", "31000", "31000-squared"])
+def test_an_addition_sequence_makes_each_power_from_two_made_before(plans):
+    for terms, twice_terms in plans:
+        # a fresh plan, not the cached one, so that the large ones do not
+        # stay in the cache for the rest of the session
+        plan = numeval._addition_sequence.__wrapped__(terms, twice_terms)
+        assert plan.exponents[0] == 1
+        assert len(plan.exponents) == len(plan.steps) + 1
+        for made, (a, b) in enumerate(plan.steps, start=1):
+            assert a < made and b < made
+            assert plan.exponents[made] == plan.exponents[a] + plan.exponents[b]
+        once = _pentagonal_terms(terms, 1)
+        twice = _pentagonal_terms(twice_terms, 2)
+        assert _signed(plan, plan.once) == once
+        assert _signed(plan, plan.twice) == twice
+        assert len(plan.steps) <= 2 * len({e for _, e in once + twice})
+
+
+def test_addition_sequences_take_fewer_products_than_stepping():
+    # stepping q^low, q^k and q^(3k+1) takes four products per k, and
+    # three more per k for the squares; the sequences share their powers
+    plans = {(17, 0): 46, (29, 0): 75, (40, 28): 133}
+    for (terms, twice_terms), products in plans.items():
+        plan = numeval._addition_sequence(terms, twice_terms)
+        assert len(plan.steps) <= products < 4 * terms + 3 * twice_terms
+
+
+@pytest.mark.parametrize("log_qabs, cutoff", [
+    (-0.1, -11), (-0.1, -40), (-0.79, -130), (-2.36, -130), (-7.1, -40),
+    (-300.0, -20),
+    # |q|^low = 10^cutoff exactly at low = 12 (k = 3), and |q|^(2 low) too
+    (-1.0, -12), (-1.0, -24), (-0.5, -6),
+])
+def test_the_kernel_sums_the_terms_of_its_stopping_rule(log_qabs, cutoff):
+    # at q = 3 and 0 fractional bits every product is exact, so the sums
+    # are the integers 1 + sum of the signed 3^e, whose balanced-ternary
+    # digits are the signed exponents themselves
+    once, twice = _stepped_walk_exponents(log_qabs, cutoff)
+    expect_once = 1 + sum(sign * 3 ** e for sign, e in once)
+    expect_twice = 1 + sum(sign * 3 ** e for sign, e in twice)
+    assert numeval._pentagonal(3, 0, 0, log_qabs, cutoff) == ((expect_once, 0), None)
+    assert numeval._pentagonal(3, 0, 0, log_qabs, cutoff, squared=True) == (
+        (expect_once, 0), (expect_twice, 0))
+
+
+@pytest.mark.parametrize("digits", [120, 500, 2000])
+def test_kernel_sums_and_j_match_the_oracles(digits):
+    # S(q) = eta(tau) / q^(1/24) and S(q^2) = eta(2 tau) / q^(1/12) from
+    # the direct products, and j from the Eisenstein series, near the
+    # smallest Im tau of a reduced form's root and further up
+    with mpmath.workdps(digits + 15):
+        tol = mpmath.mpf(10) ** -(digits - 5)
+        for tau in (mpmath.mpc("-0.45", "0.87"), mpmath.mpc("0.3", "1.7")):
+            log_qabs, cutoff, bits = numeval._series_plan(float(tau.imag), digits)
+            q = to_gaussian(mpmath.expjpi(2 * tau), bits)
+            once, twice = numeval._pentagonal(*q, bits, log_qabs, cutoff, squared=True)
+            s_q = _eta_product_oracle(tau, digits) / mpmath.expjpi(tau / 12)
+            s_q2 = _eta_product_oracle(2 * tau, digits) / mpmath.expjpi(tau / 6)
+            assert abs(from_gaussian(*once, bits) - s_q) < tol
+            assert abs(from_gaussian(*twice, bits) - s_q2) < tol
+            expected = _j_eisenstein_oracle(tau, digits)
+            assert abs(j_invariant(tau, digits) - expected) < tol * abs(expected)
+
+
 @pytest.mark.parametrize("digits", [500, 2000])
 @pytest.mark.parametrize("discriminant", [-30011, -1000019])
 def test_eta_matches_direct_product_at_high_precision(discriminant, digits):
@@ -366,10 +465,27 @@ def test_a_point_too_close_to_the_real_axis_is_refused(monkeypatch, evaluate, im
 
 
 def test_j_refuses_an_im_tau_that_is_infinite_as_a_float():
-    # j's exact value at a large finite Im tau holds about 9 Im tau bits,
-    # so only a point past the float range is tried
+    # refused by the same bound as a large finite Im tau
     with pytest.raises(ValueError, match="too large for j"):
         j_invariant(mpmath.mpc(0, mpmath.mpf("1e400")), 20)
+
+
+def test_j_refuses_an_im_tau_whose_value_would_not_fit(monkeypatch):
+    # j's exact value holds about 9 Im tau bits: some 1 GB at Im tau = 10^9.
+    # It is refused before the exponential or the series runs
+    def refused(*args, **kwargs):
+        raise AssertionError("j went on past its bound")
+
+    monkeypatch.setattr(numeval, "_pentagonal", refused)
+    monkeypatch.setattr(mpmath, "expjpi", refused)
+    with pytest.raises(ValueError, match=r"Im tau = 1\.0e\+9 is too large for j"):
+        j_invariant(mpmath.mpc(0, 10**9), 20)
+    monkeypatch.undo()
+    # at the bound itself j is evaluated: |j| is about exp(2 pi Im tau)
+    with mpmath.workdps(30):
+        value = j_invariant(mpmath.mpc(0, numeval.MAX_J_IM_TAU), 20)
+        expected = 2 * mpmath.pi * numeval.MAX_J_IM_TAU / mpmath.log(10)
+        assert abs(mpmath.log10(abs(value)) - expected) < 1
 
 
 def test_quotients_are_finite_nonzero_and_periodic():
