@@ -40,21 +40,30 @@ is integer arithmetic on Gaussian fixed point.  j scales r by a power
 of two, so that q, which it divides by, keeps its full relative
 precision however far up the half-plane tau lies.
 
-Each evaluation point costs one complex exponential.  eta takes r from
-the caller when the caller has it: the quotients compute one
-w = exp(pi i tau / 36) and hand eta(3 tau) w^9, eta((tau + j)/3)
-w * zeta_72^j and eta(tau) w^3, all formed on scaled pairs; the
-quotient of the eta values is one more scaled product and a division.
-After the exponential no step of a quotient rounds in mpmath.  The
-exact roots zeta_72^k and sqrt(3)^e come from tables, per precision
-(``zeta72``, ``sqrt_power``) and, as fixed-point pairs, per width
-(``fixed_scalar``).
+Each evaluation point costs one complex exponential.  The quotients
+compute one w = exp(pi i tau / 36); with Q = w^24, eta((tau + j)/3) is
+w zeta_72^j S(q') for q' = zeta_3^j Q and eta(tau) is w^3 S(Q^3).  As
+q'^3 = Q^3 for every j, the first slow factor forms q' from its root
+w zeta_72^j, as eta forms q from r, and one addition sequence over p
+and 3 p sums S(q') and S(Q^3) together (``_pentagonal`` with scale 3,
+as j takes scale 2): 29 and 17 terms in 94 products, where two walks
+would take 75 and 46, and 5 more for the second q.  Only eta(3 tau), the
+cheapest series, is an eta call, handed r = w^9.  Each eta value is one
+scaled product of its prefactor and its series; the quotient of the
+eta values is one more scaled product and a division.  After the
+exponential no step of a quotient rounds in mpmath.  The exact roots
+zeta_72^k and sqrt(3)^e come from tables, per precision (``zeta72``,
+``sqrt_power``) and, as fixed-point pairs, per width (``fixed_scalar``).
 
 The three eta((tau + j)/3) multiply to zeta_24 eta(tau)^4 / eta(3 tau),
 so F_3, F_4, F_5 are zeta_24 / F_1, zeta_24 / F_2, zeta_24 / F_0
 (``reciprocal_partner``).  ``r_value`` evaluates them that way: each
-quotient then sums one slow eta((tau + j)/3) series and the fast
-eta(3 tau) one, instead of two slow ones.
+quotient then walks one slow eta((tau + j)/3) series, with S(Q^3)
+beside it, and sums the fast eta(3 tau) one, instead of two slow ones.
+
+A series whose larger part is below 10^-GUARD_DIGITS, as near the real
+axis where |eta| falls as exp(-pi / (12 Im tau)), would keep fewer
+digits than asked for, and is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -69,11 +78,9 @@ import mpmath
 from mpmath.libmp import (
     dps_to_prec,
     fone,
-    from_int,
     from_man_exp,
     fzero,
     mpf_add,
-    mpf_div,
     mpf_lt,
     mpf_mul,
     mpf_mul_int,
@@ -301,15 +308,18 @@ def _series_plan(im_tau: float, digits: int) -> Tuple[float, int, int]:
     # so along the addition sequence of ``_pentagonal`` q^e is off by at
     # most e (d + 1) units when q is off by d: O(k^2) units for the
     # exponents, under 2 k^2, of k terms, which 2 bitlen(terms) bits
-    # cover.  (At |q| <= 1/4, as at every point the library evaluates,
-    # the factors |q|^b keep q^e within 2 + d e |q|^(e - 1) units and
-    # the whole sum within 4k + 2d.)  q = r^24 takes five products of
-    # numbers of modulus at most 1, each of which at most adds the
-    # errors it is given and floors one more unit per part: from r off
-    # by sqrt(2) units, r^2, r^4, r^8, r^16 are off by 3, 7, 15, 31 times
-    # that and q = r^16 r^8 by 47 sqrt(2) < 2^7 units, so 8 bits cover
-    # it.  r^24 also magnifies the relative error of r 24-fold (of w,
-    # 216-fold for eta(3 tau)): about 8 bits, well inside the guard digits
+    # cover.  A walk shared with S(q^scale) takes that sum's exponents
+    # too; its stopping rule keeps the largest under scale times S(q)'s
+    # (1.6 times from 5 terms on), 2 bits more at most.  (At |q| <= 1/4,
+    # as at every point the library evaluates, the factors |q|^b keep
+    # q^e within 2 + d e |q|^(e - 1) units and each sum within 4k + 2d.)
+    # q = r^24 takes five products of numbers of modulus at most 1, each
+    # of which at most adds the errors it is given and floors one more
+    # unit per part: from r off by sqrt(2) units, r^2, r^4, r^8, r^16 are
+    # off by 3, 7, 15, 31 times that and q = r^16 r^8 by
+    # 47 sqrt(2) < 2^7 units, so 8 bits cover it.  r^24 also magnifies
+    # the relative error of r 24-fold (of w, 216-fold for eta(3 tau)):
+    # about 8 bits, well inside the guard digits
     return (log_qabs, cutoff,
             dps_to_prec(digits + GUARD_DIGITS) + 2 * terms.bit_length() + 8)
 
@@ -339,26 +349,32 @@ _WINDOW = 16
 """How many of the first and of the last exponents made so far
 ``_addition_sequence`` tries as the first factor of the next power."""
 
+MAX_CACHED_TERMS = 1000
+"""The most terms of S(q) whose plan ``_pentagonal`` keeps in the cache
+of ``_addition_sequence``; a larger plan is built for its one call.  The
+workloads plan under 100 terms; a plan makes about 3.5 powers per term,
+and only points near the real axis plan thousands."""
+
 
 class _Plan(NamedTuple):
     """An addition sequence from q: power 0 is q^1, and step i makes
     power i + 1, q^exponents[i + 1], as the product of the powers at its
-    two indices (a square when they are equal).  ``once`` and ``twice``
+    two indices (a square when they are equal).  ``once`` and ``scaled``
     are each (plus, minus), the indices of the powers that the sums
-    S(q) and S(q^2) add and subtract."""
+    S(q) and S(q^scale) add and subtract."""
 
     exponents: Tuple[int, ...]
     steps: Tuple[Tuple[int, int], ...]
     once: Tuple[Tuple[int, ...], Tuple[int, ...]]
-    twice: Tuple[Tuple[int, ...], Tuple[int, ...]]
+    scaled: Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 @lru_cache(maxsize=64)
-def _addition_sequence(terms: int, twice_terms: int) -> _Plan:
+def _addition_sequence(terms: int, scaled_terms: int, scale: int) -> _Plan:
     """The plan of ``_pentagonal`` for S(q) to ``terms`` values of k and
-    S(q^2) to ``twice_terms`` (none for 0): one sequence over the union
-    of the exponents p of the first sum and 2p of the second, after
-    Enge, Hart and Johansson, Short addition sequences for theta
+    S(q^scale) to ``scaled_terms`` (none for 0): one sequence over the
+    union of the exponents p of the first sum and scale p of the second,
+    after Enge, Hart and Johansson, Short addition sequences for theta
     functions (J. Integer Seq. 21, 2018).
 
     Each exponent t, in increasing order, is made as a + (t - a) for a
@@ -370,11 +386,11 @@ def _addition_sequence(terms: int, twice_terms: int) -> _Plan:
     same rule, and t takes two products or more.
     """
     plus, minus = _signed_exponents(terms, 1)
-    plus2, minus2 = _signed_exponents(twice_terms, 2)
+    plus_scaled, minus_scaled = _signed_exponents(scaled_terms, scale)
     index = {1: 0}
     exponents = [1]
     steps = []
-    for target in sorted(set(plus + minus + plus2 + minus2) - {1}):
+    for target in sorted(set(plus + minus + plus_scaled + minus_scaled) - {1}):
         window = exponents[-_WINDOW:] + exponents[:_WINDOW]
         chain = []
         t = target
@@ -395,28 +411,37 @@ def _addition_sequence(terms: int, twice_terms: int) -> _Plan:
             index[t] = len(exponents)
             exponents.append(t)
     signs = tuple(tuple(index[e] for e in group)
-                  for group in (plus, minus, plus2, minus2))
+                  for group in (plus, minus, plus_scaled, minus_scaled))
     return _Plan(tuple(exponents), tuple(steps), signs[:2], signs[2:])
 
 
 def _pentagonal(qr: int, qi: int, bits: int, log_qabs: float, cutoff: int,
-                squared: bool = False
+                scale: int = 0
                 ) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:
     """S(q) = 1 + sum_k (-1)^k (q^low + q^(low + k)), low = k(3k - 1)/2,
     the pentagonal sum with eta(tau) = q^(1/24) S(q), on Gaussian fixed
     point.  It stops after the first k with |q|^low < 10^cutoff, where
     log10 |q| is ``log_qabs``.
 
-    Returns S(q) and, when ``squared``, S(q^2), else None.  j needs
-    both: S(q^2) sums q^(2 low) and q^(2 low + 2k), and stops by the same
-    rule at 2 low.  Every power either sum takes is the product of two
+    Returns S(q) and, when ``scale`` is set, S(q^scale), else None.  j
+    takes S(q^2) and the quotients S(q^3): S(q^scale) sums
+    q^(scale low) and q^(scale low + scale k), and stops by the same rule
+    at scale low.  Every power either sum takes is the product of two
     powers made before it, along one addition sequence over the
-    exponents of both (``_addition_sequence``), built once per pair of
-    term counts.
+    exponents of both (``_addition_sequence``), built once per term
+    counts and scale and cached when S(q) has at most
+    ``MAX_CACHED_TERMS`` terms.
+
+    Each sum is off by under 10^cutoff (``_series_plan``), absolute.  A
+    sum whose larger part is below 10^-GUARD_DIGITS would keep fewer
+    than -cutoff - GUARD_DIGITS digits relative, the digits asked for,
+    so it raises ValueError naming the Im tau of q.
     """
-    plan = _addition_sequence(
-        _term_count(log_qabs, cutoff, 1),
-        _term_count(log_qabs, cutoff, 2) if squared else 0)
+    terms = _term_count(log_qabs, cutoff, 1)
+    scaled_terms = _term_count(log_qabs, cutoff, scale) if scale else 0
+    build = (_addition_sequence if terms <= MAX_CACHED_TERMS
+             else _addition_sequence.__wrapped__)
+    plan = build(terms, scaled_terms, scale)
     re, im = [qr], [qi]
     for a, b in plan.steps:
         pr, pi = (_sq(re[a], im[a], bits) if a == b
@@ -425,10 +450,15 @@ def _pentagonal(qr: int, qi: int, bits: int, log_qabs: float, cutoff: int,
         im.append(pi)
 
     def total(plus, minus):
-        return ((1 << bits) + sum(re[i] for i in plus) - sum(re[i] for i in minus),
-                sum(im[i] for i in plus) - sum(im[i] for i in minus))
+        sr = (1 << bits) + sum(re[i] for i in plus) - sum(re[i] for i in minus)
+        si = sum(im[i] for i in plus) - sum(im[i] for i in minus)
+        if max(abs(sr), abs(si)) < (1 << bits) // 10 ** GUARD_DIGITS:
+            im_tau = -log_qabs * math.log(10) / (2 * math.pi)
+            raise ValueError(f"eta at Im tau = {im_tau:.6g} has no digits left: "
+                             f"its series is below 10^-{GUARD_DIGITS}")
+        return sr, si
 
-    return total(*plan.once), (total(*plan.twice) if squared else None)
+    return total(*plan.once), (total(*plan.scaled) if scale else None)
 
 
 def _check_r(r) -> mpmath.mpc:
@@ -536,26 +566,12 @@ evaluates and whether it inverts it: F_index itself when it has the
 factor eta(3 tau), else zeta_72^3 over its ``reciprocal_partner``."""
 
 
-def _factor_point(t: mpmath.mpc, factor: EtaFactor, prec: int) -> mpmath.mpc:
-    """The point 3 tau or (tau + j)/3 of an eta factor, each part rounded
-    to ``prec`` bits; eta reads it only for its term count."""
-    scale, shift = factor
+def _factor_point(t: mpmath.mpc, prec: int) -> mpmath.mpc:
+    """The point 3 tau of the factor eta(3 tau), each part rounded to
+    ``prec`` bits; eta reads it only for its term count."""
     re, im = t._mpc_
-    if scale == 3:
-        return mpmath.mp.make_mpc((mpf_mul_int(re, 3, prec, round_nearest),
-                                   mpf_mul_int(im, 3, prec, round_nearest)))
-    three = from_int(3)
-    return mpmath.mp.make_mpc((
-        mpf_div(mpf_add(re, from_int(shift), prec, round_nearest), three, prec,
-                round_nearest),
-        mpf_div(im, three, prec, round_nearest)))
-
-
-def _eta_scaled(point, digits: int, root: Scaled, bits: int) -> Scaled:
-    """eta at ``point`` with q^(1/24) the scaled pair ``root``, handed to
-    eta exactly and read back as a scaled pair."""
-    rr, ri, s = root
-    return _scaled(eta(point, digits, r=from_gaussian(rr, ri, bits + s)), bits)
+    return mpmath.mp.make_mpc((mpf_mul_int(re, 3, prec, round_nearest),
+                               mpf_mul_int(im, 3, prec, round_nearest)))
 
 
 def _quotients(tau, digits: int,
@@ -564,47 +580,71 @@ def _quotients(tau, digits: int,
     ``ETA_QUOTIENTS`` at tau, or zeta_72^3 over it when ``inverted``, as
     an exact binary fraction.
 
-    One exponential w = exp(pi*i*tau/36) feeds every eta factor: the
-    q^(1/24) handed to eta is w^3 for eta(tau), w^9 for eta(3 tau) and
-    w * zeta_72^j for eta((tau + j)/3).  Every step after it runs on
-    scaled pairs, so the result does not depend on the ambient precision.
+    One exponential w = exp(pi*i*tau/36) feeds every eta factor: with
+    Q = w^24, eta((tau + j)/3) is w zeta_72^j S(q') for q' = zeta_3^j Q,
+    eta(tau) is w^3 S(Q^3) and eta(3 tau) is w^9 S(Q^9).  As q'^3 = Q^3,
+    the first slow factor's walk sums S(Q^3) too (``_pentagonal`` with
+    scale 3), and eta(3 tau), the cheapest series, is an eta call handed
+    w^9.  Every step after the exponential runs on scaled pairs, so the
+    result does not depend on the ambient precision.
     """
     t = _to_tau(tau)
     # the slow factors eta((tau + j)/3) take the most terms, and so the
     # widest fixed point; the whole quotient runs at their width
-    bits = _series_plan(float(t.imag) / 3, digits)[2]
+    log_qabs, cutoff, bits = _series_plan(float(t.imag) / 3, digits)
     factors = sorted({f for row, _ in rows for f in ETA_QUOTIENTS[row]})
     with mpmath.workprec(bits + 8):
         w = mpmath.expjpi(t / 36)
-    points = [_factor_point(t, factor, bits + 8) for factor in factors]
     # Error, in units u = 2^-bits relative:
     # - w, for tau as given, is off by under 2^-8 (1 + pi |tau| / 36) u
     #   (the exponential and tau/36 are taken 8 bits wider), under 1 u
     #   for |tau| < 2900, and by 6 more once floored (``_scaled``): 7 u.
     # - Each scaled product adds its factors' errors and 3 u: w^3 is off
-    #   by under 27 u, w^9 by 87 u, w zeta_72^j by 12 u (the root's floor
-    #   costs 1.5 u).
-    # - A root off by d moves eta's prefactor by d and S(q) by about
-    #   24 d |q S'(q) / S(q)|, under 7 d at |q| < 0.17: under 2^8 u over
-    #   the three eta values, the denominator counted twice.  Each eta
-    #   value is off by its own error besides (see ``eta``), and its
-    #   readback by at most 6 u more (none when eta ran at ``bits``).
+    #   by under 27 u, w^9 by 87 u, a root w zeta_72^j by 12 u (the
+    #   constant's floor costs 1.5 u).
+    # - A root off by d moves its prefactor by d and S(q') by about
+    #   24 d |q' S'(q') / S(q')|, under 7 d at |q'| < 0.17.  The first
+    #   slow root also moves S(Q^3), Q^3 = root^72, by about
+    #   72 d |Q^3 S'(Q^3) / S(Q^3)| < d/2 (|Q^3| < 0.005), and w^3 moves
+    #   eta(tau) by 27 u: under 2^8 u over the three eta values, the
+    #   denominator counted twice.
+    # - The root is a scaled pair (rr, ri, s) with s >= 0, as |w| < 1,
+    #   and q' = (rr + i ri)^24 2^(-24 s) is formed as eta forms q: off
+    #   by under 2^7 u + 1 absolute.  (For s > 0 the pair's modulus may
+    #   reach sqrt(2) and its 24th power 2^12, with errors as many times
+    #   larger; the shift by 24 s >= 24 divides them away.)
+    # - S(q') and S(Q^3) come from one walk at this width, whose powers
+    #   are off by the e (d + 1) units that ``_series_plan`` states for a
+    #   shared walk, over the exponents of both sums.  As |S| > 1/2 at
+    #   |q'| < 0.17, each sum is off by under twice its absolute error,
+    #   relative, and each eta value by that plus the 3 u of its one
+    #   prefactor product.  eta(3 tau) is off by its own error (see
+    #   ``eta``) and its readback by at most 6 u more.
     # - The two products, the division (each part off by under a unit,
     #   with |numerator / denominator| > 2^-1.5: 4 u) and, inverted, the
     #   product with zeta_72^3 (3 u) add under 2^4 u.
-    # So F is off by its eta values' errors plus under 2^9 u: 9 bits,
-    # inside the 2 bitlen(terms) + 8 by which ``bits`` exceeds the
-    # working precision and the guard digits beyond it.
+    # So F is off by its series' errors plus under 2^9 u: 9 bits, inside
+    # the 2 bitlen(terms) + 8 by which ``bits`` exceeds the working
+    # precision and the guard digits beyond it.
     w1 = _scaled(w, bits)
     w3 = _scaled_mul(_scaled_mul(w1, w1, bits), w1, bits)
     values = {}
-    for (scale, shift), point in zip(factors, points):
+    d = None
+    for scale, shift in factors:
         if scale == 3:
-            root = _scaled_mul(_scaled_mul(w3, w3, bits), w3, bits)
+            rr, ri, s = _scaled_mul(_scaled_mul(w3, w3, bits), w3, bits)
+            value = eta(_factor_point(t, bits + 8), digits,
+                        r=from_gaussian(rr, ri, bits + s))
+            values[3, 0] = _scaled(value, bits)
         else:
-            root = _scaled_mul(w1, (*fixed_scalar(shift, 0, bits), 0), bits)
-        values[scale, shift] = _eta_scaled(point, digits, root, bits)
-    d = _eta_scaled(t, digits, w3, bits)
+            root = rr, ri, s = _scaled_mul(
+                w1, (*fixed_scalar(shift, 0, bits), 0), bits)
+            qr, qi = _power24(rr, ri, bits)
+            series, cubed = _pentagonal(qr >> 24 * s, qi >> 24 * s, bits,
+                                        log_qabs, cutoff, scale=3 if d is None else 0)
+            values[1, shift] = _scaled_mul(root, (*series, 0), bits)
+            if d is None:
+                d = _scaled_mul(w3, (*cubed, 0), bits)
     dr, di, ds = _scaled_mul(d, d, bits)
     results = []
     for row, inverted in rows:
@@ -687,7 +727,7 @@ def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
             r = mpmath.expjpi(t / 12)
         qsr, qsi = _power24(*to_gaussian(r, bits + s), bits)
         once, twice = _pentagonal(qsr >> shift, qsi >> shift, bits, log_qabs,
-                                  cutoff, squared=True)
+                                  cutoff, scale=2)
         xr, xi = _power24(*_div(*twice, *once, bits), bits)
         # p = q_s X = h 2^(24 s)
         p_r, p_i = _mul(qsr, qsi, xr, xi, bits)

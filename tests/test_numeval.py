@@ -217,22 +217,23 @@ def test_two_product_square_equals_mul(ar, ai, bits):
     assert numeval._sq(ar, ai, bits) == numeval._mul(ar, ai, ar, ai, bits)
 
 
-def _stepped_walk_exponents(log_qabs, cutoff):
+def _stepped_walk_exponents(log_qabs, cutoff, scale):
     """The signed exponents (sign, e) that the pentagonal sums of q and
-    q^2 take when k steps up until |q|^low < 10^cutoff, low = k(3k - 1)/2:
-    S(q) takes q^low and q^(low + k) for every k up to that one, S(q^2)
-    the squares of both until |q|^(2 low) < 10^cutoff as well."""
-    once, twice = [], []
-    more_twice = True
+    q^scale take when k steps up until |q|^low < 10^cutoff,
+    low = k(3k - 1)/2: S(q) takes q^low and q^(low + k) for every k up to
+    that one, S(q^scale) the scale-th powers of both until
+    |q|^(scale low) < 10^cutoff as well."""
+    once, scaled = [], []
+    more_scaled = True
     k, low = 1, 1
     while True:
         sign = (-1) ** k
         once += [(sign, low), (sign, low + k)]
-        if more_twice:
-            twice += [(sign, 2 * low), (sign, 2 * low + 2 * k)]
-            more_twice = 2 * low * log_qabs >= cutoff
+        if more_scaled:
+            scaled += [(sign, scale * low), (sign, scale * (low + k))]
+            more_scaled = scale * low * log_qabs >= cutoff
         if low * log_qabs < cutoff:
-            return once, twice
+            return once, scaled
         low += 3 * k + 1
         k += 1
 
@@ -249,52 +250,79 @@ def _pentagonal_terms(terms, scale):
                   for k in range(1, terms + 1) for side in (-1, 1))
 
 
+def _every_plan_to_60(scale):
+    return [(terms, scaled, scale)
+            for terms in range(1, 61) for scaled in range(terms + 1)]
+
+
 @pytest.mark.parametrize("plans", [
-    [(terms, twice) for terms in range(1, 61) for twice in range(terms + 1)],
-    [(2000, 1414)], [(31000, 0)], [(31000, 21920)],
-], ids=["to-60", "2000", "31000", "31000-squared"])
+    _every_plan_to_60(2), [(2000, 1414, 2)], [(31000, 0, 0)], [(31000, 21920, 2)],
+    _every_plan_to_60(3), [(2000, 1155, 3)], [(31000, 17898, 3)],
+], ids=["to-60", "2000", "31000", "31000-squared",
+        "to-60-cubed", "2000-cubed", "31000-cubed"])
 def test_an_addition_sequence_makes_each_power_from_two_made_before(plans):
-    for terms, twice_terms in plans:
+    for terms, scaled_terms, scale in plans:
         # a fresh plan, not the cached one, so that the large ones do not
         # stay in the cache for the rest of the session
-        plan = numeval._addition_sequence.__wrapped__(terms, twice_terms)
+        plan = numeval._addition_sequence.__wrapped__(terms, scaled_terms, scale)
         assert plan.exponents[0] == 1
         assert len(plan.exponents) == len(plan.steps) + 1
         for made, (a, b) in enumerate(plan.steps, start=1):
             assert a < made and b < made
             assert plan.exponents[made] == plan.exponents[a] + plan.exponents[b]
         once = _pentagonal_terms(terms, 1)
-        twice = _pentagonal_terms(twice_terms, 2)
+        scaled = _pentagonal_terms(scaled_terms, scale)
         assert _signed(plan, plan.once) == once
-        assert _signed(plan, plan.twice) == twice
-        assert len(plan.steps) <= 2 * len({e for _, e in once + twice})
+        assert _signed(plan, plan.scaled) == scaled
+        assert len(plan.steps) <= 2 * len({e for _, e in once + scaled})
 
 
 def test_addition_sequences_take_fewer_products_than_stepping():
     # stepping q^low, q^k and q^(3k+1) takes four products per k, and
-    # three more per k for the squares; the sequences share their powers
-    plans = {(17, 0): 46, (29, 0): 75, (40, 28): 133}
-    for (terms, twice_terms), products in plans.items():
-        plan = numeval._addition_sequence(terms, twice_terms)
-        assert len(plan.steps) <= products < 4 * terms + 3 * twice_terms
+    # three more per k for the squares; the sequences share their powers.
+    # S(q) and S(q^3) of a quotient's slow factor at 960 digits would take
+    # 75 and 46 products as two series, and five more for the second q^24
+    plans = {(17, 0, 0): 46, (29, 0, 0): 75, (40, 28, 2): 133, (29, 17, 3): 94}
+    for (terms, scaled_terms, scale), products in plans.items():
+        plan = numeval._addition_sequence(terms, scaled_terms, scale)
+        assert len(plan.steps) <= products < 4 * terms + 3 * scaled_terms
 
 
 @pytest.mark.parametrize("log_qabs, cutoff", [
     (-0.1, -11), (-0.1, -40), (-0.79, -130), (-2.36, -130), (-7.1, -40),
     (-300.0, -20),
-    # |q|^low = 10^cutoff exactly at low = 12 (k = 3), and |q|^(2 low) too
-    (-1.0, -12), (-1.0, -24), (-0.5, -6),
+    # |q|^low = 10^cutoff exactly at low = 12 (k = 3), and |q|^(2 low) or
+    # |q|^(3 low) too
+    (-1.0, -12), (-1.0, -24), (-0.5, -6), (-1.0, -36), (-0.5, -18),
 ])
 def test_the_kernel_sums_the_terms_of_its_stopping_rule(log_qabs, cutoff):
     # at q = 3 and 0 fractional bits every product is exact, so the sums
     # are the integers 1 + sum of the signed 3^e, whose balanced-ternary
     # digits are the signed exponents themselves
-    once, twice = _stepped_walk_exponents(log_qabs, cutoff)
-    expect_once = 1 + sum(sign * 3 ** e for sign, e in once)
-    expect_twice = 1 + sum(sign * 3 ** e for sign, e in twice)
+    for scale in (2, 3):
+        once, scaled = _stepped_walk_exponents(log_qabs, cutoff, scale)
+        expect_once = 1 + sum(sign * 3 ** e for sign, e in once)
+        expect_scaled = 1 + sum(sign * 3 ** e for sign, e in scaled)
+        assert numeval._pentagonal(3, 0, 0, log_qabs, cutoff, scale=scale) == (
+            (expect_once, 0), (expect_scaled, 0))
     assert numeval._pentagonal(3, 0, 0, log_qabs, cutoff) == ((expect_once, 0), None)
-    assert numeval._pentagonal(3, 0, 0, log_qabs, cutoff, squared=True) == (
-        (expect_once, 0), (expect_twice, 0))
+
+
+def test_only_small_plans_are_cached():
+    # a plan of more than MAX_CACHED_TERMS terms, which only points near
+    # the real axis need, is built for its one call: at log10 |q| = -1e-5
+    # and 40 digits S(q) takes some 1,600 terms
+    cache = numeval._addition_sequence.cache_info
+    size = cache().currsize
+    bits = 200
+    assert numeval._term_count(-1e-5, -40, 1) > numeval.MAX_CACHED_TERMS
+    assert numeval._pentagonal(0, 0, bits, -1e-5, -40) == ((1 << bits, 0), None)
+    assert cache().currsize == size
+    # a small one is kept: the second call finds it
+    numeval._pentagonal(0, 0, bits, -0.79, -130, scale=3)
+    hits = cache().hits
+    numeval._pentagonal(0, 0, bits, -0.79, -130, scale=3)
+    assert cache().hits == hits + 1
 
 
 @pytest.mark.parametrize("digits", [120, 500, 2000])
@@ -307,7 +335,7 @@ def test_kernel_sums_and_j_match_the_oracles(digits):
         for tau in (mpmath.mpc("-0.45", "0.87"), mpmath.mpc("0.3", "1.7")):
             log_qabs, cutoff, bits = numeval._series_plan(float(tau.imag), digits)
             q = to_gaussian(mpmath.expjpi(2 * tau), bits)
-            once, twice = numeval._pentagonal(*q, bits, log_qabs, cutoff, squared=True)
+            once, twice = numeval._pentagonal(*q, bits, log_qabs, cutoff, scale=2)
             s_q = _eta_product_oracle(tau, digits) / mpmath.expjpi(tau / 12)
             s_q2 = _eta_product_oracle(2 * tau, digits) / mpmath.expjpi(tau / 6)
             assert abs(from_gaussian(*once, bits) - s_q) < tol
@@ -462,6 +490,18 @@ def test_a_point_too_close_to_the_real_axis_is_refused(monkeypatch, evaluate, im
     monkeypatch.setattr(numeval, "_pentagonal", no_series)
     with pytest.raises(ValueError, match=r"eta at Im tau = .* too close to 0"):
         evaluate(mpmath.mpc(0, mpmath.mpf(imag)), 20)
+
+
+@pytest.mark.parametrize("evaluate, imag", [
+    (eta, "1e-8"), (j_invariant, "1e-3"), (functools.partial(r_value, 2), "1e-3"),
+], ids=["eta", "j_invariant", "r_value"])
+def test_a_series_with_no_digits_left_is_refused(evaluate, imag):
+    # |eta(i y)| = |eta(i / y)| / sqrt(y) is about exp(-pi / (12 y)): near
+    # 10^(-10^7) at y = 1e-8, far below the 10^-40 that fixed point at
+    # 30 + GUARD_DIGITS digits can hold.  A series below 10^-GUARD_DIGITS
+    # keeps fewer digits than asked for, and is refused
+    with pytest.raises(ValueError, match=r"eta at Im tau = .* has no digits left"):
+        evaluate(mpmath.mpc(0, mpmath.mpf(imag)), 30)
 
 
 def test_j_refuses_an_im_tau_that_is_infinite_as_a_float():
@@ -626,15 +666,42 @@ def test_eta_runs_at_the_requested_digits(monkeypatch):
         assert seen and set(seen) == {60}
 
 
+def test_a_quotient_sums_eta_tau_in_its_slow_walk(monkeypatch):
+    # eta(tau) = w^3 S(Q^3) is summed once per point, along the first slow
+    # factor's walk (scale 3); eta is called only for eta(3 tau)
+    points, scales = [], []
+    pentagonal = numeval._pentagonal
+
+    def eta_spy(tau, dps=None, r=None):
+        points.append(tau)
+        return eta(tau, dps, r=r)
+
+    def pentagonal_spy(*args, scale=0):
+        scales.append(scale)
+        return pentagonal(*args, scale=scale)
+
+    monkeypatch.setattr(numeval, "eta", eta_spy)
+    monkeypatch.setattr(numeval, "_pentagonal", pentagonal_spy)
+    tau = mpmath.mpc("0.3", "0.9")
+    evaluations = [functools.partial(r_value, index, tau, 60) for index in range(6)]
+    for evaluate, walks in [*((e, [0, 3]) for e in evaluations),
+                            (lambda: r_vector(tau, 60), [0, 0, 0, 3])]:
+        points.clear()
+        scales.clear()
+        evaluate()
+        assert len(points) == 1 and abs(points[0] - 3 * tau) < 1e-14
+        assert sorted(scales) == walks
+
+
 def test_j_sums_to_the_requested_digits(monkeypatch):
     # j sums S(q) and S(q^2) in one pass of the pentagonal kernel, not
     # through eta, and to 60 + GUARD_DIGITS digits, not 70 + GUARD_DIGITS
     cutoffs = []
     pentagonal = numeval._pentagonal
 
-    def spy(qr, qi, bits, log_qabs, cutoff, squared=False):
-        cutoffs.append((cutoff, squared))
-        return pentagonal(qr, qi, bits, log_qabs, cutoff, squared)
+    def spy(qr, qi, bits, log_qabs, cutoff, scale=0):
+        cutoffs.append((cutoff, scale))
+        return pentagonal(qr, qi, bits, log_qabs, cutoff, scale)
 
     def no_eta(*args, **kwargs):
         raise AssertionError("j called eta")
@@ -642,7 +709,7 @@ def test_j_sums_to_the_requested_digits(monkeypatch):
     monkeypatch.setattr(numeval, "_pentagonal", spy)
     monkeypatch.setattr(numeval, "eta", no_eta)
     j_invariant(mpmath.mpc(0, 1), 60)
-    assert cutoffs == [(-(60 + GUARD_DIGITS), True)]
+    assert cutoffs == [(-(60 + GUARD_DIGITS), 2)]
 
 
 def test_default_precision_comes_from_context():
