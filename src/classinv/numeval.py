@@ -40,30 +40,35 @@ is integer arithmetic on Gaussian fixed point.  j scales r by a power
 of two, so that q, which it divides by, keeps its full relative
 precision however far up the half-plane tau lies.
 
-Each evaluation point costs one complex exponential.  The quotients
-compute one w = exp(pi i tau / 36); with Q = w^24, eta((tau + j)/3) is
-w zeta_72^j S(q') for q' = zeta_3^j Q and eta(tau) is w^3 S(Q^3).  As
-q'^3 = Q^3 for every j, the first slow factor forms q' from its root
-w zeta_72^j, as eta forms q from r, and one addition sequence over p
-and 3 p sums S(q') and S(Q^3) together (``_pentagonal`` with scale 3,
-as j takes scale 2): 29 and 17 terms in 94 products, where two walks
-would take 75 and 46, and 5 more for the second q.  Only eta(3 tau), the
-cheapest series, is an eta call, handed r = w^9.  Each eta value is one
-scaled product of its prefactor and its series; the quotient of the
-eta values is one more scaled product and a division.  After the
-exponential no step of a quotient rounds in mpmath.  The exact roots
-zeta_72^k and sqrt(3)^e come from tables, per precision (``zeta72``,
-``sqrt_power``) and, as fixed-point pairs, per width (``fixed_scalar``).
-
-The three eta((tau + j)/3) multiply to zeta_24 eta(tau)^4 / eta(3 tau),
-so F_3, F_4, F_5 are zeta_24 / F_1, zeta_24 / F_2, zeta_24 / F_0
-(``reciprocal_partner``).  ``r_value`` evaluates them that way: each
-quotient then walks one slow eta((tau + j)/3) series, with S(Q^3)
-beside it, and sums the fast eta(3 tau) one, instead of two slow ones.
+Each quotient has one formula and costs one complex exponential.  The
+three eta((tau + j)/3) multiply to zeta_24 eta(tau)^4 / eta(3 tau), so
+F_3, F_4, F_5 are zeta_24 / F_1, zeta_24 / F_2, zeta_24 / F_0
+(``reciprocal_partner``), and ``r_value`` evaluates every index as
+eta(3 tau) eta((tau + j)/3) / eta(tau)^2 for one j, inverted for
+F_3..F_5: one slow eta((tau + j)/3) series and the fast eta(3 tau) one,
+instead of two slow ones.  It computes w = exp(pi i tau / 36); with
+Q = w^24, eta((tau + j)/3) is w zeta_72^j S(q') for q' = zeta_3^j Q and
+eta(tau) is w^3 S(Q^3).  As q'^3 = Q^3, the slow factor forms q' from
+its root w zeta_72^j, as eta forms q from r, and one addition sequence
+over p and 3 p sums S(q') and S(Q^3) together (``_pentagonal`` with
+scale 3, as j takes scale 2): 29 and 17 terms in 94 products, where two
+walks would take 75 and 46.  eta(3 tau), the cheapest series, is an eta
+call handed r = w^9.  Each eta value is one scaled product of its
+prefactor and its series; the quotient of the eta values is one more
+scaled product and a division.  After the exponential no step of a
+quotient rounds in mpmath.  ``r_vector`` is ``r_value`` for each of the
+six indices, bit for bit, at six exponentials and six slow series.  The
+exact roots zeta_72^k and sqrt(3)^e come from tables, per precision
+(``zeta72``, ``sqrt_power``) and, as fixed-point pairs, per width
+(``fixed_scalar``).
 
 A series whose larger part is below 10^-GUARD_DIGITS, as near the real
 axis where |eta| falls as exp(-pi / (12 Im tau)), would keep fewer
-digits than asked for, and is refused with a ValueError.
+digits than asked for, and is refused with a ValueError naming Im tau;
+a quotient names the Im tau it was passed, not that of the factor's
+point.  The refusal reads the sum itself: near a cusp a/c with c > 1,
+off the imaginary axis, |eta| falls only as exp(-pi / (12 c^2 Im tau)),
+so a bound from Im tau alone would refuse sums that keep their digits.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ import math
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath.libmp import (
@@ -288,6 +293,17 @@ def _power24(ar: int, ai: int, bits: int) -> Tuple[int, int]:
     return _mul(a16r, a16i, a8r, a8i, bits)
 
 
+class _Refused(ValueError):
+    """A series refused at a point: the message names its Im tau and the
+    ``reason``, which a caller whose series run at other points than the
+    one it was passed restates for its own (``r_value``)."""
+
+    def __init__(self, im_tau, reason: str):
+        named = mpmath.nstr(mpmath.mpf(im_tau), 6)
+        super().__init__(f"eta at Im tau = {named} {reason}")
+        self.reason = reason
+
+
 def _series_plan(im_tau: float, digits: int) -> Tuple[float, int, int]:
     """log10 |q| at a tau with Im tau = ``im_tau`` as a machine float, the
     cutoff -(digits + GUARD_DIGITS) at which the pentagonal sum stops,
@@ -300,8 +316,8 @@ def _series_plan(im_tau: float, digits: int) -> Tuple[float, int, int]:
     # the sum takes about sqrt(2 cutoff / (3 log10 |q|)) terms; bound that
     # before forming it, which overflows as log10 |q| reaches 0
     if not log_qabs or 2 * cutoff / log_qabs > 3 * MAX_SERIES_TERMS ** 2:
-        raise ValueError(f"eta at Im tau = {im_tau!r} would need more than "
-                         f"{MAX_SERIES_TERMS} terms: Im tau is too close to 0")
+        raise _Refused(im_tau, f"would need more than {MAX_SERIES_TERMS} terms: "
+                               "Im tau is too close to 0")
     terms = math.isqrt(int(2 * cutoff / log_qabs) // 3 + 1) + 2
     # Each product floors once: q^a q^b, from powers off by e_a and e_b
     # units, is off by at most e_a |q|^b + e_b |q|^a + 1 units per part,
@@ -453,9 +469,8 @@ def _pentagonal(qr: int, qi: int, bits: int, log_qabs: float, cutoff: int,
         sr = (1 << bits) + sum(re[i] for i in plus) - sum(re[i] for i in minus)
         si = sum(im[i] for i in plus) - sum(im[i] for i in minus)
         if max(abs(sr), abs(si)) < (1 << bits) // 10 ** GUARD_DIGITS:
-            im_tau = -log_qabs * math.log(10) / (2 * math.pi)
-            raise ValueError(f"eta at Im tau = {im_tau:.6g} has no digits left: "
-                             f"its series is below 10^-{GUARD_DIGITS}")
+            raise _Refused(-log_qabs * math.log(10) / (2 * math.pi), "has no "
+                           f"digits left: its series is below 10^-{GUARD_DIGITS}")
         return sr, si
 
     return total(*plan.once), (total(*plan.scaled) if scale else None)
@@ -558,12 +573,14 @@ def reciprocal_partner(index: int) -> int:
     return next(i for i, row in enumerate(ETA_QUOTIENTS) if set(row) == rest)
 
 
-_EVALUATED_ROWS: Tuple[Tuple[int, bool], ...] = tuple(
-    (index, False) if (3, 0) in row else (reciprocal_partner(index), True)
-    for index, row in enumerate(ETA_QUOTIENTS))
-"""For each index, the row of ``ETA_QUOTIENTS`` that ``r_value``
-evaluates and whether it inverts it: F_index itself when it has the
-factor eta(3 tau), else zeta_72^3 over its ``reciprocal_partner``."""
+_SLOW_FACTORS: Tuple[Tuple[int, bool], ...] = tuple(
+    (next(j for scale, j in ETA_QUOTIENTS[row] if scale == 1), row != index)
+    for index, row in enumerate(
+        i if (3, 0) in factors else reciprocal_partner(i)
+        for i, factors in enumerate(ETA_QUOTIENTS)))
+"""For each index, the (j, inverted) that ``r_value`` evaluates: F_index
+is eta(3 tau) eta((tau + j)/3) / eta(tau)^2 when it has the factor
+eta(3 tau), else zeta_72^3 over its ``reciprocal_partner``, which has it."""
 
 
 def _factor_point(t: mpmath.mpc, prec: int) -> mpmath.mpc:
@@ -574,27 +591,30 @@ def _factor_point(t: mpmath.mpc, prec: int) -> mpmath.mpc:
                                mpf_mul_int(im, 3, prec, round_nearest)))
 
 
-def _quotients(tau, digits: int,
-               rows: Sequence[Tuple[int, bool]]) -> List[mpmath.mpc]:
-    """For each (row, inverted) of ``rows``, the quotient of that row of
-    ``ETA_QUOTIENTS`` at tau, or zeta_72^3 over it when ``inverted``, as
-    an exact binary fraction.
+def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
+    """One of the six eta quotients at tau, as an exact binary fraction.
+
+    Each index has one formula (``_SLOW_FACTORS``): F_index is
+    eta(3 tau) eta((tau + j)/3) / eta(tau)^2, or zeta_72^3 over such a
+    quotient, its ``reciprocal_partner``, when F_index lacks the factor
+    eta(3 tau).  Im(3 tau) is nine times Im((tau + j)/3), so eta(3 tau)
+    needs a third of the terms, and one slow series is summed per point.
 
     One exponential w = exp(pi*i*tau/36) feeds every eta factor: with
     Q = w^24, eta((tau + j)/3) is w zeta_72^j S(q') for q' = zeta_3^j Q,
     eta(tau) is w^3 S(Q^3) and eta(3 tau) is w^9 S(Q^9).  As q'^3 = Q^3,
-    the first slow factor's walk sums S(Q^3) too (``_pentagonal`` with
-    scale 3), and eta(3 tau), the cheapest series, is an eta call handed
-    w^9.  Every step after the exponential runs on scaled pairs, so the
-    result does not depend on the ambient precision.
+    the slow factor's walk sums S(Q^3) too (``_pentagonal`` with scale
+    3), and eta(3 tau), the cheapest series, is an eta call handed w^9.
+    Every step after the exponential runs on scaled pairs, so the result
+    does not depend on the ambient precision.  A series refused at
+    (tau + j)/3 or 3 tau is refused naming Im tau of the point passed.
     """
+    digits = resolve_digits(dps)
+    index = check_integer(index, "index")
+    if not 0 <= index < len(ETA_QUOTIENTS):
+        raise ValueError("index out of range")
+    shift, inverted = _SLOW_FACTORS[index]
     t = _to_tau(tau)
-    # the slow factors eta((tau + j)/3) take the most terms, and so the
-    # widest fixed point; the whole quotient runs at their width
-    log_qabs, cutoff, bits = _series_plan(float(t.imag) / 3, digits)
-    factors = sorted({f for row, _ in rows for f in ETA_QUOTIENTS[row]})
-    with mpmath.workprec(bits + 8):
-        w = mpmath.expjpi(t / 36)
     # Error, in units u = 2^-bits relative:
     # - w, for tau as given, is off by under 2^-8 (1 + pi |tau| / 36) u
     #   (the exponential and tau/36 are taken 8 bits wider), under 1 u
@@ -626,59 +646,40 @@ def _quotients(tau, digits: int,
     # So F is off by its series' errors plus under 2^9 u: 9 bits, inside
     # the 2 bitlen(terms) + 8 by which ``bits`` exceeds the working
     # precision and the guard digits beyond it.
-    w1 = _scaled(w, bits)
-    w3 = _scaled_mul(_scaled_mul(w1, w1, bits), w1, bits)
-    values = {}
-    d = None
-    for scale, shift in factors:
-        if scale == 3:
-            rr, ri, s = _scaled_mul(_scaled_mul(w3, w3, bits), w3, bits)
-            value = eta(_factor_point(t, bits + 8), digits,
-                        r=from_gaussian(rr, ri, bits + s))
-            values[3, 0] = _scaled(value, bits)
-        else:
-            root = rr, ri, s = _scaled_mul(
-                w1, (*fixed_scalar(shift, 0, bits), 0), bits)
-            qr, qi = _power24(rr, ri, bits)
-            series, cubed = _pentagonal(qr >> 24 * s, qi >> 24 * s, bits,
-                                        log_qabs, cutoff, scale=3 if d is None else 0)
-            values[1, shift] = _scaled_mul(root, (*series, 0), bits)
-            if d is None:
-                d = _scaled_mul(w3, (*cubed, 0), bits)
+    try:
+        # the slow factor eta((tau + j)/3) takes the most terms, and so the
+        # widest fixed point; the whole quotient runs at its width
+        log_qabs, cutoff, bits = _series_plan(float(t.imag) / 3, digits)
+        with mpmath.workprec(bits + 8):
+            w = mpmath.expjpi(t / 36)
+        w1 = _scaled(w, bits)
+        w3 = _scaled_mul(_scaled_mul(w1, w1, bits), w1, bits)
+        root = rr, ri, s = _scaled_mul(w1, (*fixed_scalar(shift, 0, bits), 0), bits)
+        qr, qi = _power24(rr, ri, bits)
+        series, cubed = _pentagonal(qr >> 24 * s, qi >> 24 * s, bits,
+                                    log_qabs, cutoff, scale=3)
+        slow = _scaled_mul(root, (*series, 0), bits)
+        d = _scaled_mul(w3, (*cubed, 0), bits)
+        rr, ri, s = _scaled_mul(_scaled_mul(w3, w3, bits), w3, bits)
+        fast = _scaled(eta(_factor_point(t, bits + 8), digits,
+                           r=from_gaussian(rr, ri, bits + s)), bits)
+    except _Refused as refused:
+        raise _Refused(t.imag, refused.reason) from None
     dr, di, ds = _scaled_mul(d, d, bits)
-    results = []
-    for row, inverted in rows:
-        nr, ni, ns = _scaled_mul(*(values[f] for f in ETA_QUOTIENTS[row]), bits)
-        if inverted:
-            qr, qi = _mul(*_div(dr, di, nr, ni, bits), *fixed_scalar(3, 0, bits), bits)
-            s = ds - ns
-        else:
-            qr, qi = _div(nr, ni, dr, di, bits)
-            s = ns - ds
-        results.append(from_gaussian(qr, qi, bits + s))
-    return results
+    nr, ni, ns = _scaled_mul(fast, slow, bits)
+    if inverted:
+        qr, qi = _mul(*_div(dr, di, nr, ni, bits), *fixed_scalar(3, 0, bits), bits)
+        s = ds - ns
+    else:
+        qr, qi = _div(nr, ni, dr, di, bits)
+        s = ns - ds
+    return from_gaussian(qr, qi, bits + s)
 
 
 def r_vector(tau, dps: Optional[int] = None) -> Tuple[mpmath.mpc, ...]:
-    """All six eta quotients at tau, sharing the eta evaluations."""
-    digits = resolve_digits(dps)
-    rows = [(row, False) for row in range(len(ETA_QUOTIENTS))]
-    return tuple(_quotients(tau, digits, rows))
-
-
-def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
-    """One of the six eta quotients at tau, as an exact binary fraction.
-
-    A quotient without the factor eta(3 tau) is zeta_72^3 over its
-    ``reciprocal_partner``, which has it: Im(3 tau) is nine times
-    Im((tau + j)/3), so eta(3 tau) needs a third of the terms, and only
-    one slow eta((tau + j)/3) series is summed per point.
-    """
-    digits = resolve_digits(dps)
-    index = check_integer(index, "index")
-    if not 0 <= index < len(ETA_QUOTIENTS):
-        raise ValueError("index out of range")
-    return _quotients(tau, digits, [_EVALUATED_ROWS[index]])[0]
+    """All six eta quotients at tau: ``r_value`` for each index, bit for
+    bit, at six exponentials and six slow series."""
+    return tuple(r_value(index, tau, dps) for index in range(len(ETA_QUOTIENTS)))
 
 
 def ramanujan_value(n: int, dps: Optional[int] = None) -> mpmath.mpf:

@@ -426,6 +426,17 @@ def test_evaluation_is_independent_of_the_ambient_precision():
     assert low == high
 
 
+def test_r_vector_is_r_value_for_each_index():
+    # one formula per index: r_vector returns r_value's bits, at a CM
+    # root of -107, the widest root of -10019 and a generic point
+    points = [form_root(reduced_forms(-107)[1], 135), _widest_root(-10019, 120),
+              mpmath.mpc("0.3", "0.9")]
+    for tau in points:
+        for digits in (30, 120):
+            vector = [value._mpc_ for value in r_vector(tau, digits)]
+            assert vector == [r_value(index, tau, digits)._mpc_ for index in range(6)]
+
+
 def test_one_complex_exponential_per_point(monkeypatch):
     complex_calls = []
     expjpi = mpmath.expjpi
@@ -437,12 +448,13 @@ def test_one_complex_exponential_per_point(monkeypatch):
 
     monkeypatch.setattr(mpmath, "expjpi", spy)
     tau = mpmath.mpc("0.3", "0.9")
-    evaluations = [functools.partial(r_value, index, tau, 60) for index in range(6)]
-    evaluations += [lambda: r_vector(tau, 60), lambda: j_invariant(tau, 60)]
-    for evaluate in evaluations:
+    evaluations = [(functools.partial(r_value, index, tau, 60), 1) for index in range(6)]
+    # r_vector is r_value for each of the six indices
+    evaluations += [(lambda: j_invariant(tau, 60), 1), (lambda: r_vector(tau, 60), 6)]
+    for evaluate, exponentials in evaluations:
         complex_calls.clear()
         evaluate()
-        assert len(complex_calls) == 1
+        assert len(complex_calls) == exponentials
 
 
 def test_zeta72_table_is_bit_identical_to_expjpi():
@@ -477,31 +489,72 @@ def test_eta_rejects_lower_half_plane():
             eta(tau)
 
 
-@pytest.mark.parametrize("imag", ["1e-30", "1e-400"])
-@pytest.mark.parametrize("evaluate", [
-    eta, j_invariant, functools.partial(r_value, 2),
+@pytest.mark.parametrize("imag, named", [("1e-30", "1.0e-30"), ("1e-400", "1.0e-400")],
+                         ids=["1e-30", "1e-400"])
+@pytest.mark.parametrize("evaluate, names_it", [
+    (eta, False), (j_invariant, False), (functools.partial(r_value, 2), True),
 ], ids=["eta", "j_invariant", "r_value"])
-def test_a_point_too_close_to_the_real_axis_is_refused(monkeypatch, evaluate, imag):
+def test_a_point_too_close_to_the_real_axis_is_refused(monkeypatch, evaluate,
+                                                        names_it, imag, named):
     # at Im tau = 1e-30 the series would plan some 10^15 terms; 1e-400 is
-    # 0 as a float.  Either is refused before any series is summed
+    # 0 as a float.  Either is refused before any series is summed.
+    # r_value names the Im tau passed, not that of its slow factor's
+    # point (tau + j)/3
     def no_series(*args, **kwargs):
         raise AssertionError("a series was summed")
 
     monkeypatch.setattr(numeval, "_pentagonal", no_series)
-    with pytest.raises(ValueError, match=r"eta at Im tau = .* too close to 0"):
+    shown = re.escape(named) if names_it else ".*"
+    refusal = rf"eta at Im tau = {shown} would need .* too close to 0"
+    with pytest.raises(ValueError, match=refusal):
         evaluate(mpmath.mpc(0, mpmath.mpf(imag)), 20)
 
 
-@pytest.mark.parametrize("evaluate, imag", [
-    (eta, "1e-8"), (j_invariant, "1e-3"), (functools.partial(r_value, 2), "1e-3"),
+@pytest.mark.parametrize("evaluate, imag, shown", [
+    (eta, "1e-8", ".*"), (j_invariant, "1e-3", ".*"),
+    (functools.partial(r_value, 2), "1e-3", r"0\.001"),
 ], ids=["eta", "j_invariant", "r_value"])
-def test_a_series_with_no_digits_left_is_refused(evaluate, imag):
+def test_a_series_with_no_digits_left_is_refused(evaluate, imag, shown):
     # |eta(i y)| = |eta(i / y)| / sqrt(y) is about exp(-pi / (12 y)): near
     # 10^(-10^7) at y = 1e-8, far below the 10^-40 that fixed point at
     # 30 + GUARD_DIGITS digits can hold.  A series below 10^-GUARD_DIGITS
-    # keeps fewer digits than asked for, and is refused
-    with pytest.raises(ValueError, match=r"eta at Im tau = .* has no digits left"):
+    # keeps fewer digits than asked for, and is refused; r_value names
+    # the Im tau passed, not a third of it
+    with pytest.raises(ValueError, match=rf"eta at Im tau = {shown} has no digits left"):
         evaluate(mpmath.mpc(0, mpmath.mpf(imag)), 30)
+
+
+@pytest.mark.parametrize("tau, factor", [
+    (mpmath.mpc(mpmath.mpf(1) / 3, "0.002"), "0.006"), (mpmath.mpc(0, "0.001"), None),
+], ids=["eta-3-tau", "slow-walk"])
+def test_every_quotient_refusal_names_the_point_passed(tau, factor):
+    # near 1/3, 3 tau lies near the cusp 1, where eta(3 tau) has no digits
+    # left while (tau + j)/3, near (1 + 3 j)/9, and tau keep theirs; on the
+    # imaginary axis the slow walk refuses first.  Either way r_value and
+    # r_vector name the Im tau passed, 0.002 or 0.001
+    if factor:
+        with pytest.raises(ValueError, match=rf"Im tau = {factor} has no digits left"):
+            eta(3 * tau, 30)
+    shown = re.escape(mpmath.nstr(tau.imag, 6))
+    for evaluate in [functools.partial(r_value, index) for index in range(6)] + [r_vector]:
+        with pytest.raises(ValueError, match=rf"eta at Im tau = {shown} has no digits left"):
+            evaluate(tau, 30)
+
+
+def test_eta_accepts_a_small_series_off_the_imaginary_axis():
+    # at 0.5 + 0.005 i the series S = eta / q^(1/24) is about 2e-5, far
+    # above the exp(-pi / (12 Im tau)), about 1e-23, of the imaginary axis
+    # at that height: tau lies near the cusp 1/2, not 0.  The refusal reads
+    # the sum, not a bound from Im tau alone, and accepts it, to the digits
+    # asked for
+    tau = mpmath.mpc("0.5", "0.005")
+    with mpmath.workdps(60):
+        value = eta(tau, 30)
+        expected = mpmath.eta(tau)
+        series = abs(value / mpmath.expjpi(tau / 12))
+        assert 1e-6 < series < 1e-4
+        assert mpmath.exp(-mpmath.pi / (12 * tau.imag)) < 1e-22
+        assert abs(value - expected) < abs(expected) * mpmath.mpf(10) ** -30
 
 
 def test_j_refuses_an_im_tau_that_is_infinite_as_a_float():
@@ -667,8 +720,9 @@ def test_eta_runs_at_the_requested_digits(monkeypatch):
 
 
 def test_a_quotient_sums_eta_tau_in_its_slow_walk(monkeypatch):
-    # eta(tau) = w^3 S(Q^3) is summed once per point, along the first slow
-    # factor's walk (scale 3); eta is called only for eta(3 tau)
+    # eta(tau) = w^3 S(Q^3) is summed once per quotient, along its slow
+    # factor's walk (scale 3); eta is called only for eta(3 tau).
+    # r_vector is r_value for each of the six indices
     points, scales = [], []
     pentagonal = numeval._pentagonal
 
@@ -684,13 +738,14 @@ def test_a_quotient_sums_eta_tau_in_its_slow_walk(monkeypatch):
     monkeypatch.setattr(numeval, "_pentagonal", pentagonal_spy)
     tau = mpmath.mpc("0.3", "0.9")
     evaluations = [functools.partial(r_value, index, tau, 60) for index in range(6)]
-    for evaluate, walks in [*((e, [0, 3]) for e in evaluations),
-                            (lambda: r_vector(tau, 60), [0, 0, 0, 3])]:
+    for evaluate, count in [*((e, 1) for e in evaluations),
+                            (lambda: r_vector(tau, 60), 6)]:
         points.clear()
         scales.clear()
         evaluate()
-        assert len(points) == 1 and abs(points[0] - 3 * tau) < 1e-14
-        assert sorted(scales) == walks
+        assert len(points) == count
+        assert all(abs(point - 3 * tau) < 1e-14 for point in points)
+        assert sorted(scales) == [0] * count + [3] * count
 
 
 def test_j_sums_to_the_requested_digits(monkeypatch):
