@@ -24,7 +24,9 @@ binary fraction from ``numeval``: the eta quotient (``r_value``) times
 z^k sqrt(3)^e, formed on numeval's scaled pairs (``times_scalar``).
 One loop for both polynomials (``_round_with_retries``) evaluates the
 forms with b >= 0, pairs each that is not ambiguous and reads every
-value into the expansion's fixed point (``to_gaussian``).
+value into the expansion's fixed point (``to_gaussian``); a rung with
+enough work is evaluated on two processes (``_evaluate_all``), bit for
+bit as on one.
 The expansion runs over the reals on plain integers: each value is a
 fixed-point pair with as many fractional bits as the working digits, a
 real value enters as the linear factor t - v and a mirrored pair as the
@@ -45,13 +47,16 @@ precision handling.
 from __future__ import annotations
 
 import decimal
+import marshal
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import MPZ, mpf_neg
 
 from .cyclotomic import CycNum
 from .etarep import (
@@ -111,6 +116,18 @@ residual would be near 10^(E - r) >= 10^10, far above the tolerance.
 On the 82 invariant polynomials of ``scripts/output_digest.py``,
 log10(residual) + digits, the size the expansion reached, lies within
 -2.7 to +3.2 digits of E."""
+
+FORK_MIN_WORK = 6000
+"""A rung's values are evaluated on two processes (``_evaluate_all``)
+only when the number of evaluated forms times the digits reaches this.
+The fork, the child's exit and the pages copied on write cost about as
+much as 2000 units of this work evaluated serially (2.2 to 2.9 us a
+unit), so halving the evaluation breaks even near 4000.  Timed per call
+on a 2-core host, the forked evaluation lost below about 4000
+(Ramanujan n = 10019 at 1920, Hilbert D = -3995 at 5008) and won from
+about 6000 on for both polynomials (D = -16427 at 7680: 20.4 -> 15.2 ms;
+n = 41291 at 7080: 24.1 -> 19.0 ms)."""
+
 
 class PrecisionError(ArithmeticError):
     """Raised when coefficients refuse to round to integers."""
@@ -467,6 +484,89 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
     return rounded, from_gaussian(residual, 0, bits).real
 
 
+def _two_cpus() -> bool:
+    """At least two CPUs are usable by this process."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
+
+
+def _evaluate_all(forms: Sequence[QuadForm],
+                  evaluate: Callable[[QuadForm, int], mpmath.mpc],
+                  digits: int) -> List[mpmath.mpc]:
+    """``[evaluate(f, digits) for f in forms]``, bit for bit, on two
+    processes when that pays.
+
+    Only when len(forms) * digits reaches FORK_MIN_WORK, ``os.fork``
+    exists, no other thread runs and at least two CPUs are usable does
+    one forked child evaluate ``forms[1::2]`` while this process
+    evaluates ``forms[0::2]``; the child sends the exact parts of its
+    values back over a pipe (``_evaluate_forked``).  Any failure on
+    either side, an exception from ``evaluate`` included, reruns the
+    serial loop, so the values and any exception raised are the serial
+    ones.
+    """
+    if (len(forms) * digits >= FORK_MIN_WORK and hasattr(os, "fork")
+            and threading.active_count() == 1 and _two_cpus()):
+        try:
+            return _evaluate_forked(forms, evaluate, digits)
+        except Exception:
+            pass
+    return [evaluate(f, digits) for f in forms]
+
+
+def _evaluate_forked(forms: Sequence[QuadForm],
+                     evaluate: Callable[[QuadForm, int], mpmath.mpc],
+                     digits: int) -> List[mpmath.mpc]:
+    """The values of ``forms``, the odd-indexed ones from a forked child.
+
+    The child marshals each value's ``_mpc_`` parts, (sign, man, exp, bc)
+    with man as a plain int, and leaves only through ``os._exit``, so no
+    atexit handler or buffered stream of this process runs twice; it
+    exits non-zero, having sent nothing, if its share raises.  The child
+    is always reaped, and killed first if this process's share or the
+    read raises.  Raises if either share fails.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            parts = [tuple((sign, int(man), exp, bc) for sign, man, exp, bc
+                           in evaluate(f, digits)._mpc_) for f in forms[1::2]]
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(parts))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            own = [evaluate(f, digits) for f in forms[0::2]]
+            data = pipe.read()
+    except BaseException:
+        # signal is imported here only: importing classpoly loads no module
+        # that the one-process path does not need
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise ChildProcessError(f"evaluation child exited with status {status}")
+    values = [None] * len(forms)
+    values[0::2] = own
+    values[1::2] = [mpmath.mp.make_mpc(tuple((sign, MPZ(man), exp, bc)
+                                             for sign, man, exp, bc in value))
+                    for value in marshal.loads(data)]
+    return values
+
+
 def _round_with_retries(
     forms: Sequence[QuadForm], evaluate: Callable[[QuadForm, int], mpmath.mpc],
     digits: int, size: float,
@@ -493,7 +593,7 @@ def _round_with_retries(
     while digits + SKIP_MARGIN_DIGITS <= size:
         digits *= 2
     for _ in range(MAX_RETRIES + 1):
-        values = [evaluate(f, digits) for f in evaluated]
+        values = _evaluate_all(evaluated, evaluate, digits)
         bits = _expansion_bits(digits)
         rounded, residual = _expand_and_round(
             [to_gaussian(v, bits) for v in values], paired, digits)

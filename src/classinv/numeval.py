@@ -508,7 +508,10 @@ def eta(tau, dps: Optional[int] = None,
     """
     digits = resolve_digits(dps)
     t = _to_tau(tau)
-    log_qabs, cutoff, bits = _series_plan(float(t.imag), digits)
+    try:
+        log_qabs, cutoff, bits = _series_plan(float(t.imag), digits)
+    except _Refused as refused:
+        raise _Refused(t.imag, refused.reason) from None
     if r is None:
         with mpmath.workprec(bits):
             r = mpmath.expjpi(t / 12)
@@ -715,7 +718,10 @@ def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
         if not im_tau <= MAX_J_IM_TAU:
             raise ValueError(f"Im tau = {mpmath.nstr(t.imag)} is too large for j: "
                              f"it is above {MAX_J_IM_TAU}")
-        log_qabs, cutoff, bits = _series_plan(im_tau, digits)
+        try:
+            log_qabs, cutoff, bits = _series_plan(im_tau, digits)
+        except _Refused as refused:
+            raise _Refused(t.imag, refused.reason) from None
         bits += 32
         # |r| = 2^-x with x = pi Im tau / (12 ln 2), so r_s = r 2^s with
         # s = floor(x) lies in (1/2, 1] and q_s = r_s^24 = q 2^(24 s) in

@@ -11,9 +11,11 @@ it replaced is kept here as the oracle it must agree with.
 import decimal
 import hashlib
 import math
+import os
 import random
 import re
 import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -714,23 +716,135 @@ def test_each_mirror_takes_the_data_of_the_form_before_it():
             forms, own, lambda f: QuadForm(f.a, -f.b, f.c)) == forms
 
 
-def test_one_evaluation_per_mirrored_pair(monkeypatch):
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host has, so that a rung whose work
+    reaches FORK_MIN_WORK is evaluated on two processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _fork_spy(monkeypatch):
+    """A list that gains one entry per ``os.fork`` call in this process."""
+    forks = []
+    original = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or original())
+    return forks
+
+
+def _evaluation(polynomial, n):
+    """The forms with b >= 0 of -n, the ``evaluate`` that ``compute_ramanujan``
+    or ``compute_hilbert`` hands ``_round_with_retries`` and the digits of
+    its first rung evaluated."""
+    forms = reduced_forms(-n)
+    evaluated = [f for f in forms if f.b >= 0]
+    if polynomial == "ramanujan":
+        return evaluated, lambda f, digits: classpoly._conjugate_number(
+            f, classpoly._action_data(f), digits), DEFAULT_DIGITS
+    size = classpoly._hilbert_size(-n, forms)
+    return evaluated, lambda f, digits: j_invariant(
+        form_root(f, digits + GUARD_DIGITS), digits), classpoly._hilbert_digits(size)
+
+
+@needs_fork
+def test_one_evaluation_per_mirrored_pair(monkeypatch, tmp_path, two_cpus):
     # 170 pairs and 2 real forms among the 342 of n = 1000019, 30 pairs
-    # and 1 real form among the 61 of D = -30011
-    calls = []
+    # and 1 real form among the 61 of D = -30011.  Each rung is evaluated
+    # on two processes, so every call, in either, appends a line to a file
+    log = tmp_path / "calls"
     for name in ("r_value", "j_invariant"):
         original = getattr(classpoly, name)
 
         def spy(*args, _original=original, **kwargs):
-            calls.append(1)
+            with open(log, "a") as calls:
+                calls.write("call\n")
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(classpoly, name, spy)
+    forks = _fork_spy(monkeypatch)
     assert compute_ramanujan(1000019).class_number == 342
-    assert len(calls) == 172
-    calls.clear()
+    assert len(log.read_text().splitlines()) == 172
+    assert len(forks) == 1
+    log.unlink()
+    forks.clear()
     assert compute_hilbert(-30011).class_number == 61
-    assert len(calls) == 31
+    assert len(log.read_text().splitlines()) == 31
+    assert len(forks) == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("polynomial, n", [("ramanujan", 100019), ("hilbert", 20051)])
+def test_forked_values_are_the_serial_values(monkeypatch, two_cpus, polynomial, n):
+    # n = 100019 at 120 digits (work 97 * 120) and D = -20051 at 786
+    # (28 * 786): the child's values come back bit for bit
+    forms, evaluate, digits = _evaluation(polynomial, n)
+    assert len(forms) * digits >= classpoly.FORK_MIN_WORK
+    serial = [evaluate(f, digits)._mpc_ for f in forms]
+    forks = _fork_spy(monkeypatch)
+    forked = classpoly._evaluate_all(forms, evaluate, digits)
+    assert len(forks) == 1
+    assert [v._mpc_ for v in forked] == serial
+
+
+class _NoValue(Exception):
+    pass
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", [(3,), (2,), (3, 4)],
+                         ids=["child", "parent", "both"])
+def test_a_failing_share_raises_the_serial_exception(monkeypatch, two_cpus, failing):
+    # the child evaluates forms[1::2] and this process forms[0::2]; when
+    # both shares fail, the serial loop fails first on form 3.  No child
+    # is left behind
+    forms, evaluate, digits = _evaluation("hilbert", 10019)
+    assert len(forms) * digits >= classpoly.FORK_MIN_WORK
+    bad = [forms[i] for i in failing]
+
+    def evaluate_or_fail(f, digits):
+        if f in bad:
+            raise _NoValue(f"no value at {f}")
+        return evaluate(f, digits)
+
+    with pytest.raises(_NoValue) as serial:
+        [evaluate_or_fail(f, digits) for f in forms]
+    forks = _fork_spy(monkeypatch)
+    with pytest.raises(_NoValue) as forked:
+        classpoly._evaluate_all(forms, evaluate_or_fail, digits)
+    assert len(forks) == 1
+    assert forked.value.args == serial.value.args == (f"no value at {forms[failing[0]]}",)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_no_fork_for_the_table_a_second_thread_or_one_cpu(monkeypatch, two_cpus):
+    forks = _fork_spy(monkeypatch)
+    # the table's rungs are at most 8 forms * 120 digits
+    for n in sorted(MAIN_TABLE):
+        assert compute_ramanujan(n).polynomial.descending() == MAIN_TABLE[n]
+    assert forks == []
+    # D = -20051 forks otherwise (test_forked_values_are_the_serial_values)
+    expected = compute_hilbert(-20051).polynomial
+    assert len(forks) == 1
+    forks.clear()
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        assert compute_hilbert(-20051).polynomial == expected
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert compute_hilbert(-20051).polynomial == expected
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert compute_hilbert(-20051).polynomial == expected
+    assert forks == []
 
 
 def test_form_action_runs_once_per_form_with_b_at_least_0(monkeypatch):

@@ -491,21 +491,20 @@ def test_eta_rejects_lower_half_plane():
 
 @pytest.mark.parametrize("imag, named", [("1e-30", "1.0e-30"), ("1e-400", "1.0e-400")],
                          ids=["1e-30", "1e-400"])
-@pytest.mark.parametrize("evaluate, names_it", [
-    (eta, False), (j_invariant, False), (functools.partial(r_value, 2), True),
-], ids=["eta", "j_invariant", "r_value"])
+@pytest.mark.parametrize("evaluate", [eta, j_invariant, functools.partial(r_value, 2)],
+                         ids=["eta", "j_invariant", "r_value"])
 def test_a_point_too_close_to_the_real_axis_is_refused(monkeypatch, evaluate,
-                                                        names_it, imag, named):
+                                                        imag, named):
     # at Im tau = 1e-30 the series would plan some 10^15 terms; 1e-400 is
-    # 0 as a float.  Either is refused before any series is summed.
-    # r_value names the Im tau passed, not that of its slow factor's
-    # point (tau + j)/3
+    # 0 as a float.  Either is refused before any series is summed, and
+    # the refusal names the Im tau passed as the mpf it is, not as the
+    # float the plan reads (0.0 for 1e-400), nor, for r_value, that of its
+    # slow factor's point (tau + j)/3
     def no_series(*args, **kwargs):
         raise AssertionError("a series was summed")
 
     monkeypatch.setattr(numeval, "_pentagonal", no_series)
-    shown = re.escape(named) if names_it else ".*"
-    refusal = rf"eta at Im tau = {shown} would need .* too close to 0"
+    refusal = rf"eta at Im tau = {re.escape(named)} would need .* too close to 0"
     with pytest.raises(ValueError, match=refusal):
         evaluate(mpmath.mpc(0, mpmath.mpf(imag)), 20)
 
