@@ -716,7 +716,8 @@ def test_each_mirror_takes_the_data_of_the_form_before_it():
             forms, own, lambda f: QuadForm(f.a, -f.b, f.c)) == forms
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+FORKED = int(hasattr(os, "fork"))
+"""Forks per rung evaluated on two processes: none where os.fork is missing."""
 
 
 @pytest.fixture
@@ -727,28 +728,32 @@ def two_cpus(monkeypatch):
 
 
 def _fork_spy(monkeypatch):
-    """A list that gains one entry per ``os.fork`` call in this process."""
+    """A list that gains one entry per ``os.fork`` call in this process
+    (and stays empty where ``os.fork`` is missing)."""
     forks = []
-    original = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or original())
+    original = getattr(os, "fork", None)
+    if original is not None:
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or original())
     return forks
 
 
-def _evaluation(polynomial, n):
-    """The forms with b >= 0 of -n, the ``evaluate`` that ``compute_ramanujan``
-    or ``compute_hilbert`` hands ``_round_with_retries`` and the digits of
-    its first rung evaluated."""
-    forms = reduced_forms(-n)
-    evaluated = [f for f in forms if f.b >= 0]
-    if polynomial == "ramanujan":
-        return evaluated, lambda f, digits: classpoly._conjugate_number(
-            f, classpoly._action_data(f), digits), DEFAULT_DIGITS
-    size = classpoly._hilbert_size(-n, forms)
-    return evaluated, lambda f, digits: j_invariant(
-        form_root(f, digits + GUARD_DIGITS), digits), classpoly._hilbert_digits(size)
+class _Rung(Exception):
+    pass
 
 
-@needs_fork
+def _first_rung(monkeypatch, compute, *args):
+    """The (forms, evaluate, digits) that ``compute(*args)`` hands
+    ``_evaluate_all`` for its first rung; nothing is evaluated."""
+    def capture(forms, evaluate, digits):
+        raise _Rung(forms, evaluate, digits)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(classpoly, "_evaluate_all", capture)
+        with pytest.raises(_Rung) as rung:
+            compute(*args)
+    return rung.value.args
+
+
 def test_one_evaluation_per_mirrored_pair(monkeypatch, tmp_path, two_cpus):
     # 170 pairs and 2 real forms among the 342 of n = 1000019, 30 pairs
     # and 1 real form among the 61 of D = -30011.  Each rung is evaluated
@@ -766,25 +771,26 @@ def test_one_evaluation_per_mirrored_pair(monkeypatch, tmp_path, two_cpus):
     forks = _fork_spy(monkeypatch)
     assert compute_ramanujan(1000019).class_number == 342
     assert len(log.read_text().splitlines()) == 172
-    assert len(forks) == 1
+    assert len(forks) == FORKED
     log.unlink()
     forks.clear()
     assert compute_hilbert(-30011).class_number == 61
     assert len(log.read_text().splitlines()) == 31
-    assert len(forks) == 1
+    assert len(forks) == FORKED
 
 
-@needs_fork
-@pytest.mark.parametrize("polynomial, n", [("ramanujan", 100019), ("hilbert", 20051)])
-def test_forked_values_are_the_serial_values(monkeypatch, two_cpus, polynomial, n):
+@pytest.mark.parametrize("compute, args", [(compute_ramanujan, (100019, 120)),
+                                           (compute_hilbert, (-20051,))],
+                         ids=["ramanujan-100019", "hilbert-20051"])
+def test_forked_values_are_the_serial_values(monkeypatch, two_cpus, compute, args):
     # n = 100019 at 120 digits (work 97 * 120) and D = -20051 at 786
     # (28 * 786): the child's values come back bit for bit
-    forms, evaluate, digits = _evaluation(polynomial, n)
+    forms, evaluate, digits = _first_rung(monkeypatch, compute, *args)
     assert len(forms) * digits >= classpoly.FORK_MIN_WORK
     serial = [evaluate(f, digits)._mpc_ for f in forms]
     forks = _fork_spy(monkeypatch)
     forked = classpoly._evaluate_all(forms, evaluate, digits)
-    assert len(forks) == 1
+    assert len(forks) == FORKED
     assert [v._mpc_ for v in forked] == serial
 
 
@@ -792,14 +798,12 @@ class _NoValue(Exception):
     pass
 
 
-@needs_fork
 @pytest.mark.parametrize("failing", [(3,), (2,), (3, 4)],
                          ids=["child", "parent", "both"])
 def test_a_failing_share_raises_the_serial_exception(monkeypatch, two_cpus, failing):
     # the child evaluates forms[1::2] and this process forms[0::2]; when
-    # both shares fail, the serial loop fails first on form 3.  No child
-    # is left behind
-    forms, evaluate, digits = _evaluation("hilbert", 10019)
+    # both shares fail, the serial loop fails first on form 3
+    forms, evaluate, digits = _first_rung(monkeypatch, compute_hilbert, -10019)
     assert len(forms) * digits >= classpoly.FORK_MIN_WORK
     bad = [forms[i] for i in failing]
 
@@ -813,13 +817,14 @@ def test_a_failing_share_raises_the_serial_exception(monkeypatch, two_cpus, fail
     forks = _fork_spy(monkeypatch)
     with pytest.raises(_NoValue) as forked:
         classpoly._evaluate_all(forms, evaluate_or_fail, digits)
-    assert len(forks) == 1
+    assert len(forks) == FORKED
     assert forked.value.args == serial.value.args == (f"no value at {forms[failing[0]]}",)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    if FORKED:
+        # no child is left behind
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
-@needs_fork
 def test_no_fork_for_the_table_a_second_thread_or_one_cpu(monkeypatch, two_cpus):
     forks = _fork_spy(monkeypatch)
     # the table's rungs are at most 8 forms * 120 digits
@@ -828,7 +833,7 @@ def test_no_fork_for_the_table_a_second_thread_or_one_cpu(monkeypatch, two_cpus)
     assert forks == []
     # D = -20051 forks otherwise (test_forked_values_are_the_serial_values)
     expected = compute_hilbert(-20051).polynomial
-    assert len(forks) == 1
+    assert len(forks) == FORKED
     forks.clear()
     release = threading.Event()
     waiting = threading.Thread(target=release.wait)
