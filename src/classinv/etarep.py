@@ -326,11 +326,11 @@ def mirror_rule() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     ``ETA_QUOTIENTS``.
 
     eta has real q-coefficients and q^(1/24) = exp(pi i tau / 12), so
-    eta(-conj(tau)) = conj(eta(tau)), and likewise for eta(3 tau).  For
-    a factor eta((tau + j)/3), (-conj(tau) + j)/3 = -conj((tau + j')/3)
-    + m with j' = (3 - j) mod 3 and m = (j + j')/3, and
-    eta(x + m) = zeta_24^m eta(x), so that factor at -conj(tau) is
-    z^(3m) conj(eta((tau + j')/3)), z = zeta_72.  Hence
+    eta(-conj(x)) = conj(eta(x)).  For every factor (a, j),
+    eta((a tau + j)/3) (``numeval.EtaFactor``),
+    (-a conj(tau) + j)/3 = -conj((a tau + j')/3) + m with j' = -j mod 3
+    and m = (j + j')/3, and eta(x + m) = zeta_24^m eta(x), so that factor
+    at -conj(tau) is z^(3m) conj(eta((a tau + j')/3)), z = zeta_72.  Hence
     F_i(-conj(tau)) = z^(d_i) conj(F_s(i)(tau)) for a permutation s.
     The root of the mirror (a, -b, c) of a form is -conj(tau), so if
     the conjugate of the form is z^k sqrt(3)^e F_i(tau), the one of
@@ -341,13 +341,10 @@ def mirror_rule() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     d, s = [], []
     for factors in ETA_QUOTIENTS:
         mirrored, m = [], 0
-        for scale, shift in factors:
-            if scale == 3:
-                mirrored.append((scale, shift))
-            else:
-                partner = (3 - shift) % 3
-                mirrored.append((scale, partner))
-                m += (shift + partner) // 3
+        for a, j in factors:
+            partner = -j % 3
+            mirrored.append((a, partner))
+            m += (j + partner) // 3
         # a quotient is the same function whichever factor comes first
         s.append(next(i for i, row in enumerate(ETA_QUOTIENTS)
                       if sorted(row) == sorted(mirrored)))

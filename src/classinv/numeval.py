@@ -9,8 +9,7 @@ is the product of two powers made before it, along an addition sequence
 over the pentagonal exponents k(3k -+ 1)/2 that is built once per term
 count and cached (``_addition_sequence``, after Enge, Hart and
 Johansson, Short addition sequences for theta functions, 2018).  17
-terms take 46 products and 29 take 75, against 68 and 116 when each
-pair of powers is stepped from the pair before.  The series runs in
+terms take 46 products and 29 take 75.  The series runs in
 Gaussian fixed point: a complex number z is the integer pair
 (floor(Re z 2^B), floor(Im z 2^B)) (``to_gaussian``,
 ``from_gaussian``), so each product is three integer multiplications
@@ -40,27 +39,31 @@ is integer arithmetic on Gaussian fixed point.  j scales r by a power
 of two, so that q, which it divides by, keeps its full relative
 precision however far up the half-plane tau lies.
 
-Each quotient has one formula and costs one complex exponential.  The
-three eta((tau + j)/3) multiply to zeta_24 eta(tau)^4 / eta(3 tau), so
+Each quotient has one formula and costs one complex exponential.  A
+factor of ``ETA_QUOTIENTS`` is a pair (a, j) standing for
+eta((a tau + j)/3): eta(3 tau) is (9, 0), eta(tau) is (3, 0) and
+eta((tau + j)/3) is (1, j).  With w = exp(pi i tau / 36) and Q = w^24,
+one identity covers them all:
+
+    eta((a tau + j)/3) = w^a zeta_72^j S(zeta_3^j Q^a).
+
+The three (1, j) multiply to zeta_24 eta(tau)^4 / eta(3 tau), so
 F_3, F_4, F_5 are zeta_24 / F_1, zeta_24 / F_2, zeta_24 / F_0
 (``reciprocal_partner``), and ``r_value`` evaluates every index as
 eta(3 tau) eta((tau + j)/3) / eta(tau)^2 for one j, inverted for
-F_3..F_5: one slow eta((tau + j)/3) series and the fast eta(3 tau) one,
-instead of two slow ones.  It computes w = exp(pi i tau / 36); with
-Q = w^24, eta((tau + j)/3) is w zeta_72^j S(q') for q' = zeta_3^j Q and
-eta(tau) is w^3 S(Q^3).  As q'^3 = Q^3, the slow factor forms q' from
-its root w zeta_72^j, as eta forms q from r, and one addition sequence
+F_3..F_5: one slow series, S(q') with q' = zeta_3^j Q, and the fast
+one of eta(3 tau).  As q'^3 = Q^3, the slow factor forms q' from its
+root w zeta_72^j, as eta forms q from r, and one addition sequence
 over p and 3 p sums S(q') and S(Q^3) together (``_pentagonal`` with
-scale 3, as j takes scale 2): 29 and 17 terms in 94 products, where two
-walks would take 75 and 46.  eta(3 tau), the cheapest series, is an eta
-call handed r = w^9.  Each eta value is one scaled product of its
-prefactor and its series; the quotient of the eta values is one more
-scaled product and a division.  After the exponential no step of a
-quotient rounds in mpmath.  ``r_vector`` is ``r_value`` for each of the
-six indices, bit for bit, at six exponentials and six slow series.  The
-exact roots zeta_72^k and sqrt(3)^e come from tables, per precision
-(``zeta72``, ``sqrt_power``) and, as fixed-point pairs, per width
-(``fixed_scalar``).
+scale 3, as j takes scale 2): 29 and 17 terms in 94 products.
+eta(3 tau), the cheapest series, is an eta call handed r = w^9.  Each
+eta value is one scaled product of its prefactor and its series; the
+quotient of the eta values is one more scaled product and a division.
+After the exponential no step of a quotient rounds in mpmath.
+``r_vector`` is ``r_value`` for each of the six indices, bit for bit,
+at six exponentials and six slow series.  The exact roots zeta_72^k and
+sqrt(3)^e come from tables, per precision (``zeta72``, ``sqrt_power``)
+and, as fixed-point pairs, per width (``fixed_scalar``).
 
 A series whose larger part is below 10^-GUARD_DIGITS, as near the real
 axis where |eta| falls as exp(-pi / (12 Im tau)), would keep fewer
@@ -88,9 +91,7 @@ from mpmath.libmp import (
     mpf_add,
     mpf_lt,
     mpf_mul,
-    mpf_mul_int,
     mpf_sign,
-    round_nearest,
     to_fixed,
 )
 
@@ -304,14 +305,15 @@ class _Refused(ValueError):
         self.reason = reason
 
 
-def _series_plan(im_tau: float, digits: int) -> Tuple[float, int, int]:
+def _series_plan(im_tau, digits: int) -> Tuple[float, int, int]:
     """log10 |q| at a tau with Im tau = ``im_tau`` as a machine float, the
     cutoff -(digits + GUARD_DIGITS) at which the pentagonal sum stops,
     and the fixed-point bits it runs at (those of the working precision
     of digits + GUARD_DIGITS, plus a margin).  Only the term count and
     the stopping test read the float.  An Im tau that is 0 as a float,
-    or that needs more than MAX_SERIES_TERMS terms, raises ValueError."""
-    log_qabs = -2 * math.pi * im_tau / math.log(10)
+    or that needs more than MAX_SERIES_TERMS terms, raises ValueError
+    naming ``im_tau`` as given."""
+    log_qabs = -2 * math.pi * float(im_tau) / math.log(10)
     cutoff = -(digits + GUARD_DIGITS)
     # the sum takes about sqrt(2 cutoff / (3 log10 |q|)) terms; bound that
     # before forming it, which overflows as log10 |q| reaches 0
@@ -508,10 +510,7 @@ def eta(tau, dps: Optional[int] = None,
     """
     digits = resolve_digits(dps)
     t = _to_tau(tau)
-    try:
-        log_qabs, cutoff, bits = _series_plan(float(t.imag), digits)
-    except _Refused as refused:
-        raise _Refused(t.imag, refused.reason) from None
+    log_qabs, cutoff, bits = _series_plan(t.imag, digits)
     if r is None:
         with mpmath.workprec(bits):
             r = mpmath.expjpi(t / 12)
@@ -536,12 +535,15 @@ def eta(tau, dps: Optional[int] = None,
 
 
 EtaFactor = Tuple[int, int]
-"""(3, 0) is eta(3*tau); (1, j) is eta(tau/3 + j/3)."""
+"""(a, j) is eta((a tau + j)/3): (9, 0) is eta(3 tau), (3, 0) is eta(tau)
+and (1, j) is eta((tau + j)/3).  With w = exp(pi i tau / 36) and
+Q = w^24, every factor is w^a zeta_72^j S(zeta_3^j Q^a), S the
+pentagonal sum: a is the power of w it starts at."""
 
 ETA_QUOTIENTS: Tuple[Tuple[EtaFactor, EtaFactor], ...] = (
-    ((3, 0), (1, 0)),
-    ((3, 0), (1, 1)),
-    ((3, 0), (1, 2)),
+    ((9, 0), (1, 0)),
+    ((9, 0), (1, 1)),
+    ((9, 0), (1, 2)),
     ((1, 0), (1, 2)),
     ((1, 0), (1, 1)),
     ((1, 2), (1, 1)),
@@ -555,13 +557,14 @@ evaluation here, the exact expansions in ``qseries`` and the action in
 def leading_exponent(index: int) -> Fraction:
     """The power of q = exp(2*pi*i*tau) that leads the q-expansion of F_index.
 
-    eta(m tau + c) starts at q^(m/24), so F_index starts at the sum of
-    m/24 over its two factors minus 2/24: +1/18 for indices 0-2 and
-    -1/18 for 3-5.  |F_index(tau)| is then close to
-    exp(-2 pi leading_exponent(index) Im tau) when Im tau is large.
+    The factor (a, j) starts at w^a = q^(a/72), so F_index starts at
+    q^((a_1 + a_2 - 6)/72), the denominator eta(tau)^2 starting at w^6:
+    +1/18 for indices 0-2 and -1/18 for 3-5.  |F_index(tau)| is then
+    close to exp(-2 pi leading_exponent(index) Im tau) when Im tau is
+    large.
     """
-    return (sum(Fraction(3) if scale == 3 else Fraction(1, 3)
-                for scale, _ in ETA_QUOTIENTS[index]) - 2) / 24
+    (a1, _), (a2, _) = ETA_QUOTIENTS[index]
+    return Fraction(a1 + a2 - 6, 72)
 
 
 def reciprocal_partner(index: int) -> int:
@@ -577,21 +580,14 @@ def reciprocal_partner(index: int) -> int:
 
 
 _SLOW_FACTORS: Tuple[Tuple[int, bool], ...] = tuple(
-    (next(j for scale, j in ETA_QUOTIENTS[row] if scale == 1), row != index)
+    (next(j for a, j in ETA_QUOTIENTS[row] if a == 1), row != index)
     for index, row in enumerate(
-        i if (3, 0) in factors else reciprocal_partner(i)
+        i if (9, 0) in factors else reciprocal_partner(i)
         for i, factors in enumerate(ETA_QUOTIENTS)))
 """For each index, the (j, inverted) that ``r_value`` evaluates: F_index
 is eta(3 tau) eta((tau + j)/3) / eta(tau)^2 when it has the factor
-eta(3 tau), else zeta_72^3 over its ``reciprocal_partner``, which has it."""
-
-
-def _factor_point(t: mpmath.mpc, prec: int) -> mpmath.mpc:
-    """The point 3 tau of the factor eta(3 tau), each part rounded to
-    ``prec`` bits; eta reads it only for its term count."""
-    re, im = t._mpc_
-    return mpmath.mp.make_mpc((mpf_mul_int(re, 3, prec, round_nearest),
-                               mpf_mul_int(im, 3, prec, round_nearest)))
+(9, 0), eta(3 tau), else zeta_72^3 over its ``reciprocal_partner``,
+which has it."""
 
 
 def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
@@ -604,12 +600,13 @@ def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
     needs a third of the terms, and one slow series is summed per point.
 
     One exponential w = exp(pi*i*tau/36) feeds every eta factor: with
-    Q = w^24, eta((tau + j)/3) is w zeta_72^j S(q') for q' = zeta_3^j Q,
-    eta(tau) is w^3 S(Q^3) and eta(3 tau) is w^9 S(Q^9).  As q'^3 = Q^3,
-    the slow factor's walk sums S(Q^3) too (``_pentagonal`` with scale
-    3), and eta(3 tau), the cheapest series, is an eta call handed w^9.
-    Every step after the exponential runs on scaled pairs, so the result
-    does not depend on the ambient precision.  A series refused at
+    Q = w^24, the factor (a, j), eta((a tau + j)/3), is
+    w^a zeta_72^j S(zeta_3^j Q^a) (``EtaFactor``).  The slow factor
+    (1, j) sums S(q') with q' = zeta_3^j Q, and as q'^3 = Q^3 its walk
+    sums S(Q^3), that of eta(tau), too (``_pentagonal`` with scale 3);
+    eta(3 tau), the cheapest series, is an eta call handed w^9.  Every
+    step after the exponential runs on scaled pairs, so the result does
+    not depend on the ambient precision.  A series refused at
     (tau + j)/3 or 3 tau is refused naming Im tau of the point passed.
     """
     digits = resolve_digits(dps)
@@ -655,6 +652,8 @@ def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
         log_qabs, cutoff, bits = _series_plan(float(t.imag) / 3, digits)
         with mpmath.workprec(bits + 8):
             w = mpmath.expjpi(t / 36)
+            # eta reads the point of eta(3 tau) only for its term count
+            point = 3 * t
         w1 = _scaled(w, bits)
         w3 = _scaled_mul(_scaled_mul(w1, w1, bits), w1, bits)
         root = rr, ri, s = _scaled_mul(w1, (*fixed_scalar(shift, 0, bits), 0), bits)
@@ -664,8 +663,7 @@ def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
         slow = _scaled_mul(root, (*series, 0), bits)
         d = _scaled_mul(w3, (*cubed, 0), bits)
         rr, ri, s = _scaled_mul(_scaled_mul(w3, w3, bits), w3, bits)
-        fast = _scaled(eta(_factor_point(t, bits + 8), digits,
-                           r=from_gaussian(rr, ri, bits + s)), bits)
+        fast = _scaled(eta(point, digits, r=from_gaussian(rr, ri, bits + s)), bits)
     except _Refused as refused:
         raise _Refused(t.imag, refused.reason) from None
     dr, di, ds = _scaled_mul(d, d, bits)
@@ -718,10 +716,7 @@ def j_invariant(tau, dps: Optional[int] = None) -> mpmath.mpc:
         if not im_tau <= MAX_J_IM_TAU:
             raise ValueError(f"Im tau = {mpmath.nstr(t.imag)} is too large for j: "
                              f"it is above {MAX_J_IM_TAU}")
-        try:
-            log_qabs, cutoff, bits = _series_plan(im_tau, digits)
-        except _Refused as refused:
-            raise _Refused(t.imag, refused.reason) from None
+        log_qabs, cutoff, bits = _series_plan(t.imag, digits)
         bits += 32
         # |r| = 2^-x with x = pi Im tau / (12 ln 2), so r_s = r 2^s with
         # s = floor(x) lies in (1/2, 1] and q_s = r_s^24 = q 2^(24 s) in

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import mpmath
 
 from .cyclotomic import CycNum
-from .numeval import ETA_QUOTIENTS, GUARD_DIGITS, EtaFactor, resolve_digits
+from .numeval import ETA_QUOTIENTS, GUARD_DIGITS, resolve_digits
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -165,35 +165,18 @@ def euler_product(step: int, zeta_twist: int, bound: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def eta_series(bound: int) -> QSeries:
-    """Expansion of eta(tau): u^3 * prod(1 - u^(72n))."""
-    body = euler_product(72, 0, bound - 3)
-    return QSeries(3, body.coeffs, bound)
-
-
-@lru_cache(maxsize=None)
-def eta_triple_series(bound: int) -> QSeries:
-    """Expansion of eta(3*tau): u^9 * prod(1 - u^(216n))."""
-    body = euler_product(216, 0, bound - 9)
-    return QSeries(9, body.coeffs, bound)
-
-
-@lru_cache(maxsize=None)
-def eta_shift_series(j: int, bound: int) -> QSeries:
-    """Expansion of eta(tau/3 + j/3): z^j * u * prod(1 - (z^(24j) u^24)^n)."""
-    body = euler_product(24, 24 * j, bound - 1)
-    return QSeries(1, body.coeffs, bound).scale(CycNum.zeta_pow(j))
+def eta_series(a: int, j: int, bound: int) -> QSeries:
+    """Expansion of the factor (a, j), eta((a tau + j)/3) (``EtaFactor``):
+    u^a z^j prod(1 - (z^(24j) u^(24a))^n), z = zeta_72, which is
+    w^a zeta_72^j S(zeta_3^j Q^a) with w = u and Q = u^24."""
+    body = euler_product(24 * a, 24 * j, bound - a)
+    return QSeries(a, body.coeffs, bound).scale(CycNum.zeta_pow(j))
 
 
 @lru_cache(maxsize=None)
 def _eta_inverse_squared(bound: int) -> QSeries:
-    inv = eta_series(bound).inverse()
+    inv = eta_series(3, 0, bound).inverse()
     return inv * inv
-
-
-def _factor_series(factor: EtaFactor, bound: int) -> QSeries:
-    scale, shift = factor
-    return eta_triple_series(bound) if scale == 3 else eta_shift_series(shift, bound)
 
 
 @lru_cache(maxsize=None)
@@ -202,5 +185,5 @@ def r_series(index: int, bound: int = 120) -> QSeries:
     if not 0 <= index < len(ETA_QUOTIENTS):
         raise ValueError("index out of range")
     first, second = ETA_QUOTIENTS[index]
-    return (_factor_series(first, bound) * _factor_series(second, bound)
+    return (eta_series(*first, bound) * eta_series(*second, bound)
             * _eta_inverse_squared(bound))

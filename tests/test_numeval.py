@@ -357,13 +357,12 @@ def test_eta_matches_direct_product_at_high_precision(discriminant, digits):
 
 
 def _quotient_oracle(index, tau, dps):
-    """F_index at tau from direct eta products: eta(3 tau) or
-    eta((tau + j)/3) per factor of ETA_QUOTIENTS, over eta(tau)^2."""
+    """F_index at tau from direct eta products: eta((a tau + j)/3) per
+    factor (a, j) of ETA_QUOTIENTS, over eta(tau)^2."""
     with mpmath.workdps(dps + 15):
         numerator = mpmath.mpc(1)
-        for scale, shift in ETA_QUOTIENTS[index]:
-            arg = 3 * tau if scale == 3 else (tau + shift) / 3
-            numerator *= _eta_product_oracle(arg, dps)
+        for a, j in ETA_QUOTIENTS[index]:
+            numerator *= _eta_product_oracle((a * tau + j) / 3, dps)
         return numerator / _eta_product_oracle(tau, dps) ** 2
 
 
@@ -692,7 +691,7 @@ def test_j_trace_matches_hilbert_coefficient():
     lambda dps: j_invariant(mpmath.mpc(0, 1), dps),
     lambda dps: form_root(QuadForm(1, 1, 3), dps),
     lambda dps: CycNum.zeta_pow(1).embed(dps),
-    lambda dps: eta_series(10).eval_numeric(mpmath.mpc(0, 1), dps),
+    lambda dps: eta_series(3, 0, 10).eval_numeric(mpmath.mpc(0, 1), dps),
 ], ids=["eta", "r_value", "r_vector", "ramanujan_value", "j_invariant",
         "form_root", "embed", "eval_numeric"])
 def test_non_positive_precision_rejected(evaluate, dps):
@@ -721,7 +720,11 @@ def test_eta_runs_at_the_requested_digits(monkeypatch):
 def test_a_quotient_sums_eta_tau_in_its_slow_walk(monkeypatch):
     # eta(tau) = w^3 S(Q^3) is summed once per quotient, along its slow
     # factor's walk (scale 3); eta is called only for eta(3 tau).
-    # r_vector is r_value for each of the six indices
+    # r_vector is r_value for each of the six indices.  The slow factor
+    # (1, j) and inversion per index: F_0..F_2 hold eta(3 tau), (9, 0),
+    # and F_3..F_5 are zeta_72^3 over F_1, F_2, F_0
+    assert numeval._SLOW_FACTORS == ((0, False), (1, False), (2, False),
+                                     (1, True), (2, True), (0, True))
     points, scales = [], []
     pentagonal = numeval._pentagonal
 

@@ -22,8 +22,6 @@ from classinv.numeval import (
 from classinv.qseries import (
     QSeries,
     eta_series,
-    eta_shift_series,
-    eta_triple_series,
     euler_product,
     r_series,
 )
@@ -54,7 +52,7 @@ def test_euler_product_pentagonal_numbers():
 
 
 def test_eta_series_leading_terms():
-    series = eta_series(400)
+    series = eta_series(3, 0, 400)
     one = CycNum.one()
     # q^(1/24) = u^3 times the pentagonal series in q = u^72
     expected = {3: one, 75: -one, 147: -one, 363: one}
@@ -65,12 +63,12 @@ def test_eta_series_leading_terms():
 def test_eta_shift_series_leading_terms():
     zeta = CycNum.zeta_pow
     for j in range(3):
-        series = eta_shift_series(j, 60)
+        series = eta_series(1, j, 60)
         # eta(tau/3 + j/3) = z^j u (1 - z^(24j) u^24 - z^(48j) u^48 + ...)
         assert series.coefficient(1) == zeta(j)
         assert series.coefficient(25) == -zeta(j) * zeta(24 * j)
         assert series.coefficient(49) == -zeta(j) * zeta(48 * j)
-    assert eta_triple_series(60).coefficient(9) == CycNum.one()
+    assert eta_series(9, 0, 60).coefficient(9) == CycNum.one()
 
 
 def test_quotient_series_leading_terms():
@@ -141,11 +139,14 @@ def test_series_arithmetic_and_normalization():
 
 
 def test_series_match_direct_eta_evaluation():
-    # the truncation error at Im tau >= 20 is far below 1e-100
+    # the truncation error at Im tau >= 20 is far below 1e-100; each
+    # factor (a, j) on its own is eta((a tau + j)/3)
     with mpmath.workdps(130):
         for tau in (mpmath.mpc("0.3", "20"), mpmath.mpc("-0.2", "22")):
-            series_eta = eta_series(BOUND).eval_numeric(tau, 120)
-            assert abs(series_eta - eta(tau, 120)) < mpmath.mpf("1e-100")
+            for a, j in ((9, 0), (3, 0), (1, 0), (1, 1), (1, 2)):
+                series_eta = eta_series(a, j, BOUND).eval_numeric(tau, 120)
+                direct = eta((a * tau + j) / 3, 120)
+                assert abs(series_eta - direct) < mpmath.mpf("1e-100"), (a, j)
             for index in (0, 2, 5):
                 series_val = r_series(index, BOUND).eval_numeric(tau, 120)
                 direct = r_value(index, tau, 120)
