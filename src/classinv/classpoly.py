@@ -14,8 +14,8 @@ its conjugate is the complex conjugate of the one of (a, b, c).  Only
 the forms with b >= 0 are evaluated, about h/2 of them, and only they
 get an exact action (``form_action``).  ``reduced_forms`` lists each
 form with b < 0 right after its mirror, so it takes its term
-(index, k, e) from the form before it, by the rule derived from the eta
-quotients (``etarep.mirror_term``), and the conjugate of that form's
+(index, k, e) from the form before it, by z -> z^-1 on the
+coefficients (``etarep.mirror_term``), and the conjugate of that form's
 value; the ambiguous forms (``quadforms.is_ambiguous``: b = 0, b = a or
 a = c), which are their own mirrors, give real values.  The records
 of the conjugates are plain data; nothing here touches the dense

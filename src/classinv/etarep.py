@@ -8,16 +8,21 @@ The generators S: tau -> -1/tau and T: tau -> tau + 1 permute this
 six-dimensional space up to scalars z^k * sqrt(3)^e, z = exp(2*pi*i/72),
 as do the Galois automorphisms z -> z^d of the coefficient field.
 Every matrix here is therefore monomial: one nonzero entry per row and
-column, each of that form.
+column, each of that form.  S is stated by hand.  T and every z -> z^d
+act on each eta factor (a, j) of the table alone, sending it to
+(a, j + a) and (a, d j), so one factor rule (``_factor_action``) reads
+their matrices in the integer encoding from ``ETA_QUOTIENTS``; complex
+conjugation is z -> z^-1.
 
 The hot path stores such a matrix as a ``Monomial``, one integer triple
 (column, k mod 72, e) per row, so products are a permutation
 composition plus integer additions and the Galois twist z -> z^d maps
 k to d*k (plus 36 when it negates sqrt(3) and e is odd).  The dense
-``RepMatrix`` over the cyclotomic field, with ``rep_s``, ``rep_t``,
-``rep_sigma``, ``word_action``, ``full_action`` and ``dual_action``,
-is the exact oracle: ``Monomial.dense`` rebuilds it, and the selftest
-and test suites compare the two entry for entry.  Both encodings share
+``RepMatrix`` over the cyclotomic field, with the hand-stated
+``rep_s``, ``rep_t`` and ``rep_sigma``, and ``word_action``,
+``full_action`` and ``dual_action``, is the exact oracle:
+``Monomial.dense`` rebuilds it, and the selftest and test suites
+compare the two entry for entry.  Both encodings share
 one path, ``_factored_action``: since GL2(Z/72) = GL2(Z/8) x GL2(Z/9),
 a matrix is given by its mod-8 and mod-9 factors, and its action is
 that of the unimodular part of the mod-8 factor times that of the
@@ -36,9 +41,8 @@ coefficient vector a (meaning sum a_i F_i) therefore transforms by the
 transpose: precomposing with a word g_1 ... g_k sends a to
 (A_{g_1} ... A_{g_k})^t a.  On the hot path such a vector is a single
 scaled basis vector, stored as a ``Term`` (index, k, e).  The term of
-the mirror (a, -b, c) of a form follows from the form's own by a fixed
-rule (``mirror_rule``, ``mirror_term``), derived once from the eta
-quotients, so the action of a mirror is never needed to find it.
+the mirror (a, -b, c) of a form is the form's own under z -> z^-1
+(``mirror_term``), so the action of a mirror is never needed to find it.
 """
 
 from __future__ import annotations
@@ -321,54 +325,6 @@ SQRT3_F2: Term = (2, 0, 1)
 """sqrt(3) * F_2, the function whose conjugates are the class invariants."""
 
 
-def mirror_rule() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The exact rule for the conjugate of a mirrored form, derived from
-    ``ETA_QUOTIENTS``.
-
-    eta has real q-coefficients and q^(1/24) = exp(pi i tau / 12), so
-    eta(-conj(x)) = conj(eta(x)).  For every factor (a, j),
-    eta((a tau + j)/3) (``numeval.EtaFactor``),
-    (-a conj(tau) + j)/3 = -conj((a tau + j')/3) + m with j' = -j mod 3
-    and m = (j + j')/3, and eta(x + m) = zeta_24^m eta(x), so that factor
-    at -conj(tau) is z^(3m) conj(eta((a tau + j')/3)), z = zeta_72.  Hence
-    F_i(-conj(tau)) = z^(d_i) conj(F_s(i)(tau)) for a permutation s.
-    The root of the mirror (a, -b, c) of a form is -conj(tau), so if
-    the conjugate of the form is z^k sqrt(3)^e F_i(tau), the one of
-    its mirror, the complex conjugate, is
-    z^(c_i - k) sqrt(3)^e F_perm(i)(-conj(tau)), with perm the inverse
-    of s and c_i = -d_perm(i) mod 72.  Returns (perm, c).
-    """
-    d, s = [], []
-    for factors in ETA_QUOTIENTS:
-        mirrored, m = [], 0
-        for a, j in factors:
-            partner = -j % 3
-            mirrored.append((a, partner))
-            m += (j + partner) // 3
-        # a quotient is the same function whichever factor comes first
-        s.append(next(i for i, row in enumerate(ETA_QUOTIENTS)
-                      if sorted(row) == sorted(mirrored)))
-        d.append(3 * m)
-    perm = [0] * len(s)
-    for i, j in enumerate(s):
-        perm[j] = i
-    return tuple(perm), tuple(-d[perm[i]] % ORDER for i in range(len(perm)))
-
-
-MIRROR_RULE = mirror_rule()
-"""(perm, c) of ``mirror_rule``, derived once: (0, 2, 1, 4, 3, 5) and
-(0, 69, 69, 69, 69, 66)."""
-
-
-def mirror_term(term: Term) -> Term:
-    """The conjugate term of the mirror (a, -b, c) of a form whose
-    conjugate term is ``term``: (perm[i], c_i - k mod 72, e) by
-    ``MIRROR_RULE``, with no action computed."""
-    perm, c = MIRROR_RULE
-    index, k, e = term
-    return perm[index], (c[index] - k) % ORDER, e
-
-
 def _sqrt3_sign(d: int) -> int:
     """The sign z -> z^d puts on sqrt(3) = z^6 - z^30: the character chi_12."""
     if math.gcd(d, ORDER) != 1:
@@ -453,22 +409,48 @@ MONOMIAL_S = Monomial.from_columns((0, 3, 4, 1, 2, 5), (0, 69, 3, 3, 69, 0),
                                    (0, -1, -1, 1, 1, 0))
 """``rep_s`` in the integer encoding."""
 
-MONOMIAL_T = Monomial.from_columns((1, 2, 0, 4, 5, 3), (3, 3, 6, 69, 66, 69),
-                                   (0,) * SIZE)
-"""``rep_t`` in the integer encoding."""
+
+def _factor_action(move: Callable[[int, int], int]) -> Monomial:
+    """The substitution sending every eta factor (a, j) to (a, move(a, j)).
+
+    eta(x + 1) = zeta_24 eta(x), so (a, J), for any integer J, is
+    z^(J - J mod 3) times the table's factor (a, J mod 3).  Row i holds,
+    in the column of the row with F_i's moved factors, z to the sum of
+    their powers less twice that of the denominator's (3, 0).
+    """
+    def moved(factors):
+        pairs = [(a, move(a, j)) for a, j in factors]
+        return sorted((a, J % 3) for a, J in pairs), sum(J - J % 3 for _, J in pairs)
+    # a quotient is the same function whichever factor comes first
+    rows = [sorted(row) for row in ETA_QUOTIENTS]
+    _, denominator = moved([(3, 0)])
+    columns, k = [], []
+    for factors in ETA_QUOTIENTS:
+        pairs, power = moved(factors)
+        columns.append(rows.index(pairs))
+        k.append(power - 2 * denominator)
+    return Monomial.from_columns(columns, k, (0,) * SIZE)
+
+
+MONOMIAL_T = _factor_action(lambda a, j: j + a)
+"""``rep_t`` in the integer encoding: (a tau + j)/3 at tau + 1 is
+(a tau + j + a)/3."""
 
 _MONOMIAL_T_POWER = _t_powers(Monomial.identity(), MONOMIAL_T)
 
 
+@lru_cache(maxsize=None)
+def _sigma(d: int) -> Monomial:
+    return _factor_action(lambda a, j: d * j)
+
+
 def monomial_sigma(d: int) -> Monomial:
-    """``rep_sigma(d)`` in the integer encoding, by the same formulas."""
+    """``rep_sigma(d)`` in the integer encoding, built at first use of d
+    mod 72: z -> z^d sends the factor (a, j), w^a zeta_72^j S(zeta_3^j Q^a)
+    (``numeval.EtaFactor``), to (a, d j)."""
     if math.gcd(d, ORDER) != 1:
         raise ValueError("not a Galois element")
-    if d % 3 == 1:
-        return Monomial.from_columns(
-            range(SIZE), (0, d - 1, 2 * d - 2, 2 * d - 2, d - 1, 3 * d - 3), (0,) * SIZE)
-    return Monomial.from_columns(
-        (0, 2, 1, 4, 3, 5), (0, d - 2, 2 * d - 1, 2 * d - 1, d - 2, 3 * d - 3), (0,) * SIZE)
+    return _sigma(d % ORDER)
 
 
 def monomial_word_action(word: Word) -> Monomial:
@@ -488,6 +470,21 @@ def conjugate_action(action: Monomial, det: int, term: Term) -> Term:
     """The term of the Galois conjugate; see ``dense_conjugate_action``."""
     pulled = _twist_term(action.act_on_coefficients(term), det)
     return monomial_sigma(det).act_on_coefficients(pulled)
+
+
+def mirror_term(term: Term) -> Term:
+    """The conjugate term of the mirror (a, -b, c) of a form whose
+    conjugate term is ``term``, with no action computed: the term under
+    sigma_-1, as ``conjugate_action`` with the identity and d = -1.
+
+    The mirror's root is -conj(tau), and w(-conj(tau)) = conj(w(tau))
+    for w = exp(pi i tau / 36), so the form's conjugate z^k sqrt(3)^e F_i
+    with its coefficients in w twisted by z -> z^-1, z^-k sqrt(3)^e times
+    row i of sigma_-1, takes there the complex conjugate of its value.
+    """
+    index, k, e = term
+    column, c, _ = monomial_sigma(-1).rows[index]
+    return column, (c - k) % ORDER, e
 
 
 def monomial_dual_action(action: Monomial, det: int, term: Term) -> Term:

@@ -538,7 +538,8 @@ EtaFactor = Tuple[int, int]
 """(a, j) is eta((a tau + j)/3): (9, 0) is eta(3 tau), (3, 0) is eta(tau)
 and (1, j) is eta((tau + j)/3).  With w = exp(pi i tau / 36) and
 Q = w^24, every factor is w^a zeta_72^j S(zeta_3^j Q^a), S the
-pentagonal sum: a is the power of w it starts at."""
+pentagonal sum: a is the power of w it starts at.  The identity holds
+for any integer j, as eta(x + 1) = zeta_24 eta(x)."""
 
 ETA_QUOTIENTS: Tuple[Tuple[EtaFactor, EtaFactor], ...] = (
     ((9, 0), (1, 0)),

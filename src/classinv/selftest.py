@@ -4,11 +4,11 @@ Each suite checks one layer of the pipeline against something it was
 not derived from: word decomposition against direct matrix products
 over all of SL2(Z/8) and SL2(Z/9), the generator matrices against
 numeric eta evaluation, the Galois permutation matrices against exact
-q-expansions, the integer monomial encoding of the hot path against
-the dense cyclotomic matrices, and the exact action of each mirrored
-form (a, -b, c) against the complex conjugation rule derived from the
-eta quotients, the one ``compute_ramanujan`` applies
-(``etarep.mirror_term``).
+q-expansions, the integer monomial encoding of the hot path, whose T
+and sigma_d follow from the eta quotients by one factor rule, against
+the hand-stated dense cyclotomic matrices, and the exact action of
+each mirrored form (a, -b, c) against sigma_-1, the complex conjugation
+rule ``compute_ramanujan`` applies (``etarep.mirror_term``).
 Every suite has one fixed configuration (the constants below), which
 ``classinv selftest`` and the test suite both run through ``run_all``.
 """
@@ -28,7 +28,6 @@ import mpmath
 from .classpoly import _action_data
 from .cyclotomic import GALOIS_EXPONENTS, CycNum
 from .etarep import (
-    MIRROR_RULE,
     MONOMIAL_S,
     MONOMIAL_T,
     conjugate_action,
@@ -229,10 +228,11 @@ def check_sigma_numeric() -> CheckResult:
 def check_monomial_oracle() -> CheckResult:
     """The integer encoding against the dense cyclotomic matrices.
 
-    S, T and every sigma_d are compared entry for entry with rep_s,
-    rep_t and rep_sigma; then, for seeded random GL2(Z/72) matrices, the
-    integer action against full_action, and the conjugate and dual
-    actions on each scaled basis vector against their dense forms.
+    S, and T and every sigma_d from the factor rule, are compared entry
+    for entry with the hand-stated rep_s, rep_t and rep_sigma; then,
+    for seeded random GL2(Z/72) matrices, the integer action against
+    full_action, and the conjugate and dual actions on each scaled
+    basis vector against their dense forms.
     """
     failures = []
     pairs = [("S", MONOMIAL_S, rep_s()), ("T", MONOMIAL_T, rep_t())]
@@ -274,9 +274,10 @@ def check_mirror_rule(ns: Sequence[int] = MIRROR_RULE_NS) -> CheckResult:
     For each n the forms with b < 0 must be exactly the mirrors
     (a, -b, c) of the forms with b > 0 that are not ambiguous, and the
     exact conjugate term of each mirror must be the rule applied to the
-    term of its partner.
+    term of its partner.  The detail prints the rule, sigma_-1's columns
+    perm and powers c: the mirror of (i, k, e) is (perm[i], c[i] - k, e).
     """
-    perm, c = MIRROR_RULE
+    perm, c, _ = zip(*monomial_sigma(-1).rows)
     failures = []
     pairs = 0
     for n in ns:

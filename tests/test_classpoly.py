@@ -42,7 +42,7 @@ from classinv.etarep import (
     dense_conjugate_action,
     form_action,
     is_valid_n,
-    mirror_rule,
+    monomial_sigma,
     unit_vector,
 )
 from classinv.numeval import (
@@ -673,8 +673,8 @@ def test_expansion_keeps_the_imaginary_part_of_real_values(main_table_results):
 
 
 def test_mirror_rule(main_table_results):
-    # the rule derived from ETA_QUOTIENTS, and stated here
-    perm, c = mirror_rule()
+    # the rule, sigma_-1 derived from ETA_QUOTIENTS, and stated here
+    perm, c, _ = zip(*monomial_sigma(-1).rows)
     assert perm == (0, 2, 1, 4, 3, 5)
     assert c == (0, 69, 69, 69, 69, 66)
     # against the exact action of every pair of 10019 and 100019 (the

@@ -18,7 +18,7 @@ import pytest
 
 from classinv import classpoly, etarep
 from classinv.classpoly import compute_ramanujan
-from classinv.cyclotomic import GALOIS_EXPONENTS, SQRT3, CycNum
+from classinv.cyclotomic import GALOIS_EXPONENTS, ORDER, SQRT3, CycNum
 from classinv.etarep import (
     BAD_RESIDUE_MESSAGE,
     MONOMIAL_T,
@@ -33,6 +33,7 @@ from classinv.etarep import (
     is_valid_n,
     full_action,
     invariance_check,
+    mirror_term,
     monomial_action,
     monomial_dual_action,
     monomial_entry,
@@ -459,6 +460,25 @@ def test_monomial_term_actions_match_dense_vectors():
             assert _term_vector(action.apply(term)) == rep.apply(vec)
             assert (_term_vector(action.act_on_coefficients(term))
                     == rep.act_on_coefficients(vec))
+
+
+def test_factor_rule_matches_the_hand_stated_matrices():
+    # T and sigma_d come from ETA_QUOTIENTS by one rule; rep_t and
+    # rep_sigma state them by hand, for every d and not only 0 < d < 72
+    assert MONOMIAL_T.dense() == rep_t()
+    for d in range(-144, 145):
+        if math.gcd(d, ORDER) == 1:
+            assert monomial_sigma(d).dense() == rep_sigma(d), d
+    assert monomial_sigma(-1) is monomial_sigma(ORDER - 1)
+
+
+def test_mirror_term_is_sigma_minus_one():
+    for index in range(6):
+        for k in range(ORDER):
+            for e in range(-2, 4):
+                term = (index, k, e)
+                expected = conjugate_action(Monomial.identity(), ORDER - 1, term)
+                assert mirror_term(term) == expected, term
 
 
 def test_monomial_from_columns_validates_and_reduces():

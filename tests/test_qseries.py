@@ -71,6 +71,15 @@ def test_eta_shift_series_leading_terms():
     assert eta_series(9, 0, 60).coefficient(9) == CycNum.one()
 
 
+def test_eta_factor_identity_holds_for_any_integer_shift():
+    # the factor rule of etarep: (a, J) is z^(J - J mod 3) times (a, J mod 3)
+    for a in (1, 3, 9):
+        for shift in range(-6, 9):
+            table = eta_series(a, shift % 3, 60)
+            moved = table.scale(CycNum.zeta_pow(shift - shift % 3))
+            assert eta_series(a, shift, 60) == moved, (a, shift)
+
+
 def test_quotient_series_leading_terms():
     zeta = CycNum.zeta_pow
     # leading exponents 9+1-6 = 4 for indices 0..2 and 1+1-6 = -4 for 3..5

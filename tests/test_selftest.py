@@ -45,7 +45,8 @@ def test_monomial_oracle(selftest_results):
 def test_mirror_rule_suite(selftest_results):
     result = selftest_results["mirror-rule"]
     assert result.passed
-    assert result.detail.startswith("118 pairs for 38 n")
+    assert result.detail == ("118 pairs for 38 n, perm (0, 2, 1, 4, 3, 5), "
+                             "c (0, 69, 69, 69, 69, 66)")
 
 
 def test_run_all_reports_every_suite(selftest_results):
