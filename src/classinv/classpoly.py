@@ -37,8 +37,14 @@ joined pairwise, each join one Kronecker product in base 10: both
 polynomials are packed into decimal slots of one exact ``decimal``
 number each, multiplied once by libmpdec, whose number-theoretic
 transform is much faster than int's Karatsuba on operands of hundreds
-of thousands of bits, and read back as integers.  The rounding and its
-residual are exact integer operations.
+of thousands of bits, and read back as integers.  When a rung has two
+groups or more and enough work (EXPAND_FORK_MIN_WORK), a forked child
+forms the product of the groups after the first 2^(ceil(log2 g) - 1)
+of the g groups while this process forms the product of those, and this
+process makes the last join of the tree (``_expand_and_round``); every
+join has the serial inputs, so the coefficients are the serial ones bit
+for bit.  Both forks share one protocol (``_forked``).  The rounding and
+its residual are exact integer operations.
 The same expansion drives Hilbert class polynomials from j-values,
 which serve as an independent cross-check of class numbers and
 precision handling.
@@ -126,7 +132,22 @@ unit), so halving the evaluation breaks even near 4000.  Timed per call
 on a 2-core host, the forked evaluation lost below about 4000
 (Ramanujan n = 10019 at 1920, Hilbert D = -3995 at 5008) and won from
 about 6000 on for both polynomials (D = -16427 at 7680: 20.4 -> 15.2 ms;
-n = 41291 at 7080: 24.1 -> 19.0 ms)."""
+n = 41291 at 7080: 24.1 -> 19.0 ms).  The expansion has its own
+threshold, EXPAND_FORK_MIN_WORK: its cost grows faster than its m values
+times the digits, and only the groups below its last join are shared
+out."""
+
+EXPAND_FORK_MIN_WORK = 25000
+"""The expansion of a rung of at least two groups is split over two
+processes (``_expand_and_round``) only when its m values times the
+digits reach this.  Timed per call on a 2-core host, serial against
+split (medians of 21 or 31 alternations in one process), the split
+lost at 11640 (n = 100019 at 120 digits, two groups: 12.8 -> 15.8 ms),
+broke even near 21000 (n = 209531 and 447731 at 240 digits, two groups:
+22.4 -> 22.6 and 24.5 -> 24.6 ms in one run, 23.0 -> 21.5 and
+27.3 -> 23.8 ms in another) and won from 28800 on (n = 304811 at 240,
+three groups: 33.2 -> 30.7 and 43.4 -> 39.1 ms; n = 1000019 at 240,
+41280, four groups: 63.1 -> 55.0 and 70.8 -> 53.6 ms)."""
 
 
 class PrecisionError(ArithmeticError):
@@ -442,6 +463,20 @@ def _join(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
     return coeffs
 
 
+def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
+             first: int, stop: int, bits: int) -> List[int]:
+    """The ascending fixed-point coefficients of the monic product of the
+    groups ``first`` to ``stop - 1`` of ``factors``, group g being
+    ``factors[g::groups]``: each group is swept smallest first
+    (``_sweep``) and the groups' products are joined pairwise, neighbours
+    first, an odd one out carried up a level (``_join``)."""
+    polys = [_sweep(factors[g::groups], bits) for g in range(first, stop)]
+    while len(polys) > 1:
+        polys = [_join(*polys[i:i + 2], bits) if i + 1 < len(polys) else polys[i]
+                 for i in range(0, len(polys), 2)]
+    return polys[0]
+
+
 def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
                       digits: int) -> Tuple[Tuple[int, ...], mpmath.mpf]:
     """Expand prod(t - v) over the reals and round to integers, reporting
@@ -453,11 +488,24 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
     stands for itself and its complex conjugate, and contributes
     t^2 - 2 Re(v) t + |v|^2; any other value is real and contributes
     t - Re(v).  The factors, sorted by size, are dealt round-robin into
-    max(1, m // GROUP_SIZE) groups for m values; each group is swept
+    g = max(1, m // GROUP_SIZE) groups for m values; each group is swept
     smallest first (``_sweep``), so the integers stay short for as long
     as possible, and the groups' products are joined pairwise
-    (``_join``).  The residual is the largest distance of a coefficient
-    from its nearest integer or of a real value's imaginary part from 0.
+    (``_product``).  The residual is the largest distance of a
+    coefficient from its nearest integer or of a real value's imaginary
+    part from 0.
+
+    The last join of that tree takes the product of the first
+    2^(ceil(log2 g) - 1) groups and the product of the rest: that count
+    is a power of two, so below the last join no pair straddles the cut,
+    and ``_product`` of either part is its subtree inside the whole
+    tree.  So with g >= 2, when m * digits reaches EXPAND_FORK_MIN_WORK
+    and the guards of ``_evaluate_all`` hold (``_may_fork``), one forked
+    child forms the product of the rest while this process forms the
+    first, and this process makes the last join (``_forked``): every join
+    has the serial inputs, so the coefficients and the residual are the
+    serial ones bit for bit.  Any failure on either side reruns the
+    serial tree.
     """
     bits = _expansion_bits(digits)
     # (size, s, p): the factor t + s when p is None, else t^2 + s t + p
@@ -472,59 +520,42 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
             factors.append((size, -vr, None))
     factors.sort(key=lambda factor: factor[0])
     groups = max(1, len(factors) // GROUP_SIZE)
-    # ascending coefficients of the monic product of each group
-    polys = [_sweep(factors[g::groups], bits) for g in range(groups)]
-    while len(polys) > 1:
-        polys = [_join(*polys[i:i + 2], bits) if i + 1 < len(polys) else polys[i]
-                 for i in range(0, len(polys), 2)]
-    coeffs = polys[0]
+    coeffs = None
+    if groups > 1 and _may_fork(len(factors) * digits, EXPAND_FORK_MIN_WORK):
+        split = 1 << ((groups - 1).bit_length() - 1)
+        try:
+            first, rest = _forked(lambda: _product(factors, groups, 0, split, bits),
+                                  lambda: _product(factors, groups, split, groups, bits))
+        except Exception:
+            pass
+        else:
+            coeffs = _join(first, rest, bits)
+    if coeffs is None:
+        coeffs = _product(factors, groups, 0, groups, bits)
     half = 1 << (bits - 1)
     rounded = tuple((a + half) >> bits for a in coeffs)
     residual = max(drift, max(abs(a - (r << bits)) for a, r in zip(coeffs, rounded)))
     return rounded, from_gaussian(residual, 0, bits).real
 
 
-def _two_cpus() -> bool:
-    """At least two CPUs are usable by this process."""
+def _may_fork(work: int, minimum: int) -> bool:
+    """``work`` reaches ``minimum``, ``os.fork`` exists, no other thread
+    runs and at least two CPUs are usable by this process."""
+    if work < minimum or not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
     affinity = getattr(os, "sched_getaffinity", None)
     return (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
 
 
-def _evaluate_all(forms: Sequence[QuadForm],
-                  evaluate: Callable[[QuadForm, int], mpmath.mpc],
-                  digits: int) -> List[mpmath.mpc]:
-    """``[evaluate(f, digits) for f in forms]``, bit for bit, on two
-    processes when that pays.
+def _forked(own: Callable[[], T], child: Callable[[], object]) -> Tuple[T, object]:
+    """``(own(), child())``, with ``child()`` run in a forked child.
 
-    Only when len(forms) * digits reaches FORK_MIN_WORK, ``os.fork``
-    exists, no other thread runs and at least two CPUs are usable does
-    one forked child evaluate ``forms[1::2]`` while this process
-    evaluates ``forms[0::2]``; the child sends the exact parts of its
-    values back over a pipe (``_evaluate_forked``).  Any failure on
-    either side, an exception from ``evaluate`` included, reruns the
-    serial loop, so the values and any exception raised are the serial
-    ones.
-    """
-    if (len(forms) * digits >= FORK_MIN_WORK and hasattr(os, "fork")
-            and threading.active_count() == 1 and _two_cpus()):
-        try:
-            return _evaluate_forked(forms, evaluate, digits)
-        except Exception:
-            pass
-    return [evaluate(f, digits) for f in forms]
-
-
-def _evaluate_forked(forms: Sequence[QuadForm],
-                     evaluate: Callable[[QuadForm, int], mpmath.mpc],
-                     digits: int) -> List[mpmath.mpc]:
-    """The values of ``forms``, the odd-indexed ones from a forked child.
-
-    The child marshals each value's ``_mpc_`` parts, (sign, man, exp, bc)
-    with man as a plain int, and leaves only through ``os._exit``, so no
-    atexit handler or buffered stream of this process runs twice; it
-    exits non-zero, having sent nothing, if its share raises.  The child
-    is always reaped, and killed first if this process's share or the
-    read raises.  Raises if either share fails.
+    ``child()`` returns what ``marshal`` writes: plain ints, tuples and
+    lists of them.  The child sends it back over a pipe and leaves only
+    through ``os._exit``, so no atexit handler or buffered stream of this
+    process runs twice; it exits non-zero, having sent nothing, if its
+    share raises.  The child is always reaped, and killed first if
+    ``own()`` or the read raises.  Raises if either share fails.
     """
     read_end, write_end = os.pipe()
     try:
@@ -537,17 +568,16 @@ def _evaluate_forked(forms: Sequence[QuadForm],
         status = 1
         try:
             os.close(read_end)
-            parts = [tuple((sign, int(man), exp, bc) for sign, man, exp, bc
-                           in evaluate(f, digits)._mpc_) for f in forms[1::2]]
+            data = marshal.dumps(child())
             with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(parts))
+                pipe.write(data)
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
-            own = [evaluate(f, digits) for f in forms[0::2]]
+            mine = own()
             data = pipe.read()
     except BaseException:
         # signal is imported here only: importing classpoly loads no module
@@ -558,13 +588,41 @@ def _evaluate_forked(forms: Sequence[QuadForm],
     finally:
         _, status = os.waitpid(pid, 0)
     if status:
-        raise ChildProcessError(f"evaluation child exited with status {status}")
-    values = [None] * len(forms)
-    values[0::2] = own
-    values[1::2] = [mpmath.mp.make_mpc(tuple((sign, MPZ(man), exp, bc)
-                                             for sign, man, exp, bc in value))
-                    for value in marshal.loads(data)]
-    return values
+        raise ChildProcessError(f"forked child exited with status {status}")
+    return mine, marshal.loads(data)
+
+
+def _evaluate_all(forms: Sequence[QuadForm],
+                  evaluate: Callable[[QuadForm, int], mpmath.mpc],
+                  digits: int) -> List[mpmath.mpc]:
+    """``[evaluate(f, digits) for f in forms]``, bit for bit, on two
+    processes when that pays.
+
+    Only when len(forms) * digits reaches FORK_MIN_WORK, ``os.fork``
+    exists, no other thread runs and at least two CPUs are usable
+    (``_may_fork``) does one forked child evaluate ``forms[1::2]`` while
+    this process evaluates ``forms[0::2]`` (``_forked``); the child sends
+    each value's ``_mpc_`` parts, (sign, man, exp, bc) with man as a
+    plain int.  Any failure on either side, an exception from
+    ``evaluate`` included, reruns the serial loop, so the values and any
+    exception raised are the serial ones.
+    """
+    if _may_fork(len(forms) * digits, FORK_MIN_WORK):
+        try:
+            own, parts = _forked(
+                lambda: [evaluate(f, digits) for f in forms[0::2]],
+                lambda: [tuple((sign, int(man), exp, bc) for sign, man, exp, bc
+                               in evaluate(f, digits)._mpc_) for f in forms[1::2]])
+        except Exception:
+            pass
+        else:
+            values = [None] * len(forms)
+            values[0::2] = own
+            values[1::2] = [mpmath.mp.make_mpc(tuple((sign, MPZ(man), exp, bc)
+                                                     for sign, man, exp, bc in value))
+                            for value in parts]
+            return values
+    return [evaluate(f, digits) for f in forms]
 
 
 def _round_with_retries(

@@ -717,13 +717,16 @@ def test_each_mirror_takes_the_data_of_the_form_before_it():
 
 
 FORKED = int(hasattr(os, "fork"))
-"""Forks per rung evaluated on two processes: none where os.fork is missing."""
+"""Forks per rung evaluated, or expansion split, on two processes: none
+where os.fork is missing."""
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Two usable CPUs whatever the host has, so that a rung whose work
-    reaches FORK_MIN_WORK is evaluated on two processes."""
+    reaches FORK_MIN_WORK is evaluated on two processes, and an expansion
+    of two groups or more whose work reaches EXPAND_FORK_MIN_WORK is
+    split over two."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
@@ -757,7 +760,9 @@ def _first_rung(monkeypatch, compute, *args):
 def test_one_evaluation_per_mirrored_pair(monkeypatch, tmp_path, two_cpus):
     # 170 pairs and 2 real forms among the 342 of n = 1000019, 30 pairs
     # and 1 real form among the 61 of D = -30011.  Each rung is evaluated
-    # on two processes, so every call, in either, appends a line to a file
+    # on two processes, so every call, in either, appends a line to a file.
+    # n = 1000019 forks twice, to evaluate and to expand its four groups;
+    # D = -30011 expands one group in this process
     log = tmp_path / "calls"
     for name in ("r_value", "j_invariant"):
         original = getattr(classpoly, name)
@@ -771,7 +776,7 @@ def test_one_evaluation_per_mirrored_pair(monkeypatch, tmp_path, two_cpus):
     forks = _fork_spy(monkeypatch)
     assert compute_ramanujan(1000019).class_number == 342
     assert len(log.read_text().splitlines()) == 172
-    assert len(forks) == FORKED
+    assert len(forks) == 2 * FORKED
     log.unlink()
     forks.clear()
     assert compute_hilbert(-30011).class_number == 61
@@ -849,6 +854,115 @@ def test_no_fork_for_the_table_a_second_thread_or_one_cpu(monkeypatch, two_cpus)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert compute_hilbert(-20051).polynomial == expected
+    assert forks == []
+
+
+@pytest.fixture(scope="module")
+def expansions():
+    """The (values, paired, digits) that ``compute_ramanujan(n)`` hands
+    ``_expand_and_round`` on the rung it rounds, for n = 100019 (97
+    values at 120 digits, two groups) and n = 1000019 (172 values at
+    240 digits, four groups)."""
+    captured = {}
+    original = classpoly._expand_and_round
+    with pytest.MonkeyPatch.context() as patch:
+        for n in (100019, 1000019):
+            def spy(*args, _n=n):
+                captured[_n] = args
+                return original(*args)
+
+            patch.setattr(classpoly, "_expand_and_round", spy)
+            compute_ramanujan(n)
+    return captured
+
+
+def _expanded(values, paired, digits):
+    rounded, residual = _expand_and_round(values, paired, digits)
+    return rounded, residual._mpf_
+
+
+def _serial_expansion(monkeypatch, expansion):
+    """The expansion on one usable CPU, which never forks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return _expanded(*expansion)
+
+
+@pytest.mark.parametrize("groups", [4, 2, 3, 5, 6, 7])
+def test_split_expansion_is_the_serial_expansion(monkeypatch, two_cpus, expansions,
+                                                 groups):
+    # n = 1000019's 172 values at 240 digits, in its own four groups and
+    # dealt into g others: a child forms the product of the groups after
+    # the first 2^(ceil(log2 g) - 1) (4: 2 + 2; 1 + 1, 2 + 1, 4 + 1,
+    # 4 + 2, 4 + 3), this process that of those and then the last join,
+    # so every join, floored, has its serial inputs: the coefficients and
+    # the residual keep every bit
+    expansion = expansions[1000019]
+    values, _, digits = expansion
+    assert len(values) // classpoly.GROUP_SIZE == 4
+    assert len(values) * digits >= classpoly.EXPAND_FORK_MIN_WORK
+    monkeypatch.setattr(classpoly, "GROUP_SIZE", len(values) // groups)
+    assert len(values) // classpoly.GROUP_SIZE == groups
+    serial = _serial_expansion(monkeypatch, expansion)
+    forks = _fork_spy(monkeypatch)
+    assert _expanded(*expansion) == serial
+    assert len(forks) == FORKED
+
+
+def test_a_failing_expansion_child_gives_the_serial_result(monkeypatch, two_cpus,
+                                                           expansions):
+    expansion = expansions[1000019]
+    serial = _serial_expansion(monkeypatch, expansion)
+    caller = os.getpid()
+    original = classpoly._sweep
+    swept = []
+
+    def sweep(factors, bits):
+        if os.getpid() != caller:
+            raise _NoValue("no sweep in the child")
+        swept.append(1)
+        return original(factors, bits)
+
+    monkeypatch.setattr(classpoly, "_sweep", sweep)
+    forks = _fork_spy(monkeypatch)
+    assert _expanded(*expansion) == serial
+    assert len(forks) == FORKED
+    # this process swept its own two groups, then all four again
+    assert len(swept) == 2 * FORKED + 4
+    if FORKED:
+        # no child is left behind
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_split_below_the_threshold_a_second_thread_or_one_cpu(monkeypatch, two_cpus,
+                                                                 expansions):
+    forks = _fork_spy(monkeypatch)
+    small = expansions[100019]
+    values, _, digits = small
+    assert len(values) // classpoly.GROUP_SIZE == 2
+    assert len(values) * digits < classpoly.EXPAND_FORK_MIN_WORK
+    _expanded(*small)
+    assert forks == []
+    # n = 1000019 splits otherwise (test_split_expansion_is_the_serial_expansion)
+    large = expansions[1000019]
+    expected = _expanded(*large)
+    assert len(forks) == FORKED
+    forks.clear()
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        assert _expanded(*large) == expected
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _expanded(*large) == expected
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert _expanded(*large) == expected
     assert forks == []
 
 
