@@ -10,9 +10,18 @@ rounding noise below the working precision.  A change to the numeric
 layers that keeps this digest keeps every coefficient and every rung
 of the precision ladder.
 
+Two larger cases are pinned one by one (PINNED), `max_residual`
+included: n = 10000019, whose rungs are evaluated and expanded on two
+processes where two CPUs are usable, and D = -100019, whose one join
+reads slots wider than Python's 4300-digit int <-> str limit.  Their
+residuals are the serial ones bit for bit, so a floor moved in the
+split expansion or in that readback shows in `max_residual` even when
+no coefficient moves.
+
 Usage:
     python scripts/output_digest.py           # print the digest
     python scripts/output_digest.py --check   # exit 1 unless it equals RECORDED
+                                              # and both PINNED cases match
 """
 
 import argparse
@@ -20,11 +29,25 @@ import hashlib
 import json
 import sys
 
+import mpmath
+
 from classinv.classpoly import compute_hilbert, compute_ramanujan
 from classinv.etarep import is_valid_n
 
 RECORDED = "8639bba83b4d7a7b6d8d1001c6485daee53331892fa26582b2f3835598e02243"
 """The digest of the reference implementation, before the fixed-point kernels."""
+
+PINNED = {
+    ("pn", 10000019): (
+        1275, 960, "d8a06d5770617df203f87ada0d60f34b4152863d835e3e4dbbbade6fed5e6eef",
+        "5.94185e-242"),
+    ("hilbert", -100019): (
+        193, 2557, "47c8fa76a4dae855ee41a43c3e921424104c751d3cb3e646a7acf8aaf78e0fd8",
+        "2.39989e-31"),
+}
+"""(class number, working digits, SHA-256 of the comma-joined
+coefficients, max_residual) of each pinned case, with the coefficients
+and max_residual as `classinv <command> --format json` prints them."""
 
 PN_RANGE = (107, 2000)
 PN = (10019, 100019, 1000019)
@@ -56,17 +79,34 @@ def digest() -> str:
     return sha.hexdigest()
 
 
+def pinned(command: str, arg: int) -> tuple:
+    """The PINNED entry that ``classinv <command>`` gives for ``arg``."""
+    result = (compute_ramanujan if command == "pn" else compute_hilbert)(arg)
+    coefficients = ",".join(str(c) for c in result.polynomial.coefficients)
+    return (result.class_number, result.precision_digits,
+            hashlib.sha256(coefficients.encode("ascii")).hexdigest(),
+            mpmath.nstr(result.max_residual, 6))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="compare with the recorded digest")
+                        help="compare with the recorded digest and the pinned cases")
     args = parser.parse_args(argv)
     value = digest()
     print(value)
-    if args.check and value != RECORDED:
+    if not args.check:
+        return 0
+    status = 0
+    if value != RECORDED:
         print(f"output digest differs from the recorded {RECORDED}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    for (command, arg), want in PINNED.items():
+        got = pinned(command, arg)
+        if got != want:
+            print(f"{command} {arg}: got {got}, want {want}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

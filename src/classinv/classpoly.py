@@ -24,9 +24,9 @@ binary fraction from ``numeval``: the eta quotient (``r_value``) times
 z^k sqrt(3)^e, formed on numeval's scaled pairs (``times_scalar``).
 One loop for both polynomials (``_round_with_retries``) evaluates the
 forms with b >= 0, pairs each that is not ambiguous and reads every
-value into the expansion's fixed point (``to_gaussian``); a rung with
-enough work is evaluated on two processes (``_evaluate_all``), bit for
-bit as on one.
+value into the expansion's fixed point (``to_gaussian``); the
+evaluation of a rung may be shared with a forked child
+(``_evaluate_all``), bit for bit as on one process.
 The expansion runs over the reals on plain integers: each value is a
 fixed-point pair with as many fractional bits as the working digits, a
 real value enters as the linear factor t - v and a mirrored pair as the
@@ -37,14 +37,12 @@ joined pairwise, each join one Kronecker product in base 10: both
 polynomials are packed into decimal slots of one exact ``decimal``
 number each, multiplied once by libmpdec, whose number-theoretic
 transform is much faster than int's Karatsuba on operands of hundreds
-of thousands of bits, and read back as integers.  When a rung has two
-groups or more and enough work (EXPAND_FORK_MIN_WORK), a forked child
-forms the product of the groups after the first 2^(ceil(log2 g) - 1)
-of the g groups while this process forms the product of those, and this
-process makes the last join of the tree (``_expand_and_round``); every
-join has the serial inputs, so the coefficients are the serial ones bit
-for bit.  Both forks share one protocol (``_forked``).  The rounding and
-its residual are exact integer operations.
+of thousands of bits, and read back as integers.  The two subtrees
+below the last join may be formed by two processes
+(``_expand_and_round``), bit for bit as on one.  One function,
+``_forked``, decides whether to fork, forks and falls back to one
+process for both splits.  The rounding and its residual are exact
+integer operations.
 The same expansion drives Hilbert class polynomials from j-values,
 which serve as an independent cross-check of class numbers and
 precision handling.
@@ -499,13 +497,11 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
     2^(ceil(log2 g) - 1) groups and the product of the rest: that count
     is a power of two, so below the last join no pair straddles the cut,
     and ``_product`` of either part is its subtree inside the whole
-    tree.  So with g >= 2, when m * digits reaches EXPAND_FORK_MIN_WORK
-    and the guards of ``_evaluate_all`` hold (``_may_fork``), one forked
-    child forms the product of the rest while this process forms the
-    first, and this process makes the last join (``_forked``): every join
-    has the serial inputs, so the coefficients and the residual are the
-    serial ones bit for bit.  Any failure on either side reruns the
-    serial tree.
+    tree.  With g >= 2, m * digits is the work that ``_forked`` weighs
+    against EXPAND_FORK_MIN_WORK to form the rest in a child while this
+    process forms the first part and then makes the last join: every
+    join has the serial inputs, so the coefficients and the residual are
+    the serial ones bit for bit.
     """
     bits = _expansion_bits(digits)
     # (size, s, p): the factor t + s when p is None, else t^2 + s t + p
@@ -520,109 +516,106 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
             factors.append((size, -vr, None))
     factors.sort(key=lambda factor: factor[0])
     groups = max(1, len(factors) // GROUP_SIZE)
-    coeffs = None
-    if groups > 1 and _may_fork(len(factors) * digits, EXPAND_FORK_MIN_WORK):
-        split = 1 << ((groups - 1).bit_length() - 1)
-        try:
-            first, rest = _forked(lambda: _product(factors, groups, 0, split, bits),
-                                  lambda: _product(factors, groups, split, groups, bits))
-        except Exception:
-            pass
-        else:
-            coeffs = _join(first, rest, bits)
-    if coeffs is None:
-        coeffs = _product(factors, groups, 0, groups, bits)
+    split = 1 << (groups - 1).bit_length() >> 1
+    # one group has no join to split at, so no work to share
+    halves = _forked(len(factors) * digits if groups > 1 else 0, EXPAND_FORK_MIN_WORK,
+                     lambda: _product(factors, groups, 0, split, bits),
+                     lambda: _product(factors, groups, split, groups, bits))
+    coeffs = (_product(factors, groups, 0, groups, bits) if halves is None
+              else _join(*halves, bits))
     half = 1 << (bits - 1)
     rounded = tuple((a + half) >> bits for a in coeffs)
     residual = max(drift, max(abs(a - (r << bits)) for a, r in zip(coeffs, rounded)))
     return rounded, from_gaussian(residual, 0, bits).real
 
 
-def _may_fork(work: int, minimum: int) -> bool:
-    """``work`` reaches ``minimum``, ``os.fork`` exists, no other thread
-    runs and at least two CPUs are usable by this process."""
-    if work < minimum or not hasattr(os, "fork") or threading.active_count() != 1:
-        return False
-    affinity = getattr(os, "sched_getaffinity", None)
-    return (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
+def _forked(work: int, minimum: int, own: Callable[[], T],
+            child: Callable[[], object]) -> Optional[Tuple[T, object]]:
+    """``(own(), child())`` with ``child()`` run in a forked child, or
+    None for the caller to run its one-process path instead.
 
-
-def _forked(own: Callable[[], T], child: Callable[[], object]) -> Tuple[T, object]:
-    """``(own(), child())``, with ``child()`` run in a forked child.
-
-    ``child()`` returns what ``marshal`` writes: plain ints, tuples and
-    lists of them.  The child sends it back over a pipe and leaves only
-    through ``os._exit``, so no atexit handler or buffered stream of this
-    process runs twice; it exits non-zero, having sent nothing, if its
-    share raises.  The child is always reaped, and killed first if
-    ``own()`` or the read raises.  Raises if either share fails.
+    None comes back, with nothing run, unless ``work`` reaches
+    ``minimum``, ``os.fork`` exists, no other thread runs and at least
+    two CPUs are usable by this process.  ``child()`` returns what
+    ``marshal`` writes: plain ints, tuples and lists of them.  The child
+    sends it back over a pipe and leaves only through ``os._exit``, so
+    no atexit handler or buffered stream of this process runs twice; it
+    exits non-zero, having sent nothing, if its share raises.  The child
+    is always reaped, and killed first if ``own()`` or the read raises.
+    None comes back too when the pipe, the fork, either share or the
+    child's exit fails with an Exception; any other BaseException from
+    ``own()`` (KeyboardInterrupt) is raised once the child is reaped.
     """
-    read_end, write_end = os.pipe()
+    if work < minimum or not hasattr(os, "fork") or threading.active_count() != 1:
+        return None
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
+        return None
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
+        read_end, write_end = os.pipe()
         try:
+            pid = os.fork()
+        except BaseException:
             os.close(read_end)
-            data = marshal.dumps(child())
-            with open(write_end, "wb") as pipe:
-                pipe.write(data)
-            status = 0
+            os.close(write_end)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                data = marshal.dumps(child())
+                with open(write_end, "wb") as pipe:
+                    pipe.write(data)
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            os.close(write_end)
+            with open(read_end, "rb") as pipe:
+                mine = own()
+                data = pipe.read()
+        except BaseException:
+            # signal is imported here only: importing classpoly loads no
+            # module that the one-process path does not need
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            os._exit(status)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            mine = own()
-            data = pipe.read()
-    except BaseException:
-        # signal is imported here only: importing classpoly loads no module
-        # that the one-process path does not need
-        import signal
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status:
-        raise ChildProcessError(f"forked child exited with status {status}")
-    return mine, marshal.loads(data)
+            _, status = os.waitpid(pid, 0)
+        if status == 0:
+            return mine, marshal.loads(data)
+    except Exception:
+        pass
+    return None
 
 
 def _evaluate_all(forms: Sequence[QuadForm],
                   evaluate: Callable[[QuadForm, int], mpmath.mpc],
                   digits: int) -> List[mpmath.mpc]:
-    """``[evaluate(f, digits) for f in forms]``, bit for bit, on two
-    processes when that pays.
+    """``[evaluate(f, digits) for f in forms]``, bit for bit.
 
-    Only when len(forms) * digits reaches FORK_MIN_WORK, ``os.fork``
-    exists, no other thread runs and at least two CPUs are usable
-    (``_may_fork``) does one forked child evaluate ``forms[1::2]`` while
-    this process evaluates ``forms[0::2]`` (``_forked``); the child sends
-    each value's ``_mpc_`` parts, (sign, man, exp, bc) with man as a
-    plain int.  Any failure on either side, an exception from
-    ``evaluate`` included, reruns the serial loop, so the values and any
-    exception raised are the serial ones.
+    len(forms) * digits is the work that ``_forked`` weighs against
+    FORK_MIN_WORK to evaluate ``forms[1::2]`` in a child while this
+    process evaluates ``forms[0::2]``; the child sends each value's
+    ``_mpc_`` parts, (sign, man, exp, bc) with man as a plain int.  When
+    ``_forked`` gives None, a failing ``evaluate`` included, the serial
+    loop runs, so the values and any exception raised are the serial
+    ones.
     """
-    if _may_fork(len(forms) * digits, FORK_MIN_WORK):
-        try:
-            own, parts = _forked(
-                lambda: [evaluate(f, digits) for f in forms[0::2]],
-                lambda: [tuple((sign, int(man), exp, bc) for sign, man, exp, bc
-                               in evaluate(f, digits)._mpc_) for f in forms[1::2]])
-        except Exception:
-            pass
-        else:
-            values = [None] * len(forms)
-            values[0::2] = own
-            values[1::2] = [mpmath.mp.make_mpc(tuple((sign, MPZ(man), exp, bc)
-                                                     for sign, man, exp, bc in value))
-                            for value in parts]
-            return values
-    return [evaluate(f, digits) for f in forms]
+    shares = _forked(
+        len(forms) * digits, FORK_MIN_WORK,
+        lambda: [evaluate(f, digits) for f in forms[0::2]],
+        lambda: [tuple((sign, int(man), exp, bc) for sign, man, exp, bc
+                       in evaluate(f, digits)._mpc_) for f in forms[1::2]])
+    if shares is None:
+        return [evaluate(f, digits) for f in forms]
+    own, parts = shares
+    values = [None] * len(forms)
+    values[0::2] = own
+    values[1::2] = [mpmath.mp.make_mpc(tuple((sign, MPZ(man), exp, bc)
+                                             for sign, man, exp, bc in value))
+                    for value in parts]
+    return values
 
 
 def _round_with_retries(

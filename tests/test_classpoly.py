@@ -14,8 +14,10 @@ import math
 import os
 import random
 import re
+import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -964,6 +966,119 @@ def test_no_split_below_the_threshold_a_second_thread_or_one_cpu(monkeypatch, tw
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert _expanded(*large) == expected
     assert forks == []
+
+
+def test_forked_runs_nothing_unless_the_guards_hold(monkeypatch, two_cpus):
+    forks = _fork_spy(monkeypatch)
+    ran = []
+
+    def own():
+        ran.append("own")
+        return 1
+
+    assert classpoly._forked(9, 10, own, lambda: 2) is None
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        assert classpoly._forked(10, 10, own, lambda: 2) is None
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert classpoly._forked(10, 10, own, lambda: 2) is None
+        patch.delattr(os, "sched_getaffinity", raising=False)
+        patch.setattr(os, "cpu_count", lambda: 1)
+        assert classpoly._forked(10, 10, own, lambda: 2) is None
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork", raising=False)
+        assert classpoly._forked(10, 10, own, lambda: 2) is None
+    assert forks == [] and ran == []
+    # with every guard met, both shares run
+    assert classpoly._forked(10, 10, own, lambda: 2) == ((1, 2) if FORKED else None)
+    assert len(forks) == FORKED and ran == ["own"] * FORKED
+
+
+def test_a_failing_fork_closes_both_pipe_ends(monkeypatch, two_cpus):
+    pipes = []
+    original = os.pipe
+
+    def pipe():
+        pipes.append(original())
+        return pipes[-1]
+
+    def fork():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    assert classpoly._forked(1, 1, lambda: 1, lambda: 2) is None
+    assert len(pipes) == 1
+    for end in pipes[0]:
+        with pytest.raises(OSError):
+            os.fstat(end)
+
+
+def _refused():
+    raise ValueError("no share")
+
+
+def _slow():
+    time.sleep(30)
+    return 2
+
+
+@pytest.mark.parametrize("own, child", [(_refused, _slow), (lambda: 1, _refused)],
+                         ids=["own", "child"])
+def test_a_failing_share_gives_none_and_leaves_no_child(two_cpus, own, child):
+    # a child still sleeping is killed, not waited for
+    start = time.monotonic()
+    assert classpoly._forked(1, 1, own, child) is None
+    assert time.monotonic() - start < 10
+    if FORKED:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupt_in_the_callers_share_propagates(two_cpus):
+    # a KeyboardInterrupt is no failure to fall back from
+    def interrupted():
+        raise KeyboardInterrupt
+
+    if not FORKED:
+        assert classpoly._forked(1, 1, interrupted, _slow) is None
+        return
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        classpoly._forked(1, 1, interrupted, _slow)
+    assert time.monotonic() - start < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_importing_and_computing_loads_no_signal_module():
+    # _forked imports signal on its kill path only; P_1000019 forks twice
+    # on two usable CPUs, to evaluate and to expand, and kills no child
+    code = "\n".join([
+        "import os, sys",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "forks = []",
+        "if hasattr(os, 'fork'):",
+        "    fork = os.fork",
+        "    os.fork = lambda: forks.append(1) or fork()",
+        "from classinv.classpoly import compute_ramanujan",
+        "assert compute_ramanujan(107).class_number == 3",
+        "assert compute_ramanujan(1000019).class_number == 342",
+        "print(len(forks), 'signal' in sys.modules)",
+    ])
+    source = os.path.dirname(os.path.dirname(classpoly.__file__))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(2 * FORKED), "False"]
 
 
 def test_form_action_runs_once_per_form_with_b_at_least_0(monkeypatch):
