@@ -238,7 +238,9 @@ class ConjugateRecord:
     the form's integer action (``etarep.form_action``) sends
     sqrt(3) * F_2.  A form with b < 0 takes its term from its mirror's
     by ``etarep.mirror_term``, and its value is the complex conjugate of
-    its mirror's.
+    its mirror's.  ``scalar`` is ``etarep.monomial_entry(k, e)``; the
+    records of one ``compute_ramanujan`` result with equal (k, e) share
+    one immutable ``CycNum``.
     """
 
     form: QuadForm
@@ -311,10 +313,11 @@ def _conjugate_number(form: QuadForm, term: Term, digits: int) -> mpmath.mpc:
         r_value(index, form_root(form, digits + GUARD_DIGITS), digits), k, e, digits)
 
 
-def _record(form: QuadForm, term: Term, value: mpmath.mpc) -> ConjugateRecord:
+def _record(form: QuadForm, term: Term, value: mpmath.mpc,
+            scalar: CycNum) -> ConjugateRecord:
     index, k, e = term
     return ConjugateRecord(form=form, index=index, k=k, e=e,
-                           scalar=monomial_entry(k, e), value=value)
+                           scalar=scalar, value=value)
 
 
 def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecord:
@@ -333,7 +336,8 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
         raise ValueError(f"form {form} is not primitive and positive definite")
     digits = resolve_digits(dps)
     term = _action_data(form)
-    return _record(form, term, _conjugate_number(form, term, digits))
+    return _record(form, term, _conjugate_number(form, term, digits),
+                   monomial_entry(*term[1:]))
 
 
 T = TypeVar("T")
@@ -669,7 +673,10 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     before it (``etarep.mirror_term``).  Only the evaluations, of the
     forms with b >= 0, repeat.  A rounded polynomial that is not monic or whose
     constant term is not +-1 cannot be the minimal polynomial of a unit,
-    and raises PrecisionError as well.
+    and raises PrecisionError as well.  The exact scalars of the records
+    (``monomial_entry``) are built once the polynomial has rounded, one
+    per distinct (k, e) of this call and shared by the records with that
+    (k, e): n = 1000019 has 342 conjugates and 36 distinct (k, e).
     """
     if not is_valid_n(n):
         raise ValueError(BAD_RESIDUE_MESSAGE)
@@ -691,6 +698,10 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         raise PrecisionError(
             f"rounded constant term {rounded[0]} is not a unit (must be ±1)",
             residual)
+    # built per call, not memoised across calls: a memo would make a
+    # repeated n look cheaper than any one call, and leave a warm call
+    # with no CycNum product for the tracer to count
+    scalars = {ke: monomial_entry(*ke) for ke in {term[1:] for term in terms}}
     return PolynomialResult(
         discriminant=-n,
         class_number=len(forms),
@@ -698,7 +709,8 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         precision_digits=digits,
         max_residual=residual,
         size_estimate=size,
-        conjugates=tuple(map(_record, forms, terms, values)),
+        conjugates=tuple(_record(f, term, v, scalars[term[1:]])
+                         for f, term, v in zip(forms, terms, values)),
     )
 
 

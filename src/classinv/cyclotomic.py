@@ -41,15 +41,19 @@ MINIMAL_POLY: Coeffs = tuple(
 
 
 def _build_power_table() -> Tuple[Coeffs, ...]:
-    """Coordinates of z^k on the power basis for k = 0..71."""
-    table: List[Coeffs] = []
+    """Coordinates of z^k on the power basis for k = 0..71.
+
+    The recurrence runs on ints, whose entries are 0 and +-1 only; each
+    is then mapped to one shared Fraction constant."""
+    table: List[Tuple[int, ...]] = []
     for k in range(ORDER):
         if k < DEGREE:
-            table.append(tuple(_ONE if j == k else _ZERO for j in range(DEGREE)))
+            table.append(tuple(int(j == k) for j in range(DEGREE)))
         else:
             # z^k = z^(k-12) - z^(k-24)
             table.append(tuple(x - y for x, y in zip(table[k - 12], table[k - 24])))
-    return tuple(table)
+    constant = {-1: -_ONE, 0: _ZERO, 1: _ONE}
+    return tuple(tuple(constant[x] for x in row) for row in table)
 
 
 _POWER: Tuple[Coeffs, ...] = _build_power_table()

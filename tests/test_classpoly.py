@@ -37,13 +37,14 @@ from classinv.classpoly import (
     is_squarefree,
     verify_polynomial,
 )
-from classinv.cyclotomic import SQRT3
+from classinv.cyclotomic import SQRT3, CycNum
 from classinv.etarep import (
     SQRT3_F2,
     conjugate_action,
     dense_conjugate_action,
     form_action,
     is_valid_n,
+    monomial_entry,
     monomial_sigma,
     unit_vector,
 )
@@ -1103,6 +1104,33 @@ def test_every_term_is_its_own_exact_action(main_table_results):
         for record in result.conjugates:
             exact = conjugate_action(*form_action(record.form), SQRT3_F2)
             assert (record.index, record.k, record.e) == exact, record.form
+
+
+@pytest.mark.parametrize("n, distinct", [(1000019, 36), (100019, 36), (10019, 22)])
+def test_one_scalar_per_distinct_k_and_e(monkeypatch, n, distinct):
+    # the exact scalars are built once per distinct (k, e) of the
+    # polynomial, and the records with equal (k, e) share one object
+    calls = []
+    monkeypatch.setattr(classpoly, "monomial_entry",
+                        lambda k, e: calls.append((k, e)) or monomial_entry(k, e))
+    records = compute_ramanujan(n).conjugates
+    shared = {}
+    for record in records:
+        assert record.scalar == monomial_entry(record.k, record.e), record.form
+        assert shared.setdefault((record.k, record.e), record.scalar) is record.scalar
+    assert len(calls) == len(set(calls)) == len(shared) == distinct
+
+
+def test_the_table_multiplies_cyclotomic_numbers(monkeypatch):
+    # bench/test_bench.py checks the tracer's counting wrappers through
+    # cyclotomic.mul.calls > 0 in a traced compute_ramanujan(107)
+    calls = []
+    original = CycNum.__mul__
+    monkeypatch.setattr(CycNum, "__mul__",
+                        lambda self, other: calls.append(1) or original(self, other))
+    compute_ramanujan(107)
+    assert calls, ("compute_ramanujan(107) made no CycNum product: the bench "
+                   "tracer test needs another counted call first (ROADMAP item 1b)")
 
 
 def _record_rungs(monkeypatch):

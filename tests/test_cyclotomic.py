@@ -24,6 +24,7 @@ from classinv.cyclotomic import (
     ZERO,
     ZETA3,
     CycNum,
+    _POWER,
 )
 
 
@@ -83,6 +84,18 @@ def test_root_of_unity_anchors():
 def test_folding_relation():
     # z^24 - z^12 = -1 pins the quotient by the minimal polynomial
     assert CycNum.zeta_pow(24) - CycNum.zeta_pow(12) == CycNum.from_rational(-1)
+
+
+def test_power_table_is_the_fraction_recurrence():
+    # the table, built on ints, against z^k = z^(k-12) - z^(k-24) run on
+    # Fractions; every entry is a Fraction, 0 or +-1
+    expected = [tuple(Fraction(int(j == k)) for j in range(DEGREE))
+                for k in range(DEGREE)]
+    for k in range(DEGREE, ORDER):
+        expected.append(tuple(x - y for x, y in zip(expected[k - 12], expected[k - 24])))
+    assert _POWER == tuple(expected)
+    assert {type(x) for row in _POWER for x in row} == {Fraction}
+    assert {x for row in _POWER for x in row} == {-1, 0, 1}
 
 
 def test_sqrt3_identities():
