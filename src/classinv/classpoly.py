@@ -267,14 +267,24 @@ class PolynomialResult:
 
 
 def is_squarefree(n: int) -> bool:
+    """Whether no square above 1 divides n (False for n <= 0), exactly, in
+    O(n^(1/3)) divisions.
+
+    Each d from 2 is divided once out of the cofactor m, while d^3 <= m;
+    a second division by d means d^2 | n.  The m left has no prime
+    factor below d, and d^3 > m, so it has at most two prime factors:
+    it is squarefree unless it is the square of a prime.
+    """
     if n <= 0:
         return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
+    m, d = n, 2
+    while d * d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return False
         d += 1
-    return True
+    return m == 1 or math.isqrt(m) ** 2 != m
 
 
 def _action_data(form: QuadForm) -> Term:

@@ -8,6 +8,7 @@ each mirrored pair; the floating-point mpc expansion of all h values
 it replaced is kept here as the oracle it must agree with.
 """
 
+import bisect
 import decimal
 import hashlib
 import math
@@ -24,6 +25,7 @@ import mpmath
 import pytest
 
 import classinv.classpoly as classpoly
+import classinv.numeval as numeval
 from classinv.classpoly import (
     BAD_RESIDUE_MESSAGE,
     DEFAULT_DIGITS,
@@ -197,6 +199,31 @@ def test_is_squarefree():
     for n in NOT_SQUAREFREE:
         assert not is_squarefree(n)
     assert not is_squarefree(4)
+    assert not is_squarefree(0) and not is_squarefree(-5)
+
+
+def test_is_squarefree_agrees_with_trial_division():
+    # trial division by the square of every prime up to sqrt(n) is the
+    # oracle.  The cofactor left once every d up to its cube root is
+    # divided out has at most two prime factors, so squares of primes
+    # just past n^(1/3), alone or times a smaller cofactor, are where a
+    # slip would show
+    sieve = bytearray([1]) * 31623
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(len(sieve)) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, len(sieve), p)))
+    primes = [p for p, is_prime in enumerate(sieve) if is_prime]
+    squares = [p * p for p in primes]
+    near_1000 = [p for p in primes if 900 < p < 1100]
+    rng = random.Random(31)
+    cases = list(range(1, 20000)) + [rng.randrange(1, 10**9) for _ in range(3000)]
+    # every case is below 10^9, where the primes to 31622 make the oracle exact
+    cases += [p * p * c for p in near_1000 for c in (1, 2, 3, 5, 6, 7, 30, 97, 101, 787)]
+    cases += [p * q for p, q in zip(near_1000, near_1000[1:])]
+    for n in cases:
+        oracle = all(map(n.__mod__, squares[:bisect.bisect(squares, n)]))
+        assert is_squarefree(n) == oracle, n
 
 
 def test_small_polynomials():
@@ -1119,6 +1146,33 @@ def test_one_scalar_per_distinct_k_and_e(monkeypatch, n, distinct):
         assert record.scalar == monomial_entry(record.k, record.e), record.form
         assert shared.setdefault((record.k, record.e), record.scalar) is record.scalar
     assert len(calls) == len(set(calls)) == len(shared) == distinct
+
+
+def _phase_lookups(evaluate):
+    """(hits, misses) of the phase table (numeval._cos_sin_pi) during
+    evaluate(), in this process."""
+    before = numeval._cos_sin_pi.cache_info()
+    evaluate()
+    after = numeval._cos_sin_pi.cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+def test_the_table_shares_29_phases_among_177_conjugates():
+    # the paper's table evaluates 177 forms, whose points tau/36 have 29
+    # distinct real parts at their precisions: each phase is computed once
+    assert len(MAIN_TABLE) == 38
+    numeval._cos_sin_pi.cache_clear()
+    assert _phase_lookups(lambda: [compute_ramanujan(n) for n in MAIN_TABLE]) == (148, 29)
+
+
+def test_a_repeated_large_n_reads_no_phase_from_the_table():
+    # the 64-entry table does not hold one evaluation of n = 1000019, so
+    # computing it again finds no more phases there than the first time
+    numeval._cos_sin_pi.cache_clear()
+    first = _phase_lookups(lambda: compute_ramanujan(1000019))
+    second = _phase_lookups(lambda: compute_ramanujan(1000019))
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1] > 64
 
 
 def test_the_table_multiplies_cyclotomic_numbers(monkeypatch):

@@ -437,23 +437,48 @@ def test_r_vector_is_r_value_for_each_index():
 
 
 def test_one_complex_exponential_per_point(monkeypatch):
-    complex_calls = []
-    expjpi = mpmath.expjpi
-
-    def spy(x):
-        if isinstance(x, mpmath.mpc):
-            complex_calls.append(x)
-        return expjpi(x)
-
-    monkeypatch.setattr(mpmath, "expjpi", spy)
     tau = mpmath.mpc("0.3", "0.9")
     evaluations = [(functools.partial(r_value, index, tau, 60), 1) for index in range(6)]
     # r_vector is r_value for each of the six indices
     evaluations += [(lambda: j_invariant(tau, 60), 1), (lambda: r_vector(tau, 60), 6)]
-    for evaluate, exponentials in evaluations:
-        complex_calls.clear()
+    for evaluate, _ in evaluations:
+        # fills the zeta_72 table, whose roots mpmath.expjpi computes once
         evaluate()
-        assert len(complex_calls) == exponentials
+    exponentials_taken, mpmath_calls = [], []
+    expjpi, mpmath_expjpi = numeval._expjpi, mpmath.expjpi
+
+    def spy(z, prec):
+        exponentials_taken.append(z)
+        return expjpi(z, prec)
+
+    monkeypatch.setattr(numeval, "_expjpi", spy)
+    monkeypatch.setattr(mpmath, "expjpi", lambda x: mpmath_calls.append(x) or mpmath_expjpi(x))
+    for evaluate, exponentials in evaluations:
+        exponentials_taken.clear()
+        evaluate()
+        assert len(exponentials_taken) == exponentials
+    assert mpmath_calls == []
+
+
+def test_expjpi_table_is_bit_identical_to_expjpi():
+    # every branch of mpmath's mpc_expjpi: Im z = 0, Re z = 0, both
+    # nonzero, Re z < 0, and |Im z| > 1, where it widens its working
+    # precision; with both parts nonzero, the second call reads the
+    # phase from the table
+    for prec in (53, 470, 870, 3060):
+        with mpmath.workprec(prec):
+            third, seventh = mpmath.mpf(1) / 3, mpmath.mpf(1) / 7
+            points = [mpmath.mpc(third, 0), mpmath.mpc(0, seventh), mpmath.mpc(0, 0),
+                      mpmath.mpc(third, seventh), mpmath.mpc(-seventh, third),
+                      mpmath.mpc(-third, 17 * seventh), mpmath.mpc(seventh, -13 * third),
+                      mpmath.mpc(-seventh, 10**6 * third)]
+            for z in points:
+                expected = mpmath.expjpi(z)._mpc_
+                for _ in range(2):
+                    before = numeval._cos_sin_pi.cache_info()
+                    assert numeval._expjpi(z, prec)._mpc_ == expected, (prec, z)
+                    hits = numeval._cos_sin_pi.cache_info().hits - before.hits
+                assert hits == (z.real != 0 and z.imag != 0), (prec, z)
 
 
 def test_zeta72_table_is_bit_identical_to_expjpi():
