@@ -10,18 +10,19 @@ rounding noise below the working precision.  A change to the numeric
 layers that keeps this digest keeps every coefficient and every rung
 of the precision ladder.
 
-Two larger cases are pinned one by one (PINNED), `max_residual`
+Three larger cases are pinned one by one (PINNED), `max_residual`
 included: n = 10000019, whose rungs are evaluated and expanded on two
-processes where two CPUs are usable, and D = -100019, whose one join
-reads slots wider than Python's 4300-digit int <-> str limit.  Their
-residuals are the serial ones bit for bit, so a floor moved in the
-split expansion or in that readback shows in `max_residual` even when
-no coefficient moves.
+processes where two CPUs are usable; n = 2004659, whose 9 groups put
+8 + 1 under the root's join, the odd group carried to the top; and
+D = -100019, whose one join reads slots wider than Python's 4300-digit
+int <-> str limit.  Their residuals are the serial ones bit for bit, so
+a floor moved in the join tree, in its split over two processes or in
+that readback shows in `max_residual` even when no coefficient moves.
 
 Usage:
     python scripts/output_digest.py           # print the digest
     python scripts/output_digest.py --check   # exit 1 unless it equals RECORDED
-                                              # and both PINNED cases match
+                                              # and every PINNED case matches
 """
 
 import argparse
@@ -41,6 +42,9 @@ PINNED = {
     ("pn", 10000019): (
         1275, 960, "d8a06d5770617df203f87ada0d60f34b4152863d835e3e4dbbbade6fed5e6eef",
         "5.94185e-242"),
+    ("pn", 2004659): (
+        748, 480, "10a348698eaabac3314d05d83cc6d8101892d05379377eb766852341d3704e5f",
+        "2.82433e-142"),
     ("hilbert", -100019): (
         193, 2557, "47c8fa76a4dae855ee41a43c3e921424104c751d3cb3e646a7acf8aaf78e0fd8",
         "2.39989e-31"),

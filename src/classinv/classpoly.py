@@ -33,13 +33,13 @@ real value enters as the linear factor t - v and a mirrored pair as the
 real quadratic t^2 - 2 Re(v) t + |v|^2.  The factors, sorted by size,
 are dealt round-robin into one group per 40 values (one group below
 80); each group is swept smallest first, and the groups' products are
-joined pairwise, each join one Kronecker product in base 10: both
-polynomials are packed into decimal slots of one exact ``decimal``
-number each, multiplied once by libmpdec, whose number-theoretic
-transform is much faster than int's Karatsuba on operands of hundreds
-of thousands of bits, and read back as integers.  The two subtrees
-below the last join may be formed by two processes
-(``_expand_and_round``), bit for bit as on one.  One function,
+joined up a binary tree (``_product``, one recursion for any node),
+each join one Kronecker product in base 10: both polynomials are
+packed into decimal slots of one exact ``decimal`` number each,
+multiplied once by libmpdec, whose number-theoretic transform is much
+faster than int's Karatsuba on operands of hundreds of thousands of
+bits, and read back as integers.  The root's two children may be
+formed by two processes, bit for bit as on one.  One function,
 ``_forked``, decides whether to fork, forks and falls back to one
 process for both splits.  The rounding and its residual are exact
 integer operations.
@@ -57,6 +57,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
@@ -132,20 +133,21 @@ on a 2-core host, the forked evaluation lost below about 4000
 about 6000 on for both polynomials (D = -16427 at 7680: 20.4 -> 15.2 ms;
 n = 41291 at 7080: 24.1 -> 19.0 ms).  The expansion has its own
 threshold, EXPAND_FORK_MIN_WORK: its cost grows faster than its m values
-times the digits, and only the groups below its last join are shared
-out."""
+times the digits, and only the root's two children are formed on two
+processes, the root's join on one."""
 
 EXPAND_FORK_MIN_WORK = 25000
-"""The expansion of a rung of at least two groups is split over two
-processes (``_expand_and_round``) only when its m values times the
-digits reach this.  Timed per call on a 2-core host, serial against
-split (medians of 21 or 31 alternations in one process), the split
-lost at 11640 (n = 100019 at 120 digits, two groups: 12.8 -> 15.8 ms),
-broke even near 21000 (n = 209531 and 447731 at 240 digits, two groups:
-22.4 -> 22.6 and 24.5 -> 24.6 ms in one run, 23.0 -> 21.5 and
-27.3 -> 23.8 ms in another) and won from 28800 on (n = 304811 at 240,
-three groups: 33.2 -> 30.7 and 43.4 -> 39.1 ms; n = 1000019 at 240,
-41280, four groups: 63.1 -> 55.0 and 70.8 -> 53.6 ms)."""
+"""The two children of the root of a rung's expansion, of at least two
+groups, are formed on two processes (``_product``) only when its m
+values times the digits reach this.  Timed per call on a 2-core host,
+serial against split (medians of 21 or 31 alternations in one process),
+the split lost at 11640 (n = 100019 at 120 digits, two groups:
+12.8 -> 15.8 ms), broke even near 21000 (n = 209531 and 447731 at 240
+digits, two groups: 22.4 -> 22.6 and 24.5 -> 24.6 ms in one run,
+23.0 -> 21.5 and 27.3 -> 23.8 ms in another) and won from 28800 on
+(n = 304811 at 240, three groups: 33.2 -> 30.7 and 43.4 -> 39.1 ms;
+n = 1000019 at 240, 41280, four groups: 63.1 -> 55.0 and
+70.8 -> 53.6 ms)."""
 
 
 class PrecisionError(ArithmeticError):
@@ -476,17 +478,28 @@ def _join(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
 
 
 def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
-             first: int, stop: int, bits: int) -> List[int]:
+             first: int, stop: int, bits: int, work: int = 0) -> List[int]:
     """The ascending fixed-point coefficients of the monic product of the
     groups ``first`` to ``stop - 1`` of ``factors``, group g being
-    ``factors[g::groups]``: each group is swept smallest first
-    (``_sweep``) and the groups' products are joined pairwise, neighbours
-    first, an odd one out carried up a level (``_join``)."""
-    polys = [_sweep(factors[g::groups], bits) for g in range(first, stop)]
-    while len(polys) > 1:
-        polys = [_join(*polys[i:i + 2], bits) if i + 1 < len(polys) else polys[i]
-                 for i in range(0, len(polys), 2)]
-    return polys[0]
+    ``factors[g::groups]``: one node of the expansion's join tree.
+
+    A node of one group is that group swept smallest first (``_sweep``).
+    A wider node of w groups is the ``_join`` of its two children, the
+    first 2^(ceil(log2 w) - 1) groups and the rest; the first child is a
+    power of two of groups, so the tree joins neighbours pairwise, level
+    by level, an odd one out carried up a level.  ``work`` is what
+    ``_forked`` weighs against EXPAND_FORK_MIN_WORK to form the second
+    child in a forked child while this process forms the first; only the
+    root is given any.  Forked or not, the join has the serial inputs,
+    so the coefficients are the serial ones bit for bit.
+    """
+    if stop - first == 1:
+        return _sweep(factors[first::groups], bits)
+    cut = first + (1 << (stop - first - 1).bit_length() >> 1)
+    left = partial(_product, factors, groups, first, cut, bits)
+    right = partial(_product, factors, groups, cut, stop, bits)
+    return _join(*(_forked(work, EXPAND_FORK_MIN_WORK, left, right) or (left(), right())),
+                 bits)
 
 
 def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
@@ -501,21 +514,12 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
     t^2 - 2 Re(v) t + |v|^2; any other value is real and contributes
     t - Re(v).  The factors, sorted by size, are dealt round-robin into
     g = max(1, m // GROUP_SIZE) groups for m values; each group is swept
-    smallest first (``_sweep``), so the integers stay short for as long
-    as possible, and the groups' products are joined pairwise
-    (``_product``).  The residual is the largest distance of a
+    smallest first, so the integers stay short for as long as possible,
+    and the groups' products are joined pairwise (``_product`` of the
+    tree's root, whose two children may be formed by two processes for
+    the work m * digits).  The residual is the largest distance of a
     coefficient from its nearest integer or of a real value's imaginary
     part from 0.
-
-    The last join of that tree takes the product of the first
-    2^(ceil(log2 g) - 1) groups and the product of the rest: that count
-    is a power of two, so below the last join no pair straddles the cut,
-    and ``_product`` of either part is its subtree inside the whole
-    tree.  With g >= 2, m * digits is the work that ``_forked`` weighs
-    against EXPAND_FORK_MIN_WORK to form the rest in a child while this
-    process forms the first part and then makes the last join: every
-    join has the serial inputs, so the coefficients and the residual are
-    the serial ones bit for bit.
     """
     bits = _expansion_bits(digits)
     # (size, s, p): the factor t + s when p is None, else t^2 + s t + p
@@ -530,13 +534,7 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
             factors.append((size, -vr, None))
     factors.sort(key=lambda factor: factor[0])
     groups = max(1, len(factors) // GROUP_SIZE)
-    split = 1 << (groups - 1).bit_length() >> 1
-    # one group has no join to split at, so no work to share
-    halves = _forked(len(factors) * digits if groups > 1 else 0, EXPAND_FORK_MIN_WORK,
-                     lambda: _product(factors, groups, 0, split, bits),
-                     lambda: _product(factors, groups, split, groups, bits))
-    coeffs = (_product(factors, groups, 0, groups, bits) if halves is None
-              else _join(*halves, bits))
+    coeffs = _product(factors, groups, 0, groups, bits, len(factors) * digits)
     half = 1 << (bits - 1)
     rounded = tuple((a + half) >> bits for a in coeffs)
     residual = max(drift, max(abs(a - (r << bits)) for a, r in zip(coeffs, rounded)))

@@ -122,7 +122,8 @@ exactly, and |j| is about exp(2 pi Im tau), so its value holds about
 9 Im tau bits: 1.1 MB at this bound, where Im tau = 10^9 would take
 1 GB.  A reduced form's root has Im tau at most sqrt(|D|)/2, so every
 discriminant with |D| up to 4 10^12 is inside it; a larger Im tau is
-refused."""
+refused, and ``quadforms.reduced_forms`` refuses a larger |D| before
+enumerating its forms."""
 
 
 def check_integer(value, name: str) -> int:

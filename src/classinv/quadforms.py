@@ -15,7 +15,7 @@ from typing import List
 import mpmath
 from mpmath.libmp import dps_to_prec, from_int, mpf_div, round_nearest
 
-from .numeval import check_integer, resolve_digits, sqrt_power
+from .numeval import MAX_J_IM_TAU, check_integer, resolve_digits, sqrt_power
 
 
 @dataclass(frozen=True, order=True)
@@ -97,8 +97,16 @@ def reduced_forms(discriminant: int) -> List[QuadForm]:
     mirror (a, -b, c) of each form with b > 0 that is not ambiguous
     (``is_ambiguous``) comes right after it, and every form with b < 0
     is such a mirror.
+
+    The walk tries about 0.07 |D| candidate divisors, so |D| above
+    4 MAX_J_IM_TAU^2 = 4 10^12 raises ValueError before it starts: a
+    reduced form's root has Im tau <= sqrt(|D|)/2, and past that bound
+    it may lie beyond what ``numeval.j_invariant`` evaluates.
     """
     discriminant = check_discriminant(discriminant)
+    if -discriminant > 4 * MAX_J_IM_TAU ** 2:
+        raise ValueError(f"discriminant {discriminant} is too large to enumerate: "
+                         f"|D| is above 4 MAX_J_IM_TAU^2 = {4 * MAX_J_IM_TAU ** 2}")
     forms: List[QuadForm] = []
     # b matches the parity of the discriminant, and 3 b^2 <= -D
     for b in range(discriminant & 1, math.isqrt(-discriminant // 3) + 1, 2):

@@ -599,6 +599,36 @@ def test_grouped_expansion_matches_exact_rationals(monkeypatch, count, digits, h
     assert abs(units - exact_residual * (1 << bits)) <= bound
 
 
+def _bottom_up_product(factors, groups, bits):
+    """The join tree as first written: every group swept, then neighbours
+    joined pairwise, level by level, an odd one out carried up a level."""
+    polys = [classpoly._sweep(factors[g::groups], bits) for g in range(groups)]
+    while len(polys) > 1:
+        polys = [classpoly._join(*polys[i:i + 2], bits) if i + 1 < len(polys) else polys[i]
+                 for i in range(0, len(polys), 2)]
+    return polys[0]
+
+
+def test_product_recursion_is_the_bottom_up_tree(monkeypatch):
+    # every join floors, so a tree of another shape (a cut at the
+    # midpoint, say) moves low bits; the recursion must join exactly the
+    # operands of the pairwise loop, g - 1 times, for every g
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    bits = classpoly._expansion_bits(30)
+    join = classpoly._join
+    for groups in range(1, 71):
+        values, paired = _hand_made(2 * groups + 7, bits, 6, -60, random.Random(groups))
+        factors = [(0, -2 * vr, (vr * vr + vi * vi) >> bits) if pair else (0, -vr, None)
+                   for (vr, vi), pair in zip(values, paired)]
+        expected = _bottom_up_product(factors, groups, bits)
+        joins = []
+        with monkeypatch.context() as patch:
+            patch.setattr(classpoly, "_join",
+                          lambda *args: joins.append(1) or join(*args))
+            assert classpoly._product(factors, groups, 0, groups, bits) == expected
+        assert len(joins) == groups - 1
+
+
 def test_join_unpacks_signed_coefficients():
     bits = 20
     cases = [
@@ -918,15 +948,16 @@ def _serial_expansion(monkeypatch, expansion):
         return _expanded(*expansion)
 
 
-@pytest.mark.parametrize("groups", [4, 2, 3, 5, 6, 7])
+@pytest.mark.parametrize("groups", [4, 2, 3, 5, 6, 7, 9, 15, 17])
 def test_split_expansion_is_the_serial_expansion(monkeypatch, two_cpus, expansions,
                                                  groups):
     # n = 1000019's 172 values at 240 digits, in its own four groups and
-    # dealt into g others: a child forms the product of the groups after
-    # the first 2^(ceil(log2 g) - 1) (4: 2 + 2; 1 + 1, 2 + 1, 4 + 1,
-    # 4 + 2, 4 + 3), this process that of those and then the last join,
-    # so every join, floored, has its serial inputs: the coefficients and
-    # the residual keep every bit
+    # dealt into g others: the two processes form the root's two
+    # children, a child the groups after the first 2^(ceil(log2 g) - 1)
+    # and this process those and then the root's join (4: 2 + 2; 1 + 1,
+    # 2 + 1, 4 + 1, 4 + 2, 4 + 3, 8 + 1, 8 + 7, 16 + 1, the last three
+    # with the odd group carried to the top), so every join, floored, has
+    # its serial inputs: the coefficients and the residual keep every bit
     expansion = expansions[1000019]
     values, _, digits = expansion
     assert len(values) // classpoly.GROUP_SIZE == 4

@@ -214,11 +214,12 @@ def test_polynomial_commands_require_their_own_options(capsys, monkeypatch,
     assert capsys.readouterr().err.startswith(usage)
 
 
-def run_python(*args):
+def run_python(*args, timeout=None):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=timeout)
 
 
 def test_module_entry_point():
@@ -232,3 +233,17 @@ def test_cli_import_leaves_the_suites_unloaded():
                       "'classinv.selftest' in sys.modules, 'classinv.qseries' in sys.modules)")
     assert done.returncode == 0
     assert done.stdout == "False False\n"
+
+
+@pytest.mark.parametrize("args", [("pn", "--n", "1000000000000000000019"),
+                                  ("hilbert", "--disc", "-1000000000000000000019")],
+                         ids=["pn", "hilbert"])
+def test_a_discriminant_too_large_to_enumerate_is_refused(args):
+    # enumerating |D| = 10^21 + 19 would try about 7 10^19 divisors; the
+    # refusal comes first (pn's squarefree check of n takes a fraction of
+    # a second before it)
+    done = run_python("-m", "classinv", *args, timeout=30)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == ("error: discriminant -1000000000000000000019 is too large "
+                           "to enumerate: |D| is above 4 MAX_J_IM_TAU^2 = 4000000000000\n")

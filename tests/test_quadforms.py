@@ -7,12 +7,14 @@ reduction recovers the original.
 
 import random
 import re
+import time
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classinv.numeval import MAX_J_IM_TAU
 from classinv.quadforms import (
     QuadForm,
     class_number,
@@ -191,6 +193,18 @@ def test_bad_discriminants_rejected():
             reduced_forms(disc)
         with pytest.raises(ValueError, match="not a negative discriminant"):
             principal_form(disc)
+
+
+def test_discriminants_past_the_enumeration_limit_rejected_at_once():
+    # 4 MAX_J_IM_TAU^2 = 4 10^12: enumerating just past it would try
+    # about 3 10^11 divisors, so the refusal must come first
+    start = time.perf_counter()
+    for disc in (-(4 * MAX_J_IM_TAU ** 2 + 3), -(10 ** 21 + 19)):
+        with pytest.raises(ValueError, match=r"4 MAX_J_IM_TAU\^2 = 4000000000000"):
+            reduced_forms(disc)
+        with pytest.raises(ValueError, match="too large to enumerate"):
+            class_number(disc)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("fields, name, value", [
