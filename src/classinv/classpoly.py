@@ -25,7 +25,7 @@ z^k sqrt(3)^e, formed on numeval's scaled pairs (``times_scalar``).
 One loop for both polynomials (``_round_with_retries``) evaluates the
 forms with b >= 0, pairs each that is not ambiguous and reads every
 value into the expansion's fixed point (``to_gaussian``); the
-evaluation of a rung may be shared with a forked child
+evaluation of a rung may be shared with a helper process
 (``_evaluate_all``), bit for bit as on one process.
 The expansion runs over the reals on plain integers: each value is a
 fixed-point pair with as many fractional bits as the working digits, a
@@ -39,10 +39,11 @@ packed into decimal slots of one exact ``decimal`` number each,
 multiplied once by libmpdec, whose number-theoretic transform is much
 faster than int's Karatsuba on operands of hundreds of thousands of
 bits, and read back as integers.  The root's two children may be
-formed by two processes, bit for bit as on one.  One function,
-``_forked``, decides whether to fork, forks and falls back to one
-process for both splits.  The rounding and its residual are exact
-integer operations.
+formed by two processes, bit for bit as on one.  The second process
+is one long-lived helper, forked by the first call that shares work
+and reaped when the interpreter exits; each shared rung sends it a
+task over a pipe (``_shared``), and any failure falls back to one
+process.  The rounding and its residual are exact integer operations.
 The same expansion drives Hilbert class polynomials from j-values,
 which serve as an independent cross-check of class numbers and
 precision handling.
@@ -50,6 +51,7 @@ precision handling.
 
 from __future__ import annotations
 
+import atexit
 import decimal
 import marshal
 import math
@@ -58,7 +60,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import BinaryIO, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
 from mpmath.libmp import MPZ, mpf_neg
@@ -122,32 +124,17 @@ On the 82 invariant polynomials of ``scripts/output_digest.py``,
 log10(residual) + digits, the size the expansion reached, lies within
 -2.7 to +3.2 digits of E."""
 
-FORK_MIN_WORK = 6000
+FORK_MIN_WORK = 360
 """A rung's values are evaluated on two processes (``_evaluate_all``)
-only when the number of evaluated forms times the digits reaches this.
-The fork, the child's exit and the pages copied on write cost about as
-much as 2000 units of this work evaluated serially (2.2 to 2.9 us a
-unit), so halving the evaluation breaks even near 4000.  Timed per call
-on a 2-core host, the forked evaluation lost below about 4000
-(Ramanujan n = 10019 at 1920, Hilbert D = -3995 at 5008) and won from
-about 6000 on for both polynomials (D = -16427 at 7680: 20.4 -> 15.2 ms;
-n = 41291 at 7080: 24.1 -> 19.0 ms).  The expansion has its own
-threshold, EXPAND_FORK_MIN_WORK: its cost grows faster than its m values
-times the digits, and only the root's two children are formed on two
-processes, the root's join on one."""
-
-EXPAND_FORK_MIN_WORK = 25000
-"""The two children of the root of a rung's expansion, of at least two
-groups, are formed on two processes (``_product``) only when its m
-values times the digits reach this.  Timed per call on a 2-core host,
-serial against split (medians of 21 or 31 alternations in one process),
-the split lost at 11640 (n = 100019 at 120 digits, two groups:
-12.8 -> 15.8 ms), broke even near 21000 (n = 209531 and 447731 at 240
-digits, two groups: 22.4 -> 22.6 and 24.5 -> 24.6 ms in one run,
-23.0 -> 21.5 and 27.3 -> 23.8 ms in another) and won from 28800 on
-(n = 304811 at 240, three groups: 33.2 -> 30.7 and 43.4 -> 39.1 ms;
-n = 1000019 at 240, 41280, four groups: 63.1 -> 55.0 and
-70.8 -> 53.6 ms)."""
+only when it has two evaluated forms or more and their number times the
+digits reaches this: three forms at 120 digits.  Sharing a rung costs
+the helper's pipe round trip (``_shared``), not a fork.  Timed per rung
+on a 2-core host, serial against shared (medians of 41 alternations in
+one process), two forms at 120 digits broke even (n = 107:
+0.442 -> 0.441 ms) and stay serial; three forms at 120 won (n = 131:
+0.653 -> 0.498 ms; n = 275: 0.740 -> 0.524 ms), as did two forms at 240
+(n = 107: 0.864 -> 0.677 ms) and every larger rung of the table (n = 971,
+eight forms: 2.78 -> 1.71 ms)."""
 
 
 class PrecisionError(ArithmeticError):
@@ -316,13 +303,20 @@ def _expansion_bits(digits: int) -> int:
     return math.ceil(digits * math.log2(10)) + EXPANSION_GUARD_BITS
 
 
-def _conjugate_number(form: QuadForm, term: Term, digits: int) -> mpmath.mpc:
-    """z^k * sqrt(3)^e * F_index at the form's root, an exact binary
-    fraction with the full relative precision of ``digits``
-    (``numeval.times_scalar``)."""
-    index, k, e = term
-    return times_scalar(
-        r_value(index, form_root(form, digits + GUARD_DIGITS), digits), k, e, digits)
+def _conjugate_number(a: int, b: int, c: int, index: int, k: int, e: int,
+                      digits: int) -> mpmath.mpc:
+    """z^k * sqrt(3)^e * F_index at the root of the form (a, b, c), an
+    exact binary fraction with the full relative precision of ``digits``
+    (``numeval.times_scalar``).  It takes plain ints, so that the helper
+    can evaluate it too (``_evaluate_all``)."""
+    root = form_root(QuadForm(a, b, c), digits + GUARD_DIGITS)
+    return times_scalar(r_value(index, root, digits), k, e, digits)
+
+
+def _j_number(a: int, b: int, c: int, digits: int) -> mpmath.mpc:
+    """j at the root of the form (a, b, c), exact (``numeval.j_invariant``),
+    from plain ints like ``_conjugate_number``."""
+    return j_invariant(form_root(QuadForm(a, b, c), digits + GUARD_DIGITS), digits)
 
 
 def _record(form: QuadForm, term: Term, value: mpmath.mpc,
@@ -348,7 +342,7 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
         raise ValueError(f"form {form} is not primitive and positive definite")
     digits = resolve_digits(dps)
     term = _action_data(form)
-    return _record(form, term, _conjugate_number(form, term, digits),
+    return _record(form, term, _conjugate_number(form.a, form.b, form.c, *term, digits),
                    monomial_entry(*term[1:]))
 
 
@@ -478,7 +472,7 @@ def _join(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
 
 
 def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
-             first: int, stop: int, bits: int, work: int = 0) -> List[int]:
+             first: int, stop: int, bits: int, shared: bool = False) -> List[int]:
     """The ascending fixed-point coefficients of the monic product of the
     groups ``first`` to ``stop - 1`` of ``factors``, group g being
     ``factors[g::groups]``: one node of the expansion's join tree.
@@ -487,19 +481,33 @@ def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
     A wider node of w groups is the ``_join`` of its two children, the
     first 2^(ceil(log2 w) - 1) groups and the rest; the first child is a
     power of two of groups, so the tree joins neighbours pairwise, level
-    by level, an odd one out carried up a level.  ``work`` is what
-    ``_forked`` weighs against EXPAND_FORK_MIN_WORK to form the second
-    child in a forked child while this process forms the first; only the
-    root is given any.  Forked or not, the join has the serial inputs,
-    so the coefficients are the serial ones bit for bit.
+    by level, an odd one out carried up a level.  With ``shared``, which
+    only the root is given, the helper forms the second child
+    (``_shared``) while this process forms the first; it is sent only
+    that child's factors.  Shared or not, the join has the serial inputs,
+    so the coefficients are the serial ones bit for bit.  Timed per
+    expansion on a 2-core host, serial against shared (medians of 21
+    alternations in one process), sharing won at the smallest tree, 80
+    values at 120 digits in two groups (7.12 -> 5.66 ms), at n = 100019
+    (97 values at 120 digits: 8.95 -> 6.39 ms) and at n = 1000019 (172
+    values at 240 digits, four groups: 51.6 -> 37.6 ms), so every tree of
+    two groups or more is shared.
     """
     if stop - first == 1:
         return _sweep(factors[first::groups], bits)
     cut = first + (1 << (stop - first - 1).bit_length() >> 1)
     left = partial(_product, factors, groups, first, cut, bits)
     right = partial(_product, factors, groups, cut, stop, bits)
-    return _join(*(_forked(work, EXPAND_FORK_MIN_WORK, left, right) or (left(), right())),
-                 bits)
+    shares = None
+    if shared:
+        # the child's factors in their order: its group j, factors[cut + j::groups],
+        # is every (stop - cut)-th of them from the j-th on, because the
+        # deal's short last round fills a prefix of the groups
+        width = stop - cut
+        shares = _shared(left, "_product",
+                         [f for i, f in enumerate(factors) if cut <= i % groups < stop],
+                         width, 0, width, bits)
+    return _join(*(shares or (left(), right())), bits)
 
 
 def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
@@ -516,10 +524,10 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
     g = max(1, m // GROUP_SIZE) groups for m values; each group is swept
     smallest first, so the integers stay short for as long as possible,
     and the groups' products are joined pairwise (``_product`` of the
-    tree's root, whose two children may be formed by two processes for
-    the work m * digits).  The residual is the largest distance of a
-    coefficient from its nearest integer or of a real value's imaginary
-    part from 0.
+    tree's root, whose two children are formed by two processes when
+    there are two groups or more).  The residual is the largest distance
+    of a coefficient from its nearest integer or of a real value's
+    imaginary part from 0.
     """
     bits = _expansion_bits(digits)
     # (size, s, p): the factor t + s when p is None, else t^2 + s t + p
@@ -534,95 +542,217 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
             factors.append((size, -vr, None))
     factors.sort(key=lambda factor: factor[0])
     groups = max(1, len(factors) // GROUP_SIZE)
-    coeffs = _product(factors, groups, 0, groups, bits, len(factors) * digits)
+    coeffs = _product(factors, groups, 0, groups, bits, shared=True)
     half = 1 << (bits - 1)
     rounded = tuple((a + half) >> bits for a in coeffs)
     residual = max(drift, max(abs(a - (r << bits)) for a, r in zip(coeffs, rounded)))
     return rounded, from_gaussian(residual, 0, bits).real
 
 
-def _forked(work: int, minimum: int, own: Callable[[], T],
-            child: Callable[[], object]) -> Optional[Tuple[T, object]]:
-    """``(own(), child())`` with ``child()`` run in a forked child, or
+_helper: Optional[Tuple[int, BinaryIO, BinaryIO]] = None
+"""This process's helper (``_shared``): its pid, this process's end of
+the pipe that takes its tasks and of the one that brings its replies;
+None before the first shared call, and after a failure."""
+
+
+def _shared(own: Callable[[], T], task: str, *args) -> Optional[Tuple[T, object]]:
+    """``(own(), f(*args))``, f being the function of this module named
+    ``task``, run by the helper while this process runs ``own()``; or
     None for the caller to run its one-process path instead.
 
-    None comes back, with nothing run, unless ``work`` reaches
-    ``minimum``, ``os.fork`` exists, no other thread runs and at least
-    two CPUs are usable by this process.  ``child()`` returns what
-    ``marshal`` writes: plain ints, tuples and lists of them.  The child
-    sends it back over a pipe and leaves only through ``os._exit``, so
-    no atexit handler or buffered stream of this process runs twice; it
-    exits non-zero, having sent nothing, if its share raises.  The child
-    is always reaped, and killed first if ``own()`` or the read raises.
-    None comes back too when the pipe, the fork, either share or the
-    child's exit fails with an Exception; any other BaseException from
-    ``own()`` (KeyboardInterrupt) is raised once the child is reaped.
+    None comes back, with nothing run, unless ``os.fork`` exists, no
+    other thread runs and at least two CPUs are usable by this process.
+    The first call that passes these guards forks the helper
+    (``_fork_helper``), which then stays until the interpreter exits:
+    each call sends it ``(task, args)`` and reads back f's result, both
+    as ``marshal`` writes them (plain ints, strings, None, and tuples and
+    lists of them).  A task with little data costs about 40 us on a
+    2-core host, where a fork, ``_exit`` and ``waitpid`` cost 2.6 to
+    3.1 ms.  The
+    helper runs this module's functions as they were when it was forked:
+    a function replaced later, by a test's patch say, is replaced in this
+    process only.
+
+    If f raises an Exception, the helper replies so and stays, and None
+    comes back.  A failing pipe or fork, or any exception from ``own()``,
+    which leaves a reply unread, kills and reaps the helper and forgets
+    it (``_stop_helper``); the next call forks a new one.  None then
+    comes back, except that a BaseException from ``own()`` that is no
+    Exception (KeyboardInterrupt) is raised.
     """
-    if work < minimum or not hasattr(os, "fork") or threading.active_count() != 1:
+    global _helper
+    if not hasattr(os, "fork") or threading.active_count() != 1:
         return None
     affinity = getattr(os, "sched_getaffinity", None)
     if (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
         return None
     try:
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_end)
-                data = marshal.dumps(child())
-                with open(write_end, "wb") as pipe:
-                    pipe.write(data)
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            os.close(write_end)
-            with open(read_end, "rb") as pipe:
-                mine = own()
-                data = pipe.read()
-        except BaseException:
-            # signal is imported here only: importing classpoly loads no
-            # module that the one-process path does not need
-            import signal
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if status == 0:
-            return mine, marshal.loads(data)
+        if _helper is None:
+            _helper = _fork_helper()
+        _send(_helper[1], (task, args))
     except Exception:
+        _stop_helper(kill=True)
+        return None
+    try:
+        mine = own()
+        done, theirs = _receive(_helper[2])
+    except BaseException as error:
+        _stop_helper(kill=True)
+        if isinstance(error, Exception):
+            return None
+        raise
+    return (mine, theirs) if done else None
+
+
+def _send(pipe: BinaryIO, data: object) -> None:
+    """Write ``data`` to the pipe as ``marshal`` writes it, after its
+    length in 8 bytes."""
+    packed = marshal.dumps(data)
+    pipe.write(len(packed).to_bytes(8, "little"))
+    pipe.write(packed)
+    pipe.flush()
+
+
+def _receive(pipe: BinaryIO) -> object:
+    """What ``_send`` wrote to the pipe; EOFError at or before its end.
+
+    One read of the whole message: ``marshal.load`` on the pipe would
+    read it in thousands of small pieces, a millisecond for 6 kB."""
+    # an empty or short read leaves marshal too few bytes, and EOFError
+    return marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
+
+
+def _fork_helper() -> Tuple[int, BinaryIO, BinaryIO]:
+    """Fork the helper (``_serve``): its pid, and this process's ends of
+    its task pipe, to write, and of its reply pipe, to read."""
+    ends: List[int] = []
+    try:
+        ends += os.pipe()
+        ends += os.pipe()
+        pid = os.fork()
+    except BaseException:
+        for end in ends:
+            os.close(end)
+        raise
+    tasks_read, tasks_write, replies_read, replies_write = ends
+    if pid == 0:
+        _serve(ends)
+    os.close(tasks_read)
+    os.close(replies_write)
+    return pid, open(tasks_write, "wb"), open(replies_read, "rb")
+
+
+def _serve(ends: Sequence[int]) -> None:
+    """The helper's loop over the pipe ends of ``_fork_helper``: read a
+    task, run it, send its result or the news that it raised, until the
+    task pipe ends, which it does when the caller closes it
+    (``_stop_helper``) or dies.  The helper leaves only through
+    ``os._exit``, so no atexit handler or buffered stream of the caller
+    runs twice: with 0 at the pipe's end, 1 if anything else ends the
+    loop (a KeyboardInterrupt, a reply pipe closed early)."""
+    tasks_read, tasks_write, replies_read, replies_write = ends
+    status = 1
+    try:
+        os.close(tasks_write)
+        os.close(replies_read)
+        tasks = open(tasks_read, "rb")
+        replies = open(replies_write, "wb")
+        while True:
+            try:
+                task, args = _receive(tasks)
+            except EOFError:
+                break
+            try:
+                reply = True, globals()[task](*args)
+            except Exception:
+                reply = False, None
+            _send(replies, reply)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _stop_helper(kill: bool = False) -> None:
+    """Close this process's ends of the helper's pipes and reap the
+    helper, killed first when ``kill``; an idle helper exits by itself at
+    the end of its task pipe.  It runs at exit, so no helper outlives the
+    interpreter, and does nothing when there is no helper."""
+    global _helper
+    if _helper is None:
+        return
+    pid, tasks, replies = _helper
+    _helper = None
+    if kill:
+        # signal is imported here only: importing classpoly loads no
+        # module that the normal path does not need
+        import signal
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # reaped already by another wait
+    for pipe in (tasks, replies):
+        try:
+            pipe.close()
+        except OSError:
+            pass  # a task left unflushed in a broken pipe
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:
         pass
-    return None
 
 
-def _evaluate_all(forms: Sequence[QuadForm],
-                  evaluate: Callable[[QuadForm, int], mpmath.mpc],
+def _forget_helper() -> None:
+    """In a process forked from this one, close the copies of the
+    helper's pipe ends and forget it: the copy never writes into its
+    parent's pipes, and forks its own helper if it shares work.  The
+    parent's helper still sees its task pipe end when the parent closes
+    it, whether or not the copy has exited."""
+    global _helper
+    if _helper is not None:
+        for pipe in _helper[1:]:
+            pipe.close()
+        _helper = None
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _values(evaluate: str, rows: Sequence[Tuple[int, ...]],
+            digits: int) -> List[mpmath.mpc]:
+    """``[f(*row, digits) for row in rows]``, f being the function of this
+    module named ``evaluate``."""
+    value = globals()[evaluate]
+    return [value(*row, digits) for row in rows]
+
+
+def _sent_values(evaluate: str, rows: Sequence[Tuple[int, ...]], digits: int) -> list:
+    """The helper's share of ``_evaluate_all``: the ``_mpc_`` parts of each
+    of ``_values``, (sign, man, exp, bc) with man as a plain int."""
+    return [tuple((sign, int(man), exp, bc) for sign, man, exp, bc in value._mpc_)
+            for value in _values(evaluate, rows, digits)]
+
+
+def _evaluate_all(evaluate: str, rows: Sequence[Tuple[int, ...]],
                   digits: int) -> List[mpmath.mpc]:
-    """``[evaluate(f, digits) for f in forms]``, bit for bit.
+    """``_values(evaluate, rows, digits)``, bit for bit.
 
-    len(forms) * digits is the work that ``_forked`` weighs against
-    FORK_MIN_WORK to evaluate ``forms[1::2]`` in a child while this
-    process evaluates ``forms[0::2]``; the child sends each value's
-    ``_mpc_`` parts, (sign, man, exp, bc) with man as a plain int.  When
-    ``_forked`` gives None, a failing ``evaluate`` included, the serial
+    With two rows or more, whose number times the digits reaches
+    FORK_MIN_WORK, the helper evaluates ``rows[1::2]`` (``_shared`` of
+    ``_sent_values``) while this process evaluates ``rows[0::2]``.  When
+    ``_shared`` gives None, a failing evaluation included, the serial
     loop runs, so the values and any exception raised are the serial
     ones.
     """
-    shares = _forked(
-        len(forms) * digits, FORK_MIN_WORK,
-        lambda: [evaluate(f, digits) for f in forms[0::2]],
-        lambda: [tuple((sign, int(man), exp, bc) for sign, man, exp, bc
-                       in evaluate(f, digits)._mpc_) for f in forms[1::2]])
+    shares = None
+    if len(rows) > 1 and len(rows) * digits >= FORK_MIN_WORK:
+        shares = _shared(partial(_values, evaluate, rows[0::2], digits),
+                         "_sent_values", evaluate, rows[1::2], digits)
     if shares is None:
-        return [evaluate(f, digits) for f in forms]
+        return _values(evaluate, rows, digits)
     own, parts = shares
-    values = [None] * len(forms)
+    values = [None] * len(rows)
     values[0::2] = own
     values[1::2] = [mpmath.mp.make_mpc(tuple((sign, MPZ(man), exp, bc)
                                              for sign, man, exp, bc in value))
@@ -631,13 +761,15 @@ def _evaluate_all(forms: Sequence[QuadForm],
 
 
 def _round_with_retries(
-    forms: Sequence[QuadForm], evaluate: Callable[[QuadForm, int], mpmath.mpc],
+    forms: Sequence[QuadForm], evaluate: str, rows: Sequence[Tuple[int, ...]],
     digits: int, size: float,
 ) -> Tuple[Tuple[int, ...], mpmath.mpf, int, List[mpmath.mpc]]:
     """Round the expanded product of t - v over the values v of the
-    reduced forms ``forms``, each the exact ``evaluate(form, digits)``.
+    reduced forms ``forms``.
 
-    Only the forms with b >= 0 are evaluated; each that is not
+    Only the forms with b >= 0 are evaluated, the i-th of them as the
+    exact f(*rows[i], digits), f being the function of this module named
+    ``evaluate`` (``_evaluate_all``); each that is not
     ambiguous (``quadforms.is_ambiguous``) stands for itself and its
     mirror, whose value is its conjugate.  The values are read into
     fixed point at ``_expansion_bits(digits)`` for ``_expand_and_round``.
@@ -651,12 +783,11 @@ def _round_with_retries(
     used and the value of every form at those digits, each mirror's the
     conjugate of its form's (``_with_mirrors``).
     """
-    evaluated = [f for f in forms if f.b >= 0]
-    paired = [not is_ambiguous(f) for f in evaluated]
+    paired = [not is_ambiguous(f) for f in forms if f.b >= 0]
     while digits + SKIP_MARGIN_DIGITS <= size:
         digits *= 2
     for _ in range(MAX_RETRIES + 1):
-        values = _evaluate_all(evaluated, evaluate, digits)
+        values = _evaluate_all(evaluate, rows, digits)
         bits = _expansion_bits(digits)
         rounded, residual = _expand_and_round(
             [to_gaussian(v, bits) for v in values], paired, digits)
@@ -693,10 +824,9 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     terms = _with_mirrors(forms, [_action_data(f) for f in forms if f.b >= 0],
                           mirror_term)
     size = _ramanujan_size(n, forms, terms)
-    term_of = dict(zip(forms, terms))
+    rows = [(f.a, f.b, f.c, *term) for f, term in zip(forms, terms) if f.b >= 0]
     rounded, residual, digits, values = _round_with_retries(
-        forms, lambda f, digits: _conjugate_number(f, term_of[f], digits),
-        digits, size)
+        forms, "_conjugate_number", rows, digits, size)
     # t_n is a unit, so its minimal polynomial is monic with constant term +-1
     if rounded[-1] != 1:
         raise PrecisionError(
@@ -745,8 +875,7 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     size = _hilbert_size(discriminant, forms)
     digits = check_digits(dps) if dps is not None else _hilbert_digits(size)
     rounded, residual, digits, _ = _round_with_retries(
-        forms, lambda f, digits: j_invariant(form_root(f, digits + GUARD_DIGITS), digits),
-        digits, size)
+        forms, "_j_number", [(f.a, f.b, f.c) for f in forms if f.b >= 0], digits, size)
     return PolynomialResult(
         discriminant=discriminant,
         class_number=len(forms),

@@ -27,6 +27,7 @@ from .classpoly import (
     is_squarefree,
 )
 from .etarep import invariance_check, is_valid_n
+from .quadforms import check_enumerable
 
 INVARIANCE_CLASSES = tuple(range(11, 288, 24))
 """One n = 11 (mod 24) in each of the 12 residue classes mod 288,
@@ -114,9 +115,13 @@ def _print_results(args: argparse.Namespace,
 
 
 def _ramanujan(n: int, prec: Optional[int]) -> PolynomialResult:
-    """compute_ramanujan, after a stderr warning for a valid n with a square factor."""
-    if is_valid_n(n) and not is_squarefree(n):
-        print(f"warning: {n} is not squarefree", file=sys.stderr)
+    """compute_ramanujan, after a stderr warning for a valid n with a square
+    factor.  A -n too large to enumerate is refused before the
+    squarefree check, whose O(n^(1/3)) divisions would take hours there."""
+    if is_valid_n(n):
+        check_enumerable(-n)
+        if not is_squarefree(n):
+            print(f"warning: {n} is not squarefree", file=sys.stderr)
     return compute_ramanujan(n, prec)
 
 

@@ -252,18 +252,25 @@ def _cos_sin_pi(x: tuple, prec: int) -> Tuple[tuple, tuple]:
     gives them at ``prec`` bits, rounded down.
 
     A table across calls, like ``zeta72``, keyed by the exact x and the
-    precision.  The bound of 64 is chosen:
+    precision.  Each process has its own: when a rung is shared with
+    ``classpoly``'s helper process, the caller looks up the phases of
+    the forms it evaluates and the helper those of the others, and the
+    helper's table lasts, like the caller's, until the interpreter
+    exits (a helper forked anew starts from the caller's table at its
+    fork).  The bound of 64 is chosen:
     - it holds the 29 phases of the paper's 38-row table (177 forms),
-      so one pass over the table computes each once;
-    - it does not hold the 147 or more distinct phases that one pass
-      over n = 10019, 100019 and 1000019 looks up in this process, so
-      computing those n again finds no more phases here than computing
-      them once does: a benchmark that repeats its inputs sees only
-      the sharing that a single run has;
+      so one pass over the table on one CPU computes each once; on two,
+      the caller computes 22 in its 100 lookups and the helper 17 in its
+      77, and later passes compute none in either;
+    - it does not hold the 140 or more distinct phases that one pass
+      over n = 10019, 100019 and 1000019 looks up in either process, so
+      computing those n again finds no more phases than computing them
+      once does: a benchmark that repeats its inputs sees only the
+      sharing that a single run has;
     - the 38 that one Hilbert pass over the same class groups looks up
-      in this process, when its evaluation is split over two processes,
-      do fit, so Hilbert passes after the first read them from here
-      (run serially it looks up 75, which do not).
+      in the caller, and the 37 in the helper, do fit, so Hilbert
+      passes after the first read them from both tables (run serially
+      it looks up 75, which do not).
     """
     return mpf_cos_sin_pi(x, prec)
 

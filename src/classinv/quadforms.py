@@ -90,6 +90,22 @@ def is_ambiguous(form: QuadForm) -> bool:
     return form.b == 0 or form.b == form.a or form.a == form.c
 
 
+def check_enumerable(discriminant: int) -> int:
+    """The discriminant (``check_discriminant``); a ValueError when |D| is
+    above 4 MAX_J_IM_TAU^2 = 4 10^12, the most ``reduced_forms`` walks.
+
+    A reduced form's root has Im tau <= sqrt(|D|)/2, and past that bound
+    it may lie beyond what ``numeval.j_invariant`` evaluates.  The check
+    is O(1), so a caller about to do other work that grows with |D|
+    (the CLI's squarefree check of n) makes it first.
+    """
+    discriminant = check_discriminant(discriminant)
+    if -discriminant > 4 * MAX_J_IM_TAU ** 2:
+        raise ValueError(f"discriminant {discriminant} is too large to enumerate: "
+                         f"|D| is above 4 MAX_J_IM_TAU^2 = {4 * MAX_J_IM_TAU ** 2}")
+    return discriminant
+
+
 def reduced_forms(discriminant: int) -> List[QuadForm]:
     """All primitive reduced forms of the given negative discriminant.
 
@@ -98,15 +114,10 @@ def reduced_forms(discriminant: int) -> List[QuadForm]:
     (``is_ambiguous``) comes right after it, and every form with b < 0
     is such a mirror.
 
-    The walk tries about 0.07 |D| candidate divisors, so |D| above
-    4 MAX_J_IM_TAU^2 = 4 10^12 raises ValueError before it starts: a
-    reduced form's root has Im tau <= sqrt(|D|)/2, and past that bound
-    it may lie beyond what ``numeval.j_invariant`` evaluates.
+    The walk tries about 0.07 |D| candidate divisors, so a |D| that
+    ``check_enumerable`` refuses raises ValueError before it starts.
     """
-    discriminant = check_discriminant(discriminant)
-    if -discriminant > 4 * MAX_J_IM_TAU ** 2:
-        raise ValueError(f"discriminant {discriminant} is too large to enumerate: "
-                         f"|D| is above 4 MAX_J_IM_TAU^2 = {4 * MAX_J_IM_TAU ** 2}")
+    discriminant = check_enumerable(discriminant)
     forms: List[QuadForm] = []
     # b matches the parity of the discriminant, and 3 b^2 <= -D
     for b in range(discriminant & 1, math.isqrt(-discriminant // 3) + 1, 2):

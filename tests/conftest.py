@@ -5,6 +5,7 @@ wherever needed."""
 import pytest
 from hypothesis import HealthCheck, settings
 
+import classinv.classpoly as classpoly
 from classinv.classpoly import compute_ramanujan
 from classinv.selftest import run_all
 
@@ -28,3 +29,17 @@ def main_table_results():
 def selftest_results():
     """Every self-test suite's result by name, from one ``run_all()``."""
     return {r.name: r for r in run_all()}
+
+
+@pytest.fixture(autouse=True)
+def fresh_helper(request):
+    """Stop classpoly's helper process before and after every test that
+    uses monkeypatch.  The helper runs the functions as they were when it
+    was forked: a test that patches one then forks a new helper that runs
+    the patch too, and leaves no helper with its patches behind."""
+    if "monkeypatch" not in request.fixturenames:
+        yield
+        return
+    classpoly._stop_helper()
+    yield
+    classpoly._stop_helper()

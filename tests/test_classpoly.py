@@ -579,18 +579,27 @@ def _expansion_error_bound(values, paired, bits):
     (160, 60, 40, -120),
     (172, 60, 40, -120),
 ])
-def test_grouped_expansion_matches_exact_rationals(monkeypatch, count, digits, high, low):
+def test_grouped_expansion_matches_exact_rationals(monkeypatch, tmp_path, count, digits,
+                                                   high, low):
     # below 80 values one group is swept; from 80, count // 40 groups are
-    # joined pairwise, groups - 1 joins; the rounded coefficients are the
-    # exact ones, and the residual is within the stated error of the
-    # exact residual
-    joins = []
+    # joined pairwise, groups - 1 joins, in this process or in the helper
+    # (forked with the spy in place), each of which appends a line to a
+    # file; the rounded coefficients are the exact ones, and the residual
+    # is within the stated error of the exact residual
+    log = tmp_path / "joins"
+    log.touch()
     join = classpoly._join
-    monkeypatch.setattr(classpoly, "_join", lambda *args: joins.append(1) or join(*args))
+
+    def spy(*args):
+        with open(log, "a") as joins:
+            joins.write("join\n")
+        return join(*args)
+
+    monkeypatch.setattr(classpoly, "_join", spy)
     bits = classpoly._expansion_bits(digits)
     values, paired = _hand_made(count, bits, high, low, random.Random(count))
     rounded, residual = _expand_and_round(values, paired, digits)
-    assert len(joins) == max(1, count // classpoly.GROUP_SIZE) - 1
+    assert len(log.read_text().splitlines()) == max(1, count // classpoly.GROUP_SIZE) - 1
     expected, exact_residual = _exact_expansion(values, paired, bits)
     assert rounded == expected
     bound = _expansion_error_bound(values, paired, bits)
@@ -777,16 +786,21 @@ def test_each_mirror_takes_the_data_of_the_form_before_it():
 
 
 FORKED = int(hasattr(os, "fork"))
-"""Forks per rung evaluated, or expansion split, on two processes: none
-where os.fork is missing."""
+"""Helpers forked by a test that shares work on two usable CPUs (none where
+os.fork is missing): conftest's ``fresh_helper`` stops the helper around
+every test that uses monkeypatch, so such a test starts with none."""
+
+_ONE_FACTOR = ([(0, 1, None)], 1, 0, 1, 0)
+"""``_product`` arguments for the polynomial t + 1 at 0 bits: a task for
+the helper that returns [1, 1]."""
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two usable CPUs whatever the host has, so that a rung whose work
-    reaches FORK_MIN_WORK is evaluated on two processes, and an expansion
-    of two groups or more whose work reaches EXPAND_FORK_MIN_WORK is
-    split over two."""
+    """Two usable CPUs whatever the host has, so that a rung of two forms
+    or more whose work reaches FORK_MIN_WORK is evaluated on two
+    processes, and an expansion of two groups or more is split over
+    two."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
@@ -800,15 +814,45 @@ def _fork_spy(monkeypatch):
     return forks
 
 
+def _share_spy(monkeypatch):
+    """A list that gains (task, shared) per ``classpoly._shared`` call in
+    this process, shared being whether the helper's result came back."""
+    shares = []
+    original = classpoly._shared
+
+    def spy(own, task, *args):
+        result = original(own, task, *args)
+        shares.append((task, result is not None))
+        return result
+
+    monkeypatch.setattr(classpoly, "_shared", spy)
+    return shares
+
+
+def _helper_pid():
+    """The pid of this process's helper, None when it has none."""
+    return classpoly._helper and classpoly._helper[0]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_helper_alive():
+    pid = _helper_pid()
+    assert pid is not None and os.waitpid(pid, os.WNOHANG) == (0, 0)
+
+
 class _Rung(Exception):
     pass
 
 
 def _first_rung(monkeypatch, compute, *args):
-    """The (forms, evaluate, digits) that ``compute(*args)`` hands
+    """The (evaluate, rows, digits) that ``compute(*args)`` hands
     ``_evaluate_all`` for its first rung; nothing is evaluated."""
-    def capture(forms, evaluate, digits):
-        raise _Rung(forms, evaluate, digits)
+    def capture(evaluate, rows, digits):
+        raise _Rung(evaluate, rows, digits)
 
     with monkeypatch.context() as patch:
         patch.setattr(classpoly, "_evaluate_all", capture)
@@ -820,9 +864,10 @@ def _first_rung(monkeypatch, compute, *args):
 def test_one_evaluation_per_mirrored_pair(monkeypatch, tmp_path, two_cpus):
     # 170 pairs and 2 real forms among the 342 of n = 1000019, 30 pairs
     # and 1 real form among the 61 of D = -30011.  Each rung is evaluated
-    # on two processes, so every call, in either, appends a line to a file.
-    # n = 1000019 forks twice, to evaluate and to expand its four groups;
-    # D = -30011 expands one group in this process
+    # on two processes, so every call, in either, appends a line to a
+    # file.  One helper, forked with the spies in place, evaluates and
+    # expands for n = 1000019 (four groups) and evaluates for D = -30011
+    # (one group, expanded in this process)
     log = tmp_path / "calls"
     for name in ("r_value", "j_invariant"):
         original = getattr(classpoly, name)
@@ -834,29 +879,35 @@ def test_one_evaluation_per_mirrored_pair(monkeypatch, tmp_path, two_cpus):
 
         monkeypatch.setattr(classpoly, name, spy)
     forks = _fork_spy(monkeypatch)
+    shares = _share_spy(monkeypatch)
     assert compute_ramanujan(1000019).class_number == 342
     assert len(log.read_text().splitlines()) == 172
-    assert len(forks) == 2 * FORKED
+    assert len(forks) == FORKED
     log.unlink()
-    forks.clear()
     assert compute_hilbert(-30011).class_number == 61
     assert len(log.read_text().splitlines()) == 31
     assert len(forks) == FORKED
+    assert shares == [("_sent_values", bool(FORKED)), ("_product", bool(FORKED)),
+                      ("_sent_values", bool(FORKED))]
 
 
 @pytest.mark.parametrize("compute, args", [(compute_ramanujan, (100019, 120)),
-                                           (compute_hilbert, (-20051,))],
-                         ids=["ramanujan-100019", "hilbert-20051"])
+                                           (compute_hilbert, (-20051,)),
+                                           (compute_ramanujan, (131,))],
+                         ids=["ramanujan-100019", "hilbert-20051", "ramanujan-131"])
 def test_forked_values_are_the_serial_values(monkeypatch, two_cpus, compute, args):
-    # n = 100019 at 120 digits (work 97 * 120) and D = -20051 at 786
-    # (28 * 786): the child's values come back bit for bit
-    forms, evaluate, digits = _first_rung(monkeypatch, compute, *args)
-    assert len(forms) * digits >= classpoly.FORK_MIN_WORK
-    serial = [evaluate(f, digits)._mpc_ for f in forms]
+    # n = 100019 at 120 digits (work 97 * 120), D = -20051 at 786
+    # (28 * 786) and the table's n = 131 at 120 (3 * 120, the smallest
+    # shared): the helper's values come back bit for bit
+    evaluate, rows, digits = _first_rung(monkeypatch, compute, *args)
+    assert len(rows) > 1 and len(rows) * digits >= classpoly.FORK_MIN_WORK
+    serial = [v._mpc_ for v in classpoly._values(evaluate, rows, digits)]
     forks = _fork_spy(monkeypatch)
-    forked = classpoly._evaluate_all(forms, evaluate, digits)
+    shares = _share_spy(monkeypatch)
+    shared = classpoly._evaluate_all(evaluate, rows, digits)
     assert len(forks) == FORKED
-    assert [v._mpc_ for v in forked] == serial
+    assert shares == [("_sent_values", bool(FORKED))]
+    assert [v._mpc_ for v in shared] == serial
 
 
 class _NoValue(Exception):
@@ -866,40 +917,52 @@ class _NoValue(Exception):
 @pytest.mark.parametrize("failing", [(3,), (2,), (3, 4)],
                          ids=["child", "parent", "both"])
 def test_a_failing_share_raises_the_serial_exception(monkeypatch, two_cpus, failing):
-    # the child evaluates forms[1::2] and this process forms[0::2]; when
-    # both shares fail, the serial loop fails first on form 3
-    forms, evaluate, digits = _first_rung(monkeypatch, compute_hilbert, -10019)
-    assert len(forms) * digits >= classpoly.FORK_MIN_WORK
-    bad = [forms[i] for i in failing]
+    # the helper (the child) evaluates rows[1::2] and this process
+    # rows[0::2]; when both shares fail, the serial loop fails first on
+    # row 3.  The helper is forked after the patch, so it fails too
+    evaluate, rows, digits = _first_rung(monkeypatch, compute_hilbert, -10019)
+    assert evaluate == "_j_number"
+    assert len(rows) * digits >= classpoly.FORK_MIN_WORK
+    bad = [rows[i] for i in failing]
+    original = classpoly._j_number
 
-    def evaluate_or_fail(f, digits):
-        if f in bad:
-            raise _NoValue(f"no value at {f}")
-        return evaluate(f, digits)
+    def j_or_fail(a, b, c, digits):
+        if (a, b, c) in bad:
+            raise _NoValue(f"no value at {(a, b, c)}")
+        return original(a, b, c, digits)
 
+    monkeypatch.setattr(classpoly, "_j_number", j_or_fail)
     with pytest.raises(_NoValue) as serial:
-        [evaluate_or_fail(f, digits) for f in forms]
+        classpoly._values(evaluate, rows, digits)
     forks = _fork_spy(monkeypatch)
-    with pytest.raises(_NoValue) as forked:
-        classpoly._evaluate_all(forms, evaluate_or_fail, digits)
+    with pytest.raises(_NoValue) as shared:
+        classpoly._evaluate_all(evaluate, rows, digits)
     assert len(forks) == FORKED
-    assert forked.value.args == serial.value.args == (f"no value at {forms[failing[0]]}",)
-    if FORKED:
-        # no child is left behind
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    assert shared.value.args == serial.value.args == (f"no value at {rows[failing[0]]}",)
+    if FORKED and failing == (3,):
+        # the helper replied that its share raised, and stays
+        _assert_helper_alive()
+    elif FORKED:
+        # this process's share raised with the reply unread: the helper
+        # was killed and reaped, and no child is left behind
+        assert _helper_pid() is None
+        _assert_no_child()
 
 
-def test_no_fork_for_the_table_a_second_thread_or_one_cpu(monkeypatch, two_cpus):
+def test_one_helper_for_the_table_none_for_a_second_thread_or_one_cpu(monkeypatch,
+                                                                      two_cpus):
+    # the table's rungs are 3 to 8 forms at 120 digits: every row but
+    # n = 107, whose 2 forms are below FORK_MIN_WORK, is shared, and one
+    # helper serves all 37
     forks = _fork_spy(monkeypatch)
-    # the table's rungs are at most 8 forms * 120 digits
+    shares = _share_spy(monkeypatch)
     for n in sorted(MAIN_TABLE):
         assert compute_ramanujan(n).polynomial.descending() == MAIN_TABLE[n]
-    assert forks == []
-    # D = -20051 forks otherwise (test_forked_values_are_the_serial_values)
+    assert len(forks) == FORKED
+    assert shares == [("_sent_values", bool(FORKED))] * 37
     expected = compute_hilbert(-20051).polynomial
     assert len(forks) == FORKED
-    forks.clear()
+    shares.clear()
     release = threading.Event()
     waiting = threading.Thread(target=release.wait)
     waiting.start()
@@ -914,19 +977,32 @@ def test_no_fork_for_the_table_a_second_thread_or_one_cpu(monkeypatch, two_cpus)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert compute_hilbert(-20051).polynomial == expected
-    assert forks == []
+    # the guards refused each call: nothing was sent, nothing forked
+    assert shares == [("_sent_values", False)] * 3
+    assert len(forks) == FORKED
+
+
+def test_small_polynomials_fork_nothing(monkeypatch, two_cpus):
+    # compute_ramanujan(11) is what the benchmark's setup_s times, in a
+    # fresh interpreter: one form, and n = 107 has two, below FORK_MIN_WORK
+    forks = _fork_spy(monkeypatch)
+    shares = _share_spy(monkeypatch)
+    assert compute_ramanujan(11).polynomial.descending() == (1, -1)
+    assert compute_ramanujan(107).polynomial.descending() == MAIN_TABLE[107]
+    assert forks == [] and shares == [] and _helper_pid() is None
 
 
 @pytest.fixture(scope="module")
 def expansions():
     """The (values, paired, digits) that ``compute_ramanujan(n)`` hands
-    ``_expand_and_round`` on the rung it rounds, for n = 100019 (97
-    values at 120 digits, two groups) and n = 1000019 (172 values at
-    240 digits, four groups)."""
+    ``_expand_and_round`` on the rung it rounds, for n = 10019 (16
+    values at 120 digits, one group), n = 100019 (97 values at 120
+    digits, two groups) and n = 1000019 (172 values at 240 digits, four
+    groups)."""
     captured = {}
     original = classpoly._expand_and_round
     with pytest.MonkeyPatch.context() as patch:
-        for n in (100019, 1000019):
+        for n in (10019, 100019, 1000019):
             def spy(*args, _n=n):
                 captured[_n] = args
                 return original(*args)
@@ -942,7 +1018,7 @@ def _expanded(values, paired, digits):
 
 
 def _serial_expansion(monkeypatch, expansion):
-    """The expansion on one usable CPU, which never forks."""
+    """The expansion on one usable CPU, which shares nothing."""
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         return _expanded(*expansion)
@@ -953,7 +1029,7 @@ def test_split_expansion_is_the_serial_expansion(monkeypatch, two_cpus, expansio
                                                  groups):
     # n = 1000019's 172 values at 240 digits, in its own four groups and
     # dealt into g others: the two processes form the root's two
-    # children, a child the groups after the first 2^(ceil(log2 g) - 1)
+    # children, the helper the groups after the first 2^(ceil(log2 g) - 1)
     # and this process those and then the root's join (4: 2 + 2; 1 + 1,
     # 2 + 1, 4 + 1, 4 + 2, 4 + 3, 8 + 1, 8 + 7, 16 + 1, the last three
     # with the odd group carried to the top), so every join, floored, has
@@ -961,13 +1037,14 @@ def test_split_expansion_is_the_serial_expansion(monkeypatch, two_cpus, expansio
     expansion = expansions[1000019]
     values, _, digits = expansion
     assert len(values) // classpoly.GROUP_SIZE == 4
-    assert len(values) * digits >= classpoly.EXPAND_FORK_MIN_WORK
     monkeypatch.setattr(classpoly, "GROUP_SIZE", len(values) // groups)
     assert len(values) // classpoly.GROUP_SIZE == groups
     serial = _serial_expansion(monkeypatch, expansion)
     forks = _fork_spy(monkeypatch)
+    shares = _share_spy(monkeypatch)
     assert _expanded(*expansion) == serial
     assert len(forks) == FORKED
+    assert shares == [("_product", bool(FORKED))]
 
 
 def test_a_failing_expansion_child_gives_the_serial_result(monkeypatch, two_cpus,
@@ -980,10 +1057,11 @@ def test_a_failing_expansion_child_gives_the_serial_result(monkeypatch, two_cpus
 
     def sweep(factors, bits):
         if os.getpid() != caller:
-            raise _NoValue("no sweep in the child")
+            raise _NoValue("no sweep in the helper")
         swept.append(1)
         return original(factors, bits)
 
+    # the helper is forked after this patch, so its sweeps raise
     monkeypatch.setattr(classpoly, "_sweep", sweep)
     forks = _fork_spy(monkeypatch)
     assert _expanded(*expansion) == serial
@@ -991,25 +1069,32 @@ def test_a_failing_expansion_child_gives_the_serial_result(monkeypatch, two_cpus
     # this process swept its own two groups, then all four again
     assert len(swept) == 2 * FORKED + 4
     if FORKED:
-        # no child is left behind
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        # the helper replied that its share raised, and stays
+        _assert_helper_alive()
 
 
 def test_no_split_below_the_threshold_a_second_thread_or_one_cpu(monkeypatch, two_cpus,
                                                                  expansions):
+    # one group is swept in this process; two groups or more are split
+    two = expansions[100019]
+    two_serial = _serial_expansion(monkeypatch, two)
     forks = _fork_spy(monkeypatch)
-    small = expansions[100019]
-    values, _, digits = small
-    assert len(values) // classpoly.GROUP_SIZE == 2
-    assert len(values) * digits < classpoly.EXPAND_FORK_MIN_WORK
+    shares = _share_spy(monkeypatch)
+    small = expansions[10019]
+    values, _, _ = small
+    assert len(values) // classpoly.GROUP_SIZE < 2
     _expanded(*small)
-    assert forks == []
-    # n = 1000019 splits otherwise (test_split_expansion_is_the_serial_expansion)
+    assert forks == [] and shares == []
+    # n = 100019's two groups at 120 digits, the smallest tree, are split
+    assert len(two[0]) // classpoly.GROUP_SIZE == 2
+    assert _expanded(*two) == two_serial
+    assert len(forks) == FORKED
+    assert shares == [("_product", bool(FORKED))]
+    shares.clear()
     large = expansions[1000019]
     expected = _expanded(*large)
-    assert len(forks) == FORKED
-    forks.clear()
+    assert shares == [("_product", bool(FORKED))]
+    shares.clear()
     release = threading.Event()
     waiting = threading.Thread(target=release.wait)
     waiting.start()
@@ -1024,10 +1109,11 @@ def test_no_split_below_the_threshold_a_second_thread_or_one_cpu(monkeypatch, tw
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert _expanded(*large) == expected
-    assert forks == []
+    assert shares == [("_product", False)] * 3
+    assert len(forks) == FORKED
 
 
-def test_forked_runs_nothing_unless_the_guards_hold(monkeypatch, two_cpus):
+def test_shared_runs_nothing_unless_the_guards_hold(monkeypatch, two_cpus):
     forks = _fork_spy(monkeypatch)
     ran = []
 
@@ -1035,32 +1121,34 @@ def test_forked_runs_nothing_unless_the_guards_hold(monkeypatch, two_cpus):
         ran.append("own")
         return 1
 
-    assert classpoly._forked(9, 10, own, lambda: 2) is None
     release = threading.Event()
     waiting = threading.Thread(target=release.wait)
     waiting.start()
     try:
-        assert classpoly._forked(10, 10, own, lambda: 2) is None
+        assert classpoly._shared(own, "_product", *_ONE_FACTOR) is None
     finally:
         release.set()
         waiting.join(timeout=10)
     assert not waiting.is_alive()
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert classpoly._forked(10, 10, own, lambda: 2) is None
+        assert classpoly._shared(own, "_product", *_ONE_FACTOR) is None
         patch.delattr(os, "sched_getaffinity", raising=False)
         patch.setattr(os, "cpu_count", lambda: 1)
-        assert classpoly._forked(10, 10, own, lambda: 2) is None
+        assert classpoly._shared(own, "_product", *_ONE_FACTOR) is None
     with monkeypatch.context() as patch:
         patch.delattr(os, "fork", raising=False)
-        assert classpoly._forked(10, 10, own, lambda: 2) is None
-    assert forks == [] and ran == []
-    # with every guard met, both shares run
-    assert classpoly._forked(10, 10, own, lambda: 2) == ((1, 2) if FORKED else None)
-    assert len(forks) == FORKED and ran == ["own"] * FORKED
+        assert classpoly._shared(own, "_product", *_ONE_FACTOR) is None
+    assert forks == [] and ran == [] and _helper_pid() is None
+    # with every guard met, both shares run, and one helper serves every call
+    for _ in range(3):
+        assert classpoly._shared(own, "_product", *_ONE_FACTOR) == (
+            (1, [1, 1]) if FORKED else None)
+    assert len(forks) == FORKED and ran == ["own"] * 3 * FORKED
 
 
 def test_a_failing_fork_closes_both_pipe_ends(monkeypatch, two_cpus):
+    # every end of both pipes, the task pipe's and the reply pipe's
     pipes = []
     original = os.pipe
 
@@ -1073,53 +1161,152 @@ def test_a_failing_fork_closes_both_pipe_ends(monkeypatch, two_cpus):
 
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", fork, raising=False)
-    assert classpoly._forked(1, 1, lambda: 1, lambda: 2) is None
-    assert len(pipes) == 1
-    for end in pipes[0]:
+    assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) is None
+    assert len(pipes) == 2 and _helper_pid() is None
+    for end in pipes[0] + pipes[1]:
         with pytest.raises(OSError):
             os.fstat(end)
 
 
-def _refused():
+def _refused(*args):
     raise ValueError("no share")
 
 
-def _slow():
+def _slow(*args):
     time.sleep(30)
     return 2
 
 
-@pytest.mark.parametrize("own, child", [(_refused, _slow), (lambda: 1, _refused)],
+@pytest.mark.parametrize("own, task", [(_refused, "_slow"), (lambda: 1, "_refused")],
                          ids=["own", "child"])
-def test_a_failing_share_gives_none_and_leaves_no_child(two_cpus, own, child):
-    # a child still sleeping is killed, not waited for
+def test_a_failing_share_gives_none_and_leaves_no_child(monkeypatch, two_cpus, own, task):
+    # a helper still sleeping in its share is killed, not waited for; a
+    # helper whose share raised replies so and serves the next call.  The
+    # helper is forked after the two tasks are added to the module
+    monkeypatch.setattr(classpoly, "_slow", _slow, raising=False)
+    monkeypatch.setattr(classpoly, "_refused", _refused, raising=False)
     start = time.monotonic()
-    assert classpoly._forked(1, 1, own, child) is None
+    assert classpoly._shared(own, task) is None
     assert time.monotonic() - start < 10
     if FORKED:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert (_helper_pid() is None) == (task == "_slow")
+        if task == "_slow":
+            _assert_no_child()
+        assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
+        classpoly._stop_helper()
+        _assert_no_child()
 
 
-def test_an_interrupt_in_the_callers_share_propagates(two_cpus):
-    # a KeyboardInterrupt is no failure to fall back from
+def test_an_interrupt_in_the_callers_share_propagates(monkeypatch, two_cpus):
+    # a KeyboardInterrupt is no failure to fall back from: the helper,
+    # still sleeping in its share, is killed and reaped
+    monkeypatch.setattr(classpoly, "_slow", _slow, raising=False)
+
     def interrupted():
         raise KeyboardInterrupt
 
     if not FORKED:
-        assert classpoly._forked(1, 1, interrupted, _slow) is None
+        assert classpoly._shared(interrupted, "_slow") is None
         return
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        classpoly._forked(1, 1, interrupted, _slow)
+        classpoly._shared(interrupted, "_slow")
     assert time.monotonic() - start < 10
+    assert _helper_pid() is None
+    _assert_no_child()
+
+
+def test_a_helper_killed_between_calls_is_replaced(monkeypatch, two_cpus):
+    # the evaluation that finds the helper dead runs serially, and reaps
+    # it; the expansion forks a new one: the results keep every bit
+    expected = compute_ramanujan(100019)
+    if not FORKED:
+        return
+    import signal
+
+    first = _helper_pid()
+    assert first is not None
+    os.kill(first, signal.SIGKILL)
+    shares = _share_spy(monkeypatch)
+    again = compute_ramanujan(100019)
+    assert shares == [("_sent_values", False), ("_product", True)]
+    assert again.polynomial == expected.polynomial
+    assert again.max_residual._mpf_ == expected.max_residual._mpf_
+    assert _helper_pid() not in (None, first)
     with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        os.waitpid(first, os.WNOHANG)
+
+
+def test_a_forked_copy_forks_its_own_helper(two_cpus):
+    # a process forked from this one closes its copies of the helper's
+    # pipes and forgets it, so it never writes into them; its own shared
+    # call forks its own helper, and this process's helper still serves
+    if not FORKED:
+        return
+    assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
+    helper = _helper_pid()
+    ends = [pipe.fileno() for pipe in classpoly._helper[1:]]
+    copy = os.fork()
+    if copy == 0:
+        status = 1
+        try:
+            forgot = classpoly._helper is None
+            closed = []
+            for end in ends:
+                try:
+                    os.fstat(end)
+                except OSError:
+                    closed.append(end)
+            served = classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
+            own = _helper_pid() not in (None, helper)
+            classpoly._stop_helper()
+            status = 0 if forgot and closed == ends and served and own else 2
+        finally:
+            os._exit(status)
+    assert os.waitpid(copy, 0)[1] == 0
+    assert _helper_pid() == helper
+    assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
+
+
+def _run_python(code, timeout=120):
+    """Run ``code`` in a fresh interpreter that imports classinv from
+    this source tree, returning the finished process."""
+    source = os.path.dirname(os.path.dirname(classpoly.__file__))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=timeout)
+
+
+@pytest.mark.parametrize("leave", ["", "os._exit(0)"], ids=["exit", "os-exit"])
+def test_no_helper_outlives_the_interpreter(leave):
+    # at a normal exit an atexit hook closes the helper's task pipe and
+    # reaps it.  Without atexit (os._exit), the helper sees its task
+    # pipe end and exits: it holds a copy of the interpreter's stdout,
+    # so subprocess.run returns only once the helper has exited too
+    code = "\n".join([
+        "import os, sys",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "import classinv.classpoly as classpoly",
+        "assert classpoly.compute_ramanujan(100019).class_number == 193",
+        "print(classpoly._helper and classpoly._helper[0])",
+        "sys.stdout.flush()",
+        leave,
+    ])
+    done = _run_python(code, timeout=60)
+    assert done.returncode == 0, done.stderr
+    if not FORKED:
+        assert done.stdout.split() == ["None"]
+        return
+    pid = int(done.stdout)
+    if not leave:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_importing_and_computing_loads_no_signal_module():
-    # _forked imports signal on its kill path only; P_1000019 forks twice
-    # on two usable CPUs, to evaluate and to expand, and kills no child
+    # signal is imported on the kill path only; P_1000019 shares its
+    # evaluation and its expansion with one helper on two usable CPUs,
+    # and kills none
     code = "\n".join([
         "import os, sys",
         "os.sched_getaffinity = lambda pid: {0, 1}",
@@ -1132,12 +1319,9 @@ def test_importing_and_computing_loads_no_signal_module():
         "assert compute_ramanujan(1000019).class_number == 342",
         "print(len(forks), 'signal' in sys.modules)",
     ])
-    source = os.path.dirname(os.path.dirname(classpoly.__file__))
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    done = _run_python(code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(2 * FORKED), "False"]
+    assert done.stdout.split() == [str(FORKED), "False"]
 
 
 def test_form_action_runs_once_per_form_with_b_at_least_0(monkeypatch):
@@ -1188,12 +1372,20 @@ def _phase_lookups(evaluate):
     return after.hits - before.hits, after.misses - before.misses
 
 
-def test_the_table_shares_29_phases_among_177_conjugates():
+def test_the_table_shares_29_phases_among_177_conjugates(monkeypatch):
     # the paper's table evaluates 177 forms, whose points tau/36 have 29
-    # distinct real parts at their precisions: each phase is computed once
+    # distinct real parts at their precisions: on one usable CPU each
+    # phase is computed once.  On two, this process evaluates 100 forms,
+    # every second of each shared row and both of n = 107's (the helper
+    # the other 77), and computes 22 phases
     assert len(MAIN_TABLE) == 38
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     numeval._cos_sin_pi.cache_clear()
     assert _phase_lookups(lambda: [compute_ramanujan(n) for n in MAIN_TABLE]) == (148, 29)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    numeval._cos_sin_pi.cache_clear()
+    assert _phase_lookups(lambda: [compute_ramanujan(n) for n in MAIN_TABLE]) == (
+        (78, 22) if hasattr(os, "fork") else (148, 29))
 
 
 def test_a_repeated_large_n_reads_no_phase_from_the_table():
@@ -1280,15 +1472,22 @@ _STUB_FORMS = [QuadForm(1, 1, 1)]
 """One ambiguous form, so its value enters the expansion unpaired."""
 
 
-def _stub_evaluate(value, rungs):
-    """An ``evaluate`` for ``_round_with_retries`` over ``_STUB_FORMS``
-    that records its digits and returns the real value ``value``, a
-    Fraction, floored to the expansion's bits."""
-    def evaluate(form, digits):
+_STUB_ROWS = [(1, 1, 1)]
+"""The row of ``_STUB_FORMS``' one form for the stub's evaluation."""
+
+
+def _stub_evaluate(monkeypatch, value, rungs):
+    """The name of an evaluation for ``_round_with_retries`` over
+    ``_STUB_FORMS``, added to classpoly, that records its digits and
+    returns the real value ``value``, a Fraction, floored to the
+    expansion's bits.  One form is never shared, so it runs here."""
+    def evaluate(a, b, c, digits):
         rungs.append(digits)
         bits = classpoly._expansion_bits(digits)
         return from_gaussian((value.numerator << bits) // value.denominator, 0, bits)
-    return evaluate
+
+    monkeypatch.setattr(classpoly, "_stub_number", evaluate, raising=False)
+    return "_stub_number"
 
 
 def test_ruled_out_rungs_are_never_evaluated(monkeypatch):
@@ -1308,17 +1507,19 @@ def test_ruled_out_rungs_are_never_evaluated(monkeypatch):
         rungs = []
         with pytest.raises(PrecisionError, match="failed to round"):
             classpoly._round_with_retries(
-                _STUB_FORMS, _stub_evaluate(Fraction(1, 2), rungs), digits, size)
+                _STUB_FORMS, _stub_evaluate(monkeypatch, Fraction(1, 2), rungs),
+                _STUB_ROWS, digits, size)
         assert rungs == [first << k for k in range(classpoly.MAX_RETRIES + 1)]
         assert all(r + classpoly.SKIP_MARGIN_DIGITS > size for r in rungs)
 
 
-def test_first_rung_for_size_1653_is_1920_digits():
+def test_first_rung_for_size_1653_is_1920_digits(monkeypatch):
     # 1653 is the size estimate of n = 30000011 (h = 3154), whose full run
     # takes a minute or more: the ladder skips 120 to 960 and evaluates 1920
     rungs = []
     rounded, residual, digits, values = classpoly._round_with_retries(
-        _STUB_FORMS, _stub_evaluate(Fraction(3), rungs), DEFAULT_DIGITS, 1653.0)
+        _STUB_FORMS, _stub_evaluate(monkeypatch, Fraction(3), rungs), _STUB_ROWS,
+        DEFAULT_DIGITS, 1653.0)
     assert rungs == [1920] and digits == 1920
     assert rounded == (-3, 1) and residual == 0
 

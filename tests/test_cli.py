@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from classinv import cli, selftest
+from classinv.etarep import is_valid_n
 from classinv.selftest import CheckResult
 
 from golden_data import (
@@ -240,10 +242,23 @@ def test_cli_import_leaves_the_suites_unloaded():
                          ids=["pn", "hilbert"])
 def test_a_discriminant_too_large_to_enumerate_is_refused(args):
     # enumerating |D| = 10^21 + 19 would try about 7 10^19 divisors; the
-    # refusal comes first (pn's squarefree check of n takes a fraction of
-    # a second before it)
+    # refusal comes first, for pn before its squarefree check of n
     done = run_python("-m", "classinv", *args, timeout=30)
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == ("error: discriminant -1000000000000000000019 is too large "
                            "to enumerate: |D| is above 4 MAX_J_IM_TAU^2 = 4000000000000\n")
+
+
+def test_pn_refuses_a_huge_n_before_its_squarefree_check():
+    # n = 10^27 + 19 = 11 mod 24 passes the residue check; its squarefree
+    # check alone, about 10^9 trial divisions, would run for hours
+    n = 10 ** 27 + 19
+    assert is_valid_n(n)
+    start = time.monotonic()
+    done = run_python("-m", "classinv", "pn", "--n", str(n), timeout=30)
+    assert time.monotonic() - start < 30
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (f"error: discriminant {-n} is too large to enumerate: "
+                           "|D| is above 4 MAX_J_IM_TAU^2 = 4000000000000\n")
