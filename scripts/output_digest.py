@@ -10,13 +10,15 @@ rounding noise below the working precision.  A change to the numeric
 layers that keeps this digest keeps every coefficient and every rung
 of the precision ladder.
 
-Three larger cases are pinned one by one (PINNED), `max_residual`
-included: n = 10000019, whose rungs are evaluated and expanded on two
-processes where two CPUs are usable; n = 2004659, whose 9 groups put
-8 + 1 under the root's join, the odd group carried to the top; and
-D = -100019, whose one join reads slots wider than Python's 4300-digit
-int <-> str limit.  Their residuals are the serial ones bit for bit, so
-a floor moved in the join tree, in its split over two processes or in
+Four cases are pinned one by one (PINNED), `max_residual` included:
+n = 10000019, whose rungs are evaluated and expanded on two processes
+where two CPUs are usable; n = 2004659, whose 9 groups put 8 + 1 under
+the root's join, the odd group carried to the top; D = -100019, whose
+one join reads slots wider than Python's 4300-digit int <-> str limit;
+and D = -30011, 31 factors at 885 digits in one group, whose one sweep
+is split by coefficients over two processes where two CPUs are usable.
+Their residuals are the serial ones bit for bit, so a floor moved in
+the join tree, in a sweep, in their splits over two processes or in
 that readback shows in `max_residual` even when no coefficient moves.
 
 Usage:
@@ -48,6 +50,9 @@ PINNED = {
     ("hilbert", -100019): (
         193, 2557, "47c8fa76a4dae855ee41a43c3e921424104c751d3cb3e646a7acf8aaf78e0fd8",
         "2.39989e-31"),
+    ("hilbert", -30011): (
+        61, 885, "1a6d182197140f1d8d9642597857629ef8cc8015cf7f29b7585bbd45e9ce1b10",
+        "3.48435e-28"),
 }
 """(class number, working digits, SHA-256 of the comma-joined
 coefficients, max_residual) of each pinned case, with the coefficients

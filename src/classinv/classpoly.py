@@ -39,14 +39,17 @@ packed into decimal slots of one exact ``decimal`` number each,
 multiplied once by libmpdec, whose number-theoretic transform is much
 faster than int's Karatsuba on operands of hundreds of thousands of
 bits, and read back as integers.  The root's two children may be
-formed by two processes, bit for bit as on one.  The second process
-is one long-lived helper, forked by the first call that shares work
-and reaped when the interpreter exits; each shared rung sends it a
-task over a pipe (``_shared``), and any failure falls back to one
-process.  The rounding and its residual are exact integer operations.
-The same expansion drives Hilbert class polynomials from j-values,
-which serve as an independent cross-check of class numbers and
-precision handling.
+formed by two processes, bit for bit as on one; so may a root of one
+group, whose sweep the two processes split by coefficients, the helper
+taking the upper ones: coefficient i of a step reads only i, i - 1 and
+i - 2 of the step before, so the caller streams the two just below the
+cut to the helper before every step.  The second process is one
+long-lived helper, forked by the first call that shares work and
+reaped when the interpreter exits; each shared rung sends it a task
+over a pipe (``_shared``), and any failure falls back to one process.
+The rounding and its residual are exact integer operations.  The same
+expansion drives Hilbert class polynomials from j-values, which serve
+as an independent cross-check of class numbers and precision handling.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import BinaryIO, Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (BinaryIO, Callable, Iterator, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 import mpmath
 from mpmath.libmp import MPZ, mpf_neg
@@ -123,6 +127,27 @@ residual would be near 10^(E - r) >= 10^10, far above the tolerance.
 On the 82 invariant polynomials of ``scripts/output_digest.py``,
 log10(residual) + digits, the size the expansion reached, lies within
 -2.7 to +3.2 digits of E."""
+
+SPLIT_SWEEP_MIN_WORK = 1_000_000
+"""A one-group expansion's sweep is split by coefficients over two
+processes (``_shared_sweep``) only when its degree squared times the
+expansion's fractional bits reaches this.  Timed per sweep on a 2-core
+host, serial against split (``scripts/sweep_split.py``, medians of 61
+alternations in one process, two runs), the split lost at 91,575 (n =
+971 at 120 digits: 0.12 -> 0.19 and 0.21 ms) and at 366,300 (n = 10019
+at 120 digits: 0.42 -> 0.50 and 0.49 ms), which stay serial; it gained
+little from 373,086 to 725,400 (D = -3011: 0.65 -> 0.59 and 0.62 ms;
+n = 10019 at 240 digits: 0.95 -> 0.81 and 0.90 -> 0.87 ms), and won in
+every run from 1,083,600 (n = 10019 at 360 digits: 1.78 -> 1.27 and
+1.72 -> 1.37 ms) up to the Hilbert polynomial of D = -10019
+(1,388,700: 2.33 -> 2.19 and 3.18 -> 2.41 ms).  In a run of 41
+alternations, D = -20051 (7,925,500) went from 19.3 to 15.0 ms and
+D = -30011 (10,969,508) from 28.3 to 22.1 ms.  The same script scans
+the cut of D = -30011 (degree 61), each cut timed in turn with the
+serial sweep: split over serial read 0.87 at a cut of 0.10 degree,
+0.75 at 0.20, 0.67 at the model's 0.30 (``_sweep_cut``), 0.64 at 0.34
+to 0.39 and 0.71 at 0.44 to 0.49, a broad optimum that the model's cut
+misses by about 4%."""
 
 FORK_MIN_WORK = 360
 """A rung's values are evaluated on two processes (``_evaluate_all``)
@@ -369,7 +394,10 @@ def _conjugate(value: mpmath.mpc) -> mpmath.mpc:
     return mpmath.mp.make_mpc((re, mpf_neg(im)))
 
 
-def _sweep(factors: Sequence[Tuple[int, int, Optional[int]]], bits: int) -> List[int]:
+def _sweep(factors: Sequence[Tuple[int, int, Optional[int]]], bits: int,
+           low: int = 0, high: Optional[int] = None,
+           below: Optional[Iterator[Tuple[int, int]]] = None,
+           send: Optional[Callable[[Tuple[int, int]], None]] = None) -> List[int]:
     """The ascending fixed-point coefficients of the monic product of the
     factors (size, s, p), t + s when p is None and t^2 + s t + p
     otherwise, multiplied in one at a time in the order given.
@@ -378,16 +406,34 @@ def _sweep(factors: Sequence[Tuple[int, int, Optional[int]]], bits: int) -> List
     pi = p 2^-bits, a step turns an error of eps units (of 2^-bits) into
     under (1 + |sigma| + |pi|) eps + |P| + 1 units, |P| the largest
     coefficient so far (p itself is floored); so m factors are off by
-    under 2 m M units, M = prod(1 + |sigma| + |pi|)."""
-    coeffs = [1 << bits]
+    under 2 m M units, M = prod(1 + |sigma| + |pi|).
+
+    With ``high``, only the coefficients ``low`` to ``high - 1`` of every
+    step are formed, those above the degree so far as zeros; without it,
+    every coefficient, and ``low`` is 0.  Coefficient i of a step reads
+    only i, i - 1 and i - 2 of the step before, so a window is the serial
+    sweep restricted to it, bit for bit, given the two coefficients below
+    it: ``below`` yields them, (c[low - 2], c[low - 1]) of the product so
+    far, before every step (zeros when None, as for low = 0), and
+    ``send`` is handed the window's top two, (c[high - 2], c[high - 1]),
+    before every step: what ``below`` must yield to the window that
+    starts at ``high`` (``_shared_sweep``)."""
+    if high is None:
+        coeffs, grow = [1 << bits], [0]
+    else:
+        # a window keeps its width: zip stops at its top coefficient
+        coeffs, grow = ([1 << bits] + [0] * high)[low:high], []
     for _, s, p in factors:
+        c2, c1 = (0, 0) if below is None else next(below)
+        if send is not None:
+            send(tuple(([c2, c1] + coeffs)[-2:]))
         if p is None:
             coeffs = [a + ((s * b) >> bits)
-                      for a, b in zip([0] + coeffs, coeffs + [0])]
+                      for a, b in zip([c1] + coeffs, coeffs + grow)]
         else:
             coeffs = [a + ((s * b + p * c) >> bits)
-                      for a, b, c in zip([0, 0] + coeffs, [0] + coeffs + [0],
-                                         coeffs + [0, 0])]
+                      for a, b, c in zip([c2, c1] + coeffs, [c1] + coeffs + grow,
+                                         coeffs + grow + grow)]
     return coeffs
 
 
@@ -484,8 +530,11 @@ def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
     by level, an odd one out carried up a level.  With ``shared``, which
     only the root is given, the helper forms the second child
     (``_shared``) while this process forms the first; it is sent only
-    that child's factors.  Shared or not, the join has the serial inputs,
-    so the coefficients are the serial ones bit for bit.  Timed per
+    that child's factors.  A shared root of one group is one sweep, split
+    by coefficients with the helper once its work reaches
+    SPLIT_SWEEP_MIN_WORK (``_shared_sweep``).  Shared or not, every join
+    and every sweep step has the serial inputs, so the coefficients are
+    the serial ones bit for bit.  Timed per
     expansion on a 2-core host, serial against shared (medians of 21
     alternations in one process), sharing won at the smallest tree, 80
     values at 120 digits in two groups (7.12 -> 5.66 ms), at n = 100019
@@ -494,7 +543,8 @@ def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
     two groups or more is shared.
     """
     if stop - first == 1:
-        return _sweep(factors[first::groups], bits)
+        group = factors[first::groups]
+        return _shared_sweep(group, bits) if shared else _sweep(group, bits)
     cut = first + (1 << (stop - first - 1).bit_length() >> 1)
     left = partial(_product, factors, groups, first, cut, bits)
     right = partial(_product, factors, groups, cut, stop, bits)
@@ -508,6 +558,56 @@ def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
                          [f for i, f in enumerate(factors) if cut <= i % groups < stop],
                          width, 0, width, bits)
     return _join(*(shares or (left(), right())), bits)
+
+
+def _degree(factors: Sequence[Tuple[int, int, Optional[int]]]) -> int:
+    """The degree of the product of the factors (size, s, p)."""
+    return sum(1 if p is None else 2 for _, _, p in factors)
+
+
+def _sweep_cut(degree: int) -> int:
+    """Where ``_shared_sweep`` cuts the coefficients of a product of the
+    given degree, from a work model of equal cost per coefficient-step:
+    the helper's coefficients, from the cut up, form a triangle of steps
+    that holds half of the whole sweep's when the cut is degree
+    (1 - 1/sqrt(2)), about 0.29 degree."""
+    return degree - math.isqrt(degree * degree // 2)
+
+
+def _shared_sweep(factors: Sequence[Tuple[int, int, Optional[int]]],
+                  bits: int) -> List[int]:
+    """``_sweep(factors, bits)``, bit for bit, split by coefficients over
+    two processes when degree^2 bits reaches SPLIT_SWEEP_MIN_WORK.
+
+    This process forms the coefficients below the cut (``_sweep_cut``)
+    of every step and streams their top two to the helper before each
+    step (``_shared`` with ``stream``); the helper forms the rest
+    (``_sweep_above``) and sends them back once, at the end.  When
+    ``_shared`` gives None, the serial sweep runs."""
+    degree = _degree(factors)
+    if degree * degree * bits < SPLIT_SWEEP_MIN_WORK:
+        return _sweep(factors, bits)
+    cut = _sweep_cut(degree)
+    shares = _shared(lambda send: _sweep(factors, bits, 0, cut, send=send),
+                     "_sweep_above", factors, bits, cut, degree + 1, stream=True)
+    return _sweep(factors, bits) if shares is None else shares[0] + shares[1]
+
+
+def _sweep_above(receive: Callable[[], Tuple[int, int]],
+                 factors: Sequence[Tuple[int, int, Optional[int]]], bits: int,
+                 low: int, high: int) -> List[int]:
+    """The helper's share of ``_shared_sweep``: the coefficients ``low`` to
+    ``high - 1`` of the sweep, reading the two below them from ``receive``
+    before every step.  It reads one pair per factor, however the sweep
+    ends, so that a sweep that raised leaves no pair in the pipe."""
+    below = (receive() for _ in factors)
+    try:
+        return _sweep(factors, bits, low, high, below)
+    finally:
+        # every boundary is read, a failed step's too: none is left in
+        # the pipe to be read as the next task
+        for _ in below:
+            pass
 
 
 def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
@@ -525,7 +625,9 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
     smallest first, so the integers stay short for as long as possible,
     and the groups' products are joined pairwise (``_product`` of the
     tree's root, whose two children are formed by two processes when
-    there are two groups or more).  The residual is the largest distance
+    there are two groups or more; one group's sweep is split by
+    coefficients over two processes when it is large enough,
+    ``_shared_sweep``).  The residual is the largest distance
     of a coefficient from its nearest integer or of a real value's
     imaginary part from 0.
     """
@@ -555,7 +657,8 @@ the pipe that takes its tasks and of the one that brings its replies;
 None before the first shared call, and after a failure."""
 
 
-def _shared(own: Callable[[], T], task: str, *args) -> Optional[Tuple[T, object]]:
+def _shared(own: Callable[..., T], task: str, *args,
+            stream: bool = False) -> Optional[Tuple[T, object]]:
     """``(own(), f(*args))``, f being the function of this module named
     ``task``, run by the helper while this process runs ``own()``; or
     None for the caller to run its one-process path instead.
@@ -564,21 +667,29 @@ def _shared(own: Callable[[], T], task: str, *args) -> Optional[Tuple[T, object]
     other thread runs and at least two CPUs are usable by this process.
     The first call that passes these guards forks the helper
     (``_fork_helper``), which then stays until the interpreter exits:
-    each call sends it ``(task, args)`` and reads back f's result, both
-    as ``marshal`` writes them (plain ints, strings, None, and tuples and
-    lists of them).  A task with little data costs about 40 us on a
-    2-core host, where a fork, ``_exit`` and ``waitpid`` cost 2.6 to
-    3.1 ms.  The
-    helper runs this module's functions as they were when it was forked:
-    a function replaced later, by a test's patch say, is replaced in this
-    process only.
+    each call sends it ``(task, args, stream)`` and reads back f's
+    result, both as ``marshal`` writes them (plain ints, strings, None,
+    and tuples and lists of them).  A task with little data costs about
+    40 us on a 2-core host, where a fork, ``_exit`` and ``waitpid`` cost
+    2.6 to 3.1 ms.  The helper runs this module's functions as they were
+    when it was forked: a function replaced later, by a test's patch say,
+    is replaced in this process only.
+
+    A ``stream`` task takes more data while it runs: ``own`` is called
+    with a function that sends one more message down the task pipe, and
+    f with one that receives the next, as its first argument.  f must
+    read every message ``own`` sends, whether it returns or raises, and
+    only then does the helper reply: so this process never waits on the
+    helper before ``own`` returns, and no message is left to be read as
+    the next task.
 
     If f raises an Exception, the helper replies so and stays, and None
     comes back.  A failing pipe or fork, or any exception from ``own()``,
-    which leaves a reply unread, kills and reaps the helper and forgets
-    it (``_stop_helper``); the next call forks a new one.  None then
-    comes back, except that a BaseException from ``own()`` that is no
-    Exception (KeyboardInterrupt) is raised.
+    a message that finds the helper dead included, which leaves a reply
+    unread, kills and reaps the helper and forgets it (``_stop_helper``);
+    the next call forks a new one.  None then comes back, except that a
+    BaseException from ``own()`` that is no Exception (KeyboardInterrupt)
+    is raised.
     """
     global _helper
     if not hasattr(os, "fork") or threading.active_count() != 1:
@@ -589,12 +700,12 @@ def _shared(own: Callable[[], T], task: str, *args) -> Optional[Tuple[T, object]
     try:
         if _helper is None:
             _helper = _fork_helper()
-        _send(_helper[1], (task, args))
+        _send(_helper[1], (task, args, stream))
     except Exception:
         _stop_helper(kill=True)
         return None
     try:
-        mine = own()
+        mine = own(partial(_send, _helper[1])) if stream else own()
         done, theirs = _receive(_helper[2])
     except BaseException as error:
         _stop_helper(kill=True)
@@ -644,12 +755,13 @@ def _fork_helper() -> Tuple[int, BinaryIO, BinaryIO]:
 
 def _serve(ends: Sequence[int]) -> None:
     """The helper's loop over the pipe ends of ``_fork_helper``: read a
-    task, run it, send its result or the news that it raised, until the
-    task pipe ends, which it does when the caller closes it
-    (``_stop_helper``) or dies.  The helper leaves only through
-    ``os._exit``, so no atexit handler or buffered stream of the caller
-    runs twice: with 0 at the pipe's end, 1 if anything else ends the
-    loop (a KeyboardInterrupt, a reply pipe closed early)."""
+    task, run it (a ``stream`` task with a function that reads its next
+    message from the task pipe, ``_shared``), send its result or the news
+    that it raised, until the task pipe ends, which it does when the
+    caller closes it (``_stop_helper``) or dies.  The helper leaves only
+    through ``os._exit``, so no atexit handler or buffered stream of the
+    caller runs twice: with 0 at the pipe's end, 1 if anything else ends
+    the loop (a KeyboardInterrupt, a reply pipe closed early)."""
     tasks_read, tasks_write, replies_read, replies_write = ends
     status = 1
     try:
@@ -659,9 +771,11 @@ def _serve(ends: Sequence[int]) -> None:
         replies = open(replies_write, "wb")
         while True:
             try:
-                task, args = _receive(tasks)
+                task, args, stream = _receive(tasks)
             except EOFError:
                 break
+            if stream:
+                args = (partial(_receive, tasks), *args)
             try:
                 reply = True, globals()[task](*args)
             except Exception:

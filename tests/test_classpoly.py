@@ -638,6 +638,31 @@ def test_product_recursion_is_the_bottom_up_tree(monkeypatch):
         assert len(joins) == groups - 1
 
 
+@pytest.mark.parametrize("kinds", ["L", "Q", "LQQLQLLQQ", "QLLQQLQQL", "LLLLL", "QQQQ"])
+def test_sweep_windows_are_the_serial_sweep(kinds):
+    # hand-made factors, t + s for L and t^2 + s t + p for Q, s of either
+    # sign (the first negative): coefficient i of a step reads only i,
+    # i - 1 and i - 2 of the step before, so for every cut the window
+    # below it, which hands over its top two coefficients before each
+    # step, and the window from the cut up, which reads them, are the
+    # serial sweep bit for bit
+    rng = random.Random(kinds)
+    bits = 64
+    factors = [(0, (-1 if i == 0 else rng.choice((-1, 1))) * rng.getrandbits(bits + 20),
+                None if kind == "L" else rng.getrandbits(bits + 40))
+               for i, kind in enumerate(kinds)]
+    serial = classpoly._sweep(factors, bits)
+    degree = classpoly._degree(factors)
+    assert len(serial) == degree + 1 and serial[-1] == 1 << bits
+    for cut in range(1, degree + 1):
+        below = []
+        low = classpoly._sweep(factors, bits, 0, cut, send=below.append)
+        assert len(below) == len(factors)
+        high = classpoly._sweep(factors, bits, cut, degree + 1, iter(below))
+        assert (len(low), len(high)) == (cut, degree + 1 - cut)
+        assert low + high == serial
+
+
 def test_join_unpacks_signed_coefficients():
     bits = 20
     cases = [
@@ -820,8 +845,8 @@ def _share_spy(monkeypatch):
     shares = []
     original = classpoly._shared
 
-    def spy(own, task, *args):
-        result = original(own, task, *args)
+    def spy(own, task, *args, **kwargs):
+        result = original(own, task, *args, **kwargs)
         shares.append((task, result is not None))
         return result
 
@@ -866,8 +891,8 @@ def test_one_evaluation_per_mirrored_pair(monkeypatch, tmp_path, two_cpus):
     # and 1 real form among the 61 of D = -30011.  Each rung is evaluated
     # on two processes, so every call, in either, appends a line to a
     # file.  One helper, forked with the spies in place, evaluates and
-    # expands for n = 1000019 (four groups) and evaluates for D = -30011
-    # (one group, expanded in this process)
+    # expands for n = 1000019 (four groups) and evaluates for D = -30011,
+    # whose one group's sweep it shares, split by coefficients
     log = tmp_path / "calls"
     for name in ("r_value", "j_invariant"):
         original = getattr(classpoly, name)
@@ -888,7 +913,7 @@ def test_one_evaluation_per_mirrored_pair(monkeypatch, tmp_path, two_cpus):
     assert len(log.read_text().splitlines()) == 31
     assert len(forks) == FORKED
     assert shares == [("_sent_values", bool(FORKED)), ("_product", bool(FORKED)),
-                      ("_sent_values", bool(FORKED))]
+                      ("_sent_values", bool(FORKED)), ("_sweep_above", bool(FORKED))]
 
 
 @pytest.mark.parametrize("compute, args", [(compute_ramanujan, (100019, 120)),
@@ -977,8 +1002,9 @@ def test_one_helper_for_the_table_none_for_a_second_thread_or_one_cpu(monkeypatc
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert compute_hilbert(-20051).polynomial == expected
-    # the guards refused each call: nothing was sent, nothing forked
-    assert shares == [("_sent_values", False)] * 3
+    # the guards refused each call, the evaluation's and the sweep's:
+    # nothing was sent, nothing forked
+    assert shares == [("_sent_values", False), ("_sweep_above", False)] * 3
     assert len(forks) == FORKED
 
 
@@ -1111,6 +1137,79 @@ def test_no_split_below_the_threshold_a_second_thread_or_one_cpu(monkeypatch, tw
     assert _expanded(*large) == expected
     assert shares == [("_product", False)] * 3
     assert len(forks) == FORKED
+
+
+@pytest.fixture(scope="module")
+def hilbert_expansion():
+    """The (values, paired, digits) that ``compute_hilbert(-20051)`` hands
+    ``_expand_and_round``: 28 values at 786 digits, one group, whose sweep
+    is split by coefficients."""
+    captured = []
+    original = classpoly._expand_and_round
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classpoly, "_expand_and_round",
+                      lambda *args: captured.append(args) or original(*args))
+        compute_hilbert(-20051)
+    return captured[-1]
+
+
+def _assert_a_shared_rung_is_serial(monkeypatch):
+    """A shared evaluation of a Hilbert rung gives the serial values bit for
+    bit, from a helper in step with its tasks."""
+    evaluate, rows, digits = _first_rung(monkeypatch, compute_hilbert, -10019)
+    serial = [v._mpc_ for v in classpoly._values(evaluate, rows, digits)]
+    shares = _share_spy(monkeypatch)
+    assert [v._mpc_ for v in classpoly._evaluate_all(evaluate, rows, digits)] == serial
+    assert shares == [("_sent_values", bool(FORKED))]
+
+
+@pytest.mark.parametrize("step", [0, 13, 27])
+@pytest.mark.parametrize("dies", [False, True], ids=["raises", "killed"])
+def test_a_failing_sweep_share_gives_the_serial_expansion(monkeypatch, two_cpus,
+                                                          hilbert_expansion, dies, step):
+    # the helper's share raises, or the helper dies, at the given step of
+    # 28, and this process sweeps serially.  A share that raises reads
+    # the pairs of the steps left and replies so: the helper stays, in
+    # step with the next task.  A dead helper fails this process's next
+    # pair or its read of the reply: it is reaped, and the next shared
+    # call forks a new one
+    import signal
+
+    expansion = hilbert_expansion
+    values, paired, digits = expansion
+    assert len(values) == 28 and len(values) < 2 * classpoly.GROUP_SIZE
+    degree = len(values) + sum(paired)
+    assert degree ** 2 * classpoly._expansion_bits(digits) >= classpoly.SPLIT_SWEEP_MIN_WORK
+    serial = _serial_expansion(monkeypatch, expansion)
+    caller = os.getpid()
+    original = classpoly._sweep
+
+    def failing(pairs):
+        for i, pair in enumerate(pairs):
+            if i == step:
+                if dies:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise _NoValue(f"no step {step}")
+            yield pair
+
+    def sweep(factors, bits, low=0, high=None, below=None, send=None):
+        if os.getpid() != caller and below is not None:
+            below = failing(below)
+        return original(factors, bits, low, high, below, send)
+
+    # the helper is forked after this patch, so its share fails
+    monkeypatch.setattr(classpoly, "_sweep", sweep)
+    shares = _share_spy(monkeypatch)
+    assert _expanded(*expansion) == serial
+    assert shares == [("_sweep_above", False)]
+    if dies:
+        assert _helper_pid() is None
+        _assert_no_child()
+    elif FORKED:
+        _assert_helper_alive()
+    _assert_a_shared_rung_is_serial(monkeypatch)
+    if FORKED:
+        _assert_helper_alive()
 
 
 def test_shared_runs_nothing_unless_the_guards_hold(monkeypatch, two_cpus):
