@@ -4,12 +4,12 @@
 An expansion of fewer than 80 values is one smallest-first sweep
 (``classpoly._sweep``).  Above SPLIT_SWEEP_MIN_WORK the caller forms the
 low coefficients of every step and the helper process the rest
-(``classpoly._shared_sweep``), cut where the work model puts it
-(``_sweep_cut``).  This script captures the sorted factors that each
-case hands the root of its join tree, then times, alternately in one
-process, ``_sweep`` against the split sweep on them, whatever their work
-(the helper forked and warm), checking that both give the same
-coefficients.  It prints, per case, the work (degree^2 times the
+(``classpoly._product`` of a shared root of one group), cut where the
+work model puts it (``_sweep_cut``).  This script captures the sorted
+factors that each case hands the root of its join tree, then times,
+alternately in one process, ``_sweep`` against the split sweep on them,
+whatever their work (the helper forked and warm), checking that both
+give the same coefficients.  It prints, per case, the work (degree^2 times the
 fractional bits, SPLIT_SWEEP_MIN_WORK's measure), whether the library
 splits it, the median times and their ratio, then a scan of cut points
 for the largest case.  The threshold belongs between the largest work
@@ -68,6 +68,13 @@ def timed(run):
     return 1000 * (time.perf_counter() - start), result
 
 
+def split(factors, bits):
+    """The sweep of the factors as the shared root of a one-group tree
+    forms it: split with the helper once its work reaches
+    SPLIT_SWEEP_MIN_WORK."""
+    return classpoly._product(factors, 1, 0, 1, bits, shared=True)
+
+
 def alternate(factors, bits, cuts, repeat: int):
     """Median ms of the serial sweep (key None) and of the sweep split at
     each cut, timed in turn for ``repeat`` rounds; every split must give
@@ -82,7 +89,7 @@ def alternate(factors, bits, cuts, repeat: int):
                     ms, got = timed(partial(classpoly._sweep, factors, bits))
                 else:
                     classpoly._sweep_cut = lambda _, cut=cut: cut
-                    ms, got = timed(partial(classpoly._shared_sweep, factors, bits))
+                    ms, got = timed(partial(split, factors, bits))
                 if got != expected:
                     raise SystemExit(f"the sweep cut at {cut} differs from the serial sweep")
                 spent.append(ms)
@@ -108,7 +115,7 @@ def main(argv=None):
     try:
         # every case is split while timed; the fork of the helper is not
         classpoly.SPLIT_SWEEP_MIN_WORK = 0
-        classpoly._shared_sweep(*cases[0][1:])
+        split(*cases[0][1:])
         for case, factors, bits in cases:
             degree = classpoly._degree(factors)
             work = degree * degree * bits

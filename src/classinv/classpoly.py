@@ -43,10 +43,12 @@ formed by two processes, bit for bit as on one; so may a root of one
 group, whose sweep the two processes split by coefficients, the helper
 taking the upper ones: coefficient i of a step reads only i, i - 1 and
 i - 2 of the step before, so the caller streams the two just below the
-cut to the helper before every step.  The second process is one
-long-lived helper, forked by the first call that shares work and
-reaped when the interpreter exits; each shared rung sends it a task
-over a pipe (``_shared``), and any failure falls back to one process.
+cut to the helper before every step.  ``_product`` forms both splits.
+The second process is one long-lived helper, forked by the first call
+that shares work and killed and reaped when the interpreter exits;
+each shared rung sends it a task over a pipe (``_shared``), the
+helper's loop reads every stream to its end, and any failure falls
+back to one process.
 The rounding and its residual are exact integer operations.  The same
 expansion drives Hilbert class polynomials from j-values, which serve
 as an independent cross-check of class numbers and precision handling.
@@ -130,7 +132,7 @@ log10(residual) + digits, the size the expansion reached, lies within
 
 SPLIT_SWEEP_MIN_WORK = 1_000_000
 """A one-group expansion's sweep is split by coefficients over two
-processes (``_shared_sweep``) only when its degree squared times the
+processes (``_product``) only when its degree squared times the
 expansion's fractional bits reaches this.  Timed per sweep on a 2-core
 host, serial against split (``scripts/sweep_split.py``, medians of 61
 alternations in one process, two runs), the split lost at 91,575 (n =
@@ -146,8 +148,13 @@ D = -30011 (10,969,508) from 28.3 to 22.1 ms.  The same script scans
 the cut of D = -30011 (degree 61), each cut timed in turn with the
 serial sweep: split over serial read 0.87 at a cut of 0.10 degree,
 0.75 at 0.20, 0.67 at the model's 0.30 (``_sweep_cut``), 0.64 at 0.34
-to 0.39 and 0.71 at 0.44 to 0.49, a broad optimum that the model's cut
-misses by about 4%."""
+to 0.39 and 0.71 at 0.44 to 0.49.  Cuts from 0.30 to 0.37 are level
+within noise on all three Hilbert sweeps (split over serial 0.68 to
+0.79, 41 alternations), and end to end a 3/8 cut gained nothing: in
+two runs of 10 alternating pairs of the ``hilbert`` benchmark against
+the model's cut, its ``wall_ref_s`` read +2.6% and +0.7% (lower in 2
+and 4 pairs) and its ``latency_p50_ref_s`` +3.0% and 0.0% (lower in 2
+and 5): the model's cut stays."""
 
 FORK_MIN_WORK = 360
 """A rung's values are evaluated on two processes (``_evaluate_all``)
@@ -417,7 +424,9 @@ def _sweep(factors: Sequence[Tuple[int, int, Optional[int]]], bits: int,
     far, before every step (zeros when None, as for low = 0), and
     ``send`` is handed the window's top two, (c[high - 2], c[high - 1]),
     before every step: what ``below`` must yield to the window that
-    starts at ``high`` (``_shared_sweep``)."""
+    starts at ``high``.  The split sweep of ``_product`` is two windows:
+    the caller's, whose ``send`` streams the pairs to the helper
+    (``_shared``), and the helper's, whose ``below`` reads them."""
     if high is None:
         coeffs, grow = [1 << bits], [0]
     else:
@@ -530,11 +539,15 @@ def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
     by level, an odd one out carried up a level.  With ``shared``, which
     only the root is given, the helper forms the second child
     (``_shared``) while this process forms the first; it is sent only
-    that child's factors.  A shared root of one group is one sweep, split
-    by coefficients with the helper once its work reaches
-    SPLIT_SWEEP_MIN_WORK (``_shared_sweep``).  Shared or not, every join
-    and every sweep step has the serial inputs, so the coefficients are
-    the serial ones bit for bit.  Timed per
+    that child's factors.  A shared root of one group of degree d is one
+    sweep, split by coefficients once d^2 bits reaches
+    SPLIT_SWEEP_MIN_WORK: this process forms the coefficients below the
+    cut (``_sweep_cut``) of every step and streams their top two to the
+    helper before each step, and the helper forms the rest and sends
+    them back once, at the end.  Shared or not, every join and every
+    sweep step has the serial inputs, so the coefficients are the serial
+    ones bit for bit; when ``_shared`` gives None, the serial node is
+    formed.  Timed per
     expansion on a 2-core host, serial against shared (medians of 21
     alternations in one process), sharing won at the smallest tree, 80
     values at 120 digits in two groups (7.12 -> 5.66 ms), at n = 100019
@@ -544,7 +557,13 @@ def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
     """
     if stop - first == 1:
         group = factors[first::groups]
-        return _shared_sweep(group, bits) if shared else _sweep(group, bits)
+        degree = _degree(group)
+        shares = None
+        if shared and degree * degree * bits >= SPLIT_SWEEP_MIN_WORK:
+            cut = _sweep_cut(degree)
+            shares = _shared(partial(_sweep, group, bits, 0, cut, None), "_sweep",
+                             group, bits, cut, degree + 1, stream=True)
+        return _sweep(group, bits) if shares is None else shares[0] + shares[1]
     cut = first + (1 << (stop - first - 1).bit_length() >> 1)
     left = partial(_product, factors, groups, first, cut, bits)
     right = partial(_product, factors, groups, cut, stop, bits)
@@ -566,48 +585,12 @@ def _degree(factors: Sequence[Tuple[int, int, Optional[int]]]) -> int:
 
 
 def _sweep_cut(degree: int) -> int:
-    """Where ``_shared_sweep`` cuts the coefficients of a product of the
+    """Where ``_product`` cuts the coefficients of a product of the
     given degree, from a work model of equal cost per coefficient-step:
     the helper's coefficients, from the cut up, form a triangle of steps
     that holds half of the whole sweep's when the cut is degree
     (1 - 1/sqrt(2)), about 0.29 degree."""
     return degree - math.isqrt(degree * degree // 2)
-
-
-def _shared_sweep(factors: Sequence[Tuple[int, int, Optional[int]]],
-                  bits: int) -> List[int]:
-    """``_sweep(factors, bits)``, bit for bit, split by coefficients over
-    two processes when degree^2 bits reaches SPLIT_SWEEP_MIN_WORK.
-
-    This process forms the coefficients below the cut (``_sweep_cut``)
-    of every step and streams their top two to the helper before each
-    step (``_shared`` with ``stream``); the helper forms the rest
-    (``_sweep_above``) and sends them back once, at the end.  When
-    ``_shared`` gives None, the serial sweep runs."""
-    degree = _degree(factors)
-    if degree * degree * bits < SPLIT_SWEEP_MIN_WORK:
-        return _sweep(factors, bits)
-    cut = _sweep_cut(degree)
-    shares = _shared(lambda send: _sweep(factors, bits, 0, cut, send=send),
-                     "_sweep_above", factors, bits, cut, degree + 1, stream=True)
-    return _sweep(factors, bits) if shares is None else shares[0] + shares[1]
-
-
-def _sweep_above(receive: Callable[[], Tuple[int, int]],
-                 factors: Sequence[Tuple[int, int, Optional[int]]], bits: int,
-                 low: int, high: int) -> List[int]:
-    """The helper's share of ``_shared_sweep``: the coefficients ``low`` to
-    ``high - 1`` of the sweep, reading the two below them from ``receive``
-    before every step.  It reads one pair per factor, however the sweep
-    ends, so that a sweep that raised leaves no pair in the pipe."""
-    below = (receive() for _ in factors)
-    try:
-        return _sweep(factors, bits, low, high, below)
-    finally:
-        # every boundary is read, a failed step's too: none is left in
-        # the pipe to be read as the next task
-        for _ in below:
-            pass
 
 
 def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
@@ -626,8 +609,8 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
     and the groups' products are joined pairwise (``_product`` of the
     tree's root, whose two children are formed by two processes when
     there are two groups or more; one group's sweep is split by
-    coefficients over two processes when it is large enough,
-    ``_shared_sweep``).  The residual is the largest distance
+    coefficients over two processes when it is large enough).  The
+    residual is the largest distance
     of a coefficient from its nearest integer or of a real value's
     imaginary part from 0.
     """
@@ -677,11 +660,10 @@ def _shared(own: Callable[..., T], task: str, *args,
 
     A ``stream`` task takes more data while it runs: ``own`` is called
     with a function that sends one more message down the task pipe, and
-    f with one that receives the next, as its first argument.  f must
-    read every message ``own`` sends, whether it returns or raises, and
-    only then does the helper reply: so this process never waits on the
-    helper before ``own`` returns, and no message is left to be read as
-    the next task.
+    f is given, as its last argument, an iterator over those messages.
+    Once ``own`` returns, this process sends None, which ends the stream;
+    the helper's loop (``_serve``) reads the stream to that end, however
+    much of it f read, before it replies.
 
     If f raises an Exception, the helper replies so and stays, and None
     comes back.  A failing pipe or fork, or any exception from ``own()``,
@@ -702,13 +684,15 @@ def _shared(own: Callable[..., T], task: str, *args,
             _helper = _fork_helper()
         _send(_helper[1], (task, args, stream))
     except Exception:
-        _stop_helper(kill=True)
+        _stop_helper()
         return None
     try:
         mine = own(partial(_send, _helper[1])) if stream else own()
+        if stream:
+            _send(_helper[1], None)
         done, theirs = _receive(_helper[2])
     except BaseException as error:
-        _stop_helper(kill=True)
+        _stop_helper()
         if isinstance(error, Exception):
             return None
         raise
@@ -755,13 +739,17 @@ def _fork_helper() -> Tuple[int, BinaryIO, BinaryIO]:
 
 def _serve(ends: Sequence[int]) -> None:
     """The helper's loop over the pipe ends of ``_fork_helper``: read a
-    task, run it (a ``stream`` task with a function that reads its next
-    message from the task pipe, ``_shared``), send its result or the news
-    that it raised, until the task pipe ends, which it does when the
-    caller closes it (``_stop_helper``) or dies.  The helper leaves only
-    through ``os._exit``, so no atexit handler or buffered stream of the
-    caller runs twice: with 0 at the pipe's end, 1 if anything else ends
-    the loop (a KeyboardInterrupt, a reply pipe closed early)."""
+    task, run it, read the rest of its stream if it is a ``stream`` task
+    (``_shared``), then send its result or the news that it raised.  A
+    stream task is given an iterator over the messages that follow it
+    on the task pipe, up to the None that ends them; what the task
+    leaves unread, however it ends, is read here, so the next message is
+    the next task.  The loop runs until the helper is killed
+    (``_stop_helper``) or the task pipe ends, as it does when the caller
+    exits without its atexit hooks.  The helper leaves only through
+    ``os._exit``, so no atexit handler or buffered stream of the caller
+    runs twice: with 0 at the pipe's end, 1 if anything else ends the
+    loop (a KeyboardInterrupt, a reply pipe closed early)."""
     tasks_read, tasks_write, replies_read, replies_write = ends
     status = 1
     try:
@@ -774,36 +762,40 @@ def _serve(ends: Sequence[int]) -> None:
                 task, args, stream = _receive(tasks)
             except EOFError:
                 break
+            messages = iter(partial(_receive, tasks), None)
             if stream:
-                args = (partial(_receive, tasks), *args)
+                args = (*args, messages)
             try:
                 reply = True, globals()[task](*args)
             except Exception:
                 reply = False, None
+            if stream:
+                for _ in messages:
+                    pass
             _send(replies, reply)
         status = 0
     finally:
         os._exit(status)
 
 
-def _stop_helper(kill: bool = False) -> None:
-    """Close this process's ends of the helper's pipes and reap the
-    helper, killed first when ``kill``; an idle helper exits by itself at
-    the end of its task pipe.  It runs at exit, so no helper outlives the
-    interpreter, and does nothing when there is no helper."""
+def _stop_helper() -> None:
+    """Kill the helper, close this process's ends of its pipes and reap
+    it; nothing when there is no helper.  It runs on every failure of a
+    shared call, when the helper may be busy or dead, and at exit, when
+    it is idle and a kill costs nothing more than a close: so no helper
+    outlives the interpreter."""
     global _helper
     if _helper is None:
         return
     pid, tasks, replies = _helper
     _helper = None
-    if kill:
-        # signal is imported here only: importing classpoly loads no
-        # module that the normal path does not need
-        import signal
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass  # reaped already by another wait
+    # signal is imported here only: importing classpoly and computing
+    # load no module that only stopping the helper needs
+    import signal
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # reaped already by another wait
     for pipe in (tasks, replies):
         try:
             pipe.close()

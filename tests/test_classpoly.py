@@ -913,7 +913,7 @@ def test_one_evaluation_per_mirrored_pair(monkeypatch, tmp_path, two_cpus):
     assert len(log.read_text().splitlines()) == 31
     assert len(forks) == FORKED
     assert shares == [("_sent_values", bool(FORKED)), ("_product", bool(FORKED)),
-                      ("_sent_values", bool(FORKED)), ("_sweep_above", bool(FORKED))]
+                      ("_sent_values", bool(FORKED)), ("_sweep", bool(FORKED))]
 
 
 @pytest.mark.parametrize("compute, args", [(compute_ramanujan, (100019, 120)),
@@ -1004,7 +1004,7 @@ def test_one_helper_for_the_table_none_for_a_second_thread_or_one_cpu(monkeypatc
     assert compute_hilbert(-20051).polynomial == expected
     # the guards refused each call, the evaluation's and the sweep's:
     # nothing was sent, nothing forked
-    assert shares == [("_sent_values", False), ("_sweep_above", False)] * 3
+    assert shares == [("_sent_values", False), ("_sweep", False)] * 3
     assert len(forks) == FORKED
 
 
@@ -1168,11 +1168,11 @@ def _assert_a_shared_rung_is_serial(monkeypatch):
 def test_a_failing_sweep_share_gives_the_serial_expansion(monkeypatch, two_cpus,
                                                           hilbert_expansion, dies, step):
     # the helper's share raises, or the helper dies, at the given step of
-    # 28, and this process sweeps serially.  A share that raises reads
-    # the pairs of the steps left and replies so: the helper stays, in
-    # step with the next task.  A dead helper fails this process's next
-    # pair or its read of the reply: it is reaped, and the next shared
-    # call forks a new one
+    # 28, and this process sweeps serially.  When a share raises, the
+    # helper's loop reads the pairs of the steps left and replies so: the
+    # helper stays, in step with the next task.  A dead helper fails this
+    # process's next pair or its read of the reply: it is reaped, and the
+    # next shared call forks a new one
     import signal
 
     expansion = hilbert_expansion
@@ -1201,7 +1201,7 @@ def test_a_failing_sweep_share_gives_the_serial_expansion(monkeypatch, two_cpus,
     monkeypatch.setattr(classpoly, "_sweep", sweep)
     shares = _share_spy(monkeypatch)
     assert _expanded(*expansion) == serial
-    assert shares == [("_sweep_above", False)]
+    assert shares == [("_sweep", False)]
     if dies:
         assert _helper_pid() is None
         _assert_no_child()
@@ -1294,6 +1294,34 @@ def test_a_failing_share_gives_none_and_leaves_no_child(monkeypatch, two_cpus, o
         assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
         classpoly._stop_helper()
         _assert_no_child()
+
+
+def _first_message(messages):
+    return next(messages)
+
+
+def test_a_stream_task_that_leaves_messages_unread_keeps_the_helper(monkeypatch,
+                                                                     two_cpus):
+    # the task returns after reading one of the three messages sent to it:
+    # the helper's loop reads the other two and the stream's end, so the
+    # same helper reads the next task in step and serves it
+    monkeypatch.setattr(classpoly, "_first_message", _first_message, raising=False)
+
+    def own(send):
+        for message in [(1, 2), (3, 4), (5, 6)]:
+            send(message)
+        return 0
+
+    shared = classpoly._shared(own, "_first_message", stream=True)
+    if not FORKED:
+        assert shared is None
+        return
+    assert shared == (0, (1, 2))
+    helper = _helper_pid()
+    _assert_helper_alive()
+    assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
+    assert _helper_pid() == helper
+    _assert_helper_alive()
 
 
 def test_an_interrupt_in_the_callers_share_propagates(monkeypatch, two_cpus):
