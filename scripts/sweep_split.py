@@ -39,26 +39,27 @@ benchmark (16, 28 and 31 values at 462 to 885 digits): each one group."""
 
 
 def capture(case: str):
-    """The (factors, bits) of the last root ``_product`` of the case."""
+    """The (factors, bits) of the last root ``_product`` of the case, a
+    node of one group."""
     kind, arg, *digits = case.split(":")
     compute = {"pn": classpoly.compute_ramanujan, "hilbert": classpoly.compute_hilbert}[kind]
     original = classpoly._product
     seen = []
 
-    def spy(factors, groups, first, stop, bits, shared=False):
+    def spy(groups, bits, shared=False):
         if shared:
-            seen.append((factors, groups, bits))
-        return original(factors, groups, first, stop, bits, shared)
+            seen.append((groups, bits))
+        return original(groups, bits, shared)
 
     classpoly._product = spy
     try:
         compute(int(arg), *map(int, digits))
     finally:
         classpoly._product = original
-    factors, groups, bits = seen[-1]
-    if groups != 1:
-        raise SystemExit(f"{case}: {groups} groups, not one sweep")
-    return factors, bits
+    groups, bits = seen[-1]
+    if len(groups) != 1:
+        raise SystemExit(f"{case}: {len(groups)} groups, not one sweep")
+    return groups[0], bits
 
 
 def timed(run):
@@ -72,7 +73,7 @@ def split(factors, bits):
     """The sweep of the factors as the shared root of a one-group tree
     forms it: split with the helper once its work reaches
     SPLIT_SWEEP_MIN_WORK."""
-    return classpoly._product(factors, 1, 0, 1, bits, shared=True)
+    return classpoly._product([factors], bits, shared=True)
 
 
 def alternate(factors, bits, cuts, repeat: int):

@@ -31,19 +31,22 @@ The expansion runs over the reals on plain integers: each value is a
 fixed-point pair with as many fractional bits as the working digits, a
 real value enters as the linear factor t - v and a mirrored pair as the
 real quadratic t^2 - 2 Re(v) t + |v|^2.  The factors, sorted by size,
-are dealt round-robin into one group per 40 values (one group below
-80); each group is swept smallest first, and the groups' products are
-joined up a binary tree (``_product``, one recursion for any node),
-each join one Kronecker product in base 10: both polynomials are
-packed into decimal slots of one exact ``decimal`` number each,
-multiplied once by libmpdec, whose number-theoretic transform is much
-faster than int's Karatsuba on operands of hundreds of thousands of
-bits, and read back as integers.  The root's two children may be
-formed by two processes, bit for bit as on one; so may a root of one
-group, whose sweep the two processes split by coefficients, the helper
-taking the upper ones: coefficient i of a step reads only i, i - 1 and
-i - 2 of the step before, so the caller streams the two just below the
-cut to the helper before every step.  ``_product`` forms both splits.
+are dealt round-robin, once, into one group per 40 values (one group
+below 80).  A node of the join tree is its list of groups, plain data:
+each group, of factors (s, p), is swept smallest first, and the
+groups' products are joined up a binary tree (``_product``, one
+recursion for any node), each join one Kronecker product in base 10:
+both polynomials are packed into decimal slots of one exact
+``decimal`` number each, multiplied once by libmpdec, whose
+number-theoretic transform is much faster than int's Karatsuba on
+operands of hundreds of thousands of bits, and read back as integers.
+The root's two children may be formed by two processes, the helper
+sent its child as it stands, bit for bit as on one; so may a root of
+one group, whose sweep the two processes split by coefficients, the
+helper taking the upper ones: coefficient i of a step reads only i,
+i - 1 and i - 2 of the step before, so the caller streams the two just
+below the cut to the helper before every step.  ``_product`` forms both
+splits.
 The second process is one long-lived helper, forked by the first call
 that shares work and killed and reaped when the interpreter exits;
 each shared rung sends it a task over a pipe (``_shared``), the
@@ -351,13 +354,6 @@ def _j_number(a: int, b: int, c: int, digits: int) -> mpmath.mpc:
     return j_invariant(form_root(QuadForm(a, b, c), digits + GUARD_DIGITS), digits)
 
 
-def _record(form: QuadForm, term: Term, value: mpmath.mpc,
-            scalar: CycNum) -> ConjugateRecord:
-    index, k, e = term
-    return ConjugateRecord(form=form, index=index, k=k, e=e,
-                           scalar=scalar, value=value)
-
-
 def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecord:
     """The conjugate of sqrt(3) * F_2 attached to a form class.
 
@@ -374,8 +370,8 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
         raise ValueError(f"form {form} is not primitive and positive definite")
     digits = resolve_digits(dps)
     term = _action_data(form)
-    return _record(form, term, _conjugate_number(form.a, form.b, form.c, *term, digits),
-                   monomial_entry(*term[1:]))
+    return ConjugateRecord(form, *term, monomial_entry(*term[1:]),
+                           _conjugate_number(form.a, form.b, form.c, *term, digits))
 
 
 T = TypeVar("T")
@@ -401,13 +397,17 @@ def _conjugate(value: mpmath.mpc) -> mpmath.mpc:
     return mpmath.mp.make_mpc((re, mpf_neg(im)))
 
 
-def _sweep(factors: Sequence[Tuple[int, int, Optional[int]]], bits: int,
+Factor = Tuple[int, Optional[int]]
+"""A factor (s, p) of the expansion, in units of 2^-bits: t + s when p is
+None, else t^2 + s t + p."""
+
+
+def _sweep(factors: Sequence[Factor], bits: int,
            low: int = 0, high: Optional[int] = None,
            below: Optional[Iterator[Tuple[int, int]]] = None,
            send: Optional[Callable[[Tuple[int, int]], None]] = None) -> List[int]:
     """The ascending fixed-point coefficients of the monic product of the
-    factors (size, s, p), t + s when p is None and t^2 + s t + p
-    otherwise, multiplied in one at a time in the order given.
+    factors (``Factor``), multiplied in one at a time in the order given.
 
     Each step floors once per coefficient.  With sigma = s 2^-bits,
     pi = p 2^-bits, a step turns an error of eps units (of 2^-bits) into
@@ -432,7 +432,7 @@ def _sweep(factors: Sequence[Tuple[int, int, Optional[int]]], bits: int,
     else:
         # a window keeps its width: zip stops at its top coefficient
         coeffs, grow = ([1 << bits] + [0] * high)[low:high], []
-    for _, s, p in factors:
+    for s, p in factors:
         c2, c1 = (0, 0) if below is None else next(below)
         if send is not None:
             send(tuple(([c2, c1] + coeffs)[-2:]))
@@ -526,28 +526,27 @@ def _join(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
     return coeffs
 
 
-def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
-             first: int, stop: int, bits: int, shared: bool = False) -> List[int]:
+def _product(groups: Sequence[Sequence[Factor]], bits: int,
+             shared: bool = False) -> List[int]:
     """The ascending fixed-point coefficients of the monic product of the
-    groups ``first`` to ``stop - 1`` of ``factors``, group g being
-    ``factors[g::groups]``: one node of the expansion's join tree.
+    factors of ``groups``: one node of the expansion's join tree, which
+    is its list of groups.
 
-    A node of one group is that group swept smallest first (``_sweep``).
+    A node of one group is that group swept in its order (``_sweep``).
     A wider node of w groups is the ``_join`` of its two children, the
     first 2^(ceil(log2 w) - 1) groups and the rest; the first child is a
     power of two of groups, so the tree joins neighbours pairwise, level
     by level, an odd one out carried up a level.  With ``shared``, which
     only the root is given, the helper forms the second child
-    (``_shared``) while this process forms the first; it is sent only
-    that child's factors.  A shared root of one group of degree d is one
-    sweep, split by coefficients once d^2 bits reaches
-    SPLIT_SWEEP_MIN_WORK: this process forms the coefficients below the
-    cut (``_sweep_cut``) of every step and streams their top two to the
-    helper before each step, and the helper forms the rest and sends
-    them back once, at the end.  Shared or not, every join and every
-    sweep step has the serial inputs, so the coefficients are the serial
-    ones bit for bit; when ``_shared`` gives None, the serial node is
-    formed.  Timed per
+    (``_shared``), sent as it stands, while this process forms the
+    first.  A shared root of one group of degree d is one sweep, split
+    by coefficients once d^2 bits reaches SPLIT_SWEEP_MIN_WORK: this
+    process forms the coefficients below the cut (``_sweep_cut``) of
+    every step and streams their top two to the helper before each step,
+    and the helper forms the rest and sends them back once, at the end.
+    Shared or not, every join and every sweep step has the serial
+    inputs, so the coefficients are the serial ones bit for bit; when
+    ``_shared`` gives None, the serial node is formed.  Timed per
     expansion on a 2-core host, serial against shared (medians of 21
     alternations in one process), sharing won at the smallest tree, 80
     values at 120 digits in two groups (7.12 -> 5.66 ms), at n = 100019
@@ -555,8 +554,8 @@ def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
     values at 240 digits, four groups: 51.6 -> 37.6 ms), so every tree of
     two groups or more is shared.
     """
-    if stop - first == 1:
-        group = factors[first::groups]
+    if len(groups) == 1:
+        group = groups[0]
         degree = _degree(group)
         shares = None
         if shared and degree * degree * bits >= SPLIT_SWEEP_MIN_WORK:
@@ -564,24 +563,15 @@ def _product(factors: Sequence[Tuple[int, int, Optional[int]]], groups: int,
             shares = _shared(partial(_sweep, group, bits, 0, cut, None), "_sweep",
                              group, bits, cut, degree + 1, stream=True)
         return _sweep(group, bits) if shares is None else shares[0] + shares[1]
-    cut = first + (1 << (stop - first - 1).bit_length() >> 1)
-    left = partial(_product, factors, groups, first, cut, bits)
-    right = partial(_product, factors, groups, cut, stop, bits)
-    shares = None
-    if shared:
-        # the child's factors in their order: its group j, factors[cut + j::groups],
-        # is every (stop - cut)-th of them from the j-th on, because the
-        # deal's short last round fills a prefix of the groups
-        width = stop - cut
-        shares = _shared(left, "_product",
-                         [f for i, f in enumerate(factors) if cut <= i % groups < stop],
-                         width, 0, width, bits)
-    return _join(*(shares or (left(), right())), bits)
+    cut = 1 << (len(groups) - 1).bit_length() >> 1
+    left = partial(_product, groups[:cut], bits)
+    shares = _shared(left, "_product", groups[cut:], bits) if shared else None
+    return _join(*(shares or (left(), _product(groups[cut:], bits))), bits)
 
 
-def _degree(factors: Sequence[Tuple[int, int, Optional[int]]]) -> int:
-    """The degree of the product of the factors (size, s, p)."""
-    return sum(1 if p is None else 2 for _, _, p in factors)
+def _degree(factors: Sequence[Factor]) -> int:
+    """The degree of the product of the factors."""
+    return sum(1 if p is None else 2 for _, p in factors)
 
 
 def _sweep_cut(degree: int) -> int:
@@ -604,18 +594,17 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
     stands for itself and its complex conjugate, and contributes
     t^2 - 2 Re(v) t + |v|^2; any other value is real and contributes
     t - Re(v).  The factors, sorted by size, are dealt round-robin into
-    g = max(1, m // GROUP_SIZE) groups for m values; each group is swept
-    smallest first, so the integers stay short for as long as possible,
-    and the groups' products are joined pairwise (``_product`` of the
-    tree's root, whose two children are formed by two processes when
-    there are two groups or more; one group's sweep is split by
-    coefficients over two processes when it is large enough).  The
-    residual is the largest distance
-    of a coefficient from its nearest integer or of a real value's
-    imaginary part from 0.
+    g = max(1, m // GROUP_SIZE) groups for m values, here and only here:
+    that list of groups is the root of the join tree (``_product``, whose
+    two children are formed by two processes when there are two groups
+    or more; one group's sweep is split by coefficients over two
+    processes when it is large enough).  Each group is swept smallest
+    first, so the integers stay short for as long as possible.  The
+    residual is the largest distance of a coefficient from its nearest
+    integer or of a real value's imaginary part from 0.
     """
     bits = _expansion_bits(digits)
-    # (size, s, p): the factor t + s when p is None, else t^2 + s t + p
+    # (size, s, p) until the sort, then the Factor (s, p)
     factors = []
     drift = 0
     for (vr, vi), pair in zip(values, paired):
@@ -625,9 +614,9 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
         else:
             drift = max(drift, abs(vi))
             factors.append((size, -vr, None))
-    factors.sort(key=lambda factor: factor[0])
-    groups = max(1, len(factors) // GROUP_SIZE)
-    coeffs = _product(factors, groups, 0, groups, bits, shared=True)
+    factors = [(s, p) for _, s, p in sorted(factors, key=lambda factor: factor[0])]
+    count = max(1, len(factors) // GROUP_SIZE)
+    coeffs = _product([factors[g::count] for g in range(count)], bits, shared=True)
     half = 1 << (bits - 1)
     rounded = tuple((a + half) >> bits for a in coeffs)
     residual = max(drift, max(abs(a - (r << bits)) for a, r in zip(coeffs, rounded)))
@@ -953,7 +942,7 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         precision_digits=digits,
         max_residual=residual,
         size_estimate=size,
-        conjugates=tuple(_record(f, term, v, scalars[term[1:]])
+        conjugates=tuple(ConjugateRecord(f, *term, scalars[term[1:]], v)
                          for f, term, v in zip(forms, terms, values)),
     )
 

@@ -608,10 +608,19 @@ def test_grouped_expansion_matches_exact_rationals(monkeypatch, tmp_path, count,
     assert abs(units - exact_residual * (1 << bits)) <= bound
 
 
-def _bottom_up_product(factors, groups, bits):
+def _dealt(count, bits, rng):
+    """Hand-made factors (s, p) of 2 count + 7 small values, dealt
+    round-robin into count groups as ``_expand_and_round`` deals them."""
+    values, paired = _hand_made(2 * count + 7, bits, 6, -60, rng)
+    factors = [(-2 * vr, (vr * vr + vi * vi) >> bits) if pair else (-vr, None)
+               for (vr, vi), pair in zip(values, paired)]
+    return [factors[g::count] for g in range(count)]
+
+
+def _bottom_up_product(groups, bits):
     """The join tree as first written: every group swept, then neighbours
     joined pairwise, level by level, an odd one out carried up a level."""
-    polys = [classpoly._sweep(factors[g::groups], bits) for g in range(groups)]
+    polys = [classpoly._sweep(group, bits) for group in groups]
     while len(polys) > 1:
         polys = [classpoly._join(*polys[i:i + 2], bits) if i + 1 < len(polys) else polys[i]
                  for i in range(0, len(polys), 2)]
@@ -625,17 +634,15 @@ def test_product_recursion_is_the_bottom_up_tree(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     bits = classpoly._expansion_bits(30)
     join = classpoly._join
-    for groups in range(1, 71):
-        values, paired = _hand_made(2 * groups + 7, bits, 6, -60, random.Random(groups))
-        factors = [(0, -2 * vr, (vr * vr + vi * vi) >> bits) if pair else (0, -vr, None)
-                   for (vr, vi), pair in zip(values, paired)]
-        expected = _bottom_up_product(factors, groups, bits)
+    for count in range(1, 71):
+        groups = _dealt(count, bits, random.Random(count))
+        expected = _bottom_up_product(groups, bits)
         joins = []
         with monkeypatch.context() as patch:
             patch.setattr(classpoly, "_join",
                           lambda *args: joins.append(1) or join(*args))
-            assert classpoly._product(factors, groups, 0, groups, bits) == expected
-        assert len(joins) == groups - 1
+            assert classpoly._product(groups, bits) == expected
+        assert len(joins) == count - 1
 
 
 @pytest.mark.parametrize("kinds", ["L", "Q", "LQQLQLLQQ", "QLLQQLQQL", "LLLLL", "QQQQ"])
@@ -648,7 +655,7 @@ def test_sweep_windows_are_the_serial_sweep(kinds):
     # serial sweep bit for bit
     rng = random.Random(kinds)
     bits = 64
-    factors = [(0, (-1 if i == 0 else rng.choice((-1, 1))) * rng.getrandbits(bits + 20),
+    factors = [((-1 if i == 0 else rng.choice((-1, 1))) * rng.getrandbits(bits + 20),
                 None if kind == "L" else rng.getrandbits(bits + 40))
                for i, kind in enumerate(kinds)]
     serial = classpoly._sweep(factors, bits)
@@ -815,9 +822,9 @@ FORKED = int(hasattr(os, "fork"))
 os.fork is missing): conftest's ``fresh_helper`` stops the helper around
 every test that uses monkeypatch, so such a test starts with none."""
 
-_ONE_FACTOR = ([(0, 1, None)], 1, 0, 1, 0)
-"""``_product`` arguments for the polynomial t + 1 at 0 bits: a task for
-the helper that returns [1, 1]."""
+_ONE_FACTOR = ([[(1, None)]], 0)
+"""``_product`` arguments for the polynomial t + 1 at 0 bits, a node of
+one group of one factor: a task for the helper that returns [1, 1]."""
 
 
 @pytest.fixture
@@ -839,13 +846,16 @@ def _fork_spy(monkeypatch):
     return forks
 
 
-def _share_spy(monkeypatch):
+def _share_spy(monkeypatch, sent=None):
     """A list that gains (task, shared) per ``classpoly._shared`` call in
-    this process, shared being whether the helper's result came back."""
+    this process, shared being whether the helper's result came back;
+    ``sent``, if given, gains the task's arguments."""
     shares = []
     original = classpoly._shared
 
     def spy(own, task, *args, **kwargs):
+        if sent is not None:
+            sent.append(args)
         result = original(own, task, *args, **kwargs)
         shares.append((task, result is not None))
         return result
@@ -1059,18 +1069,50 @@ def test_split_expansion_is_the_serial_expansion(monkeypatch, two_cpus, expansio
     # and this process those and then the root's join (4: 2 + 2; 1 + 1,
     # 2 + 1, 4 + 1, 4 + 2, 4 + 3, 8 + 1, 8 + 7, 16 + 1, the last three
     # with the odd group carried to the top), so every join, floored, has
-    # its serial inputs: the coefficients and the residual keep every bit
+    # its serial inputs: the coefficients and the residual keep every bit.
+    # The helper is sent its child as it stands: the root's list of
+    # groups from the cut on, and the bits
     expansion = expansions[1000019]
     values, _, digits = expansion
     assert len(values) // classpoly.GROUP_SIZE == 4
     monkeypatch.setattr(classpoly, "GROUP_SIZE", len(values) // groups)
     assert len(values) // classpoly.GROUP_SIZE == groups
     serial = _serial_expansion(monkeypatch, expansion)
+    roots = []
+    product = classpoly._product
+
+    def root_spy(node, bits, shared=False):
+        if shared:
+            roots.append((node, bits))
+        return product(node, bits, shared)
+
+    monkeypatch.setattr(classpoly, "_product", root_spy)
     forks = _fork_spy(monkeypatch)
-    shares = _share_spy(monkeypatch)
+    sent = []
+    shares = _share_spy(monkeypatch, sent)
     assert _expanded(*expansion) == serial
     assert len(forks) == FORKED
     assert shares == [("_product", bool(FORKED))]
+    (root, bits), = roots
+    assert len(root) == groups and sum(map(len, root)) == len(values)
+    assert bits == classpoly._expansion_bits(digits)
+    cut = 2 ** (math.ceil(math.log2(groups)) - 1)
+    assert sent == [(root[cut:], bits)]
+
+
+def test_shared_root_is_the_bottom_up_tree_for_every_width(monkeypatch, two_cpus):
+    # the shared root of g = 2 to 70 groups of small hand-made factors:
+    # the helper forms the second child, sent as it stands, and the
+    # root's join has the serial inputs, so the product is the pairwise
+    # loop's bit for bit; one helper serves every g
+    bits = classpoly._expansion_bits(30)
+    forks = _fork_spy(monkeypatch)
+    shares = _share_spy(monkeypatch)
+    for count in range(2, 71):
+        groups = _dealt(count, bits, random.Random(count))
+        assert classpoly._product(groups, bits, shared=True) == _bottom_up_product(groups, bits)
+    assert len(forks) == FORKED
+    assert shares == [("_product", bool(FORKED))] * 69
 
 
 def test_a_failing_expansion_child_gives_the_serial_result(monkeypatch, two_cpus,
