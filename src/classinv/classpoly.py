@@ -875,8 +875,8 @@ def _round_with_retries(
     below it are skipped unevaluated.  Digits then double on each
     rounding failure, up to MAX_RETRIES times, before PrecisionError is
     raised.  Returns the rounded coefficients, the residual, the digits
-    used and the value of every form at those digits, each mirror's the
-    conjugate of its form's (``_with_mirrors``).
+    used and the values evaluated at those digits, of the forms with
+    b >= 0 in list order.
     """
     paired = [not is_ambiguous(f) for f in forms if f.b >= 0]
     while digits + SKIP_MARGIN_DIGITS <= size:
@@ -887,7 +887,7 @@ def _round_with_retries(
         rounded, residual = _expand_and_round(
             [to_gaussian(v, bits) for v in values], paired, digits)
         if residual < RESIDUAL_TOLERANCE:
-            return rounded, residual, digits, _with_mirrors(forms, values, _conjugate)
+            return rounded, residual, digits, values
         digits *= 2
     raise PrecisionError(
         f"coefficients failed to round to integers (residual {mpmath.nstr(residual)})",
@@ -905,7 +905,9 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     The exact actions are computed once, for the forms with b >= 0 only:
     each form with b < 0 takes its term from its mirror's, the form just
     before it (``etarep.mirror_term``).  Only the evaluations, of the
-    forms with b >= 0, repeat.  A rounded polynomial that is not monic or whose
+    forms with b >= 0, repeat, and each form with b < 0 takes the
+    conjugate of its mirror's value once the polynomial has rounded.
+    A rounded polynomial that is not monic or whose
     constant term is not +-1 cannot be the minimal polynomial of a unit,
     and raises PrecisionError as well.  The exact scalars of the records
     (``monomial_entry``) are built once the polynomial has rounded, one
@@ -920,7 +922,7 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
                           mirror_term)
     size = _ramanujan_size(n, forms, terms)
     rows = [(f.a, f.b, f.c, *term) for f, term in zip(forms, terms) if f.b >= 0]
-    rounded, residual, digits, values = _round_with_retries(
+    rounded, residual, digits, own = _round_with_retries(
         forms, "_conjugate_number", rows, digits, size)
     # t_n is a unit, so its minimal polynomial is monic with constant term +-1
     if rounded[-1] != 1:
@@ -942,8 +944,8 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         precision_digits=digits,
         max_residual=residual,
         size_estimate=size,
-        conjugates=tuple(ConjugateRecord(f, *term, scalars[term[1:]], v)
-                         for f, term, v in zip(forms, terms, values)),
+        conjugates=tuple(ConjugateRecord(f, *term, scalars[term[1:]], v) for f, term, v
+                         in zip(forms, terms, _with_mirrors(forms, own, _conjugate))),
     )
 
 

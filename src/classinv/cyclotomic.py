@@ -6,9 +6,12 @@ rewrite rule
 
     z^k = z^(k-12) - z^(k-24)    for k >= 24
 
-used to fold arbitrary powers back onto the basis.  All arithmetic is
-exact; numeric embeddings into the complex plane go through mpmath at a
-caller-chosen working precision, with the roots from ``numeval.zeta72``.
+used to fold arbitrary powers back onto the basis.  The inverse of x is
+cofactor / N(x), N(x) the norm to Q: the product of the conjugates of x
+under the Galois group z -> z^d, gcd(d, 72) = 1, formed one cyclic
+factor of the group at a time.  All arithmetic is exact; numeric
+embeddings into the complex plane go through mpmath at a caller-chosen
+working precision, with the roots from ``numeval.zeta72``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from functools import reduce
+from typing import Iterable, List, Tuple, Union
 
 import mpmath
 
@@ -63,72 +67,9 @@ _FOLD: Tuple[Tuple[Tuple[int, Fraction], ...], ...] = tuple(
     tuple((j, c) for j, c in enumerate(row) if c) for row in _POWER[: 2 * DEGREE - 1]
 )
 
-
-def _poly_trim(p: List[Fraction]) -> List[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> Tuple[List[Fraction], List[Fraction]]:
-    """Quotient and remainder of polynomials in ascending-coefficient form."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(a) <= db:
-        return [], _poly_trim(a)
-    q = [_ZERO] * (len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        f = a[k + db] / lead
-        q[k] = f
-        if f:
-            for j, c in enumerate(b):
-                a[k + j] -= f * c
-    return _poly_trim(q), _poly_trim(a[:db])
-
-
-def _inverse_coords(coeffs: Coeffs) -> Coeffs:
-    """Coordinates of the field inverse, by extended Euclid against x^24 - x^12 + 1."""
-    r0: List[Fraction] = list(MINIMAL_POLY)
-    r1 = _poly_trim(list(coeffs))
-    if not r1:
-        raise ZeroDivisionError("division by zero in cyclotomic field")
-    s0: List[Fraction] = []
-    s1: List[Fraction] = [_ONE]
-    while len(r1) > 1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    # r1 is a nonzero constant c with s1 * f == c modulo the minimal polynomial.
-    c = r1[0]
-    _, rem = _poly_divmod([x / c for x in s1], list(MINIMAL_POLY))
-    rem += [_ZERO] * (DEGREE - len(rem))
-    return tuple(rem)
+_GALOIS_GENERATORS: Tuple[Tuple[int, int], ...] = ((19, 2), (37, 2), (65, 6))
+"""(Z/72)* = <19> x <37> x <65>, each generator d with its order m:
+19 is 3 and 37 is 5 mod 8, both 1 mod 9; 65 is 1 mod 8 and 2 mod 9."""
 
 
 @dataclass(frozen=True)
@@ -209,7 +150,17 @@ class CycNum:
         return self.__mul__(other)
 
     def inverse(self) -> "CycNum":
-        return CycNum(_inverse_coords(self.coeffs))
+        """1/x = cofactor / N(x).  For each generator d of order m, the
+        norm so far times its m - 1 other conjugates under z -> z^d is
+        fixed by d, and stays fixed by it under the later generators,
+        the group being abelian; the cofactor takes the same factors.
+        Zero has norm 0, and the division by it raises."""
+        cofactor, norm = _CYC_ONE, self
+        for d, m in _GALOIS_GENERATORS:
+            others = reduce(CycNum.__mul__, (norm.galois(pow(d, i, ORDER))
+                                             for i in range(1, m)))
+            cofactor, norm = cofactor * others, norm * others
+        return cofactor / norm.coeffs[0]
 
     def __truediv__(self, other: Union["CycNum", Rational]) -> "CycNum":
         if isinstance(other, (int, Fraction)):

@@ -24,8 +24,10 @@ from classinv.cyclotomic import (
     ZERO,
     ZETA3,
     CycNum,
+    _GALOIS_GENERATORS,
     _POWER,
 )
+from classinv.etarep import monomial_entry
 
 
 def _poly_divide_exact(num, den):
@@ -205,3 +207,21 @@ def test_galois_exponents_are_the_units():
         d for d in range(1, 72) if math.gcd(d, 72) == 1
     )
     assert len(GALOIS_EXPONENTS) == 24
+
+
+def test_galois_generators_span_the_group():
+    # each generator d has order m, the orders multiply to 24 and the
+    # powers of the generators multiply out to every d of GALOIS_EXPONENTS
+    group = {1}
+    for d, m in _GALOIS_GENERATORS:
+        powers = [pow(d, i, ORDER) for i in range(1, m + 1)]
+        assert powers[-1] == 1 and 1 not in powers[:-1], (d, m)
+        group = {g * p % ORDER for g in group for p in powers}
+    assert math.prod(m for _, m in _GALOIS_GENERATORS) == DEGREE
+    assert tuple(sorted(group)) == GALOIS_EXPONENTS
+    # the inverses of the scalars z^k sqrt(3)^e that the records carry
+    for k in range(ORDER):
+        for e in range(-2, 3):
+            x = monomial_entry(k, e)
+            assert x.inverse() == monomial_entry(-k, -e), (k, e)
+            assert x * x.inverse() == ONE, (k, e)

@@ -147,6 +147,21 @@ def test_series_arithmetic_and_normalization():
         QSeries(0, (CycNum.zero(),), 1).inverse()
 
 
+def test_inverse_with_an_irrational_leading_coefficient():
+    # eta((tau + j)/3) leads with z^j, so for j = 1, 2 the series inverse
+    # starts from a field inverse that is not a rational's
+    one = QSeries(0, (CycNum.one(),) + (CycNum.zero(),) * (BOUND - 1), BOUND)
+    factors = sorted(set().union(*ETA_QUOTIENTS))
+    leads = []
+    for a, j in factors:
+        series = eta_series(a, j, BOUND)
+        leads.append(series.coefficient(a))
+        product = series * series.inverse()
+        assert product.bound >= BOUND - a
+        assert product.agrees_with(one), (a, j)
+    assert any(any(lead.coeffs[1:]) for lead in leads)
+
+
 def test_series_match_direct_eta_evaluation():
     # the truncation error at Im tau >= 20 is far below 1e-100; each
     # factor (a, j) on its own is eta((a tau + j)/3)
