@@ -655,12 +655,13 @@ def _shared(own: Callable[..., T], task: str, *args,
     much of it f read, before it replies.
 
     If f raises an Exception, the helper replies so and stays, and None
-    comes back.  A failing pipe or fork, or any exception from ``own()``,
-    a message that finds the helper dead included, which leaves a reply
-    unread, kills and reaps the helper and forgets it (``_stop_helper``);
-    the next call forks a new one.  None then comes back, except that a
-    BaseException from ``own()`` that is no Exception (KeyboardInterrupt)
-    is raised.
+    comes back.  Any other exception past the guards, from the fork, the
+    task's send, ``own()``, the stream's end or the reply's read (a
+    message that finds the helper dead, say), may leave a message half
+    written or a reply unread: it kills and reaps the helper and forgets
+    it (``_stop_helper``), and the next call forks a new one.  None then
+    comes back for an Exception; anything else (KeyboardInterrupt) is
+    raised.
     """
     global _helper
     if not hasattr(os, "fork") or threading.active_count() != 1:
@@ -672,10 +673,6 @@ def _shared(own: Callable[..., T], task: str, *args,
         if _helper is None:
             _helper = _fork_helper()
         _send(_helper[1], (task, args, stream))
-    except Exception:
-        _stop_helper()
-        return None
-    try:
         mine = own(partial(_send, _helper[1])) if stream else own()
         if stream:
             _send(_helper[1], None)

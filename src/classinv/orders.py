@@ -3,20 +3,21 @@
 For squarefree n with n = 4*C - 1 the ring Z[w], w = (1 + sqrt(-n))/2,
 is the maximal order of Q(sqrt(-n)).  Residues mod m are pairs
 (x, y) = x + y*w with multiplication folded through the relation
-w^2 = w - C.  The module enumerates the unit group of Z[w]/m, computes
-its abelian invariant factors, and checks generating sets.  The group
-depends only on C mod m, and for n = 11 mod 24 the paper's generators
-depend only on n mod 48 (``STANDARD_GENERATORS``).
+w^2 = w - C.  The module enumerates the unit group of Z[w]/m and checks
+generating sets.  The group depends only on C mod m, and for n = 11 mod
+24 the paper's generators depend only on n mod 48
+(``STANDARD_GENERATORS``).  They are a basis: their orders, (12, 2, 2)
+mod 8 and (6, 6) mod 9, multiply to the group orders 48 and 36, so each
+group is the direct product of the cyclic groups they span,
+Z/12 x Z/2 x Z/2 and Z/6 x Z/6.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .numeval import check_integer
 from .sl2words import Mat2
 
 Element = Tuple[int, int]
@@ -28,22 +29,6 @@ def multiply(x: Element, y: Element, c_param: int, modulus: int) -> Element:
     y0, y1 = y
     return ((x0 * y0 - c_param * x1 * y1) % modulus,
             (x0 * y1 + x1 * y0 + x1 * y1) % modulus)
-
-
-def power(x: Element, k: int, c_param: int, modulus: int) -> Element:
-    """x^k by repeated squaring; an exponent k that is not an integer of
-    at least 0 raises ValueError."""
-    k = check_integer(k, "exponent")
-    if k < 0:
-        raise ValueError(f"exponent must be at least 0, got {k}")
-    result: Element = (1 % modulus, 0)
-    base = x
-    while k:
-        if k & 1:
-            result = multiply(result, base, c_param, modulus)
-        base = multiply(base, base, c_param, modulus)
-        k >>= 1
-    return result
 
 
 def residue_norm(x: Element, c_param: int, modulus: int) -> int:
@@ -64,7 +49,7 @@ def generator_matrix(x: Element, c_param: int, modulus: int) -> Mat2:
 
 @dataclass(frozen=True)
 class UnitGroup:
-    """The unit group of Z[w]/m; its abelian invariants on first use."""
+    """The unit group of Z[w]/m, its elements listed."""
 
     c_param: int
     modulus: int
@@ -73,65 +58,6 @@ class UnitGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def invariant_factors(self) -> Tuple[int, ...]:
-        """The invariant factor decomposition, largest first, so each
-        entry divides the one before it."""
-        partitions = {p: _p_partition(self.elements, p, self.c_param, self.modulus)
-                      for p in _prime_factors(self.order)}
-        width = max((len(v) for v in partitions.values()), default=0)
-        factors = []
-        for i in range(width):
-            f = 1
-            for p, parts in partitions.items():
-                if i < len(parts):
-                    f *= p ** parts[i]
-            factors.append(f)
-        if math.prod(factors) != self.order:
-            raise ArithmeticError("invariant factors do not multiply to group order")
-        return tuple(factors)
-
-
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _p_partition(elements: Sequence[Element], p: int, c_param: int,
-                 modulus: int) -> List[int]:
-    """Exponent partition of the p-part, from counts of p^j-th roots of 1."""
-    identity = (1 % modulus, 0)
-    layer_sizes: List[int] = []
-    prev = 1
-    j = 1
-    while True:
-        count = sum(1 for x in elements
-                    if power(x, p ** j, c_param, modulus) == identity)
-        if count == prev:
-            break
-        ratio = count // prev
-        e = round(math.log(ratio, p))
-        if p ** e != ratio:
-            raise ArithmeticError("group layer size is not a clean power")
-        layer_sizes.append(e)
-        prev = count
-        j += 1
-    # layer_sizes[j-1] counts the cyclic factors of order at least p^j;
-    # its conjugate partition lists the exponents themselves.
-    parts = []
-    for i in range(layer_sizes[0] if layer_sizes else 0):
-        parts.append(sum(1 for e in layer_sizes if e > i))
-    return sorted(parts, reverse=True)
 
 
 def unit_group(c_param: int, modulus: int) -> UnitGroup:

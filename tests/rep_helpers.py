@@ -1,9 +1,11 @@
-"""Checks on representation matrices that only the tests need."""
+"""Checks on representation matrices and unit groups that only the tests
+need."""
 
 from functools import lru_cache
 from typing import Tuple
 
 from classinv.etarep import RepMatrix, form_matrix_mod72, full_action
+from classinv.orders import generators_for, multiply, unit_group
 from classinv.quadforms import QuadForm
 from classinv.sl2words import Mat2
 
@@ -29,3 +31,22 @@ def dense_action(form: QuadForm) -> Tuple[RepMatrix, int]:
     mod 72, by the exact oracle (``full_action`` on the form's GL2(Z/72)
     matrix), computed once per matrix."""
     return _full_action(form_matrix_mod72(form))
+
+
+def basis_orders(n: int, modulus: int) -> Tuple[Tuple[int, ...], int]:
+    """The orders of the paper's generators for n mod ``modulus``, each by
+    repeated ``multiply``, and the order of the unit group that
+    ``generators_for`` proves they generate.  A finite abelian group
+    generated by elements whose orders multiply to its order is the
+    direct product of the cyclic groups they span."""
+    c_param = (n + 1) // 4
+    group = unit_group(c_param, modulus)
+    identity = (1 % modulus, 0)
+    orders = []
+    for g in generators_for(n, modulus, group):
+        power, k = g, 1
+        while power != identity:
+            power = multiply(power, g, c_param, modulus)
+            k += 1
+        orders.append(k)
+    return tuple(orders), group.order

@@ -59,7 +59,6 @@ from classinv.numeval import (
     ramanujan_value,
     to_gaussian,
 )
-from classinv.orders import _prime_factors
 from classinv.quadforms import (
     QuadForm,
     class_number,
@@ -773,6 +772,18 @@ def test_expansion_keeps_the_imaginary_part_of_real_values(main_table_results):
     assert abs(residual - mpmath.mpf("1e-5")) < mpmath.mpf("1e-12")
 
 
+def _prime_count(n):
+    """The number of distinct primes that divide n, by trial division."""
+    count, d = 0, 2
+    while d * d <= n:
+        if n % d == 0:
+            count += 1
+            while n % d == 0:
+                n //= d
+        d += 1
+    return count + (n > 1)
+
+
 def test_mirror_rule(main_table_results):
     # the rule, sigma_-1 derived from ETA_QUOTIENTS, and stated here
     perm, c, _ = zip(*monomial_sigma(-1).rows)
@@ -789,7 +800,7 @@ def test_mirror_rule(main_table_results):
     for n in (*MAIN_TABLE, 10019, 100019, 1000019):
         if is_squarefree(n):
             paired = _paired(reduced_forms(-n))
-            assert paired.count(False) == 2 ** (len(_prime_factors(n)) - 1), n
+            assert paired.count(False) == 2 ** (_prime_count(n) - 1), n
     assert _paired(reduced_forms(-1000019)).count(False) == 2
     assert _paired(reduced_forms(-100019)).count(False) == 1
     # a stored mirror value is the conjugate of its partner's, and it
@@ -1382,6 +1393,29 @@ def test_an_interrupt_in_the_callers_share_propagates(monkeypatch, two_cpus):
         classpoly._shared(interrupted, "_slow")
     assert time.monotonic() - start < 10
     assert _helper_pid() is None
+    _assert_no_child()
+
+
+def test_an_interrupt_while_a_task_is_sent_stops_the_helper(monkeypatch, two_cpus):
+    # the interrupt leaves part of a length prefix in the task pipe, which
+    # the helper would read as the start of its next task: it is killed
+    # and reaped, and the interrupt propagates
+    first = classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR)
+    if not FORKED:
+        assert first is None
+        return
+    assert first == (1, [1, 1])
+    _assert_helper_alive()
+
+    def interrupted(pipe, data):
+        pipe.write(b"\x05\x00\x00")
+        pipe.flush()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(classpoly, "_send", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR)
+    assert classpoly._helper is None
     _assert_no_child()
 
 

