@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Time how far the caller's and the helper's shares of a table pass overlap.
+
+On two usable CPUs, every row of the paper's table with three forms or
+more is evaluated on two processes: the caller evaluates every second
+form, the helper process the others (``classpoly._evaluate_all``).  The
+two shares only save time if they run at once.  This script times each
+share of every shared row of one pass over the 38-row table, after one
+untimed pass that forks the helper: the caller's share in this process
+(around the ``own`` that ``classpoly._shared`` runs), the helper's in
+the helper (``classpoly._sent_values``, replaced by a timed copy before
+the fork, as ``scripts/sweep_split.py`` replaces functions), on the
+system-wide ``time.perf_counter`` clock.  The helper's times come back
+through one more shared call to a function added to the module before
+the fork.
+
+It prints the CPUs each process may run on during a share, then per
+pass: the shared rows, the median overlap of the two shares as a share
+of the shorter one, the wait after the caller's share summed over the
+rows, and the pass time.  An overlap near 0% means that both processes
+ran on one CPU, one after the other.
+
+Usage:
+    python scripts/helper_overlap.py [--passes P]
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+import classinv.classpoly as classpoly
+
+TABLE_NS = tuple(n for n in range(107, 996) if n % 24 == 11)
+"""The 38 rows of the paper's table."""
+
+_helper_times = []
+"""(rows, start, end) of each ``_sent_values`` call in the helper."""
+
+
+def _timed_sent_values(evaluate, rows, digits, _original=classpoly._sent_values):
+    start = time.perf_counter()
+    values = _original(evaluate, rows, digits)
+    _helper_times.append((tuple(map(tuple, rows)), start, time.perf_counter()))
+    return values
+
+
+def _sent_times():
+    """The helper's share times so far, then none: a task for the helper."""
+    times = list(_helper_times)
+    _helper_times.clear()
+    return times
+
+
+def _timing_shared(caller_times, masks, _original=classpoly._shared):
+    """A ``_shared`` that appends (rows, start, end, returned) of each
+    shared ``_sent_values`` call to ``caller_times``: rows are the
+    helper's, start and end bound this process's share, returned is when
+    the helper's reply was in.  ``masks`` gains this process's CPUs
+    during each share."""
+    def shared(own, task, *args, **kwargs):
+        spans = []
+
+        def timed_own(*own_args):
+            masks.add(frozenset(os.sched_getaffinity(0)))
+            spans.append(time.perf_counter())
+            try:
+                return own(*own_args)
+            finally:
+                spans.append(time.perf_counter())
+
+        result = _original(timed_own, task, *args, **kwargs)
+        if task == "_sent_values" and result is not None:
+            caller_times.append((tuple(map(tuple, args[1])), *spans, time.perf_counter()))
+        return result
+
+    return shared
+
+
+def table_pass():
+    """Seconds of one pass over the table."""
+    start = time.perf_counter()
+    for n in TABLE_NS:
+        classpoly.compute_ramanujan(n)
+    return time.perf_counter() - start
+
+
+def overlap(caller, helper):
+    """The time both shares ran, as a share of the shorter one."""
+    (c_start, c_end), (h_start, h_end) = caller, helper
+    both = min(c_end, h_end) - max(c_start, h_start)
+    return max(0.0, both) / min(c_end - c_start, h_end - h_start)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--passes", type=int, default=1, help="timed table passes")
+    args = parser.parse_args(argv)
+    affinity = getattr(os, "sched_getaffinity", None)
+    if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
+        print("fewer than two usable CPUs, no os.fork or no CPU masks: nothing is shared")
+        return 0
+    caller_times = []
+    masks = set()
+    classpoly._stop_helper()
+    classpoly._sent_values = _timed_sent_values
+    classpoly._sent_times = _sent_times
+    classpoly._shared = _timing_shared(caller_times, masks)
+    table_pass()
+    if not caller_times:
+        print("no row was shared")
+        return 0
+    helper = classpoly._helper[0]
+    print(f"caller CPUs during a share {sorted(set().union(*masks))},"
+          f" helper CPUs {sorted(os.sched_getaffinity(helper))}")
+    classpoly._shared(lambda: None, "_sent_times")
+    for number in range(1, args.passes + 1):
+        caller_times.clear()
+        seconds = table_pass()
+        helper_times = {rows: (start, end) for rows, start, end in
+                        classpoly._shared(lambda: None, "_sent_times")[1]}
+        overlaps, wait = [], 0.0
+        for rows, start, end, returned in caller_times:
+            overlaps.append(overlap((start, end), helper_times[rows]))
+            wait += returned - end
+        print(f"pass {number}: {len(overlaps)} shared rows, median overlap"
+              f" {100 * statistics.median(overlaps):.1f}%, wait after the caller's share"
+              f" {1000 * wait:.2f} ms in all, pass {1000 * seconds:.1f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,13 +10,20 @@ generating sets.  The group depends only on C mod m, and for n = 11 mod
 mod 8 and (6, 6) mod 9, multiply to the group orders 48 and 36, so each
 group is the direct product of the cyclic groups they span,
 Z/12 x Z/2 x Z/2 and Z/6 x Z/6.
+
+Whether a row of generators generates depends only on the class of C
+mod m, so one table, filled on first use, holds the proofs:
+``_PROVEN``, keyed by (row, C mod m, m), the row being the generator
+tuple itself.  The 12 classes of n mod 288 meet only 7 of its keys: C
+mod 8 in {1, 3, 5, 7} and C mod 9 in {0, 3, 6}, both rows mod 9 being
+one tuple.  ``unit_group`` enumerates its group on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from .sl2words import Mat2
 
@@ -110,15 +117,26 @@ STANDARD_GENERATORS: Dict[Tuple[int, int], Tuple[Element, ...]] = {
 """The paper's generator sets, keyed by the class of n = 11 mod 24 mod 48."""
 
 
+_PROVEN: Set[Tuple[Tuple[Element, ...], int, int]] = set()
+"""The (row, C mod m, m) whose generator row ``generators_for`` has
+proven to generate (Z[w]/m)*."""
+
+
 def generators_for(n: int, modulus: int, group: UnitGroup) -> Tuple[Element, ...]:
-    """The paper's generators for n, checked to generate ``group``.
+    """The paper's generators for n, checked to generate ``group``, the
+    ``unit_group`` of C = (n + 1)/4.
 
     Raises ArithmeticError when they do not, so every invariance check
-    runs on a set proven to generate its stabilizer group.
+    runs on a set proven to generate its stabilizer group.  Each row is
+    proven once per class of C mod m (``_PROVEN``); a row not proven
+    for that class, a patched or wrong one say, is proven afresh.
     """
     gens = STANDARD_GENERATORS[(n % 48, modulus)]
-    if not verify_generators(gens, group):
-        raise ArithmeticError(
-            f"standard generators {gens} do not generate (Z[w]/{modulus})* "
-            f"for C = {group.c_param}")
+    key = (gens, group.c_param % modulus, modulus)
+    if key not in _PROVEN:
+        if not verify_generators(gens, group):
+            raise ArithmeticError(
+                f"standard generators {gens} do not generate (Z[w]/{modulus})* "
+                f"for C = {group.c_param}")
+        _PROVEN.add(key)
     return gens

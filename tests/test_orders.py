@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classinv.orders as orders
+from classinv.etarep import invariance_check
 from classinv.orders import (
     STANDARD_GENERATORS,
     generator_matrix,
@@ -126,12 +128,62 @@ def test_group_structure_mod8(c_param):
     assert orders == (12, 2, 2) and group_order == math.prod(orders)
 
 
-def test_standard_generators_generate():
-    for (n, modulus), gens in STANDARD_GENERATORS.items():
-        group = unit_group((n + 1) // 4, modulus)
-        assert verify_generators(gens, group)
-        closure = subgroup_closure(gens, (n + 1) // 4, modulus)
-        assert len(closure) == group.order
+def test_standard_generators_generate(monkeypatch):
+    # each row serves the classes of C = (n + 1)/4 mod m of the n = its
+    # key mod 48: two mod 8, three mod 9.  In each, the proof table must
+    # agree with a fresh closure, whether the row is proven there or found
+    monkeypatch.setattr(orders, "_PROVEN", set())
+    served = set()
+    for (key, modulus), gens in STANDARD_GENERATORS.items():
+        for n in range(key, key + 48 * modulus, 48):
+            c_param = (n + 1) // 4
+            group = unit_group(c_param, modulus)
+            assert len(subgroup_closure(gens, c_param, modulus)) == group.order
+            for _ in range(2):
+                assert generators_for(n, modulus, group) == gens
+            served.add((gens, c_param % modulus, modulus))
+    assert orders._PROVEN == served and len(served) == 7
+
+
+def _closure(gens, c_param, modulus):
+    """The closure of the generators, None when one is not a unit."""
+    if all(is_unit(g, c_param, modulus) for g in gens):
+        return subgroup_closure(gens, c_param, modulus)
+    return None
+
+
+def test_groups_and_closures_depend_only_on_c_mod_m():
+    # the class claim the proof table rests on: for every C, the group
+    # and the closure of every row are those of C mod m
+    rows = {(gens, modulus) for (_, modulus), gens in STANDARD_GENERATORS.items()}
+    for modulus in (8, 9):
+        for c_param in range(144):
+            group = unit_group(c_param, modulus)
+            assert group.c_param == c_param
+            assert group.elements == unit_group(c_param % modulus, modulus).elements
+        for gens, row_modulus in rows:
+            if row_modulus == modulus:
+                for c_param in range(144):
+                    assert (_closure(gens, c_param, modulus)
+                            == _closure(gens, c_param % modulus, modulus))
+
+
+def test_a_pass_over_the_12_classes_proves_7_rows(monkeypatch):
+    # C mod 8 in {1, 3, 5, 7} and C mod 9 in {0, 3, 6}; a second pass
+    # finds every proof in the table
+    monkeypatch.setattr(orders, "_PROVEN", set())
+    proofs = []
+    monkeypatch.setattr(orders, "verify_generators",
+                        lambda gens, group: proofs.append(
+                            (group.c_param % group.modulus, group.modulus))
+                        or verify_generators(gens, group))
+    for n in range(11, 288, 24):
+        assert all(result.invariant for result in invariance_check(n))
+    assert sorted(proofs) == [(0, 9), (1, 8), (3, 8), (3, 9), (5, 8), (6, 9), (7, 8)]
+    proofs.clear()
+    for n in range(11, 288, 24):
+        assert all(result.invariant for result in invariance_check(n))
+    assert proofs == [] and len(orders._PROVEN) == 7
 
 
 def test_generators_for_matches_table():
