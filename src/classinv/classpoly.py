@@ -68,8 +68,8 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import (BinaryIO, Callable, Iterator, List, Optional, Sequence, Set,
-                    Tuple, TypeVar)
+from typing import (BinaryIO, Callable, Iterator, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 import mpmath
 from mpmath.libmp import MPZ, mpf_neg
@@ -647,17 +647,12 @@ def _shared(own: Callable[..., T], task: str, *args,
     when it was forked: a function replaced later, by a test's patch say,
     is replaced in this process only.
 
-    The two processes are kept on different CPUs.  Left to itself, the
-    kernel may wake the helper on the CPU of the caller, which waits for
-    it there, and the two shares then run one after the other: on a
-    2-core host the shares of a table pass overlapped 0% of the shorter
-    share, against 93 to 100% pinned (``scripts/helper_overlap.py``).
-    So the helper pins itself, right after its fork, to the highest CPU
-    of this process's mask, and for the length of each call this
-    process confines itself to the rest of its mask, restoring exactly
-    the mask it read however the call ends.  Where
-    ``os.sched_setaffinity`` is missing or refuses, the two processes
-    share unpinned.
+    The two processes are left where the kernel puts them.  A 2-core
+    host that woke the helper on the caller's CPU ran the two shares one
+    after the other (``scripts/helper_overlap.py`` shows it); pinning
+    the two to different CPUs made a lone table pass 22 to 24% faster,
+    but two processes at once 40% slower, every caller then sharing one
+    CPU and every helper the other.
 
     A ``stream`` task takes more data while it runs: ``own`` is called
     with a function that sends one more message down the task pipe, and
@@ -679,22 +674,16 @@ def _shared(own: Callable[..., T], task: str, *args,
     if not hasattr(os, "fork") or threading.active_count() != 1:
         return None
     affinity = getattr(os, "sched_getaffinity", None)
-    mask = affinity(0) if affinity else None
-    if (len(mask) if mask is not None else os.cpu_count() or 1) < 2:
+    if (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
         return None
     try:
         if _helper is None:
-            _helper = _fork_helper(max(mask) if mask is not None else None)
-        confined = mask is not None and _pin(mask - {max(mask)})
-        try:
-            _send(_helper[1], (task, args, stream))
-            mine = own(partial(_send, _helper[1])) if stream else own()
-            if stream:
-                _send(_helper[1], None)
-            done, theirs = _receive(_helper[2])
-        finally:
-            if confined:
-                os.sched_setaffinity(0, mask)
+            _helper = _fork_helper()
+        _send(_helper[1], (task, args, stream))
+        mine = own(partial(_send, _helper[1])) if stream else own()
+        if stream:
+            _send(_helper[1], None)
+        done, theirs = _receive(_helper[2])
     except BaseException as error:
         _stop_helper()
         if isinstance(error, Exception):
@@ -721,20 +710,9 @@ def _receive(pipe: BinaryIO) -> object:
     return marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
 
 
-def _pin(cpus: Set[int]) -> bool:
-    """Confine this process to ``cpus``; False, with nothing changed,
-    where ``os.sched_setaffinity`` is missing or refuses."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError):
-        return False
-    return True
-
-
-def _fork_helper(cpu: Optional[int]) -> Tuple[int, BinaryIO, BinaryIO]:
-    """Fork the helper (``_serve``), pinned to ``cpu`` unless it is None:
-    its pid, and this process's ends of its task pipe, to write, and of
-    its reply pipe, to read."""
+def _fork_helper() -> Tuple[int, BinaryIO, BinaryIO]:
+    """Fork the helper (``_serve``): its pid, and this process's ends of
+    its task pipe, to write, and of its reply pipe, to read."""
     ends: List[int] = []
     try:
         ends += os.pipe()
@@ -746,15 +724,14 @@ def _fork_helper(cpu: Optional[int]) -> Tuple[int, BinaryIO, BinaryIO]:
         raise
     tasks_read, tasks_write, replies_read, replies_write = ends
     if pid == 0:
-        _serve(ends, cpu)
+        _serve(ends)
     os.close(tasks_read)
     os.close(replies_write)
     return pid, open(tasks_write, "wb"), open(replies_read, "rb")
 
 
-def _serve(ends: Sequence[int], cpu: Optional[int]) -> None:
-    """The helper's loop over the pipe ends of ``_fork_helper``, on
-    ``cpu`` if it is not None and the pin takes (``_pin``): read a
+def _serve(ends: Sequence[int]) -> None:
+    """The helper's loop over the pipe ends of ``_fork_helper``: read a
     task, run it, read the rest of its stream if it is a ``stream`` task
     (``_shared``), then send its result or the news that it raised.  A
     stream task is given an iterator over the messages that follow it
@@ -769,8 +746,6 @@ def _serve(ends: Sequence[int], cpu: Optional[int]) -> None:
     tasks_read, tasks_write, replies_read, replies_write = ends
     status = 1
     try:
-        if cpu is not None:
-            _pin({cpu})
         os.close(tasks_write)
         os.close(replies_read)
         tasks = open(tasks_read, "rb")

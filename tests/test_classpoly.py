@@ -20,7 +20,6 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from functools import partial
 
 import mpmath
 import pytest
@@ -839,26 +838,13 @@ _ONE_FACTOR = ([[(1, None)]], 0)
 one group of one factor: a task for the helper that returns [1, 1]."""
 
 
-def _fake_mask(monkeypatch, cpus):
-    """This process, and any helper forked from it, reads the CPU mask
-    ``cpus`` whatever the host has, and pins nothing: the list returned
-    gains (pid, cpus) per ``os.sched_setaffinity`` call in this process,
-    which leaves the real mask of every process as it was."""
-    pins = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity",
-                        lambda pid, mask: pins.append((pid, set(mask))), raising=False)
-    return pins
-
-
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Two usable CPUs whatever the host has, so that a rung of two forms
     or more whose work reaches FORK_MIN_WORK is evaluated on two
     processes, and an expansion of two groups or more is split over
-    two; the pins that ``_shared`` asks for are recorded, not made
-    (``_fake_mask``)."""
-    return _fake_mask(monkeypatch, {0, 1})
+    two."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def _fork_spy(monkeypatch):
@@ -1485,78 +1471,6 @@ def test_a_forked_copy_forks_its_own_helper(two_cpus):
     assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
 
 
-def _recorded_pins(pins):
-    return pins
-
-
-@pytest.mark.parametrize("ending", ["normal", "own-fails", "helper-fails", "interrupt"])
-def test_the_helper_has_the_highest_cpu_and_the_caller_the_rest(monkeypatch, ending):
-    # of the mask {2, 5, 7}: the helper pins itself to 7 right after its
-    # fork, and this process runs its share on {2, 5}; however the share
-    # ends, the mask it read is restored
-    pins = _fake_mask(monkeypatch, {2, 5, 7})
-    monkeypatch.setattr(classpoly, "_recorded_pins", partial(_recorded_pins, pins),
-                        raising=False)
-    monkeypatch.setattr(classpoly, "_refused", _refused, raising=False)
-    assert classpoly._shared(lambda: 1, "_recorded_pins") == (
-        (1, [(0, {7})]) if FORKED else None)
-    pins.clear()
-    during = []
-
-    def own():
-        during.append(list(pins))
-        if ending == "own-fails":
-            raise ValueError("no share")
-        if ending == "interrupt":
-            raise KeyboardInterrupt
-        return 1
-
-    task = "_refused" if ending == "helper-fails" else "_product"
-    if ending == "interrupt" and FORKED:
-        with pytest.raises(KeyboardInterrupt):
-            classpoly._shared(own, task, *_ONE_FACTOR)
-    else:
-        assert classpoly._shared(own, task, *_ONE_FACTOR) == (
-            (1, [1, 1]) if ending == "normal" and FORKED else None)
-    if FORKED:
-        assert during == [[(0, {2, 5})]]
-        assert pins == [(0, {2, 5}), (0, {2, 5, 7})]
-
-
-@pytest.mark.parametrize("refusal", ["missing", "oserror"])
-def test_a_helper_that_cannot_be_pinned_shares_unpinned(monkeypatch, two_cpus, refusal):
-    # the helper's pin and this process's confinement both fail, and
-    # both processes still share every call
-    if refusal == "missing":
-        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-    else:
-        def refuse(pid, mask):
-            raise OSError("no pin")
-
-        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-    for _ in range(2):
-        assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (
-            (1, [1, 1]) if FORKED else None)
-
-
-def test_the_live_helper_runs_on_the_highest_cpu_of_this_process():
-    # the real masks, unfaked: the helper's read from outside it
-    affinity = getattr(os, "sched_getaffinity", None)
-    mask = affinity(0) if affinity else set()
-    if not FORKED or len(mask) < 2:
-        pytest.skip("needs os.fork and two usable CPUs")
-    classpoly._stop_helper()
-    during = []
-    try:
-        assert classpoly._shared(lambda: during.append(os.sched_getaffinity(0)) or 1,
-                                 "_product", *_ONE_FACTOR) == (1, [1, 1])
-        assert os.sched_getaffinity(_helper_pid()) == {max(mask)}
-        assert during == [mask - {max(mask)}]
-        assert os.sched_getaffinity(0) == mask
-    finally:
-        classpoly._stop_helper()
-
-
 def _run_python(code, timeout=120):
     """Run ``code`` in a fresh interpreter that imports classinv from
     this source tree, returning the finished process."""
@@ -1671,7 +1585,7 @@ def test_the_table_shares_29_phases_among_177_conjugates(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     numeval._cos_sin_pi.cache_clear()
     assert _phase_lookups(lambda: [compute_ramanujan(n) for n in MAIN_TABLE]) == (148, 29)
-    _fake_mask(monkeypatch, {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     numeval._cos_sin_pi.cache_clear()
     assert _phase_lookups(lambda: [compute_ramanujan(n) for n in MAIN_TABLE]) == (
         (78, 22) if hasattr(os, "fork") else (148, 29))
