@@ -14,6 +14,12 @@ system-wide ``time.perf_counter`` clock.  The helper's times come back
 through one more shared call to a function added to the module before
 the fork.
 
+Before the table pass it probes the host: the seconds of one forked
+CPU-bound child alone, then of two such children at once.  Two that
+take about as long as one ran on two CPUs; two that take twice as long
+shared one, so a low overlap below is the host's doing and not the
+helper's placement.  Nothing is gated on these numbers.
+
 It prints the CPUs each process may run on during a share, then per
 pass: the shared rows, the median overlap of the two shares as a share
 of the shorter one, the wait after the caller's share summed over the
@@ -78,6 +84,22 @@ def _timing_shared(caller_times, masks, _original=classpoly._shared):
     return shared
 
 
+def _children(count):
+    """Seconds until ``count`` forked children, started together and each
+    summing the same 5 million squares, have all exited."""
+    start = time.perf_counter()
+    pids = []
+    for _ in range(count):
+        pid = os.fork()
+        if pid == 0:
+            sum(i * i for i in range(5_000_000))
+            os._exit(0)
+        pids.append(pid)
+    for pid in pids:
+        os.waitpid(pid, 0)
+    return time.perf_counter() - start
+
+
 def table_pass():
     """Seconds of one pass over the table."""
     start = time.perf_counter()
@@ -101,6 +123,8 @@ def main(argv=None):
     if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
         print("fewer than two usable CPUs, no os.fork or no CPU masks: nothing is shared")
         return 0
+    print(f"host probe: one CPU-bound child {_children(1):.2f} s alone,"
+          f" two at once {_children(2):.2f} s")
     caller_times = []
     masks = set()
     classpoly._stop_helper()

@@ -6,7 +6,11 @@ rewrite rule
 
     z^k = z^(k-12) - z^(k-24)    for k >= 24
 
-used to fold arbitrary powers back onto the basis.  The inverse of x is
+used to fold arbitrary powers back onto the basis.  A product runs on
+integers: each operand's nonzero coordinates, read once per instance as
+numerators over one common denominator, are convolved and folded by the
+integer rule, and the sums are divided by the product of the two
+denominators.  The inverse of x is
 cofactor / N(x), N(x) the norm to Q: the product of the conjugates of x
 under the Galois group z -> z^d, gcd(d, 72) = 1, formed one cyclic
 factor of the group at a time.  All arithmetic is exact; numeric
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, List, Tuple, Union
 
 import mpmath
@@ -44,11 +48,9 @@ MINIMAL_POLY: Coeffs = tuple(
 """Ascending coefficients of x^24 - x^12 + 1."""
 
 
-def _build_power_table() -> Tuple[Coeffs, ...]:
-    """Coordinates of z^k on the power basis for k = 0..71.
-
-    The recurrence runs on ints, whose entries are 0 and +-1 only; each
-    is then mapped to one shared Fraction constant."""
+def _build_power_table() -> Tuple[Tuple[int, ...], ...]:
+    """Integer coordinates of z^k on the power basis for k = 0..71,
+    each 0 or +-1."""
     table: List[Tuple[int, ...]] = []
     for k in range(ORDER):
         if k < DEGREE:
@@ -56,15 +58,20 @@ def _build_power_table() -> Tuple[Coeffs, ...]:
         else:
             # z^k = z^(k-12) - z^(k-24)
             table.append(tuple(x - y for x, y in zip(table[k - 12], table[k - 24])))
-    constant = {-1: -_ONE, 0: _ZERO, 1: _ONE}
-    return tuple(tuple(constant[x] for x in row) for row in table)
+    return tuple(table)
 
 
-_POWER: Tuple[Coeffs, ...] = _build_power_table()
+_INT_POWER = _build_power_table()
 
-# Sparse form of _POWER rows for products: degree i+j <= 46 < 72.
-_FOLD: Tuple[Tuple[Tuple[int, Fraction], ...], ...] = tuple(
-    tuple((j, c) for j, c in enumerate(row) if c) for row in _POWER[: 2 * DEGREE - 1]
+_CONSTANT = (_ZERO, _ONE, -_ONE)
+"""The shared Fraction 0, 1 and -1, indexed by the int 0, 1 and -1."""
+
+_POWER: Tuple[Coeffs, ...] = tuple(tuple(_CONSTANT[x] for x in row) for row in _INT_POWER)
+"""``_INT_POWER`` with each entry its shared Fraction constant."""
+
+# Sparse form of the integer rows for products: degree i+j <= 46 < 72.
+_FOLD: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
+    tuple((j, c) for j, c in enumerate(row) if c) for row in _INT_POWER[: 2 * DEGREE - 1]
 )
 
 _GALOIS_GENERATORS: Tuple[Tuple[int, int], ...] = ((19, 2), (37, 2), (65, 6))
@@ -95,8 +102,9 @@ class CycNum:
 
     @staticmethod
     def zeta_pow(k: int) -> "CycNum":
-        """The basis root of unity raised to an arbitrary integer power."""
-        return CycNum(_POWER[k % ORDER])
+        """The basis root of unity raised to an arbitrary integer power:
+        one shared instance per k mod 72, built at first use."""
+        return _zeta_power(k % ORDER)
 
     @staticmethod
     def from_zeta_terms(terms: Iterable[Tuple[int, Rational]]) -> "CycNum":
@@ -110,6 +118,15 @@ class CycNum:
                 if s:
                     acc[j] += c * s
         return CycNum(tuple(acc))
+
+    @cached_property
+    def _support(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+        """(D, ((j, D * c_j) for each nonzero c_j)): the nonzero
+        coordinates as integer numerators over their common denominator
+        D, read once per instance."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return den, tuple((j, c.numerator * (den // c.denominator))
+                          for j, c in enumerate(self.coeffs) if c)
 
     # -- predicates ---------------------------------------------------
 
@@ -134,17 +151,16 @@ class CycNum:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return CycNum(tuple(a * c for a in self.coeffs))
-        acc = [_ZERO] * DEGREE
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
+        den_a, support_a = self._support
+        den_b, support_b = other._support
+        acc = [0] * DEGREE
+        for i, a in support_a:
+            for j, b in support_b:
                 ab = a * b
                 for k, s in _FOLD[i + j]:
-                    acc[k] += ab * s
-        return CycNum(tuple(acc))
+                    acc[k] += s * ab
+        den = den_a * den_b
+        return CycNum(tuple(Fraction(x, den) if x else _ZERO for x in acc))
 
     def __rmul__(self, other: Rational) -> "CycNum":
         return self.__mul__(other)
@@ -237,6 +253,11 @@ class CycNum:
 
     def __repr__(self) -> str:
         return f"CycNum({self})"
+
+
+@lru_cache(maxsize=None)
+def _zeta_power(k: int) -> CycNum:
+    return CycNum(_POWER[k])
 
 
 _CYC_ZERO = CycNum((_ZERO,) * DEGREE)

@@ -27,13 +27,16 @@ one path, ``_factored_action``: since GL2(Z/72) = GL2(Z/8) x GL2(Z/9),
 a matrix is given by its mod-8 and mod-9 factors, and its action is
 that of the unimodular part of the mod-8 factor times that of the
 mod-9 factor, with the determinant, glued mod 72, entering as a twist.
-Each part is a short S,T word over Z/m, multiplied out
+Each part is a short S,T word over Z/m, and the action is the image
+of the mod-8 word times that of the mod-9 word.  An encoding gives the
+image of a word mod m as one function: the word multiplied out
 (``sl2words.word_product``) over the encoding's images of the lifted
 generators of that factor, S and T^e for 0 <= e < m, which are built
-once per encoding; the mod-9 word starts from the mod-8 product.  A
-form's action is built from its two factor matrices directly; a
-GL2(Z/72) matrix is glued (``form_matrix_mod72``) only for the oracle
-and for display.
+once per encoding.  The integer encoding keeps each word's image in a
+table (``_monomial_image``); the dense oracle multiplies it out anew on
+every call, so the two stay independent derivations.  A form's action
+is built from its two factor matrices directly; a GL2(Z/72) matrix is
+glued (``form_matrix_mod72``) only for the oracle and for display.
 
 A matrix A gives the substitution rule F(g(tau)) = (A F)(tau) on the
 column vector F of the six functions.  A function written as a
@@ -236,30 +239,39 @@ def _lifted_images(identity, s, t_power: Callable[[int], object]) -> Images:
             for m in (8, 9)}
 
 
-def _factored_action(m8: Mat2, m9: Mat2, images: Images) -> Tuple[object, int]:
-    """The action, in the encoding of ``images``, of the GL2(Z/72)
-    matrix with factors m8 mod 8 and m9 mod 9, and its determinant d
-    mod 72.
+def _word_image(images: Images, word: Word, m: int):
+    """The image of an S,T word over Z/m, its T exponents in [0, m),
+    multiplied out over the images of its factor's lifted generators."""
+    s, t = images[m]  # t[0], the image of T^0, is the identity
+    return word_product(word, t[0], s, t.__getitem__)
+
+
+def _factored_action(m8: Mat2, m9: Mat2,
+                     image: Callable[[Word, int], object]) -> Tuple[object, int]:
+    """The action, in the encoding whose image of a word over Z/m is
+    ``image(word, m)``, of the GL2(Z/72) matrix with factors m8 mod 8
+    and m9 mod 9, and its determinant d mod 72.
 
     Each factor is B_m * diag(1, d_m) with B_m unimodular over Z/m
     (``split_det``).  B_m is decomposed into an S,T word with T
-    exponents in [0, m), and the words are multiplied out over their
-    factor's images, the mod-9 word starting from the mod-8 product;
-    d is glued from d_8 and d_9.
+    exponents in [0, m); the action is the image of the mod-8 word times
+    that of the mod-9 word, and d is glued from d_8 and d_9.
     """
     unimodular8, det8 = split_det(m8)
     unimodular9, det9 = split_det(m9)
-    s8, t8 = images[8]  # t8[0], the image of T^0, is the identity
-    s9, t9 = images[9]
-    product = word_product(decompose(unimodular8, 8), t8[0], s8, t8.__getitem__)
-    product = word_product(decompose(unimodular9, 9), product, s9, t9.__getitem__)
-    return product, crt72(det8, det9)
+    action = image(decompose(unimodular8, 8), 8) * image(decompose(unimodular9, 9), 9)
+    return action, crt72(det8, det9)
 
 
 @lru_cache(maxsize=None)
 def _dense_images() -> Images:
     """The dense images of the lifted generators, built at first use."""
     return _lifted_images(RepMatrix.identity(), rep_s(), _dense_t_power())
+
+
+def _dense_image(word: Word, m: int) -> RepMatrix:
+    """The dense image of a word, multiplied out on every call."""
+    return _word_image(_dense_images(), word, m)
 
 
 def full_action(matrix: Mat2) -> Tuple[RepMatrix, int]:
@@ -270,7 +282,7 @@ def full_action(matrix: Mat2) -> Tuple[RepMatrix, int]:
     (``_factored_action``).  The determinant d is returned with it; it
     enters separately through the coefficient automorphism z -> z^d.
     """
-    return _factored_action(matrix.to_mod(8), matrix.to_mod(9), _dense_images())
+    return _factored_action(matrix.to_mod(8), matrix.to_mod(9), _dense_image)
 
 
 def dual_action(rep: RepMatrix, det: int, coeffs: Vector) -> Vector:
@@ -461,9 +473,17 @@ def monomial_word_action(word: Word) -> Monomial:
 _MONOMIAL_IMAGES = _lifted_images(Monomial.identity(), MONOMIAL_S, _MONOMIAL_T_POWER)
 
 
+@lru_cache(maxsize=None)
+def _monomial_image(word: Word, m: int) -> Monomial:
+    """The integer image of a word, multiplied out once per (word, m).
+    ``decompose`` gives one word per matrix, so the table holds at most
+    |SL2(Z/8)| + |SL2(Z/9)| = 384 + 648 entries."""
+    return _word_image(_MONOMIAL_IMAGES, word, m)
+
+
 def monomial_action(matrix: Mat2) -> Tuple[Monomial, int]:
     """``full_action`` in the integer encoding: the same factored path."""
-    return _factored_action(matrix.to_mod(8), matrix.to_mod(9), _MONOMIAL_IMAGES)
+    return _factored_action(matrix.to_mod(8), matrix.to_mod(9), _monomial_image)
 
 
 def conjugate_action(action: Monomial, det: int, term: Term) -> Term:
@@ -503,7 +523,7 @@ def form_matrix_mod72(form: QuadForm) -> Mat2:
 def form_action(form: QuadForm) -> Tuple[Monomial, int]:
     """The (integer action, determinant) pair attached to a form class,
     from its matrices mod 8 and mod 9."""
-    return _factored_action(form_matrix(form, 8), form_matrix(form, 9), _MONOMIAL_IMAGES)
+    return _factored_action(form_matrix(form, 8), form_matrix(form, 9), _monomial_image)
 
 
 @dataclass(frozen=True)
@@ -538,7 +558,7 @@ def invariance_check(n: int) -> List[InvarianceResult]:
                 factors = (local, Mat2.identity(9))
             else:
                 factors = (Mat2.identity(8), local)
-            action, det = _factored_action(*factors, _MONOMIAL_IMAGES)
+            action, det = _factored_action(*factors, _monomial_image)
             moved = monomial_dual_action(action, det, SQRT3_F2)
             results.append(
                 InvarianceResult(

@@ -92,8 +92,11 @@ import mpmath
 from mpmath.libmp import (
     dps_to_prec,
     fone,
+    from_int,
     from_man_exp,
     fzero,
+    mpc_div_mpf,
+    mpc_mul_int,
     mpf_add,
     mpf_cos_sin_pi,
     mpf_exp,
@@ -723,10 +726,12 @@ def r_value(index: int, tau, dps: Optional[int] = None) -> mpmath.mpc:
         # the slow factor eta((tau + j)/3) takes the most terms, and so the
         # widest fixed point; the whole quotient runs at its width
         log_qabs, cutoff, bits = _series_plan(float(t.imag) / 3, digits)
-        with mpmath.workprec(bits + 8):
-            w = _expjpi(t / 36, bits + 8)
-            # eta reads the point of eta(3 tau) only for its term count
-            point = 3 * t
+        # tau/36 and 3 tau by the libmp calls that mpmath's operators make
+        # at bits + 8; eta reads the point of eta(3 tau) only for its term
+        # count
+        w = _expjpi(mpmath.mp.make_mpc(
+            mpc_div_mpf(t._mpc_, from_int(36), bits + 8, round_nearest)), bits + 8)
+        point = mpmath.mp.make_mpc(mpc_mul_int(t._mpc_, 3, bits + 8, round_nearest))
         w1 = _scaled(w, bits)
         w3 = _scaled_mul(_scaled_mul(w1, w1, bits), w1, bits)
         root = rr, ri, s = _scaled_mul(w1, (*fixed_scalar(shift, 0, bits), 0), bits)

@@ -202,6 +202,58 @@ def test_conjugate_matches_embedding(x):
         assert abs(x.conjugate().embed(50) - mpmath.conj(x.embed(50))) < tol
 
 
+def _schoolbook_product(x, y):
+    """x * y on Fractions: the full product of the two coordinate
+    polynomials, reduced by long division by the derived minimal
+    polynomial."""
+    product = [Fraction(0)] * (2 * DEGREE - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            product[i + j] += a * b
+    modulus = _cyclotomic_poly(ORDER)
+    for top in range(len(product) - 1, DEGREE - 1, -1):
+        lead = product[top]
+        for j, c in enumerate(modulus):
+            product[top - DEGREE + j] -= lead * c
+    assert not any(product[DEGREE:])
+    return CycNum(tuple(product[:DEGREE]))
+
+
+# up to every coordinate set, the rest zero, with denominators that
+# differ from coordinate to coordinate
+_dense_cycnums = st.dictionaries(
+    st.integers(min_value=0, max_value=DEGREE - 1),
+    st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12),
+    max_size=DEGREE,
+).map(lambda coords: CycNum(tuple(coords.get(j, Fraction(0)) for j in range(DEGREE))))
+# z^k sqrt(3)^e, e negative too: coordinates over powers of 3
+_monomials = st.builds(monomial_entry, st.integers(min_value=-100, max_value=100),
+                       st.integers(min_value=-4, max_value=4))
+_operands = st.one_of(_dense_cycnums, _monomials, _cycnums)
+
+
+@given(_operands, _operands)
+def test_product_is_the_schoolbook_fraction_product(x, y):
+    assert x * y == _schoolbook_product(x, y)
+    assert all(type(c) is Fraction for c in (x * y).coeffs)
+
+
+@settings(max_examples=30)
+@given(st.one_of(_dense_cycnums, _monomials))
+def test_product_with_the_inverse_is_one(x):
+    if x.is_zero():
+        return
+    assert x * x.inverse() == ONE
+    assert x.inverse() * x == ONE
+
+
+def test_zeta_powers_are_shared_instances():
+    # one instance per k mod 72, so its integer support is read once
+    for k in range(-ORDER, 2 * ORDER):
+        assert CycNum.zeta_pow(k) is CycNum.zeta_pow(k % ORDER)
+        assert CycNum.zeta_pow(k).coeffs == _POWER[k % ORDER]
+
+
 def test_galois_exponents_are_the_units():
     assert GALOIS_EXPONENTS == tuple(
         d for d in range(1, 72) if math.gcd(d, 72) == 1

@@ -47,7 +47,8 @@ from classinv.etarep import (
 )
 from classinv.numeval import r_vector
 from classinv.quadforms import QuadForm, principal_form, reduced_forms
-from classinv.sl2words import Mat2, crt_combine, decompose, lift_word, mat_s, mat_t, split_det
+from classinv.sl2words import (Mat2, crt_combine, decompose, lift_word, mat_s, mat_t, split_det,
+                               word_product)
 
 from golden_data import (
     MAIN_TABLE,
@@ -234,6 +235,32 @@ def test_words_are_not_lifted_after_import(monkeypatch):
     monkeypatch.setattr(etarep, "lift_word", lambda *args: calls.append(args))
     compute_ramanujan(107)
     assert calls == []
+
+
+def test_word_image_table_is_the_word_multiplied_out_for_every_element():
+    # every unimodular matrix mod 8 (384) and mod 9 (648): the tabled
+    # image of its word against the word multiplied out anew over the
+    # lifted generators' images
+    for m, order in ((8, 384), (9, 648)):
+        s, t = etarep._MONOMIAL_IMAGES[m]
+        elements = _sl2(m)
+        assert len(elements) == order
+        for matrix in elements:
+            word = decompose(matrix, m)
+            expected = word_product(word, t[0], s, t.__getitem__)
+            assert etarep._monomial_image(word, m) == expected, (m, matrix)
+
+
+def test_word_image_table_holds_at_most_one_entry_per_element():
+    # decompose gives one word per matrix, so no input grows the table
+    # past |SL2(Z/8)| + |SL2(Z/9)|: the table's rows, the benchmark's
+    # large inputs and every class mod 288 of the invariance check
+    for n in sorted(MAIN_TABLE) + [10019, 100019, 1000019]:
+        for form in reduced_forms(-n):
+            form_action(form)
+    for n in range(11, 288, 24):
+        invariance_check(n)
+    assert etarep._monomial_image.cache_info().currsize <= 384 + 648
 
 
 def test_form_action_matches_the_glued_matrix():
