@@ -37,6 +37,7 @@ import sys
 import time
 
 import classinv.classpoly as classpoly
+import classinv.helper as helper
 
 TABLE_NS = tuple(n for n in range(107, 996) if n % 24 == 11)
 """The 38 rows of the paper's table."""
@@ -127,7 +128,7 @@ def main(argv=None):
           f" two at once {_children(2):.2f} s")
     caller_times = []
     masks = set()
-    classpoly._stop_helper()
+    helper._stop_helper()
     classpoly._sent_values = _timed_sent_values
     classpoly._sent_times = _sent_times
     classpoly._shared = _timing_shared(caller_times, masks)
@@ -135,9 +136,8 @@ def main(argv=None):
     if not caller_times:
         print("no row was shared")
         return 0
-    helper = classpoly._helper[0]
     print(f"caller CPUs during a share {sorted(set().union(*masks))},"
-          f" helper CPUs {sorted(os.sched_getaffinity(helper))}")
+          f" helper CPUs {sorted(os.sched_getaffinity(helper._helper[0]))}")
     classpoly._shared(lambda: None, "_sent_times")
     for number in range(1, args.passes + 1):
         caller_times.clear()

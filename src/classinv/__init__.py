@@ -7,6 +7,11 @@ quotients via S,T-word decomposition and a Galois twist (integer-encoded,
 with the dense cyclotomic matrices as the exact oracle), evaluate each
 conjugate at high precision, and round the expanded product to an
 integer polynomial.
+
+Importing the package loads only what that pipeline runs.  The dense
+oracle (``classinv.oracle``, with ``RepMatrix``), the unit groups
+(``classinv.orders``) and the helper process (``classinv.helper``) load
+at their first use.
 """
 
 from .classpoly import (
@@ -20,7 +25,7 @@ from .classpoly import (
     verify_polynomial,
 )
 from .cyclotomic import CycNum
-from .etarep import Monomial, RepMatrix, invariance_check
+from .etarep import Monomial, invariance_check
 from .numeval import eta, j_invariant, ramanujan_value
 from .quadforms import QuadForm, class_number, form_root, reduce_form, reduced_forms
 
@@ -49,3 +54,11 @@ __all__ = [
     "verify_polynomial",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """``RepMatrix``, importing the dense oracle at first use."""
+    if name != "RepMatrix":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .oracle import RepMatrix
+    return RepMatrix

@@ -47,11 +47,11 @@ helper taking the upper ones: coefficient i of a step reads only i,
 i - 1 and i - 2 of the step before, so the caller streams the two just
 below the cut to the helper before every step.  ``_product`` forms both
 splits.
-The second process is one long-lived helper, forked by the first call
-that shares work and killed and reaped when the interpreter exits;
-each shared rung sends it a task over a pipe (``_shared``), the
-helper's loop reads every stream to its end, and any failure falls
-back to one process.
+The second process is one long-lived helper (``classinv.helper``),
+forked by the first call that shares work and killed and reaped when
+the interpreter exits; each shared rung sends it a task over a pipe
+(``_shared``), and any failure falls back to one process.  A
+computation that shares nothing never imports the helper's module.
 The rounding and its residual are exact integer operations.  The same
 expansion drives Hilbert class polynomials from j-values, which serve
 as an independent cross-check of class numbers and precision handling.
@@ -59,17 +59,14 @@ as an independent cross-check of class numbers and precision handling.
 
 from __future__ import annotations
 
-import atexit
 import decimal
-import marshal
 import math
 import os
 import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import (BinaryIO, Callable, Iterator, List, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
 from mpmath.libmp import MPZ, mpf_neg
@@ -623,199 +620,26 @@ def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
     return rounded, from_gaussian(residual, 0, bits).real
 
 
-_helper: Optional[Tuple[int, BinaryIO, BinaryIO]] = None
-"""This process's helper (``_shared``): its pid, this process's end of
-the pipe that takes its tasks and of the one that brings its replies;
-None before the first shared call, and after a failure."""
-
-
 def _shared(own: Callable[..., T], task: str, *args,
             stream: bool = False) -> Optional[Tuple[T, object]]:
     """``(own(), f(*args))``, f being the function of this module named
-    ``task``, run by the helper while this process runs ``own()``; or
-    None for the caller to run its one-process path instead.
+    ``task``, run by the helper process while this process runs
+    ``own()``; or None for the caller to run its one-process path
+    instead.
 
     None comes back, with nothing run, unless ``os.fork`` exists, no
     other thread runs and at least two CPUs are usable by this process.
-    The first call that passes these guards forks the helper
-    (``_fork_helper``), which then stays until the interpreter exits:
-    each call sends it ``(task, args, stream)`` and reads back f's
-    result, both as ``marshal`` writes them (plain ints, strings, None,
-    and tuples and lists of them).  A task with little data costs about
-    40 us on a 2-core host, where a fork, ``_exit`` and ``waitpid`` cost
-    2.6 to 3.1 ms.  The helper runs this module's functions as they were
-    when it was forked: a function replaced later, by a test's patch say,
-    is replaced in this process only.
-
-    The two processes are left where the kernel puts them.  A 2-core
-    host that woke the helper on the caller's CPU ran the two shares one
-    after the other (``scripts/helper_overlap.py`` shows it); pinning
-    the two to different CPUs made a lone table pass 22 to 24% faster,
-    but two processes at once 40% slower, every caller then sharing one
-    CPU and every helper the other.
-
-    A ``stream`` task takes more data while it runs: ``own`` is called
-    with a function that sends one more message down the task pipe, and
-    f is given, as its last argument, an iterator over those messages.
-    Once ``own`` returns, this process sends None, which ends the stream;
-    the helper's loop (``_serve``) reads the stream to that end, however
-    much of it f read, before it replies.
-
-    If f raises an Exception, the helper replies so and stays, and None
-    comes back.  Any other exception past the guards, from the fork, the
-    task's send, ``own()``, the stream's end or the reply's read (a
-    message that finds the helper dead, say), may leave a message half
-    written or a reply unread: it kills and reaps the helper and forgets
-    it (``_stop_helper``), and the next call forks a new one.  None then
-    comes back for an Exception; anything else (KeyboardInterrupt) is
-    raised.
+    Only a call that passes these guards imports ``classinv.helper``,
+    whose ``share`` runs the task: see there for the helper's life, the
+    ``stream`` tasks and the failures that give None.
     """
-    global _helper
     if not hasattr(os, "fork") or threading.active_count() != 1:
         return None
     affinity = getattr(os, "sched_getaffinity", None)
     if (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
         return None
-    try:
-        if _helper is None:
-            _helper = _fork_helper()
-        _send(_helper[1], (task, args, stream))
-        mine = own(partial(_send, _helper[1])) if stream else own()
-        if stream:
-            _send(_helper[1], None)
-        done, theirs = _receive(_helper[2])
-    except BaseException as error:
-        _stop_helper()
-        if isinstance(error, Exception):
-            return None
-        raise
-    return (mine, theirs) if done else None
-
-
-def _send(pipe: BinaryIO, data: object) -> None:
-    """Write ``data`` to the pipe as ``marshal`` writes it, after its
-    length in 8 bytes."""
-    packed = marshal.dumps(data)
-    pipe.write(len(packed).to_bytes(8, "little"))
-    pipe.write(packed)
-    pipe.flush()
-
-
-def _receive(pipe: BinaryIO) -> object:
-    """What ``_send`` wrote to the pipe; EOFError at or before its end.
-
-    One read of the whole message: ``marshal.load`` on the pipe would
-    read it in thousands of small pieces, a millisecond for 6 kB."""
-    # an empty or short read leaves marshal too few bytes, and EOFError
-    return marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
-
-
-def _fork_helper() -> Tuple[int, BinaryIO, BinaryIO]:
-    """Fork the helper (``_serve``): its pid, and this process's ends of
-    its task pipe, to write, and of its reply pipe, to read."""
-    ends: List[int] = []
-    try:
-        ends += os.pipe()
-        ends += os.pipe()
-        pid = os.fork()
-    except BaseException:
-        for end in ends:
-            os.close(end)
-        raise
-    tasks_read, tasks_write, replies_read, replies_write = ends
-    if pid == 0:
-        _serve(ends)
-    os.close(tasks_read)
-    os.close(replies_write)
-    return pid, open(tasks_write, "wb"), open(replies_read, "rb")
-
-
-def _serve(ends: Sequence[int]) -> None:
-    """The helper's loop over the pipe ends of ``_fork_helper``: read a
-    task, run it, read the rest of its stream if it is a ``stream`` task
-    (``_shared``), then send its result or the news that it raised.  A
-    stream task is given an iterator over the messages that follow it
-    on the task pipe, up to the None that ends them; what the task
-    leaves unread, however it ends, is read here, so the next message is
-    the next task.  The loop runs until the helper is killed
-    (``_stop_helper``) or the task pipe ends, as it does when the caller
-    exits without its atexit hooks.  The helper leaves only through
-    ``os._exit``, so no atexit handler or buffered stream of the caller
-    runs twice: with 0 at the pipe's end, 1 if anything else ends the
-    loop (a KeyboardInterrupt, a reply pipe closed early)."""
-    tasks_read, tasks_write, replies_read, replies_write = ends
-    status = 1
-    try:
-        os.close(tasks_write)
-        os.close(replies_read)
-        tasks = open(tasks_read, "rb")
-        replies = open(replies_write, "wb")
-        while True:
-            try:
-                task, args, stream = _receive(tasks)
-            except EOFError:
-                break
-            messages = iter(partial(_receive, tasks), None)
-            if stream:
-                args = (*args, messages)
-            try:
-                reply = True, globals()[task](*args)
-            except Exception:
-                reply = False, None
-            if stream:
-                for _ in messages:
-                    pass
-            _send(replies, reply)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _stop_helper() -> None:
-    """Kill the helper, close this process's ends of its pipes and reap
-    it; nothing when there is no helper.  It runs on every failure of a
-    shared call, when the helper may be busy or dead, and at exit, when
-    it is idle and a kill costs nothing more than a close: so no helper
-    outlives the interpreter."""
-    global _helper
-    if _helper is None:
-        return
-    pid, tasks, replies = _helper
-    _helper = None
-    # signal is imported here only: importing classpoly and computing
-    # load no module that only stopping the helper needs
-    import signal
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass  # reaped already by another wait
-    for pipe in (tasks, replies):
-        try:
-            pipe.close()
-        except OSError:
-            pass  # a task left unflushed in a broken pipe
-    try:
-        os.waitpid(pid, 0)
-    except ChildProcessError:
-        pass
-
-
-def _forget_helper() -> None:
-    """In a process forked from this one, close the copies of the
-    helper's pipe ends and forget it: the copy never writes into its
-    parent's pipes, and forks its own helper if it shares work.  The
-    parent's helper still sees its task pipe end when the parent closes
-    it, whether or not the copy has exited."""
-    global _helper
-    if _helper is not None:
-        for pipe in _helper[1:]:
-            pipe.close()
-        _helper = None
-
-
-atexit.register(_stop_helper)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+    from . import helper
+    return helper.share(own, task, *args, stream=stream)
 
 
 def _values(evaluate: str, rows: Sequence[Tuple[int, ...]],

@@ -22,7 +22,14 @@ k to d*k (plus 36 when it negates sqrt(3) and e is odd).  The dense
 ``rep_s``, ``rep_t`` and ``rep_sigma``, and ``word_action``,
 ``full_action`` and ``dual_action``, is the exact oracle:
 ``Monomial.dense`` rebuilds it, and the selftest and test suites
-compare the two entry for entry.  Both encodings share
+compare the two entry for entry.  The oracle's matrices live in
+``classinv.oracle``, which nothing on the hot path imports: the dense
+actions and ``Monomial.dense`` import it when called, and its public names
+(``RepMatrix``, ``rep_s``, ...) are read from here on demand
+(``__getattr__``).  ``classinv.orders`` too loads at first use: the
+invariance check calls its three functions by their names here
+(``unit_group``, ``generators_for``, ``generator_matrix``).  Both
+encodings share
 one path, ``_factored_action``: since GL2(Z/72) = GL2(Z/8) x GL2(Z/9),
 a matrix is given by its mod-8 and mod-9 factors, and its action is
 that of the unimodular part of the mod-8 factor times that of the
@@ -53,153 +60,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from .cyclotomic import ORDER, SQRT3, CycNum
 from .numeval import ETA_QUOTIENTS, check_integer
-from .orders import generator_matrix, generators_for, unit_group
 from .quadforms import QuadForm
 from .sl2words import (Mat2, Word, crt72, crt_combine, decompose, form_matrix, lift_word,
                        split_det, word_product)
 
+if TYPE_CHECKING:
+    from .oracle import RepMatrix, Vector
+    from .orders import Element, UnitGroup
+
 SIZE = 6
 
-Vector = Tuple[CycNum, ...]
-
-_ZERO = CycNum.zero()
-_ONE = CycNum.one()
-
-
-@dataclass(frozen=True)
-class RepMatrix:
-    """A 6x6 matrix over the cyclotomic field."""
-
-    rows: Tuple[Tuple[CycNum, ...], ...]
-
-    @staticmethod
-    def identity() -> "RepMatrix":
-        return RepMatrix(
-            tuple(
-                tuple(_ONE if i == j else _ZERO for j in range(SIZE))
-                for i in range(SIZE)
-            )
-        )
-
-    @staticmethod
-    def from_entries(entries: Dict[Tuple[int, int], CycNum]) -> "RepMatrix":
-        return RepMatrix(
-            tuple(
-                tuple(entries.get((i, j), _ZERO) for j in range(SIZE))
-                for i in range(SIZE)
-            )
-        )
-
-    def __mul__(self, other: "RepMatrix") -> "RepMatrix":
-        rows = []
-        for i in range(SIZE):
-            row = []
-            for j in range(SIZE):
-                acc = _ZERO
-                for k in range(SIZE):
-                    left = self.rows[i][k]
-                    if left and other.rows[k][j]:
-                        acc = acc + left * other.rows[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return RepMatrix(tuple(rows))
-
-    def apply(self, vec: Vector) -> Vector:
-        """Matrix times column vector."""
-        return tuple(
-            sum(
-                (self.rows[i][j] * vec[j] for j in range(SIZE) if self.rows[i][j]),
-                _ZERO,
-            )
-            for i in range(SIZE)
-        )
-
-    def act_on_coefficients(self, vec: Vector) -> Vector:
-        """Transpose times column vector; see the module docstring."""
-        return tuple(
-            sum(
-                (self.rows[j][i] * vec[j] for j in range(SIZE) if self.rows[j][i]),
-                _ZERO,
-            )
-            for i in range(SIZE)
-        )
-
-    def galois(self, d: int) -> "RepMatrix":
-        return RepMatrix(
-            tuple(tuple(x.galois(d) for x in row) for row in self.rows)
-        )
+_ORACLE_NAMES = frozenset({"RepMatrix", "dense_conjugate_action", "rep_s", "rep_sigma",
+                           "rep_t", "unit_vector"})
+"""The dense oracle's public names, which this module gives on first use
+(``__getattr__``) from ``classinv.oracle``."""
 
 
-def unit_vector(index: int, scale: CycNum = _ONE) -> Vector:
-    return tuple(scale if i == index else _ZERO for i in range(SIZE))
-
-
-def rep_t() -> RepMatrix:
-    """Action of T: tau -> tau + 1.  Order 18."""
-    z = CycNum.zeta_pow
-    return RepMatrix.from_entries(
-        {
-            (0, 1): z(3),
-            (1, 2): z(3),
-            (2, 0): z(6),
-            (3, 4): z(-3),
-            (4, 5): z(-6),
-            (5, 3): z(-3),
-        }
-    )
-
-
-def rep_s() -> RepMatrix:
-    """Action of S: tau -> -1/tau.  An involution."""
-    z = CycNum.zeta_pow
-    third = CycNum.from_rational(1) / 3
-    return RepMatrix.from_entries(
-        {
-            (0, 0): _ONE,
-            (1, 3): (z(3) - z(27)) * third,
-            (2, 4): (z(9) - z(33)) * third,
-            (3, 1): z(9) - z(33),
-            (4, 2): z(3) - z(27),
-            (5, 5): _ONE,
-        }
-    )
-
-
-def rep_sigma(d: int) -> RepMatrix:
-    """Action of the coefficient automorphism z -> z^d on the six functions.
-
-    The two inner eta factors with shifted arguments are permuted
-    according to d mod 3 and pick up explicit root-of-unity factors from
-    their fractional exponents.
-    """
-    if math.gcd(d, 72) != 1:
-        raise ValueError("not a Galois element")
-    z = CycNum.zeta_pow
-    if d % 3 == 1:
-        return RepMatrix.from_entries(
-            {
-                (0, 0): _ONE,
-                (1, 1): z(d - 1),
-                (2, 2): z(2 * d - 2),
-                (3, 3): z(2 * d - 2),
-                (4, 4): z(d - 1),
-                (5, 5): z(3 * d - 3),
-            }
-        )
-    return RepMatrix.from_entries(
-        {
-            (0, 0): _ONE,
-            (1, 2): z(d - 2),
-            (2, 1): z(2 * d - 1),
-            (3, 4): z(2 * d - 1),
-            (4, 3): z(d - 2),
-            (5, 5): z(3 * d - 3),
-        }
-    )
+def __getattr__(name: str):
+    """A name of the dense oracle, importing ``classinv.oracle`` at first use."""
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+    return getattr(oracle, name)
 
 
 def _t_powers(identity, t) -> Callable[[int], object]:
@@ -210,14 +96,9 @@ def _t_powers(identity, t) -> Callable[[int], object]:
     return lambda exponent: powers[exponent % len(powers)]
 
 
-@lru_cache(maxsize=None)
-def _dense_t_power() -> Callable[[int], RepMatrix]:
-    """The dense table, built at first use."""
-    return _t_powers(RepMatrix.identity(), rep_t())
-
-
 def word_action(word: Word) -> RepMatrix:
     """Product of generator matrices along the word, leftmost first."""
+    from .oracle import RepMatrix, _dense_t_power, rep_s
     return word_product(word, RepMatrix.identity(), rep_s(), _dense_t_power())
 
 
@@ -263,17 +144,6 @@ def _factored_action(m8: Mat2, m9: Mat2,
     return action, crt72(det8, det9)
 
 
-@lru_cache(maxsize=None)
-def _dense_images() -> Images:
-    """The dense images of the lifted generators, built at first use."""
-    return _lifted_images(RepMatrix.identity(), rep_s(), _dense_t_power())
-
-
-def _dense_image(word: Word, m: int) -> RepMatrix:
-    """The dense image of a word, multiplied out on every call."""
-    return _word_image(_dense_images(), word, m)
-
-
 def full_action(matrix: Mat2) -> Tuple[RepMatrix, int]:
     """Substitution matrix and determinant for a GL2(Z/72) matrix.
 
@@ -282,6 +152,7 @@ def full_action(matrix: Mat2) -> Tuple[RepMatrix, int]:
     (``_factored_action``).  The determinant d is returned with it; it
     enters separately through the coefficient automorphism z -> z^d.
     """
+    from .oracle import _dense_image
     return _factored_action(matrix.to_mod(8), matrix.to_mod(9), _dense_image)
 
 
@@ -294,24 +165,10 @@ def dual_action(rep: RepMatrix, det: int, coeffs: Vector) -> Vector:
     its permutation matrix transposed.  Stabilizer units of the order
     must fix the vector of sqrt(3) * F_2 under this map.
     """
+    from .oracle import rep_sigma
     exponent = det % 72 if det % 3 == 1 else (-det) % 72
     moved = rep.apply(coeffs)
     twisted = tuple(x.galois(exponent) for x in moved)
-    return rep_sigma(det).act_on_coefficients(twisted)
-
-
-def dense_conjugate_action(rep: RepMatrix, det: int, coeffs: Vector) -> Vector:
-    """Coefficient vector of the Galois conjugate of a function.
-
-    A function written as a coefficient vector a is first precomposed
-    with the unimodular substitution (transpose of the matrix, per the
-    module docstring), then every coefficient of the result is twisted
-    by z -> z^d, including the root-of-unity factors the twist induces
-    on the basis functions themselves.  ``conjugate_action`` is the same
-    map on the integer encoding.
-    """
-    pulled = rep.act_on_coefficients(coeffs)
-    twisted = tuple(x.galois(det) for x in pulled)
     return rep_sigma(det).act_on_coefficients(twisted)
 
 
@@ -412,6 +269,7 @@ class Monomial:
 
     def dense(self) -> RepMatrix:
         """The same matrix over the cyclotomic field, for the oracle."""
+        from .oracle import RepMatrix
         return RepMatrix.from_entries({
             (i, j): monomial_entry(k, e) for i, (j, k, e) in enumerate(self.rows)
         })
@@ -524,6 +382,29 @@ def form_action(form: QuadForm) -> Tuple[Monomial, int]:
     """The (integer action, determinant) pair attached to a form class,
     from its matrices mod 8 and mod 9."""
     return _factored_action(form_matrix(form, 8), form_matrix(form, 9), _monomial_image)
+
+
+@lru_cache(maxsize=None)
+def _orders():
+    """``classinv.orders``, imported at the first call: only the
+    invariance check reads it."""
+    from . import orders
+    return orders
+
+
+def unit_group(c_param: int, modulus: int) -> UnitGroup:
+    """``orders.unit_group``, under this name for ``invariance_check``."""
+    return _orders().unit_group(c_param, modulus)
+
+
+def generators_for(n: int, modulus: int, group: UnitGroup) -> Tuple[Element, ...]:
+    """``orders.generators_for``, under this name for ``invariance_check``."""
+    return _orders().generators_for(n, modulus, group)
+
+
+def generator_matrix(x: Element, c_param: int, modulus: int) -> Mat2:
+    """``orders.generator_matrix``, under this name for ``invariance_check``."""
+    return _orders().generator_matrix(x, c_param, modulus)
 
 
 @dataclass(frozen=True)

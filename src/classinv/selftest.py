@@ -31,7 +31,6 @@ from .etarep import (
     MONOMIAL_S,
     MONOMIAL_T,
     conjugate_action,
-    dense_conjugate_action,
     dual_action,
     full_action,
     mirror_term,
@@ -39,12 +38,9 @@ from .etarep import (
     monomial_dual_action,
     monomial_entry,
     monomial_sigma,
-    rep_s,
-    rep_sigma,
-    rep_t,
-    unit_vector,
 )
 from .numeval import GUARD_DIGITS, eta, r_vector, r_value
+from .oracle import dense_conjugate_action, rep_s, rep_sigma, rep_t, unit_vector
 from .qseries import r_series
 from .quadforms import QuadForm, is_ambiguous, reduced_forms
 from .sl2words import (

@@ -2,10 +2,11 @@
 are expensive enough that each is computed once per session and reused
 wherever needed."""
 
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
-import classinv.classpoly as classpoly
 from classinv.classpoly import compute_ramanujan
 from classinv.selftest import run_all
 
@@ -31,15 +32,24 @@ def selftest_results():
     return {r.name: r for r in run_all()}
 
 
+def _stop_helper():
+    """Stop the helper process, if ``classinv.helper`` is loaded at all:
+    before its first shared call no helper can run, and the module is
+    not imported just to find none."""
+    helper = sys.modules.get("classinv.helper")
+    if helper is not None:
+        helper._stop_helper()
+
+
 @pytest.fixture(autouse=True)
 def fresh_helper(request):
-    """Stop classpoly's helper process before and after every test that
-    uses monkeypatch.  The helper runs the functions as they were when it
-    was forked: a test that patches one then forks a new helper that runs
-    the patch too, and leaves no helper with its patches behind."""
+    """Stop the helper process before and after every test that uses
+    monkeypatch.  The helper runs classpoly's functions as they were when
+    it was forked: a test that patches one then forks a new helper that
+    runs the patch too, and leaves no helper with its patches behind."""
     if "monkeypatch" not in request.fixturenames:
         yield
         return
-    classpoly._stop_helper()
+    _stop_helper()
     yield
-    classpoly._stop_helper()
+    _stop_helper()

@@ -25,6 +25,7 @@ import mpmath
 import pytest
 
 import classinv.classpoly as classpoly
+import classinv.helper as helper
 import classinv.numeval as numeval
 from classinv.classpoly import (
     BAD_RESIDUE_MESSAGE,
@@ -877,7 +878,7 @@ def _share_spy(monkeypatch, sent=None):
 
 def _helper_pid():
     """The pid of this process's helper, None when it has none."""
-    return classpoly._helper and classpoly._helper[0]
+    return helper._helper and helper._helper[0]
 
 
 def _assert_no_child():
@@ -1345,7 +1346,7 @@ def test_a_failing_share_gives_none_and_leaves_no_child(monkeypatch, two_cpus, o
         if task == "_slow":
             _assert_no_child()
         assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
-        classpoly._stop_helper()
+        helper._stop_helper()
         _assert_no_child()
 
 
@@ -1370,10 +1371,10 @@ def test_a_stream_task_that_leaves_messages_unread_keeps_the_helper(monkeypatch,
         assert shared is None
         return
     assert shared == (0, (1, 2))
-    helper = _helper_pid()
+    pid = _helper_pid()
     _assert_helper_alive()
     assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
-    assert _helper_pid() == helper
+    assert _helper_pid() == pid
     _assert_helper_alive()
 
 
@@ -1412,10 +1413,10 @@ def test_an_interrupt_while_a_task_is_sent_stops_the_helper(monkeypatch, two_cpu
         pipe.flush()
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(classpoly, "_send", interrupted)
+    monkeypatch.setattr(helper, "_send", interrupted)
     with pytest.raises(KeyboardInterrupt):
         classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR)
-    assert classpoly._helper is None
+    assert helper._helper is None
     _assert_no_child()
 
 
@@ -1447,13 +1448,13 @@ def test_a_forked_copy_forks_its_own_helper(two_cpus):
     if not FORKED:
         return
     assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
-    helper = _helper_pid()
-    ends = [pipe.fileno() for pipe in classpoly._helper[1:]]
+    pid = _helper_pid()
+    ends = [pipe.fileno() for pipe in helper._helper[1:]]
     copy = os.fork()
     if copy == 0:
         status = 1
         try:
-            forgot = classpoly._helper is None
+            forgot = helper._helper is None
             closed = []
             for end in ends:
                 try:
@@ -1461,13 +1462,13 @@ def test_a_forked_copy_forks_its_own_helper(two_cpus):
                 except OSError:
                     closed.append(end)
             served = classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
-            own = _helper_pid() not in (None, helper)
-            classpoly._stop_helper()
+            own = _helper_pid() not in (None, pid)
+            helper._stop_helper()
             status = 0 if forgot and closed == ends and served and own else 2
         finally:
             os._exit(status)
     assert os.waitpid(copy, 0)[1] == 0
-    assert _helper_pid() == helper
+    assert _helper_pid() == pid
     assert classpoly._shared(lambda: 1, "_product", *_ONE_FACTOR) == (1, [1, 1])
 
 
@@ -1491,7 +1492,8 @@ def test_no_helper_outlives_the_interpreter(leave):
         "os.sched_getaffinity = lambda pid: {0, 1}",
         "import classinv.classpoly as classpoly",
         "assert classpoly.compute_ramanujan(100019).class_number == 193",
-        "print(classpoly._helper and classpoly._helper[0])",
+        "helper = sys.modules.get('classinv.helper')",
+        "print(helper and helper._helper and helper._helper[0])",
         "sys.stdout.flush()",
         leave,
     ])

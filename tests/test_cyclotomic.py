@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from classinv.cyclotomic import (
@@ -232,6 +232,9 @@ _monomials = st.builds(monomial_entry, st.integers(min_value=-100, max_value=100
 _operands = st.one_of(_dense_cycnums, _monomials, _cycnums)
 
 
+# no shrink phase: shrinking 24-coordinate operands through the ~4 ms
+# Fraction product took minutes to report a broken fold
+@settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(_operands, _operands)
 def test_product_is_the_schoolbook_fraction_product(x, y):
     assert x * y == _schoolbook_product(x, y)
