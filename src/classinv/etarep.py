@@ -28,14 +28,18 @@ actions and ``Monomial.dense`` import it when called, and its public names
 (``RepMatrix``, ``rep_s``, ...) are read from here on demand
 (``__getattr__``).  ``classinv.orders`` too loads at first use: the
 invariance check calls its three functions by their names here
-(``unit_group``, ``generators_for``, ``generator_matrix``).  Both
-encodings share
+(``unit_group``, ``generators_for``, ``generator_matrix``), and
+builds its ``InvarianceResult`` records there.  Both encodings share
 one path, ``_factored_action``: since GL2(Z/72) = GL2(Z/8) x GL2(Z/9),
 a matrix is given by its mod-8 and mod-9 factors, and its action is
 that of the unimodular part of the mod-8 factor times that of the
 mod-9 factor, with the determinant, glued mod 72, entering as a twist.
 Each part is a short S,T word over Z/m, and the action is the image
-of the mod-8 word times that of the mod-9 word.  An encoding gives the
+of the mod-8 word times that of the mod-9 word, each factor taken by
+one step (``_mod_action``: ``split_det``, ``decompose``, the image).
+A stabilizer generator of the invariance check is the identity in one
+factor, which acts trivially with determinant 1, so the check takes
+only the step of its own factor.  An encoding gives the
 image of a word mod m as one function: the word multiplied out
 (``sl2words.word_product``) over the encoding's images of the lifted
 generators of that factor, S and T^e for 0 <= e < m, which are built
@@ -70,7 +74,7 @@ from .sl2words import (Mat2, Word, crt72, crt_combine, decompose, form_matrix, l
 
 if TYPE_CHECKING:
     from .oracle import RepMatrix, Vector
-    from .orders import Element, UnitGroup
+    from .orders import Element, InvarianceResult, UnitGroup
 
 SIZE = 6
 
@@ -81,7 +85,10 @@ _ORACLE_NAMES = frozenset({"RepMatrix", "dense_conjugate_action", "rep_s", "rep_
 
 
 def __getattr__(name: str):
-    """A name of the dense oracle, importing ``classinv.oracle`` at first use."""
+    """A name of the dense oracle, importing ``classinv.oracle`` at first
+    use, or ``InvarianceResult`` from ``classinv.orders``."""
+    if name == "InvarianceResult":
+        return _orders().InvarianceResult
     if name not in _ORACLE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import oracle
@@ -127,21 +134,30 @@ def _word_image(images: Images, word: Word, m: int):
     return word_product(word, t[0], s, t.__getitem__)
 
 
+def _mod_action(matrix: Mat2, m: int,
+                image: Callable[[Word, int], object]) -> Tuple[object, int]:
+    """The action, in the encoding whose image of a word over Z/m is
+    ``image(word, m)``, of the factor mod m of a GL2(Z/72) matrix whose
+    other factor is the identity, and the factor's determinant d_m.
+
+    The factor is B_m * diag(1, d_m) with B_m unimodular over Z/m
+    (``split_det``); B_m is decomposed into an S,T word with T
+    exponents in [0, m), and the action is that word's image.
+    """
+    unimodular, det = split_det(matrix)
+    return image(decompose(unimodular, m), m), det
+
+
 def _factored_action(m8: Mat2, m9: Mat2,
                      image: Callable[[Word, int], object]) -> Tuple[object, int]:
-    """The action, in the encoding whose image of a word over Z/m is
-    ``image(word, m)``, of the GL2(Z/72) matrix with factors m8 mod 8
-    and m9 mod 9, and its determinant d mod 72.
-
-    Each factor is B_m * diag(1, d_m) with B_m unimodular over Z/m
-    (``split_det``).  B_m is decomposed into an S,T word with T
-    exponents in [0, m); the action is the image of the mod-8 word times
-    that of the mod-9 word, and d is glued from d_8 and d_9.
+    """The action of the GL2(Z/72) matrix with factors m8 mod 8 and m9
+    mod 9 (see ``_mod_action``), and its determinant d mod 72: the
+    image of the mod-8 word times that of the mod-9 word, and d glued
+    from d_8 and d_9.
     """
-    unimodular8, det8 = split_det(m8)
-    unimodular9, det9 = split_det(m9)
-    action = image(decompose(unimodular8, 8), 8) * image(decompose(unimodular9, 9), 9)
-    return action, crt72(det8, det9)
+    action8, det8 = _mod_action(m8, 8, image)
+    action9, det9 = _mod_action(m9, 9, image)
+    return action8 * action9, crt72(det8, det9)
 
 
 def full_action(matrix: Mat2) -> Tuple[RepMatrix, int]:
@@ -407,15 +423,9 @@ def generator_matrix(x: Element, c_param: int, modulus: int) -> Mat2:
     return _orders().generator_matrix(x, c_param, modulus)
 
 
-@dataclass(frozen=True)
-class InvarianceResult:
-    """Outcome of one generator's invariance test."""
-
-    modulus: int
-    generator: Tuple[int, int]
-    matrix: Mat2
-    det: int
-    invariant: bool
+_IDENTITY = {8: Mat2.identity(8), 9: Mat2.identity(9)}
+"""The identity mod 8 and mod 9, which completes a generator's matrix
+modulo the other factor."""
 
 
 def invariance_check(n: int) -> List[InvarianceResult]:
@@ -425,24 +435,27 @@ def invariance_check(n: int) -> List[InvarianceResult]:
     and Z[w]/9 (``orders.generators_for``, which proves that they
     generate), the multiplication matrix of g (completed by the identity
     modulo the complementary factor) must fix the coefficient vector of
-    sqrt(3) * F_2 under the dual action.
+    sqrt(3) * F_2 under the dual action.  The identity factor acts
+    trivially and has determinant 1, so only g's own factor is
+    decomposed (``_mod_action``).
     """
     if not is_valid_n(n):
         raise ValueError(BAD_RESIDUE_MESSAGE)
     c_param = (n + 1) // 4
+    record = _orders().InvarianceResult
     results: List[InvarianceResult] = []
     for modulus in (8, 9):
         group = unit_group(c_param, modulus)
         for gen in generators_for(n, modulus, group):
             local = generator_matrix(gen, c_param, modulus)
+            action, det = _mod_action(local, modulus, _monomial_image)
             if modulus == 8:
-                factors = (local, Mat2.identity(9))
+                factors, det = (local, _IDENTITY[9]), crt72(det, 1)
             else:
-                factors = (Mat2.identity(8), local)
-            action, det = _factored_action(*factors, _monomial_image)
+                factors, det = (_IDENTITY[8], local), crt72(1, det)
             moved = monomial_dual_action(action, det, SQRT3_F2)
             results.append(
-                InvarianceResult(
+                record(
                     modulus=modulus,
                     generator=gen,
                     matrix=crt_combine(*factors),

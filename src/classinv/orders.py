@@ -16,7 +16,9 @@ mod m, so one table, filled on first use, holds the proofs:
 ``_PROVEN``, keyed by (row, C mod m, m), the row being the generator
 tuple itself.  The 12 classes of n mod 288 meet only 7 of its keys: C
 mod 8 in {1, 3, 5, 7} and C mod 9 in {0, 3, 6}, both rows mod 9 being
-one tuple.  ``unit_group`` enumerates its group on every call.
+one tuple.  ``unit_group`` enumerates its group on every call.  The
+record of one generator's test, ``InvarianceResult``, is defined here,
+which ``etarep.invariance_check`` loads at its first call.
 """
 
 from __future__ import annotations
@@ -115,6 +117,17 @@ STANDARD_GENERATORS: Dict[Tuple[int, int], Tuple[Element, ...]] = {
     (35, 8): ((6, 5), (7, 0), (7, 4)),
 }
 """The paper's generator sets, keyed by the class of n = 11 mod 24 mod 48."""
+
+
+@dataclass(frozen=True)
+class InvarianceResult:
+    """Outcome of one generator's invariance test (``etarep.invariance_check``)."""
+
+    modulus: int
+    generator: Element
+    matrix: Mat2
+    det: int
+    invariant: bool
 
 
 _PROVEN: Set[Tuple[Tuple[Element, ...], int, int]] = set()

@@ -81,6 +81,21 @@ def test_each_module_loads_at_its_first_use(lines, loaded):
     assert _lazy_loaded(*lines) == loaded
 
 
+def test_invariance_result_is_built_at_first_use():
+    # etarep gives the class from classinv.orders, which defines it
+    assert _run("\n".join([
+        "import json",
+        "import classinv",
+        "from classinv import classpoly, etarep, orders",
+        "classpoly.compute_ramanujan(107)",
+        "built = 'InvarianceResult' in vars(etarep)",
+        "results = etarep.invariance_check(11)",
+        "served = etarep.InvarianceResult is orders.InvarianceResult",
+        "print(json.dumps([built, served, all(isinstance(r, orders.InvarianceResult)"
+        " for r in results)]))",
+    ])) == [False, True, True]
+
+
 def _owner_name(owner):
     """A module's name, or module:qualname for a class."""
     if isinstance(owner, type):

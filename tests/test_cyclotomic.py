@@ -241,6 +241,15 @@ def test_product_is_the_schoolbook_fraction_product(x, y):
     assert all(type(c) is Fraction for c in (x * y).coeffs)
 
 
+def test_every_fold_row_is_the_schoolbook_product():
+    # z^i * z^j with i + j = k reads row k of _FOLD, for every k the
+    # product of two coordinates reaches, so no row is left to chance
+    for k in range(2 * DEGREE - 1):
+        i = min(k, DEGREE - 1)
+        x, y = CycNum.zeta_pow(i), CycNum.zeta_pow(k - i)
+        assert x * y == _schoolbook_product(x, y), k
+
+
 @settings(max_examples=30)
 @given(st.one_of(_dense_cycnums, _monomials))
 def test_product_with_the_inverse_is_one(x):

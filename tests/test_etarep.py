@@ -442,7 +442,8 @@ def test_invariance_check_all_three_classes():
 
 def test_invariance_check_every_class_mod_288():
     # one n = 11 (mod 24) per class mod 288; the integer dual action of
-    # each generator must equal the dense one computed by full_action
+    # each generator must equal the dense one computed by full_action,
+    # and so must the verdict
     target = unit_vector(2, SQRT3)
     for n in range(11, 288, 24):
         results = invariance_check(n)
@@ -453,6 +454,25 @@ def test_invariance_check_every_class_mod_288():
             assert det == dense_det == r.det
             moved = monomial_dual_action(action, det, SQRT3_F2)
             assert _term_vector(moved) == dual_action(rep, det, target)
+            assert r.invariant == (dual_action(rep, det, target) == target)
+
+
+def test_invariance_check_reports_a_moved_term(monkeypatch):
+    # T mod m in place of each generator's matrix moves sqrt(3) * F_2:
+    # every result must say so, as the dense action does
+    monkeypatch.setattr(etarep, "generator_matrix",
+                        lambda x, c_param, modulus: mat_t(1, modulus))
+    target = unit_vector(2, SQRT3)
+    moved_to = {8: (2, 36, 1), 9: (1, 39, 1)}
+    for n in range(11, 288, 24):
+        results = invariance_check(n)
+        assert len(results) == 5, n
+        for r in results:
+            assert not r.invariant, n
+            action, det = monomial_action(r.matrix)
+            assert monomial_dual_action(action, det, SQRT3_F2) == moved_to[r.modulus]
+            rep, _ = full_action(r.matrix)
+            assert dual_action(rep, det, target) != target
 
 
 def test_monomial_galois_matches_dense_twist():
