@@ -18,7 +18,15 @@ Before the table pass it probes the host: the seconds of one forked
 CPU-bound child alone, then of two such children at once.  Two that
 take about as long as one ran on two CPUs; two that take twice as long
 shared one, so a low overlap below is the host's doing and not the
-helper's placement.  Nothing is gated on these numbers.
+helper's placement.  Next to the probe it times one table pass shared
+with the helper and one with ``classpoly._shared`` giving None, so on
+one process, each after an untimed pass of its own: whether the helper
+pays on this host right now.  On a 2-core host the answer flipped with
+the host's state: while two CPU-bound children ran as fast as one, the
+benchmark's ``table`` read 0.039 to 0.041 reference seconds shared and
+0.050 to 0.052 serial; while two took 2.3 times as long as one, it read
+0.052 to 0.060 shared and 0.050 to 0.055 serial.  Nothing is gated on
+these numbers.
 
 It prints the CPUs each process may run on during a share, then per
 pass: the shared rows, the median overlap of the two shares as a share
@@ -109,6 +117,20 @@ def table_pass():
     return time.perf_counter() - start
 
 
+def shared_and_serial_passes():
+    """Seconds of one table pass shared with the helper, then of one on
+    one process (``classpoly._shared`` giving None), each timed after an
+    untimed pass in its mode."""
+    shared = classpoly._shared
+    seconds = []
+    for share in (shared, lambda *args, **kwargs: None):
+        classpoly._shared = share
+        table_pass()
+        seconds.append(table_pass())
+    classpoly._shared = shared
+    return seconds
+
+
 def overlap(caller, helper):
     """The time both shares ran, as a share of the shorter one."""
     (c_start, c_end), (h_start, h_end) = caller, helper
@@ -126,6 +148,9 @@ def main(argv=None):
         return 0
     print(f"host probe: one CPU-bound child {_children(1):.2f} s alone,"
           f" two at once {_children(2):.2f} s")
+    shared, serial = shared_and_serial_passes()
+    print(f"table pass: {1000 * shared:.1f} ms shared with the helper,"
+          f" {1000 * serial:.1f} ms on one process")
     caller_times = []
     masks = set()
     helper._stop_helper()

@@ -10,21 +10,25 @@ coefficients to integers.
 t_n is real, so its minimal polynomial has real coefficients, and
 complex conjugation acts on the class group as inversion: the root of
 the mirror (a, -b, c) of a reduced form (a, b, c) is -conj(tau), and
-its conjugate is the complex conjugate of the one of (a, b, c).  Only
-the forms with b >= 0 are evaluated, about h/2 of them, and only they
-get an exact action (``form_action``).  ``reduced_forms`` lists each
-form with b < 0 right after its mirror, so it takes its term
+its conjugate is the complex conjugate of the one of (a, b, c).  A
+form is the unit of work: only the forms with b >= 0 are evaluated,
+about h/2 of them, each with its exact action (``form_action``), in
+the process that evaluates it (``_conjugate_number``).  ``reduced_forms``
+lists each form with b < 0 right after its mirror, so it takes its term
 (index, k, e) from the form before it, by z -> z^-1 on the
 coefficients (``etarep.mirror_term``), and the conjugate of that form's
-value; the ambiguous forms (``quadforms.is_ambiguous``: b = 0, b = a or
-a = c), which are their own mirrors, give real values.  The records
-of the conjugates are plain data; nothing here touches the dense
-oracle (``RepMatrix``, ``full_action``).  Each conjugate is an exact
-binary fraction from ``numeval``: the eta quotient (``r_value``) times
-z^k sqrt(3)^e, formed on numeval's scaled pairs (``times_scalar``).
-One loop for both polynomials (``_round_with_retries``) evaluates the
-forms with b >= 0, pairs each that is not ambiguous and reads every
-value into the expansion's fixed point (``to_gaussian``); the
+value (``_mirror``); the ambiguous forms (``quadforms.is_ambiguous``:
+b = 0, b = a or a = c), which are their own mirrors, give real values.
+The size estimate that picks the first precision rung needs no action:
+a form's conjugate is one of the large quotients F_3 to F_5 exactly
+when 3 divides a (``_ramanujan_size``).  The records of the conjugates
+are plain data; nothing here touches the dense oracle (``RepMatrix``,
+``full_action``).  Each conjugate is an exact binary fraction from
+``numeval``: the eta quotient (``r_value``) times z^k sqrt(3)^e, formed
+on numeval's scaled pairs (``times_scalar``).  One loop for both
+polynomials (``_round_with_retries``) evaluates the forms with b >= 0,
+one row (a, b, c) each, pairs each that is not ambiguous and reads
+every value into the expansion's fixed point (``to_gaussian``); the
 evaluation of a rung may be shared with a helper process
 (``_evaluate_all``), bit for bit as on one process.
 The expansion runs over the reals on plain integers: each value is a
@@ -83,7 +87,6 @@ from .etarep import (
     monomial_entry,
 )
 from .numeval import (
-    ETA_QUOTIENTS,
     GUARD_DIGITS,
     check_digits,
     check_integer,
@@ -314,20 +317,32 @@ def _action_data(form: QuadForm) -> Term:
     return conjugate_action(*form_action(form), SQRT3_F2)
 
 
-_LEADING_EXPONENTS = tuple(float(leading_exponent(index))
-                          for index in range(len(ETA_QUOTIENTS)))
-"""``leading_exponent`` of each quotient, as floats, taken once."""
+_SIZE_CLASSES = tuple((e * math.log10(3) / 2, float(leading_exponent(index)))
+                      for index, e in ((3, 0), (2, 1), (2, 1)))
+"""(e log10(3) / 2, leading_exponent(index)) of the term (index, k, e) of
+the conjugate of a form (a, b, c), by a mod 3, taken once: its index
+may be any of its block's, whose leading exponents are equal
+(``_ramanujan_size``)."""
 
 
-def _ramanujan_size(n: int, forms: Sequence[QuadForm],
-                    terms: Sequence[Term]) -> float:
+def _ramanujan_size(n: int, forms: Sequence[QuadForm]) -> float:
     """E = sum of max(0, log10 |t^sigma|) over the conjugates, from
     |z^k sqrt(3)^e F_index| ~ 3^(e/2) |q|^leading_exponent(index) and
-    1/|q| = exp(pi sqrt(n) / a) at the root of the form (a, b, c)."""
+    1/|q| = exp(pi sqrt(n) / a) at the root of the form (a, b, c).
+
+    The forms alone fix the two: the conjugate of a form with 3 | a is
+    one of F_3 to F_5 (leading exponent -1/18) with e = 0, that of any
+    other form one of F_0 to F_2 (1/18) with e = 1, as for sqrt(3) * F_2
+    itself.  The image of every mod-8 factor fixes row 2.  The mod-9
+    factor of a form with 3 not dividing a is upper triangular, and its
+    image keeps row 2 in F_0 to F_2 and its e.  That of a form with
+    3 | a has a unit lower-left entry and top-left over lower-left
+    x = (-b - 1)/2 mod 3 (minus a, when 3 | c), not 1 as 3 does not
+    divide b; its image moves row 2 into F_3 to F_5 and lowers e by
+    one.  Every sigma_d keeps both blocks."""
     bits = math.pi * math.sqrt(n) / math.log(10)
-    return sum(max(0.0, e * math.log10(3) / 2
-                   - _LEADING_EXPONENTS[index] * bits / f.a)
-               for f, (index, _, e) in zip(forms, terms))
+    return sum(max(0.0, scale - leading * bits / f.a)
+               for f in forms for scale, leading in [_SIZE_CLASSES[f.a % 3]])
 
 
 def _expansion_bits(digits: int) -> int:
@@ -335,20 +350,23 @@ def _expansion_bits(digits: int) -> int:
     return math.ceil(digits * math.log2(10)) + EXPANSION_GUARD_BITS
 
 
-def _conjugate_number(a: int, b: int, c: int, index: int, k: int, e: int,
-                      digits: int) -> mpmath.mpc:
-    """z^k * sqrt(3)^e * F_index at the root of the form (a, b, c), an
-    exact binary fraction with the full relative precision of ``digits``
+def _conjugate_number(a: int, b: int, c: int,
+                      digits: int) -> Tuple[int, int, int, mpmath.mpc]:
+    """The term (index, k, e) of the form (a, b, c) (``_action_data``) and
+    its conjugate z^k * sqrt(3)^e * F_index at the form's root, an exact
+    binary fraction with the full relative precision of ``digits``
     (``numeval.times_scalar``).  It takes plain ints, so that the helper
     can evaluate it too (``_evaluate_all``)."""
-    root = form_root(QuadForm(a, b, c), digits + GUARD_DIGITS)
-    return times_scalar(r_value(index, root, digits), k, e, digits)
+    form = QuadForm(a, b, c)
+    index, k, e = _action_data(form)
+    root = form_root(form, digits + GUARD_DIGITS)
+    return index, k, e, times_scalar(r_value(index, root, digits), k, e, digits)
 
 
-def _j_number(a: int, b: int, c: int, digits: int) -> mpmath.mpc:
-    """j at the root of the form (a, b, c), exact (``numeval.j_invariant``),
-    from plain ints like ``_conjugate_number``."""
-    return j_invariant(form_root(QuadForm(a, b, c), digits + GUARD_DIGITS), digits)
+def _j_number(a: int, b: int, c: int, digits: int) -> Tuple[mpmath.mpc]:
+    """(j,) at the root of the form (a, b, c), exact
+    (``numeval.j_invariant``), from plain ints like ``_conjugate_number``."""
+    return (j_invariant(form_root(QuadForm(a, b, c), digits + GUARD_DIGITS), digits),)
 
 
 def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecord:
@@ -365,10 +383,8 @@ def conjugate_value(form: QuadForm, dps: Optional[int] = None) -> ConjugateRecor
         raise ValueError(BAD_RESIDUE_MESSAGE)
     if not (form.is_primitive() and form.is_positive_definite()):
         raise ValueError(f"form {form} is not primitive and positive definite")
-    digits = resolve_digits(dps)
-    term = _action_data(form)
-    return ConjugateRecord(form, *term, monomial_entry(*term[1:]),
-                           _conjugate_number(form.a, form.b, form.c, *term, digits))
+    index, k, e, value = _conjugate_number(form.a, form.b, form.c, resolve_digits(dps))
+    return ConjugateRecord(form, index, k, e, monomial_entry(k, e), value)
 
 
 T = TypeVar("T")
@@ -392,6 +408,12 @@ def _conjugate(value: mpmath.mpc) -> mpmath.mpc:
     ambient precision."""
     re, im = value._mpc_
     return mpmath.mp.make_mpc((re, mpf_neg(im)))
+
+
+def _mirror(data: Tuple[int, int, int, mpmath.mpc]) -> Tuple[int, int, int, mpmath.mpc]:
+    """The (index, k, e, value) of the mirror of a form from the form's
+    own: the term by ``etarep.mirror_term``, the value's conjugate."""
+    return (*mirror_term(data[:3]), _conjugate(data[3]))
 
 
 Factor = Tuple[int, Optional[int]]
@@ -642,23 +664,23 @@ def _shared(own: Callable[..., T], task: str, *args,
     return helper.share(own, task, *args, stream=stream)
 
 
-def _values(evaluate: str, rows: Sequence[Tuple[int, ...]],
-            digits: int) -> List[mpmath.mpc]:
+def _values(evaluate: str, rows: Sequence[Tuple[int, ...]], digits: int) -> List[tuple]:
     """``[f(*row, digits) for row in rows]``, f being the function of this
-    module named ``evaluate``."""
+    module named ``evaluate``: tuples of ints that end with the value."""
     value = globals()[evaluate]
     return [value(*row, digits) for row in rows]
 
 
 def _sent_values(evaluate: str, rows: Sequence[Tuple[int, ...]], digits: int) -> list:
-    """The helper's share of ``_evaluate_all``: the ``_mpc_`` parts of each
-    of ``_values``, (sign, man, exp, bc) with man as a plain int."""
-    return [tuple((sign, int(man), exp, bc) for sign, man, exp, bc in value._mpc_)
-            for value in _values(evaluate, rows, digits)]
+    """The helper's share of ``_evaluate_all``: each of ``_values`` with
+    its value as its ``_mpc_`` parts, (sign, man, exp, bc) with man as a
+    plain int."""
+    return [(*data, tuple((sign, int(man), exp, bc) for sign, man, exp, bc in value._mpc_))
+            for *data, value in _values(evaluate, rows, digits)]
 
 
 def _evaluate_all(evaluate: str, rows: Sequence[Tuple[int, ...]],
-                  digits: int) -> List[mpmath.mpc]:
+                  digits: int) -> List[tuple]:
     """``_values(evaluate, rows, digits)``, bit for bit.
 
     With two rows or more, whose number times the digits reaches
@@ -677,25 +699,25 @@ def _evaluate_all(evaluate: str, rows: Sequence[Tuple[int, ...]],
     own, parts = shares
     values = [None] * len(rows)
     values[0::2] = own
-    values[1::2] = [mpmath.mp.make_mpc(tuple((sign, MPZ(man), exp, bc)
-                                             for sign, man, exp, bc in value))
-                    for value in parts]
+    values[1::2] = [(*data, mpmath.mp.make_mpc(tuple((sign, MPZ(man), exp, bc)
+                                                     for sign, man, exp, bc in value)))
+                    for *data, value in parts]
     return values
 
 
 def _round_with_retries(
-    forms: Sequence[QuadForm], evaluate: str, rows: Sequence[Tuple[int, ...]],
-    digits: int, size: float,
-) -> Tuple[Tuple[int, ...], mpmath.mpf, int, List[mpmath.mpc]]:
+    forms: Sequence[QuadForm], evaluate: str, digits: int, size: float,
+) -> Tuple[Tuple[int, ...], mpmath.mpf, int, List[tuple]]:
     """Round the expanded product of t - v over the values v of the
     reduced forms ``forms``.
 
-    Only the forms with b >= 0 are evaluated, the i-th of them as the
-    exact f(*rows[i], digits), f being the function of this module named
-    ``evaluate`` (``_evaluate_all``); each that is not
-    ambiguous (``quadforms.is_ambiguous``) stands for itself and its
-    mirror, whose value is its conjugate.  The values are read into
-    fixed point at ``_expansion_bits(digits)`` for ``_expand_and_round``.
+    Only the forms (a, b, c) with b >= 0 are evaluated, each as the
+    exact f(a, b, c, digits), f being the function of this module named
+    ``evaluate`` (``_evaluate_all``), a tuple that ends with the value;
+    each that is not ambiguous (``quadforms.is_ambiguous``) stands for
+    itself and its mirror, whose value is its conjugate.  The values are
+    read into fixed point at ``_expansion_bits(digits)`` for
+    ``_expand_and_round``.
 
     The first rung evaluated is the first of digits * 2^k, k >= 0, that
     the a-priori size estimate ``size`` does not rule out
@@ -703,17 +725,19 @@ def _round_with_retries(
     below it are skipped unevaluated.  Digits then double on each
     rounding failure, up to MAX_RETRIES times, before PrecisionError is
     raised.  Returns the rounded coefficients, the residual, the digits
-    used and the values evaluated at those digits, of the forms with
+    used and the tuples evaluated at those digits, of the forms with
     b >= 0 in list order.
     """
-    paired = [not is_ambiguous(f) for f in forms if f.b >= 0]
+    own = [f for f in forms if f.b >= 0]
+    rows = [(f.a, f.b, f.c) for f in own]
+    paired = [not is_ambiguous(f) for f in own]
     while digits + SKIP_MARGIN_DIGITS <= size:
         digits *= 2
     for _ in range(MAX_RETRIES + 1):
         values = _evaluate_all(evaluate, rows, digits)
         bits = _expansion_bits(digits)
         rounded, residual = _expand_and_round(
-            [to_gaussian(v, bits) for v in values], paired, digits)
+            [to_gaussian(v[-1], bits) for v in values], paired, digits)
         if residual < RESIDUAL_TOLERANCE:
             return rounded, residual, digits, values
         digits *= 2
@@ -730,11 +754,11 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
     accepted (the caller may warn); the first precision rung is the one
     the a-priori size estimate allows, and precision doubles on rounding
     failure up to MAX_RETRIES times before PrecisionError is raised.
-    The exact actions are computed once, for the forms with b >= 0 only:
-    each form with b < 0 takes its term from its mirror's, the form just
-    before it (``etarep.mirror_term``).  Only the evaluations, of the
-    forms with b >= 0, repeat, and each form with b < 0 takes the
-    conjugate of its mirror's value once the polynomial has rounded.
+    Each form with b >= 0 is evaluated with its exact action
+    (``_conjugate_number``), in the process that evaluates it, once per
+    rung; each form with b < 0 takes its term from its mirror's, the
+    form just before it (``etarep.mirror_term``), and the conjugate of
+    its mirror's value once the polynomial has rounded (``_mirror``).
     A rounded polynomial that is not monic or whose
     constant term is not +-1 cannot be the minimal polynomial of a unit,
     and raises PrecisionError as well.  The exact scalars of the records
@@ -746,12 +770,9 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         raise ValueError(BAD_RESIDUE_MESSAGE)
     digits = check_digits(dps) if dps is not None else DEFAULT_DIGITS
     forms = reduced_forms(-n)
-    terms = _with_mirrors(forms, [_action_data(f) for f in forms if f.b >= 0],
-                          mirror_term)
-    size = _ramanujan_size(n, forms, terms)
-    rows = [(f.a, f.b, f.c, *term) for f, term in zip(forms, terms) if f.b >= 0]
+    size = _ramanujan_size(n, forms)
     rounded, residual, digits, own = _round_with_retries(
-        forms, "_conjugate_number", rows, digits, size)
+        forms, "_conjugate_number", digits, size)
     # t_n is a unit, so its minimal polynomial is monic with constant term +-1
     if rounded[-1] != 1:
         raise PrecisionError(
@@ -761,10 +782,11 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         raise PrecisionError(
             f"rounded constant term {rounded[0]} is not a unit (must be ±1)",
             residual)
+    conjugates = _with_mirrors(forms, own, _mirror)
     # built per call, not memoised across calls: a memo would make a
     # repeated n look cheaper than any one call, and leave a warm call
     # with no CycNum product for the tracer to count
-    scalars = {ke: monomial_entry(*ke) for ke in {term[1:] for term in terms}}
+    scalars = {ke: monomial_entry(*ke) for ke in {(k, e) for _, k, e, _ in conjugates}}
     return PolynomialResult(
         discriminant=-n,
         class_number=len(forms),
@@ -772,8 +794,8 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
         precision_digits=digits,
         max_residual=residual,
         size_estimate=size,
-        conjugates=tuple(ConjugateRecord(f, *term, scalars[term[1:]], v) for f, term, v
-                         in zip(forms, terms, _with_mirrors(forms, own, _conjugate))),
+        conjugates=tuple(ConjugateRecord(f, index, k, e, scalars[k, e], v)
+                         for f, (index, k, e, v) in zip(forms, conjugates)),
     )
 
 
@@ -782,11 +804,6 @@ def _hilbert_size(discriminant: int, forms: Sequence[QuadForm]) -> float:
     the discriminant), from |j| ~ 1/|q| = exp(pi sqrt(-D) / a)."""
     bits = math.pi * math.sqrt(-discriminant) / math.log(10)
     return bits * sum(1.0 / f.a for f in forms)
-
-
-def _hilbert_digits(size: float) -> int:
-    """The default precision for a Hilbert polynomial of size E."""
-    return int(math.ceil(size)) + 20
 
 
 def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialResult:
@@ -798,9 +815,9 @@ def compute_hilbert(discriminant: int, dps: Optional[int] = None) -> PolynomialR
     discriminant = check_discriminant(discriminant)
     forms = reduced_forms(discriminant)
     size = _hilbert_size(discriminant, forms)
-    digits = check_digits(dps) if dps is not None else _hilbert_digits(size)
-    rounded, residual, digits, _ = _round_with_retries(
-        forms, "_j_number", [(f.a, f.b, f.c) for f in forms if f.b >= 0], digits, size)
+    # by default, 20 digits above the size E
+    digits = check_digits(dps) if dps is not None else math.ceil(size) + 20
+    rounded, residual, digits, _ = _round_with_retries(forms, "_j_number", digits, size)
     return PolynomialResult(
         discriminant=discriminant,
         class_number=len(forms),

@@ -167,9 +167,19 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; its exit status.  A reader that closes stdout
+    early (``| head``) stops the output quietly, with status 1."""
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        # flushed here, so that a broken pipe raises inside this try
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout's file now writes to nowhere, so the flush at exit
+        # raises no second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

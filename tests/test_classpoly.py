@@ -11,6 +11,7 @@ it replaced is kept here as the oracle it must agree with.
 import bisect
 import decimal
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -25,6 +26,7 @@ import mpmath
 import pytest
 
 import classinv.classpoly as classpoly
+import classinv.etarep as etarep
 import classinv.helper as helper
 import classinv.numeval as numeval
 from classinv.classpoly import (
@@ -69,6 +71,7 @@ from classinv.quadforms import (
     reduced_forms,
 )
 from classinv.selftest import MIRROR_RULE_NS, check_mirror_rule
+from classinv.sl2words import Mat2, decompose
 
 from golden_data import (
     HILBERT_11,
@@ -895,6 +898,12 @@ class _Rung(Exception):
     pass
 
 
+def _exact(results):
+    """Evaluated tuples as plain data: the ints before each value, then
+    the value's ``_mpc_`` parts."""
+    return [(*data, value._mpc_) for *data, value in results]
+
+
 def _first_rung(monkeypatch, compute, *args):
     """The (evaluate, rows, digits) that ``compute(*args)`` hands
     ``_evaluate_all`` for its first rung; nothing is evaluated."""
@@ -948,13 +957,13 @@ def test_forked_values_are_the_serial_values(monkeypatch, two_cpus, compute, arg
     # shared): the helper's values come back bit for bit
     evaluate, rows, digits = _first_rung(monkeypatch, compute, *args)
     assert len(rows) > 1 and len(rows) * digits >= classpoly.FORK_MIN_WORK
-    serial = [v._mpc_ for v in classpoly._values(evaluate, rows, digits)]
+    serial = _exact(classpoly._values(evaluate, rows, digits))
     forks = _fork_spy(monkeypatch)
     shares = _share_spy(monkeypatch)
     shared = classpoly._evaluate_all(evaluate, rows, digits)
     assert len(forks) == FORKED
     assert shares == [("_sent_values", bool(FORKED))]
-    assert [v._mpc_ for v in shared] == serial
+    assert _exact(shared) == serial
 
 
 class _NoValue(Exception):
@@ -1211,9 +1220,9 @@ def _assert_a_shared_rung_is_serial(monkeypatch):
     """A shared evaluation of a Hilbert rung gives the serial values bit for
     bit, from a helper in step with its tasks."""
     evaluate, rows, digits = _first_rung(monkeypatch, compute_hilbert, -10019)
-    serial = [v._mpc_ for v in classpoly._values(evaluate, rows, digits)]
+    serial = _exact(classpoly._values(evaluate, rows, digits))
     shares = _share_spy(monkeypatch)
-    assert [v._mpc_ for v in classpoly._evaluate_all(evaluate, rows, digits)] == serial
+    assert _exact(classpoly._evaluate_all(evaluate, rows, digits)) == serial
     assert shares == [("_sent_values", bool(FORKED))]
 
 
@@ -1530,7 +1539,9 @@ def test_importing_and_computing_loads_no_signal_module():
 
 
 def test_form_action_runs_once_per_form_with_b_at_least_0(monkeypatch):
-    # a form with b < 0 takes its term from its mirror's by the rule
+    # a form with b < 0 takes its term from its mirror's by the rule.  On
+    # one usable CPU every form is evaluated, with its action, here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     seen = []
     original = classpoly.form_action
     monkeypatch.setattr(classpoly, "form_action",
@@ -1646,23 +1657,85 @@ def test_skipped_rung_would_not_have_rounded(monkeypatch):
     # expanded and fails to round, and 240 gives the same coefficients
     expected = compute_ramanujan(1000019).polynomial
     rungs = _record_rungs(monkeypatch)
-    monkeypatch.setattr(classpoly, "_ramanujan_size", lambda n, forms, terms: 0.0)
+    monkeypatch.setattr(classpoly, "_ramanujan_size", lambda n, forms: 0.0)
     result = compute_ramanujan(1000019)
     assert rungs == [DEFAULT_DIGITS, 2 * DEFAULT_DIGITS]
     assert result.polynomial == expected
 
 
+def test_no_action_is_computed_before_the_first_rung(monkeypatch, two_cpus):
+    # E reads the forms alone: the first exact action is computed inside
+    # the first rung's evaluation, and on two CPUs this process computes
+    # only those of its own share of a shared rung, every second form
+    events = []
+    action, evaluate = classpoly.form_action, classpoly._evaluate_all
+    monkeypatch.setattr(classpoly, "form_action",
+                        lambda form: events.append(form) or action(form))
+    monkeypatch.setattr(classpoly, "_evaluate_all",
+                        lambda *args: events.append("rung") or evaluate(*args))
+    for n, digits in ((107, DEFAULT_DIGITS), (10019, DEFAULT_DIGITS),
+                      (1000019, 2 * DEFAULT_DIGITS)):
+        events.clear()
+        assert compute_ramanujan(n).precision_digits == digits
+        own = [f for f in reduced_forms(-n) if f.b >= 0]
+        shared = FORKED and len(own) * digits >= classpoly.FORK_MIN_WORK
+        assert events == ["rung", *(own[0::2] if shared else own)], n
+
+
+_LARGE_SIZE_NS = (100019, 1000019, 2004659, 10000019)
+"""Large n whose size estimates are checked against their exact terms."""
+
+
 def test_size_estimate_matches_leading_exponent():
     # E, which picks the first rung, equals the sum over leading_exponent
-    # itself, bit for bit
-    for n in (107, 10019, 1000019):
+    # of each conjugate's exact term, bit for bit, for every valid n below
+    # 20000 and four large n: E reads each term's quotient block and e
+    # from a mod 3 alone
+    for n in (*range(11, 20000, 24), *_LARGE_SIZE_NS):
         forms = reduced_forms(-n)
         terms = [classpoly._action_data(f) for f in forms]
         bits = math.pi * math.sqrt(n) / math.log(10)
         expected = sum(max(0.0, e * math.log10(3) / 2
                            - float(leading_exponent(index)) * bits / f.a)
                        for f, (index, _, e) in zip(forms, terms))
-        assert classpoly._ramanujan_size(n, forms, terms) == expected
+        assert classpoly._ramanujan_size(n, forms) == expected, n
+
+
+def _sl2(m):
+    """Every matrix of SL2(Z/m)."""
+    return [Mat2(a, b, c, d, m) for a, b, c, d in itertools.product(range(m), repeat=4)
+            if (a * d - b * c) % m == 1]
+
+
+def test_the_size_rule_rests_on_the_quotient_blocks():
+    # the data behind E's rule, row 2 being sqrt(3) * F_2's: F_0 to F_2
+    # and F_3 to F_5 are the two blocks of leading exponent 1/18 and -1/18
+    assert [leading_exponent(i) for i in range(6)] == [Fraction(1, 18)] * 3 + [
+        Fraction(-1, 18)] * 3
+    image = etarep._monomial_image
+    # every SL2(Z/8) image sends row 2 to column 2, e unchanged
+    eights = {image(decompose(m, 8), 8).rows[2][::2] for m in _sl2(8)}
+    assert eights == {(2, 0)}
+    low, high = set(), set()
+    for m in _sl2(9):
+        column, _, e = image(decompose(m, 9), 9).rows[2]
+        if m.c % 3 == 0:
+            low.add((column, e))
+        elif m.a * pow(m.c, -1, 9) % 3 != 1:
+            high.add((column, e))
+    # lower-left entry 0 mod 3 (a form with 3 not dividing a): row 2
+    # stays in F_0 to F_2 with e unchanged; a unit lower-left entry and
+    # top-left over lower-left not 1 mod 3 (3 | a), every T^x S with x
+    # not 1 mod 3 among them: row 2 moves into F_3 to F_5 and e drops
+    # by one
+    assert low == {(0, 0), (1, 0), (2, 0)}
+    assert high == {(3, -1), (4, -1), (5, -1)}
+    # every sigma_d keeps both blocks, e unchanged
+    for d in range(72):
+        if math.gcd(d, 72) == 1:
+            rows = monomial_sigma(d).rows
+            assert {j for j, _, _ in rows[:3]} == {0, 1, 2}, d
+            assert {e for _, _, e in rows} == {0}, d
 
 
 def test_small_sizes_start_at_the_default_rung(monkeypatch):
@@ -1677,19 +1750,16 @@ _STUB_FORMS = [QuadForm(1, 1, 1)]
 """One ambiguous form, so its value enters the expansion unpaired."""
 
 
-_STUB_ROWS = [(1, 1, 1)]
-"""The row of ``_STUB_FORMS``' one form for the stub's evaluation."""
-
-
 def _stub_evaluate(monkeypatch, value, rungs):
     """The name of an evaluation for ``_round_with_retries`` over
     ``_STUB_FORMS``, added to classpoly, that records its digits and
     returns the real value ``value``, a Fraction, floored to the
-    expansion's bits.  One form is never shared, so it runs here."""
+    expansion's bits, alone in a tuple.  One form is never shared, so it
+    runs here."""
     def evaluate(a, b, c, digits):
         rungs.append(digits)
         bits = classpoly._expansion_bits(digits)
-        return from_gaussian((value.numerator << bits) // value.denominator, 0, bits)
+        return (from_gaussian((value.numerator << bits) // value.denominator, 0, bits),)
 
     monkeypatch.setattr(classpoly, "_stub_number", evaluate, raising=False)
     return "_stub_number"
@@ -1713,7 +1783,7 @@ def test_ruled_out_rungs_are_never_evaluated(monkeypatch):
         with pytest.raises(PrecisionError, match="failed to round"):
             classpoly._round_with_retries(
                 _STUB_FORMS, _stub_evaluate(monkeypatch, Fraction(1, 2), rungs),
-                _STUB_ROWS, digits, size)
+                digits, size)
         assert rungs == [first << k for k in range(classpoly.MAX_RETRIES + 1)]
         assert all(r + classpoly.SKIP_MARGIN_DIGITS > size for r in rungs)
 
@@ -1723,7 +1793,7 @@ def test_first_rung_for_size_1653_is_1920_digits(monkeypatch):
     # takes a minute or more: the ladder skips 120 to 960 and evaluates 1920
     rungs = []
     rounded, residual, digits, values = classpoly._round_with_retries(
-        _STUB_FORMS, _stub_evaluate(monkeypatch, Fraction(3), rungs), _STUB_ROWS,
+        _STUB_FORMS, _stub_evaluate(monkeypatch, Fraction(3), rungs),
         DEFAULT_DIGITS, 1653.0)
     assert rungs == [1920] and digits == 1920
     assert rounded == (-3, 1) and residual == 0

@@ -216,18 +216,44 @@ def test_polynomial_commands_require_their_own_options(capsys, monkeypatch,
     assert capsys.readouterr().err.startswith(usage)
 
 
-def run_python(*args, timeout=None):
+def python_env():
+    """The environment of a child interpreter that imports this classinv."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_python(*args, timeout=None):
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path),
-                          timeout=timeout)
+                          text=True, env=python_env(), timeout=timeout)
 
 
 def test_module_entry_point():
     done = run_python("-m", "classinv", "pn", "--n", "107")
     assert done.returncode == 0
     assert done.stdout == SMALL_TABLE_TEXT[107] + "\n"
+
+
+@pytest.mark.parametrize("args", [("pn", "--n", "107"),
+                                  ("pn-range", "--from", "107", "--to", "995",
+                                   "--format", "json")],
+                         ids=["pn", "pn-range-json"])
+def test_a_closed_stdout_stops_the_output_quietly(args):
+    # the reader closes the pipe before the command writes, as
+    # `| head -2` does before the rest of a long output: the command
+    # stops with a non-zero status and no traceback
+    child = subprocess.Popen([sys.executable, "-m", "classinv", *args],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, env=python_env())
+    child.stdout.close()
+    try:
+        err = child.stderr.read()
+    finally:
+        child.stderr.close()
+        child.wait(timeout=60)
+    assert child.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert "Exception ignored" not in err
 
 
 def test_cli_import_leaves_the_suites_unloaded():
