@@ -264,7 +264,9 @@ class ConjugateRecord:
     by ``etarep.mirror_term``, and its value is the complex conjugate of
     its mirror's.  ``scalar`` is ``etarep.monomial_entry(k, e)``; the
     records of one ``compute_ramanujan`` result with equal (k, e) share
-    one immutable ``CycNum``.
+    one immutable ``CycNum``.  For e = 0 that is the module's shared
+    z^k (``CycNum.zeta_pow(k)``), the same object in every result; any
+    other e gives a product built per call.
     """
 
     form: QuadForm
@@ -783,9 +785,11 @@ def compute_ramanujan(n: int, dps: Optional[int] = None) -> PolynomialResult:
             f"rounded constant term {rounded[0]} is not a unit (must be ±1)",
             residual)
     conjugates = _with_mirrors(forms, own, _mirror)
-    # built per call, not memoised across calls: a memo would make a
+    # an e = 0 scalar is the shared z^k and needs no product; the others
+    # are built per call, not memoised across calls: a memo would make a
     # repeated n look cheaper than any one call, and leave a warm call
-    # with no CycNum product for the tracer to count
+    # with no CycNum product for the tracer to count (n = 107 keeps one,
+    # from its e = 1 principal form)
     scalars = {ke: monomial_entry(*ke) for ke in {(k, e) for _, k, e, _ in conjugates}}
     return PolynomialResult(
         discriminant=-n,

@@ -223,7 +223,13 @@ def _sqrt3_power(e: int) -> CycNum:
 
 
 def monomial_entry(k: int, e: int) -> CycNum:
-    """The exact field element z^k * sqrt(3)^e."""
+    """The exact field element z^k * sqrt(3)^e.
+
+    For e = 0 it is the shared ``CycNum.zeta_pow(k)`` itself, with no
+    product; any other e makes one ``CycNum`` product per call.
+    """
+    if e == 0:
+        return CycNum.zeta_pow(k)
     return CycNum.zeta_pow(k) * _sqrt3_power(e)
 
 

@@ -23,9 +23,15 @@ Word = Tuple[Tuple[str, int], ...]
 """A word is a tuple of (generator, exponent) tokens, generator 'S' or 'T'."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mat2:
-    """A 2x2 matrix over Z (mod None) or over Z/mod."""
+    """A 2x2 matrix over Z (mod None) or over Z/mod.
+
+    A modular matrix holds its entries reduced into [0, mod), and a
+    modulus of 0 or less raises ValueError.  The constructor reduces
+    first and then sets each field once (``dataclasses.replace`` goes
+    through it too, and reduces again).
+    """
 
     a: int
     b: int
@@ -33,15 +39,13 @@ class Mat2:
     d: int
     mod: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.mod is not None:
-            m = self.mod
-            if m <= 0:
+    def __init__(self, a: int, b: int, c: int, d: int, mod: Optional[int] = None) -> None:
+        if mod is not None:
+            if mod <= 0:
                 raise ValueError("modulus must be positive")
-            object.__setattr__(self, "a", self.a % m)
-            object.__setattr__(self, "b", self.b % m)
-            object.__setattr__(self, "c", self.c % m)
-            object.__setattr__(self, "d", self.d % m)
+            a, b, c, d = a % mod, b % mod, c % mod, d % mod
+        # frozen: the fields go straight into the instance dict
+        self.__dict__.update(a=a, b=b, c=c, d=d, mod=mod)
 
     @staticmethod
     def identity(mod: Optional[int] = None) -> "Mat2":

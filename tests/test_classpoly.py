@@ -1626,6 +1626,21 @@ def test_the_table_multiplies_cyclotomic_numbers(monkeypatch):
                    "tracer test needs another counted call first (ROADMAP item 1b)")
 
 
+def test_a_table_pass_makes_130_cyclotomic_products(monkeypatch):
+    # a record's scalar is a product only for e = 1, once per distinct
+    # (k, e) of a polynomial; an e = 0 scalar is the shared z^k.  CI's
+    # traced table gate holds the same count as a ceiling
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monomial_entry(0, 1)  # sqrt(3)^1 is a power, built at first use
+    calls = []
+    original = CycNum.__mul__
+    monkeypatch.setattr(CycNum, "__mul__",
+                        lambda self, other: calls.append(1) or original(self, other))
+    for n in MAIN_TABLE:
+        compute_ramanujan(n)
+    assert len(calls) == 130
+
+
 def _record_rungs(monkeypatch):
     """The digits of every expansion made from now on, in order."""
     rungs = []

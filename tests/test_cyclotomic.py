@@ -250,6 +250,20 @@ def test_every_fold_row_is_the_schoolbook_product():
         assert x * y == _schoolbook_product(x, y), k
 
 
+def test_an_e0_scalar_is_the_shared_root_of_unity():
+    # z^k * sqrt(3)^0 needs no product: it is zeta_pow(k)'s instance
+    for k in range(ORDER):
+        assert monomial_entry(k, 0) is CycNum.zeta_pow(k), k
+
+
+def test_an_e1_scalar_is_the_schoolbook_product():
+    # z^k * sqrt(3) is still one product, with Fraction coordinates
+    for k in range(ORDER):
+        x = monomial_entry(k, 1)
+        assert x == _schoolbook_product(CycNum.zeta_pow(k), SQRT3), k
+        assert all(type(c) is Fraction for c in x.coeffs), k
+
+
 @settings(max_examples=30)
 @given(st.one_of(_dense_cycnums, _monomials))
 def test_product_with_the_inverse_is_one(x):

@@ -5,9 +5,11 @@ scramble it with random unimodular substitutions, and demand that
 reduction recovers the original.
 """
 
+import dataclasses
 import random
 import re
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -212,6 +214,9 @@ def test_discriminants_past_the_enumeration_limit_rejected_at_once():
     ((1.0, 1, 3), "a", 1.0),
     ((1, True, 3), "b", True),
     ((1, 1, "3"), "c", "3"),
+    ((1, Fraction(1), 3), "b", Fraction(1)),
+    ((False, 1.5, "3"), "a", False),
+    ((1, 1, 3.0), "c", 3.0),
 ])
 def test_non_integer_form_coefficients_rejected(fields, name, value):
     # refused where the form is made, by the coefficient's name: before,
@@ -220,6 +225,24 @@ def test_non_integer_form_coefficients_rejected(fields, name, value):
     message = f"form coefficient {name} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         QuadForm(*fields)
+
+
+def test_forms_are_frozen_ordered_dataclasses():
+    # equality, hash, order and repr are the dataclass's, on the triple
+    # (a, b, c); replace goes through the coefficient check again
+    form = QuadForm(3, -1, 9)
+    assert dataclasses.is_dataclass(form)
+    assert [f.name for f in dataclasses.fields(QuadForm)] == ["a", "b", "c"]
+    assert form == QuadForm(3, -1, 9) and hash(form) == hash((3, -1, 9))
+    assert repr(form) == "QuadForm(a=3, b=-1, c=9)"
+    assert dataclasses.replace(form, b=1) == QuadForm(3, 1, 9)
+    with pytest.raises(ValueError, match="form coefficient b must be an integer"):
+        dataclasses.replace(form, b=1.0)
+    forms = reduced_forms(-10019)
+    assert sorted(forms) == sorted(forms, key=lambda f: (f.a, f.b, f.c))
+    assert QuadForm(1, 2, 3) < QuadForm(1, 3, 0) < QuadForm(2, -5, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        form.a = 5
 
 
 def test_principal_form():

@@ -1,5 +1,6 @@
 """Word decomposition over Z/8 and Z/9, integer lifts, and form matrices."""
 
+import dataclasses
 import math
 import random
 
@@ -215,9 +216,38 @@ def test_form_matrix_validation():
 
 
 def test_matrix_modulus_guards():
-    with pytest.raises(ValueError, match="modulus must be positive"):
-        Mat2(1, 0, 0, 1, 0)
+    for modulus in (0, -1, -8):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            Mat2(1, 0, 0, 1, modulus)
+        # replace goes through the constructor, so it checks again
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            dataclasses.replace(Mat2.identity(8), mod=modulus)
     with pytest.raises(ValueError, match="modulus mismatch"):
         Mat2.identity(8) * Mat2.identity(9)
     with pytest.raises(ValueError, match="modulus mismatch"):
         Mat2.identity(8).to_mod(3)
+
+
+@pytest.mark.parametrize("modulus", [None, 1, 8, 9, 72])
+def test_matrices_reduce_once_into_frozen_fields(modulus):
+    # the constructor reduces every entry into [0, mod) before it sets
+    # the fields; an integer matrix keeps its entries as given
+    entries = (-75, 17, 144, -1)
+    m = Mat2(*entries, modulus)
+    expected = entries if modulus is None else tuple(x % modulus for x in entries)
+    assert m.entries() == expected and m.mod == modulus
+    assert m == Mat2(*expected, modulus) and hash(m) == hash((*expected, modulus))
+    assert repr(m) == "Mat2(a={}, b={}, c={}, d={}, mod={})".format(*expected, modulus)
+    assert dataclasses.is_dataclass(m)
+    assert [f.name for f in dataclasses.fields(Mat2)] == ["a", "b", "c", "d", "mod"]
+    assert Mat2(a=entries[0], b=entries[1], c=entries[2], d=entries[3], mod=modulus) == m
+    # replace goes through the constructor, so it reduces again
+    moved = dataclasses.replace(m, a=-3, d=100)
+    assert moved == Mat2(-3, m.b, m.c, 100, modulus)
+    if modulus is not None:
+        assert 0 <= moved.a < modulus and 0 <= moved.d < modulus
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.a = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.mod = 3
+
