@@ -11,8 +11,8 @@ untimed pass that forks the helper: the caller's share in this process
 the helper (``classpoly._sent_values``, replaced by a timed copy before
 the fork, as ``scripts/sweep_split.py`` replaces functions), on the
 system-wide ``time.perf_counter`` clock.  The helper's times come back
-through one more shared call to a function added to the module before
-the fork.
+through one more shared call to a function of this script, added to
+the helper's table of tasks (``helper.TASKS``) before the fork.
 
 Before the table pass it probes the host: the seconds of one forked
 CPU-bound child alone, then of two such children at once.  Two that
@@ -155,7 +155,7 @@ def main(argv=None):
     masks = set()
     helper._stop_helper()
     classpoly._sent_values = _timed_sent_values
-    classpoly._sent_times = _sent_times
+    helper.TASKS["_sent_times"] = sys.modules[__name__]
     classpoly._shared = _timing_shared(caller_times, masks)
     table_pass()
     if not caller_times:

@@ -2,10 +2,10 @@
 """Time one group's sweep serially against its split over two processes.
 
 An expansion of fewer than 80 values is one smallest-first sweep
-(``classpoly._sweep``).  Above SPLIT_SWEEP_MIN_WORK the caller forms the
+(``expansion._sweep``).  Above SPLIT_SWEEP_MIN_WORK the caller forms the
 low coefficients of every step and the helper process the rest
-(``classpoly._product`` of a shared root of one group), cut where the
-work model puts it (``_sweep_cut``).  This script captures the sorted
+(``classpoly._shared_product`` of a root of one group), cut where the
+work model puts it (``classpoly._sweep_cut``).  This script captures the sorted
 factors that each case hands the root of its join tree, then times,
 alternately in one process, ``_sweep`` against the split sweep on them,
 whatever their work (the helper forked and warm), checking that both
@@ -30,6 +30,7 @@ import time
 from functools import partial
 
 import classinv.classpoly as classpoly
+import classinv.expansion as expansion
 
 CASES = ("pn:971", "pn:10019", "pn:10019:240", "pn:10019:480", "hilbert:-10019",
          "hilbert:-20051", "hilbert:-30011")
@@ -39,23 +40,22 @@ benchmark (16, 28 and 31 values at 462 to 885 digits): each one group."""
 
 
 def capture(case: str):
-    """The (factors, bits) of the last root ``_product`` of the case, a
-    node of one group."""
+    """The (factors, bits) of the last root ``_shared_product`` of the
+    case, a node of one group."""
     kind, arg, *digits = case.split(":")
     compute = {"pn": classpoly.compute_ramanujan, "hilbert": classpoly.compute_hilbert}[kind]
-    original = classpoly._product
+    original = classpoly._shared_product
     seen = []
 
-    def spy(groups, bits, shared=False):
-        if shared:
-            seen.append((groups, bits))
-        return original(groups, bits, shared)
+    def spy(groups, bits):
+        seen.append((groups, bits))
+        return original(groups, bits)
 
-    classpoly._product = spy
+    classpoly._shared_product = spy
     try:
         compute(int(arg), *map(int, digits))
     finally:
-        classpoly._product = original
+        classpoly._shared_product = original
     groups, bits = seen[-1]
     if len(groups) != 1:
         raise SystemExit(f"{case}: {len(groups)} groups, not one sweep")
@@ -73,21 +73,21 @@ def split(factors, bits):
     """The sweep of the factors as the shared root of a one-group tree
     forms it: split with the helper once its work reaches
     SPLIT_SWEEP_MIN_WORK."""
-    return classpoly._product([factors], bits, shared=True)
+    return classpoly._shared_product([factors], bits)
 
 
 def alternate(factors, bits, cuts, repeat: int):
     """Median ms of the serial sweep (key None) and of the sweep split at
     each cut, timed in turn for ``repeat`` rounds; every split must give
     the serial coefficients."""
-    expected = classpoly._sweep(factors, bits)
+    expected = expansion._sweep(factors, bits)
     model = classpoly._sweep_cut
     times = {cut: [] for cut in [None, *cuts]}
     try:
         for _ in range(repeat):
             for cut, spent in times.items():
                 if cut is None:
-                    ms, got = timed(partial(classpoly._sweep, factors, bits))
+                    ms, got = timed(partial(expansion._sweep, factors, bits))
                 else:
                     classpoly._sweep_cut = lambda _, cut=cut: cut
                     ms, got = timed(partial(split, factors, bits))
@@ -118,7 +118,7 @@ def main(argv=None):
         classpoly.SPLIT_SWEEP_MIN_WORK = 0
         split(*cases[0][1:])
         for case, factors, bits in cases:
-            degree = classpoly._degree(factors)
+            degree = expansion._degree(factors)
             work = degree * degree * bits
             rows.append((work, case, factors, bits))
             cut = classpoly._sweep_cut(degree)
@@ -127,7 +127,7 @@ def main(argv=None):
                   f" {'yes' if work >= threshold else 'no':>5} {cut:>4}"
                   f" {ms[None]:>9.2f} {ms[cut]:>8.2f} {ms[cut] / ms[None]:>6.3f}")
         _, case, factors, bits = max(rows)
-        degree = classpoly._degree(factors)
+        degree = expansion._degree(factors)
         model = classpoly._sweep_cut(degree)
         cuts = sorted({max(1, round(degree * f / 20)) for f in range(2, 11)} | {model})
         print(f"\ncut scan, {case} (degree {degree}, the model's cut {model}),"

@@ -8,26 +8,15 @@ with the dense cyclotomic matrices as the exact oracle), evaluate each
 conjugate at high precision, and round the expanded product to an
 integer polynomial.
 
-Importing the package loads only what that pipeline runs.  The dense
-oracle (``classinv.oracle``, with ``RepMatrix``), the unit groups
-(``classinv.orders``) and the helper process (``classinv.helper``) load
-at their first use.
+Importing the package loads none of its modules: each name below loads
+its module at first use (``__getattr__``), so ``classinv.expansion``,
+say, is imported without mpmath.  A polynomial loads only what the
+pipeline runs; the dense oracle (``classinv.oracle``, with
+``RepMatrix``), the unit groups (``classinv.orders``) and the helper
+process (``classinv.helper``) load at their first use.
 """
 
-from .classpoly import (
-    ConjugateRecord,
-    IntPolynomial,
-    PolynomialResult,
-    PrecisionError,
-    compute_hilbert,
-    compute_ramanujan,
-    conjugate_value,
-    verify_polynomial,
-)
-from .cyclotomic import CycNum
-from .etarep import Monomial, invariance_check
-from .numeval import eta, j_invariant, ramanujan_value
-from .quadforms import QuadForm, class_number, form_root, reduce_form, reduced_forms
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -56,9 +45,21 @@ __all__ = [
 ]
 
 
+_HOMES = {
+    "ConjugateRecord": "classpoly", "IntPolynomial": "classpoly",
+    "PolynomialResult": "classpoly", "PrecisionError": "classpoly",
+    "compute_hilbert": "classpoly", "compute_ramanujan": "classpoly",
+    "conjugate_value": "classpoly", "verify_polynomial": "classpoly", "CycNum": "cyclotomic",
+    "Monomial": "etarep", "invariance_check": "etarep", "eta": "numeval",
+    "j_invariant": "numeval", "ramanujan_value": "numeval", "RepMatrix": "oracle",
+    "QuadForm": "quadforms", "class_number": "quadforms", "form_root": "quadforms",
+    "reduce_form": "quadforms", "reduced_forms": "quadforms",
+}
+"""The module that defines each name of ``__all__``."""
+
+
 def __getattr__(name: str):
-    """``RepMatrix``, importing the dense oracle at first use."""
-    if name != "RepMatrix":
+    """A name of ``__all__``, importing its module at first use."""
+    if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .oracle import RepMatrix
-    return RepMatrix
+    return getattr(import_module(f".{_HOMES[name]}", __name__), name)

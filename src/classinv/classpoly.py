@@ -31,50 +31,39 @@ one row (a, b, c) each, pairs each that is not ambiguous and reads
 every value into the expansion's fixed point (``to_gaussian``); the
 evaluation of a rung may be shared with a helper process
 (``_evaluate_all``), bit for bit as on one process.
-The expansion runs over the reals on plain integers: each value is a
-fixed-point pair with as many fractional bits as the working digits, a
-real value enters as the linear factor t - v and a mirrored pair as the
-real quadratic t^2 - 2 Re(v) t + |v|^2.  The factors, sorted by size,
-are dealt round-robin, once, into one group per 40 values (one group
-below 80).  A node of the join tree is its list of groups, plain data:
-each group, of factors (s, p), is swept smallest first, and the
-groups' products are joined up a binary tree (``_product``, one
-recursion for any node), each join one Kronecker product in base 10:
-both polynomials are packed into decimal slots of one exact
-``decimal`` number each, multiplied once by libmpdec, whose
-number-theoretic transform is much faster than int's Karatsuba on
-operands of hundreds of thousands of bits, and read back as integers.
-The root's two children may be formed by two processes, the helper
-sent its child as it stands, bit for bit as on one; so may a root of
-one group, whose sweep the two processes split by coefficients, the
-helper taking the upper ones: coefficient i of a step reads only i,
-i - 1 and i - 2 of the step before, so the caller streams the two just
-below the cut to the helper before every step.  ``_product`` forms both
-splits.
+The expansion of the product and its rounding are plain integer
+arithmetic, in their own module (``classinv.expansion``: the fixed
+point, the sweeps, the joins and their error bounds).  This module
+keeps the schedule of the join tree's root (``_shared_product``): its
+two children may be formed by two processes, the helper sent its child
+as it stands, bit for bit as on one; so may a root of one group, whose
+sweep the two processes split by coefficients, the helper taking the
+upper ones: coefficient i of a step reads only i, i - 1 and i - 2 of
+the step before, so the caller streams the two just below the cut to
+the helper before every step.
 The second process is one long-lived helper (``classinv.helper``),
 forked by the first call that shares work and killed and reaped when
 the interpreter exits; each shared rung sends it a task over a pipe
 (``_shared``), and any failure falls back to one process.  A
 computation that shares nothing never imports the helper's module.
-The rounding and its residual are exact integer operations.  The same
-expansion drives Hilbert class polynomials from j-values, which serve
-as an independent cross-check of class numbers and precision handling.
+The same expansion drives Hilbert class polynomials from j-values,
+which serve as an independent cross-check of class numbers and
+precision handling.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
 from mpmath.libmp import MPZ, mpf_neg
 
+from . import expansion
 from .cyclotomic import CycNum
 from .etarep import (
     BAD_RESIDUE_MESSAGE,
@@ -113,14 +102,6 @@ DEFAULT_DIGITS = 120
 RESIDUAL_TOLERANCE = mpmath.mpf("1e-10")
 """Largest acceptable distance from an expanded coefficient to its integer."""
 
-EXPANSION_GUARD_BITS = 8
-"""Fractional bits of the fixed-point expansion beyond the requested digits."""
-
-GROUP_SIZE = 40
-"""The expansion sweeps m values in max(1, m // GROUP_SIZE) groups, whose
-products are then joined (``_expand_and_round``): below 80 values there
-is one group, a plain smallest-first sweep."""
-
 MAX_RETRIES = 3
 """Number of precision doublings after the first evaluated rung before
 giving up; rungs skipped unevaluated do not count."""
@@ -135,7 +116,7 @@ log10(residual) + digits, the size the expansion reached, lies within
 
 SPLIT_SWEEP_MIN_WORK = 1_000_000
 """A one-group expansion's sweep is split by coefficients over two
-processes (``_product``) only when its degree squared times the
+processes (``_shared_product``) only when its degree squared times the
 expansion's fractional bits reaches this.  Timed per sweep on a 2-core
 host, serial against split (``scripts/sweep_split.py``, medians of 61
 alternations in one process, two runs), the split lost at 91,575 (n =
@@ -347,11 +328,6 @@ def _ramanujan_size(n: int, forms: Sequence[QuadForm]) -> float:
                for f in forms for scale, leading in [_SIZE_CLASSES[f.a % 3]])
 
 
-def _expansion_bits(digits: int) -> int:
-    """Fractional bits of the fixed-point expansion at ``digits``."""
-    return math.ceil(digits * math.log2(10)) + EXPANSION_GUARD_BITS
-
-
 def _conjugate_number(a: int, b: int, c: int,
                       digits: int) -> Tuple[int, int, int, mpmath.mpc]:
     """The term (index, k, e) of the form (a, b, c) (``_action_data``) and
@@ -418,156 +394,21 @@ def _mirror(data: Tuple[int, int, int, mpmath.mpc]) -> Tuple[int, int, int, mpma
     return (*mirror_term(data[:3]), _conjugate(data[3]))
 
 
-Factor = Tuple[int, Optional[int]]
-"""A factor (s, p) of the expansion, in units of 2^-bits: t + s when p is
-None, else t^2 + s t + p."""
+def _shared_product(groups: Sequence[Sequence[expansion.Factor]], bits: int) -> List[int]:
+    """``expansion._product(groups, bits)`` bit for bit, for the root of
+    the join tree, its work shared with the helper process (``_shared``).
 
-
-def _sweep(factors: Sequence[Factor], bits: int,
-           low: int = 0, high: Optional[int] = None,
-           below: Optional[Iterator[Tuple[int, int]]] = None,
-           send: Optional[Callable[[Tuple[int, int]], None]] = None) -> List[int]:
-    """The ascending fixed-point coefficients of the monic product of the
-    factors (``Factor``), multiplied in one at a time in the order given.
-
-    Each step floors once per coefficient.  With sigma = s 2^-bits,
-    pi = p 2^-bits, a step turns an error of eps units (of 2^-bits) into
-    under (1 + |sigma| + |pi|) eps + |P| + 1 units, |P| the largest
-    coefficient so far (p itself is floored); so m factors are off by
-    under 2 m M units, M = prod(1 + |sigma| + |pi|).
-
-    With ``high``, only the coefficients ``low`` to ``high - 1`` of every
-    step are formed, those above the degree so far as zeros; without it,
-    every coefficient, and ``low`` is 0.  Coefficient i of a step reads
-    only i, i - 1 and i - 2 of the step before, so a window is the serial
-    sweep restricted to it, bit for bit, given the two coefficients below
-    it: ``below`` yields them, (c[low - 2], c[low - 1]) of the product so
-    far, before every step (zeros when None, as for low = 0), and
-    ``send`` is handed the window's top two, (c[high - 2], c[high - 1]),
-    before every step: what ``below`` must yield to the window that
-    starts at ``high``.  The split sweep of ``_product`` is two windows:
-    the caller's, whose ``send`` streams the pairs to the helper
-    (``_shared``), and the helper's, whose ``below`` reads them."""
-    if high is None:
-        coeffs, grow = [1 << bits], [0]
-    else:
-        # a window keeps its width: zip stops at its top coefficient
-        coeffs, grow = ([1 << bits] + [0] * high)[low:high], []
-    for s, p in factors:
-        c2, c1 = (0, 0) if below is None else next(below)
-        if send is not None:
-            send(tuple(([c2, c1] + coeffs)[-2:]))
-        if p is None:
-            coeffs = [a + ((s * b) >> bits)
-                      for a, b in zip([c1] + coeffs, coeffs + grow)]
-        else:
-            coeffs = [a + ((s * b + p * c) >> bits)
-                      for a, b, c in zip([c2, c1] + coeffs, [c1] + coeffs + grow,
-                                         coeffs + grow + grow)]
-    return coeffs
-
-
-def _str_digits_limit() -> int:
-    """Python's limit on the digits of an int <-> str conversion, 0 for
-    none (builds before 3.10.7, or the limit switched off)."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    return get() if get else 0
-
-
-def _join(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
-    """The product of two fixed-point polynomials, by one Kronecker product
-    in base 10, multiplied by libmpdec's number-theoretic transform.
-
-    Each polynomial is packed as the exact decimal sum of its signed
-    coefficients times 10^(w i), w digits wide enough for every
-    coefficient of the exact product, under min(len) max|a| max|b|, to
-    lie strictly inside +-10^w / 2.  The packing adds neighbours
-    pairwise, so it is linear in the digits up to a log factor.  The two
-    packed numbers are multiplied once, plus 10^(w count) for the count
-    coefficients of the product, in a private context of maximal
-    precision that traps any inexact result.  The low w count digits of
-    that positive number are read back in w-digit slots from the lowest:
-    a slot read as u, plus the carry from the slot below, is the
-    coefficient when under 10^w / 2 and the coefficient plus 10^w,
-    carrying 1, otherwise.  Each coefficient is then shifted right by
-    bits.  A slot wider than Python's int <-> str limit
-    (``_str_digits_limit``) is read in pieces of at most that many
-    digits.
-
-    Every coefficient is an exact sum of products floored once, so it is
-    off by under 1 unit from the product of a and b.  If a and b are off
-    by eps_a and eps_b units, with coefficient sums |a|_1 and |b|_1 in
-    value, the join is off by under |a|_1 eps_b + |b|_1 eps_a + 1 units,
-    plus min(len) eps_a eps_b 2^-bits: to first order what sweeping b's
-    factors into a would give, so joined groups keep the 2 m M bound of
-    ``_sweep`` plus a unit per join.
-    """
-    size = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    # 30103 / 100000 exceeds log10(2), so 10^width > 2^size
-    width = size * 30103 // 100000 + 1
-    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                              Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
-
-    def pack(poly: Sequence[int]) -> decimal.Decimal:
-        # Decimal(x) has exponent 0, and so has every sum with it at the low
-        # end: str() of the sum below gives plain digits
-        parts = [decimal.Decimal(x) for x in poly]
-        shift = width
-        while len(parts) > 1:
-            parts = [context.add(parts[i], context.scaleb(parts[i + 1], shift))
-                     if i + 1 < len(parts) else parts[i]
-                     for i in range(0, len(parts), 2)]
-            shift *= 2
-        return parts[0]
-
-    count = len(a) + len(b) - 1
-    # the product lies within +-10^(w count) / 2, so adding 10^(w count)
-    # makes it positive, of at least w count digits, and keeps its low
-    # w count digits: the string needs no sign and no padding
-    digits = str(context.fma(pack(a), pack(b), context.scaleb(1, width * count)))
-    piece = _str_digits_limit() or width
-    head = width % piece or piece
-    scale = 10 ** piece
-    slot = 10 ** width
-    half = slot >> 1
-    coeffs = []
-    carry = 0
-    for end in range(len(digits), len(digits) - width * count, -width):
-        # the slot's digits, in pieces within the int <-> str limit
-        start = end - width + head
-        c = int(digits[end - width:start])
-        for i in range(start, end, piece):
-            c = c * scale + int(digits[i:i + piece])
-        c += carry
-        carry = c >= half
-        if carry:
-            c -= slot
-        coeffs.append(c >> bits)
-    return coeffs
-
-
-def _product(groups: Sequence[Sequence[Factor]], bits: int,
-             shared: bool = False) -> List[int]:
-    """The ascending fixed-point coefficients of the monic product of the
-    factors of ``groups``: one node of the expansion's join tree, which
-    is its list of groups.
-
-    A node of one group is that group swept in its order (``_sweep``).
-    A wider node of w groups is the ``_join`` of its two children, the
-    first 2^(ceil(log2 w) - 1) groups and the rest; the first child is a
-    power of two of groups, so the tree joins neighbours pairwise, level
-    by level, an odd one out carried up a level.  With ``shared``, which
-    only the root is given, the helper forms the second child
-    (``_shared``), sent as it stands, while this process forms the
-    first.  A shared root of one group of degree d is one sweep, split
-    by coefficients once d^2 bits reaches SPLIT_SWEEP_MIN_WORK: this
-    process forms the coefficients below the cut (``_sweep_cut``) of
-    every step and streams their top two to the helper before each step,
-    and the helper forms the rest and sends them back once, at the end.
-    Shared or not, every join and every sweep step has the serial
-    inputs, so the coefficients are the serial ones bit for bit; when
-    ``_shared`` gives None, the serial node is formed.  Timed per
+    A root of two groups or more has its second child formed by the
+    helper, sent as it stands, while this process forms the first
+    (``expansion._children``) and then joins the two.  A root of one
+    group of degree d is one sweep, split by coefficients once d^2 bits
+    reaches SPLIT_SWEEP_MIN_WORK: this process forms the coefficients
+    below the cut (``_sweep_cut``) of every step and streams their top
+    two to the helper before each step, and the helper forms the rest
+    and sends them back once, at the end (``expansion._sweep``'s
+    windows).  Shared or not, every join and every sweep step has the
+    serial inputs, so the coefficients are the serial ones bit for bit;
+    when ``_shared`` gives None, the serial root is formed.  Timed per
     expansion on a 2-core host, serial against shared (medians of 21
     alternations in one process), sharing won at the smallest tree, 80
     values at 120 digits in two groups (7.12 -> 5.66 ms), at n = 100019
@@ -575,28 +416,22 @@ def _product(groups: Sequence[Sequence[Factor]], bits: int,
     values at 240 digits, four groups: 51.6 -> 37.6 ms), so every tree of
     two groups or more is shared.
     """
-    if len(groups) == 1:
-        group = groups[0]
-        degree = _degree(group)
-        shares = None
-        if shared and degree * degree * bits >= SPLIT_SWEEP_MIN_WORK:
-            cut = _sweep_cut(degree)
-            shares = _shared(partial(_sweep, group, bits, 0, cut, None), "_sweep",
-                             group, bits, cut, degree + 1, stream=True)
-        return _sweep(group, bits) if shares is None else shares[0] + shares[1]
-    cut = 1 << (len(groups) - 1).bit_length() >> 1
-    left = partial(_product, groups[:cut], bits)
-    shares = _shared(left, "_product", groups[cut:], bits) if shared else None
-    return _join(*(shares or (left(), _product(groups[cut:], bits))), bits)
-
-
-def _degree(factors: Sequence[Factor]) -> int:
-    """The degree of the product of the factors."""
-    return sum(1 if p is None else 2 for _, p in factors)
+    if len(groups) > 1:
+        first, second = expansion._children(groups)
+        shares = _shared(partial(expansion._product, first, bits), "_product", second, bits)
+        return expansion._join(*shares, bits) if shares else expansion._product(groups, bits)
+    group = groups[0]
+    degree = expansion._degree(group)
+    if degree * degree * bits < SPLIT_SWEEP_MIN_WORK:
+        return expansion._sweep(group, bits)
+    cut = _sweep_cut(degree)
+    shares = _shared(partial(expansion._sweep, group, bits, 0, cut, None), "_sweep",
+                     group, bits, cut, degree + 1, stream=True)
+    return shares[0] + shares[1] if shares else expansion._sweep(group, bits)
 
 
 def _sweep_cut(degree: int) -> int:
-    """Where ``_product`` cuts the coefficients of a product of the
+    """Where ``_shared_product`` cuts the coefficients of a product of the
     given degree, from a work model of equal cost per coefficient-step:
     the helper's coefficients, from the cut up, form a triangle of steps
     that holds half of the whole sweep's when the cut is degree
@@ -604,52 +439,12 @@ def _sweep_cut(degree: int) -> int:
     return degree - math.isqrt(degree * degree // 2)
 
 
-def _expand_and_round(values: Sequence[Tuple[int, int]], paired: Sequence[bool],
-                      digits: int) -> Tuple[Tuple[int, ...], mpmath.mpf]:
-    """Expand prod(t - v) over the reals and round to integers, reporting
-    the worst error.
-
-    Each value is a Gaussian fixed-point pair with
-    ``_expansion_bits(digits)`` fractional bits, as many as ``digits``
-    decimal digits, plus a few.  ``paired[i]`` says that ``values[i]``
-    stands for itself and its complex conjugate, and contributes
-    t^2 - 2 Re(v) t + |v|^2; any other value is real and contributes
-    t - Re(v).  The factors, sorted by size, are dealt round-robin into
-    g = max(1, m // GROUP_SIZE) groups for m values, here and only here:
-    that list of groups is the root of the join tree (``_product``, whose
-    two children are formed by two processes when there are two groups
-    or more; one group's sweep is split by coefficients over two
-    processes when it is large enough).  Each group is swept smallest
-    first, so the integers stay short for as long as possible.  The
-    residual is the largest distance of a coefficient from its nearest
-    integer or of a real value's imaginary part from 0.
-    """
-    bits = _expansion_bits(digits)
-    # (size, s, p) until the sort, then the Factor (s, p)
-    factors = []
-    drift = 0
-    for (vr, vi), pair in zip(values, paired):
-        size = max(abs(vr), abs(vi)).bit_length()
-        if pair:
-            factors.append((size, -2 * vr, (vr * vr + vi * vi) >> bits))
-        else:
-            drift = max(drift, abs(vi))
-            factors.append((size, -vr, None))
-    factors = [(s, p) for _, s, p in sorted(factors, key=lambda factor: factor[0])]
-    count = max(1, len(factors) // GROUP_SIZE)
-    coeffs = _product([factors[g::count] for g in range(count)], bits, shared=True)
-    half = 1 << (bits - 1)
-    rounded = tuple((a + half) >> bits for a in coeffs)
-    residual = max(drift, max(abs(a - (r << bits)) for a, r in zip(coeffs, rounded)))
-    return rounded, from_gaussian(residual, 0, bits).real
-
-
 def _shared(own: Callable[..., T], task: str, *args,
             stream: bool = False) -> Optional[Tuple[T, object]]:
-    """``(own(), f(*args))``, f being the function of this module named
-    ``task``, run by the helper process while this process runs
-    ``own()``; or None for the caller to run its one-process path
-    instead.
+    """``(own(), f(*args))``, f being the function named ``task`` in the
+    helper's table (``helper.TASKS``), run by the helper process while
+    this process runs ``own()``; or None for the caller to run its
+    one-process path instead.
 
     None comes back, with nothing run, unless ``os.fork`` exists, no
     other thread runs and at least two CPUs are usable by this process.
@@ -718,8 +513,9 @@ def _round_with_retries(
     ``evaluate`` (``_evaluate_all``), a tuple that ends with the value;
     each that is not ambiguous (``quadforms.is_ambiguous``) stands for
     itself and its mirror, whose value is its conjugate.  The values are
-    read into fixed point at ``_expansion_bits(digits)`` for
-    ``_expand_and_round``.
+    read into fixed point at ``expansion._expansion_bits(digits)`` and
+    expanded and rounded there (``expansion._expand_and_round``), the
+    root of the expansion shared with the helper (``_shared_product``).
 
     The first rung evaluated is the first of digits * 2^k, k >= 0, that
     the a-priori size estimate ``size`` does not rule out
@@ -737,9 +533,10 @@ def _round_with_retries(
         digits *= 2
     for _ in range(MAX_RETRIES + 1):
         values = _evaluate_all(evaluate, rows, digits)
-        bits = _expansion_bits(digits)
-        rounded, residual = _expand_and_round(
-            [to_gaussian(v[-1], bits) for v in values], paired, digits)
+        bits = expansion._expansion_bits(digits)
+        rounded, units = expansion._expand_and_round(
+            [to_gaussian(v[-1], bits) for v in values], paired, bits, _shared_product)
+        residual = from_gaussian(units, 0, bits).real
         if residual < RESIDUAL_TOLERANCE:
             return rounded, residual, digits, values
         digits *= 2

@@ -187,15 +187,15 @@ class CycNum:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "CycNum":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = _CYC_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n <= 0:
+            return self.inverse() ** -n if n else _CYC_ONE
+        # from the top bit down: bitlen(n) - 1 squarings and popcount(n) - 1
+        # products, none for n = 1
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- field automorphisms -------------------------------------------

@@ -7,10 +7,10 @@ loads it.  The helper is one long-lived process, forked by the first
 call that shares work and killed and reaped when the interpreter exits
 (the atexit hook registered below).  A process forked from the caller
 forgets it (the at-fork hook) and forks its own.  Each shared call
-sends the helper a task over a pipe: the name of a function of
-``classpoly``, which the helper looks up in that module's namespace as
-it was at the fork, so a task that a test or a script adds or patches
-before the fork runs there too.
+sends the helper a task over a pipe: the name of a function, which the
+helper looks up in the module that ``TASKS`` gives for it, as both were
+at the fork, so a task that a test or a script adds to the table, or a
+function it patches, before the fork runs there too.
 """
 
 from __future__ import annotations
@@ -21,9 +21,16 @@ import os
 from functools import partial
 from typing import BinaryIO, Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from . import classpoly
+from . import classpoly, expansion
 
 T = TypeVar("T")
+
+TASKS = {"_sent_values": classpoly, "_product": expansion, "_sweep": expansion}
+"""The module of each function the helper runs, by the function's name:
+the evaluation's share (``classpoly._sent_values``), a child of the
+join tree's root and the upper window of a split sweep
+(``classpoly._shared_product``).  The helper reads the function from
+its module when it runs the task, not when this table is made."""
 
 _helper: Optional[Tuple[int, BinaryIO, BinaryIO]] = None
 """This process's helper: its pid, this process's end of the pipe that
@@ -33,19 +40,19 @@ first shared call, and after a failure."""
 
 def share(own: Callable[..., T], task: str, *args,
           stream: bool = False) -> Optional[Tuple[T, object]]:
-    """``(own(), f(*args))``, f being the function of ``classpoly`` named
-    ``task``, run by the helper while this process runs ``own()``; or
-    None for the caller to run its one-process path instead.
+    """``(own(), f(*args))``, f being the function named ``task`` in the
+    module that ``TASKS`` gives for it, run by the helper while this
+    process runs ``own()``; or None for the caller to run its one-process
+    path instead.
 
     The first call forks the helper (``_fork_helper``), which then stays
     until the interpreter exits: each call sends it ``(task, args,
     stream)`` and reads back f's result, both as ``marshal`` writes them
     (plain ints, strings, None, and tuples and lists of them).  A task
     with little data costs about 40 us on a 2-core host, where a fork,
-    ``_exit`` and ``waitpid`` cost 2.6 to 3.1 ms.  The helper runs
-    classpoly's functions as they were when it was forked: a function
-    replaced later, by a test's patch say, is replaced in this process
-    only.
+    ``_exit`` and ``waitpid`` cost 2.6 to 3.1 ms.  The helper runs the
+    functions as they were when it was forked: a function replaced
+    later, by a test's patch say, is replaced in this process only.
 
     The two processes are left where the kernel puts them.  A 2-core
     host that woke the helper on the caller's CPU ran the two shares one
@@ -154,7 +161,7 @@ def _serve(ends: Sequence[int]) -> None:
             if stream:
                 args = (*args, messages)
             try:
-                reply = True, getattr(classpoly, task)(*args)
+                reply = True, getattr(TASKS[task], task)(*args)
             except Exception:
                 reply = False, None
             if stream:

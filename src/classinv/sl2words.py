@@ -17,7 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .numeval import check_integer
 from .quadforms import QuadForm
+
+_MODULI = (int, type(None))
+"""The types of a modulus that ``Mat2`` takes unchecked."""
 
 Word = Tuple[Tuple[str, int], ...]
 """A word is a tuple of (generator, exponent) tokens, generator 'S' or 'T'."""
@@ -28,9 +32,11 @@ class Mat2:
     """A 2x2 matrix over Z (mod None) or over Z/mod.
 
     A modular matrix holds its entries reduced into [0, mod), and a
-    modulus of 0 or less raises ValueError.  The constructor reduces
-    first and then sets each field once (``dataclasses.replace`` goes
-    through it too, and reduces again).
+    modulus of 0 or less raises ValueError, as does an entry or modulus
+    that is not an integer (``numeval.check_integer``, as for
+    ``QuadForm``).  The constructor checks and reduces first and then
+    sets each field once (``dataclasses.replace`` goes through it too,
+    and checks and reduces again).
     """
 
     a: int
@@ -40,6 +46,11 @@ class Mat2:
     mod: Optional[int] = None
 
     def __init__(self, a: int, b: int, c: int, d: int, mod: Optional[int] = None) -> None:
+        # plain ints, as nearly every matrix has, skip the check
+        if not (type(a) is type(b) is type(c) is type(d) is int and type(mod) in _MODULI):
+            a, b, c, d = (check_integer(x, f"matrix entry {n}")
+                          for x, n in zip((a, b, c, d), "abcd"))
+            mod = mod if mod is None else check_integer(mod, "modulus")
         if mod is not None:
             if mod <= 0:
                 raise ValueError("modulus must be positive")

@@ -27,6 +27,7 @@ import pytest
 
 import classinv.classpoly as classpoly
 import classinv.etarep as etarep
+import classinv.expansion as expansion
 import classinv.helper as helper
 import classinv.numeval as numeval
 from classinv.classpoly import (
@@ -35,7 +36,6 @@ from classinv.classpoly import (
     RESIDUAL_TOLERANCE,
     IntPolynomial,
     PrecisionError,
-    _expand_and_round,
     compute_hilbert,
     compute_ramanujan,
     conjugate_value,
@@ -105,10 +105,18 @@ def _expand_and_round_oracle(values, digits):
         return tuple(rounded), residual
 
 
+def _expand(values, paired, bits):
+    """The library's expansion and rounding of the pairs at ``bits``, with
+    the root that ``compute_ramanujan`` hands it, shared with the helper
+    (``classpoly._shared_product``): the rounded coefficients and the
+    residual in units of 2^-bits."""
+    return expansion._expand_and_round(values, paired, bits, classpoly._shared_product)
+
+
 def _evaluated(forms, values, digits):
     """The values of the forms with b >= 0, the ones the library
     evaluates, as the pairs it expands at ``digits``."""
-    bits = classpoly._expansion_bits(digits)
+    bits = expansion._expansion_bits(digits)
     return [to_gaussian(v, bits) for f, v in zip(forms, values) if f.b >= 0]
 
 
@@ -128,14 +136,14 @@ def _assert_expansion_matches_oracle(forms, values, digits):
     the oracle's expansion of all the values as given, so that a
     perturbed pair member, whose mirror keeps the unperturbed conjugate,
     fails both."""
-    rounded, residual = _expand_and_round(_evaluated(forms, values, digits),
-                                          _paired(forms), digits)
+    bits = expansion._expansion_bits(digits)
+    rounded, residual = _expand(_evaluated(forms, values, digits), _paired(forms), bits)
     expected, _ = _expand_and_round_oracle(classpoly._with_mirrors(
         forms, [v for f, v in zip(forms, values) if f.b >= 0],
         classpoly._conjugate), digits)
     assert rounded == expected
     _, oracle_residual = _expand_and_round_oracle(values, digits)
-    passed = residual < RESIDUAL_TOLERANCE
+    passed = from_gaussian(residual, 0, bits).real < RESIDUAL_TOLERANCE
     assert passed == (oracle_residual < RESIDUAL_TOLERANCE)
     return passed
 
@@ -524,17 +532,16 @@ def test_expansion_of_hand_made_pairs_matches_exact_rationals(imaginary):
     # imaginary part, below or above the coefficients' distance to their
     # integers (about 3e-20), decides the residual
     digits = 30
-    bits = classpoly._expansion_bits(digits)
+    bits = expansion._expansion_bits(digits)
     paired = [False, True]
     with mpmath.workdps(60):
         values = [to_gaussian(mpmath.mpc(2 + mpmath.mpf("1e-20"), imaginary), bits),
                   to_gaussian(mpmath.mpc(1, mpmath.sqrt(2)), bits)]
-        rounded, residual = _expand_and_round(values, paired, digits)
+        rounded, residual = _expand(values, paired, bits)
         expected, exact_residual = _exact_expansion(values, paired, bits)
         assert rounded == expected == (-6, 7, -4, 1)
         # the library floors each product: a few units of 2^-bits apart
-        units = int(mpmath.ldexp(residual, bits))
-        assert abs(units - exact_residual * (1 << bits)) < 16
+        assert abs(residual - exact_residual * (1 << bits)) < 16
 
 
 def _hand_made(count, bits, high, low, rng):
@@ -591,24 +598,23 @@ def test_grouped_expansion_matches_exact_rationals(monkeypatch, tmp_path, count,
     # is within the stated error of the exact residual
     log = tmp_path / "joins"
     log.touch()
-    join = classpoly._join
+    join = expansion._join
 
     def spy(*args):
         with open(log, "a") as joins:
             joins.write("join\n")
         return join(*args)
 
-    monkeypatch.setattr(classpoly, "_join", spy)
-    bits = classpoly._expansion_bits(digits)
+    monkeypatch.setattr(expansion, "_join", spy)
+    bits = expansion._expansion_bits(digits)
     values, paired = _hand_made(count, bits, high, low, random.Random(count))
-    rounded, residual = _expand_and_round(values, paired, digits)
-    assert len(log.read_text().splitlines()) == max(1, count // classpoly.GROUP_SIZE) - 1
+    rounded, residual = _expand(values, paired, bits)
+    assert len(log.read_text().splitlines()) == max(1, count // expansion.GROUP_SIZE) - 1
     expected, exact_residual = _exact_expansion(values, paired, bits)
     assert rounded == expected
     bound = _expansion_error_bound(values, paired, bits)
     assert math.log2(bound) < bits - 40  # far from deciding any rounding
-    units = int(mpmath.ldexp(residual, bits))
-    assert abs(units - exact_residual * (1 << bits)) <= bound
+    assert abs(residual - exact_residual * (1 << bits)) <= bound
 
 
 def _dealt(count, bits, rng):
@@ -623,9 +629,9 @@ def _dealt(count, bits, rng):
 def _bottom_up_product(groups, bits):
     """The join tree as first written: every group swept, then neighbours
     joined pairwise, level by level, an odd one out carried up a level."""
-    polys = [classpoly._sweep(group, bits) for group in groups]
+    polys = [expansion._sweep(group, bits) for group in groups]
     while len(polys) > 1:
-        polys = [classpoly._join(*polys[i:i + 2], bits) if i + 1 < len(polys) else polys[i]
+        polys = [expansion._join(*polys[i:i + 2], bits) if i + 1 < len(polys) else polys[i]
                  for i in range(0, len(polys), 2)]
     return polys[0]
 
@@ -635,16 +641,16 @@ def test_product_recursion_is_the_bottom_up_tree(monkeypatch):
     # midpoint, say) moves low bits; the recursion must join exactly the
     # operands of the pairwise loop, g - 1 times, for every g
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    bits = classpoly._expansion_bits(30)
-    join = classpoly._join
+    bits = expansion._expansion_bits(30)
+    join = expansion._join
     for count in range(1, 71):
         groups = _dealt(count, bits, random.Random(count))
         expected = _bottom_up_product(groups, bits)
         joins = []
         with monkeypatch.context() as patch:
-            patch.setattr(classpoly, "_join",
+            patch.setattr(expansion, "_join",
                           lambda *args: joins.append(1) or join(*args))
-            assert classpoly._product(groups, bits) == expected
+            assert expansion._product(groups, bits) == expected
         assert len(joins) == count - 1
 
 
@@ -661,14 +667,14 @@ def test_sweep_windows_are_the_serial_sweep(kinds):
     factors = [((-1 if i == 0 else rng.choice((-1, 1))) * rng.getrandbits(bits + 20),
                 None if kind == "L" else rng.getrandbits(bits + 40))
                for i, kind in enumerate(kinds)]
-    serial = classpoly._sweep(factors, bits)
-    degree = classpoly._degree(factors)
+    serial = expansion._sweep(factors, bits)
+    degree = expansion._degree(factors)
     assert len(serial) == degree + 1 and serial[-1] == 1 << bits
     for cut in range(1, degree + 1):
         below = []
-        low = classpoly._sweep(factors, bits, 0, cut, send=below.append)
+        low = expansion._sweep(factors, bits, 0, cut, send=below.append)
         assert len(below) == len(factors)
-        high = classpoly._sweep(factors, bits, cut, degree + 1, iter(below))
+        high = expansion._sweep(factors, bits, cut, degree + 1, iter(below))
         assert (len(low), len(high)) == (cut, degree + 1 - cut)
         assert low + high == serial
 
@@ -691,8 +697,8 @@ def test_join_unpacks_signed_coefficients():
     for a, b in cases:
         exact = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
                  for k in range(len(a) + len(b) - 1)]
-        assert classpoly._join(a, b, bits) == [c >> bits for c in exact]
-    assert all(c < 0 for c in classpoly._join(*cases[0], 0))
+        assert expansion._join(a, b, bits) == [c >> bits for c in exact]
+    assert all(c < 0 for c in expansion._join(*cases[0], 0))
 
 
 def _exact_floors(a, b, bits):
@@ -713,10 +719,10 @@ def test_join_reads_slots_wider_than_the_int_string_limit(monkeypatch, limit):
     # digits, past the default 4300-digit int <-> str limit: each slot is
     # read in pieces, here also under the lowest limit Python accepts
     if limit is not None:
-        monkeypatch.setattr(classpoly, "_str_digits_limit", lambda: limit)
+        monkeypatch.setattr(expansion, "_str_digits_limit", lambda: limit)
     a, b = _wide_operands(5, 15000, random.Random(15000))
     bits = 7000
-    assert classpoly._join(a, b, bits) == _exact_floors(a, b, bits)
+    assert expansion._join(a, b, bits) == _exact_floors(a, b, bits)
 
 
 def test_join_leaves_the_decimal_context_and_int_limit_alone():
@@ -728,7 +734,7 @@ def test_join_leaves_the_decimal_context_and_int_limit_alone():
         ambient.prec = 5
         ambient.traps[decimal.Inexact] = True
         before = repr(ambient)
-        assert classpoly._join(a, b, 100) == _exact_floors(a, b, 100)
+        assert expansion._join(a, b, 100) == _exact_floors(a, b, 100)
         assert decimal.getcontext() is ambient
         assert repr(ambient) == before
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
@@ -771,9 +777,9 @@ def test_expansion_keeps_the_imaginary_part_of_real_values(main_table_results):
     forms, values, digits = _perturbed_611(main_table_results, False,
                                            mpmath.mpc(0, "1e-5"))
     assert not _assert_expansion_matches_oracle(forms, values, digits)
-    _, residual = _expand_and_round(_evaluated(forms, values, digits),
-                                    _paired(forms), digits)
-    assert abs(residual - mpmath.mpf("1e-5")) < mpmath.mpf("1e-12")
+    bits = expansion._expansion_bits(digits)
+    _, residual = _expand(_evaluated(forms, values, digits), _paired(forms), bits)
+    assert abs(from_gaussian(residual, 0, bits).real - mpmath.mpf("1e-5")) < mpmath.mpf("1e-12")
 
 
 def _prime_count(n):
@@ -1051,34 +1057,29 @@ def test_small_polynomials_fork_nothing(monkeypatch, two_cpus):
 
 @pytest.fixture(scope="module")
 def expansions():
-    """The (values, paired, digits) that ``compute_ramanujan(n)`` hands
-    ``_expand_and_round`` on the rung it rounds, for n = 10019 (16
-    values at 120 digits, one group), n = 100019 (97 values at 120
+    """The (values, paired, bits) that ``compute_ramanujan(n)`` hands
+    ``expansion._expand_and_round`` on the rung it rounds, for n = 10019
+    (16 values at 120 digits, one group), n = 100019 (97 values at 120
     digits, two groups) and n = 1000019 (172 values at 240 digits, four
     groups)."""
     captured = {}
-    original = classpoly._expand_and_round
+    original = expansion._expand_and_round
     with pytest.MonkeyPatch.context() as patch:
         for n in (10019, 100019, 1000019):
             def spy(*args, _n=n):
-                captured[_n] = args
+                captured[_n] = args[:3]
                 return original(*args)
 
-            patch.setattr(classpoly, "_expand_and_round", spy)
+            patch.setattr(expansion, "_expand_and_round", spy)
             compute_ramanujan(n)
     return captured
 
 
-def _expanded(values, paired, digits):
-    rounded, residual = _expand_and_round(values, paired, digits)
-    return rounded, residual._mpf_
-
-
-def _serial_expansion(monkeypatch, expansion):
+def _serial_expansion(monkeypatch, case):
     """The expansion on one usable CPU, which shares nothing."""
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        return _expanded(*expansion)
+        return _expand(*case)
 
 
 @pytest.mark.parametrize("groups", [4, 2, 3, 5, 6, 7, 9, 15, 17])
@@ -1093,30 +1094,30 @@ def test_split_expansion_is_the_serial_expansion(monkeypatch, two_cpus, expansio
     # its serial inputs: the coefficients and the residual keep every bit.
     # The helper is sent its child as it stands: the root's list of
     # groups from the cut on, and the bits
-    expansion = expansions[1000019]
-    values, _, digits = expansion
-    assert len(values) // classpoly.GROUP_SIZE == 4
-    monkeypatch.setattr(classpoly, "GROUP_SIZE", len(values) // groups)
-    assert len(values) // classpoly.GROUP_SIZE == groups
-    serial = _serial_expansion(monkeypatch, expansion)
+    case = expansions[1000019]
+    values, _, bits = case
+    assert bits == expansion._expansion_bits(240)
+    assert len(values) // expansion.GROUP_SIZE == 4
+    monkeypatch.setattr(expansion, "GROUP_SIZE", len(values) // groups)
+    assert len(values) // expansion.GROUP_SIZE == groups
+    serial = _serial_expansion(monkeypatch, case)
     roots = []
-    product = classpoly._product
+    product = classpoly._shared_product
 
-    def root_spy(node, bits, shared=False):
-        if shared:
-            roots.append((node, bits))
-        return product(node, bits, shared)
+    def root_spy(node, bits):
+        roots.append((node, bits))
+        return product(node, bits)
 
-    monkeypatch.setattr(classpoly, "_product", root_spy)
+    monkeypatch.setattr(classpoly, "_shared_product", root_spy)
     forks = _fork_spy(monkeypatch)
     sent = []
     shares = _share_spy(monkeypatch, sent)
-    assert _expanded(*expansion) == serial
+    assert _expand(*case) == serial
     assert len(forks) == FORKED
     assert shares == [("_product", bool(FORKED))]
-    (root, bits), = roots
+    (root, root_bits), = roots
     assert len(root) == groups and sum(map(len, root)) == len(values)
-    assert bits == classpoly._expansion_bits(digits)
+    assert root_bits == bits
     cut = 2 ** (math.ceil(math.log2(groups)) - 1)
     assert sent == [(root[cut:], bits)]
 
@@ -1126,22 +1127,22 @@ def test_shared_root_is_the_bottom_up_tree_for_every_width(monkeypatch, two_cpus
     # the helper forms the second child, sent as it stands, and the
     # root's join has the serial inputs, so the product is the pairwise
     # loop's bit for bit; one helper serves every g
-    bits = classpoly._expansion_bits(30)
+    bits = expansion._expansion_bits(30)
     forks = _fork_spy(monkeypatch)
     shares = _share_spy(monkeypatch)
     for count in range(2, 71):
         groups = _dealt(count, bits, random.Random(count))
-        assert classpoly._product(groups, bits, shared=True) == _bottom_up_product(groups, bits)
+        assert classpoly._shared_product(groups, bits) == _bottom_up_product(groups, bits)
     assert len(forks) == FORKED
     assert shares == [("_product", bool(FORKED))] * 69
 
 
 def test_a_failing_expansion_child_gives_the_serial_result(monkeypatch, two_cpus,
                                                            expansions):
-    expansion = expansions[1000019]
-    serial = _serial_expansion(monkeypatch, expansion)
+    case = expansions[1000019]
+    serial = _serial_expansion(monkeypatch, case)
     caller = os.getpid()
-    original = classpoly._sweep
+    original = expansion._sweep
     swept = []
 
     def sweep(factors, bits):
@@ -1151,9 +1152,9 @@ def test_a_failing_expansion_child_gives_the_serial_result(monkeypatch, two_cpus
         return original(factors, bits)
 
     # the helper is forked after this patch, so its sweeps raise
-    monkeypatch.setattr(classpoly, "_sweep", sweep)
+    monkeypatch.setattr(expansion, "_sweep", sweep)
     forks = _fork_spy(monkeypatch)
-    assert _expanded(*expansion) == serial
+    assert _expand(*case) == serial
     assert len(forks) == FORKED
     # this process swept its own two groups, then all four again
     assert len(swept) == 2 * FORKED + 4
@@ -1171,47 +1172,47 @@ def test_no_split_below_the_threshold_a_second_thread_or_one_cpu(monkeypatch, tw
     shares = _share_spy(monkeypatch)
     small = expansions[10019]
     values, _, _ = small
-    assert len(values) // classpoly.GROUP_SIZE < 2
-    _expanded(*small)
+    assert len(values) // expansion.GROUP_SIZE < 2
+    _expand(*small)
     assert forks == [] and shares == []
     # n = 100019's two groups at 120 digits, the smallest tree, are split
-    assert len(two[0]) // classpoly.GROUP_SIZE == 2
-    assert _expanded(*two) == two_serial
+    assert len(two[0]) // expansion.GROUP_SIZE == 2
+    assert _expand(*two) == two_serial
     assert len(forks) == FORKED
     assert shares == [("_product", bool(FORKED))]
     shares.clear()
     large = expansions[1000019]
-    expected = _expanded(*large)
+    expected = _expand(*large)
     assert shares == [("_product", bool(FORKED))]
     shares.clear()
     release = threading.Event()
     waiting = threading.Thread(target=release.wait)
     waiting.start()
     try:
-        assert _expanded(*large) == expected
+        assert _expand(*large) == expected
     finally:
         release.set()
         waiting.join(timeout=10)
     assert not waiting.is_alive()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _expanded(*large) == expected
+    assert _expand(*large) == expected
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert _expanded(*large) == expected
+    assert _expand(*large) == expected
     assert shares == [("_product", False)] * 3
     assert len(forks) == FORKED
 
 
 @pytest.fixture(scope="module")
 def hilbert_expansion():
-    """The (values, paired, digits) that ``compute_hilbert(-20051)`` hands
-    ``_expand_and_round``: 28 values at 786 digits, one group, whose sweep
-    is split by coefficients."""
+    """The (values, paired, bits) that ``compute_hilbert(-20051)`` hands
+    ``expansion._expand_and_round``: 28 values at 786 digits, one group,
+    whose sweep is split by coefficients."""
     captured = []
-    original = classpoly._expand_and_round
+    original = expansion._expand_and_round
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classpoly, "_expand_and_round",
-                      lambda *args: captured.append(args) or original(*args))
+        patch.setattr(expansion, "_expand_and_round",
+                      lambda *args: captured.append(args[:3]) or original(*args))
         compute_hilbert(-20051)
     return captured[-1]
 
@@ -1238,14 +1239,14 @@ def test_a_failing_sweep_share_gives_the_serial_expansion(monkeypatch, two_cpus,
     # next shared call forks a new one
     import signal
 
-    expansion = hilbert_expansion
-    values, paired, digits = expansion
-    assert len(values) == 28 and len(values) < 2 * classpoly.GROUP_SIZE
+    values, paired, bits = hilbert_expansion
+    assert bits == expansion._expansion_bits(786)
+    assert len(values) == 28 and len(values) < 2 * expansion.GROUP_SIZE
     degree = len(values) + sum(paired)
-    assert degree ** 2 * classpoly._expansion_bits(digits) >= classpoly.SPLIT_SWEEP_MIN_WORK
-    serial = _serial_expansion(monkeypatch, expansion)
+    assert degree ** 2 * bits >= classpoly.SPLIT_SWEEP_MIN_WORK
+    serial = _serial_expansion(monkeypatch, hilbert_expansion)
     caller = os.getpid()
-    original = classpoly._sweep
+    original = expansion._sweep
 
     def failing(pairs):
         for i, pair in enumerate(pairs):
@@ -1261,9 +1262,9 @@ def test_a_failing_sweep_share_gives_the_serial_expansion(monkeypatch, two_cpus,
         return original(factors, bits, low, high, below, send)
 
     # the helper is forked after this patch, so its share fails
-    monkeypatch.setattr(classpoly, "_sweep", sweep)
+    monkeypatch.setattr(expansion, "_sweep", sweep)
     shares = _share_spy(monkeypatch)
-    assert _expanded(*expansion) == serial
+    assert _expand(*hilbert_expansion) == serial
     assert shares == [("_sweep", False)]
     if dies:
         assert _helper_pid() is None
@@ -1330,6 +1331,13 @@ def test_a_failing_fork_closes_both_pipe_ends(monkeypatch, two_cpus):
             os.fstat(end)
 
 
+def _add_tasks(monkeypatch, *names):
+    """Add this module's functions of the given names to the helper's
+    tasks (``helper.TASKS``); a helper forked after this runs them."""
+    for name in names:
+        monkeypatch.setitem(helper.TASKS, name, sys.modules[__name__])
+
+
 def _refused(*args):
     raise ValueError("no share")
 
@@ -1344,9 +1352,8 @@ def _slow(*args):
 def test_a_failing_share_gives_none_and_leaves_no_child(monkeypatch, two_cpus, own, task):
     # a helper still sleeping in its share is killed, not waited for; a
     # helper whose share raised replies so and serves the next call.  The
-    # helper is forked after the two tasks are added to the module
-    monkeypatch.setattr(classpoly, "_slow", _slow, raising=False)
-    monkeypatch.setattr(classpoly, "_refused", _refused, raising=False)
+    # helper is forked after the two tasks are added to its table
+    _add_tasks(monkeypatch, "_slow", "_refused")
     start = time.monotonic()
     assert classpoly._shared(own, task) is None
     assert time.monotonic() - start < 10
@@ -1368,7 +1375,7 @@ def test_a_stream_task_that_leaves_messages_unread_keeps_the_helper(monkeypatch,
     # the task returns after reading one of the three messages sent to it:
     # the helper's loop reads the other two and the stream's end, so the
     # same helper reads the next task in step and serves it
-    monkeypatch.setattr(classpoly, "_first_message", _first_message, raising=False)
+    _add_tasks(monkeypatch, "_first_message")
 
     def own(send):
         for message in [(1, 2), (3, 4), (5, 6)]:
@@ -1390,7 +1397,7 @@ def test_a_stream_task_that_leaves_messages_unread_keeps_the_helper(monkeypatch,
 def test_an_interrupt_in_the_callers_share_propagates(monkeypatch, two_cpus):
     # a KeyboardInterrupt is no failure to fall back from: the helper,
     # still sleeping in its share, is killed and reaped
-    monkeypatch.setattr(classpoly, "_slow", _slow, raising=False)
+    _add_tasks(monkeypatch, "_slow")
 
     def interrupted():
         raise KeyboardInterrupt
@@ -1631,7 +1638,6 @@ def test_a_table_pass_makes_130_cyclotomic_products(monkeypatch):
     # (k, e) of a polynomial; an e = 0 scalar is the shared z^k.  CI's
     # traced table gate holds the same count as a ceiling
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monomial_entry(0, 1)  # sqrt(3)^1 is a power, built at first use
     calls = []
     original = CycNum.__mul__
     monkeypatch.setattr(CycNum, "__mul__",
@@ -1641,16 +1647,46 @@ def test_a_table_pass_makes_130_cyclotomic_products(monkeypatch):
     assert len(calls) == 130
 
 
+def test_a_first_table_pass_makes_the_same_130_products():
+    # sqrt(3)^1, built at the first e = 1 scalar, is the base itself with
+    # no product (CycNum.__pow__): a fresh interpreter's first pass, with
+    # nothing warmed up, counts what a warm pass counts
+    code = "\n".join([
+        "import os",
+        "os.sched_getaffinity = lambda pid: {0}",
+        "from classinv.classpoly import compute_ramanujan",
+        "from classinv.cyclotomic import CycNum",
+        "calls = []",
+        "mul = CycNum.__mul__",
+        "CycNum.__mul__ = lambda self, other: calls.append(1) or mul(self, other)",
+        "for _ in range(2):",
+        "    calls.clear()",
+        f"    for n in {sorted(MAIN_TABLE)!r}:",
+        "        compute_ramanujan(n)",
+        "    print(len(calls))",
+    ])
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["130", "130"]
+
+
 def _record_rungs(monkeypatch):
-    """The digits of every expansion made from now on, in order."""
+    """The bits of every expansion made from now on, in order: compare
+    with ``_bits`` of the digits expected."""
     rungs = []
+    original = expansion._expand_and_round
 
-    def expand(values, paired, digits):
-        rungs.append(digits)
-        return _expand_and_round(values, paired, digits)
+    def expand(values, paired, bits, product):
+        rungs.append(bits)
+        return original(values, paired, bits, product)
 
-    monkeypatch.setattr(classpoly, "_expand_and_round", expand)
+    monkeypatch.setattr(expansion, "_expand_and_round", expand)
     return rungs
+
+
+def _bits(*rungs):
+    """The expansion's bits at each of the rungs, given in digits."""
+    return [expansion._expansion_bits(digits) for digits in rungs]
 
 
 def test_precision_ladder(monkeypatch):
@@ -1662,7 +1698,7 @@ def test_precision_ladder(monkeypatch):
     assert compute_ramanujan(100019).precision_digits == DEFAULT_DIGITS
     rungs = _record_rungs(monkeypatch)
     result = compute_ramanujan(1000019)
-    assert rungs == [2 * DEFAULT_DIGITS]
+    assert rungs == _bits(2 * DEFAULT_DIGITS)
     assert result.precision_digits == 2 * DEFAULT_DIGITS
     assert compute_hilbert(-10019).precision_digits == 462
 
@@ -1674,7 +1710,7 @@ def test_skipped_rung_would_not_have_rounded(monkeypatch):
     rungs = _record_rungs(monkeypatch)
     monkeypatch.setattr(classpoly, "_ramanujan_size", lambda n, forms: 0.0)
     result = compute_ramanujan(1000019)
-    assert rungs == [DEFAULT_DIGITS, 2 * DEFAULT_DIGITS]
+    assert rungs == _bits(DEFAULT_DIGITS, 2 * DEFAULT_DIGITS)
     assert result.polynomial == expected
 
 
@@ -1758,7 +1794,7 @@ def test_small_sizes_start_at_the_default_rung(monkeypatch):
     for n in (*MAIN_TABLE, 10019, 100019):
         rungs.clear()
         compute_ramanujan(n)
-        assert rungs == [DEFAULT_DIGITS], n
+        assert rungs == _bits(DEFAULT_DIGITS), n
 
 
 _STUB_FORMS = [QuadForm(1, 1, 1)]
@@ -1773,7 +1809,7 @@ def _stub_evaluate(monkeypatch, value, rungs):
     runs here."""
     def evaluate(a, b, c, digits):
         rungs.append(digits)
-        bits = classpoly._expansion_bits(digits)
+        bits = expansion._expansion_bits(digits)
         return (from_gaussian((value.numerator << bits) // value.denominator, 0, bits),)
 
     monkeypatch.setattr(classpoly, "_stub_number", evaluate, raising=False)
@@ -1787,7 +1823,7 @@ def test_ruled_out_rungs_are_never_evaluated(monkeypatch):
     expected = compute_ramanujan(1000019).polynomial
     rungs = _record_rungs(monkeypatch)
     result = compute_ramanujan(1000019, 15)
-    assert rungs == [2 * DEFAULT_DIGITS]
+    assert rungs == _bits(2 * DEFAULT_DIGITS)
     assert result.polynomial == expected
     # a value that never rounds: no rung at or below the size is
     # evaluated, and PrecisionError follows MAX_RETRIES + 1 evaluated
@@ -1821,7 +1857,7 @@ def test_first_rung_for_size_1653_is_1920_digits(monkeypatch):
 def test_non_unit_polynomial_is_rejected(monkeypatch, coefficients, gate):
     # n = 35 has class number 2; the rounding is replaced by one that
     # returns a polynomial which cannot belong to a unit
-    monkeypatch.setattr(classpoly, "_expand_and_round",
-                        lambda values, paired, digits: (coefficients, mpmath.mpf(0)))
+    monkeypatch.setattr(expansion, "_expand_and_round",
+                        lambda values, paired, bits, product: (coefficients, 0))
     with pytest.raises(PrecisionError, match=gate):
         compute_ramanujan(35)

@@ -264,6 +264,23 @@ def test_an_e1_scalar_is_the_schoolbook_product():
         assert all(type(c) is Fraction for c in x.coeffs), k
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_power_makes_one_product_per_step_it_needs(monkeypatch, n):
+    # from the base, not from one: bitlen(n) - 1 squarings and
+    # popcount(n) - 1 products, so x ** 1 makes none
+    x = CycNum.zeta_pow(1) + SQRT3
+    expected = ONE
+    for _ in range(n):
+        expected = expected * x
+    calls = []
+    original = CycNum.__mul__
+    monkeypatch.setattr(CycNum, "__mul__",
+                        lambda self, other: calls.append(1) or original(self, other))
+    assert x ** n == expected
+    assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1
+    assert x ** 0 == ONE and x ** -n * expected == ONE
+
+
 @settings(max_examples=30)
 @given(st.one_of(_dense_cycnums, _monomials))
 def test_product_with_the_inverse_is_one(x):

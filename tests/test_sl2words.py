@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,22 @@ def test_matrix_modulus_guards():
         Mat2.identity(8) * Mat2.identity(9)
     with pytest.raises(ValueError, match="modulus mismatch"):
         Mat2.identity(8).to_mod(3)
+
+
+@pytest.mark.parametrize("entries, name", [
+    ((1.5, 0, 0, 1, 8), "matrix entry a"),
+    ((1, "1", 0, 1, 8), "matrix entry b"),
+    ((1, 0, True, 1, None), "matrix entry c"),
+    ((1, 0, 0, Fraction(1, 2), 9), "matrix entry d"),
+    ((1, 0, 0, 1, 8.0), "modulus"),
+])
+def test_a_matrix_refuses_what_is_not_an_integer(entries, name):
+    # the message check_integer gives a QuadForm coefficient
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        Mat2(*entries)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        dataclasses.replace(Mat2.identity(8), **dict(zip("abcd", entries[:4]),
+                                                    mod=entries[4]))
 
 
 @pytest.mark.parametrize("modulus", [None, 1, 8, 9, 72])
